@@ -33,7 +33,15 @@ func benchOpts() experiment.Options {
 	return experiment.Options{Runs: 2, BaseSeed: 9, Scale: 0.005}
 }
 
-// benchExperiment runs one paper experiment per iteration.
+// benchSeed is the next unused BaseSeed for benchExperiment. The
+// experiment package memoizes campaigns in-process by (config, runs,
+// seed), so an iteration that reused a seed — from an earlier iteration,
+// the b.N probe round, or another figure sharing the sweep — would time a
+// cache hit instead of a campaign.
+var benchSeed = benchOpts().BaseSeed
+
+// benchExperiment runs one paper experiment per iteration, each on its
+// own BaseSeed so every iteration runs its campaigns.
 func benchExperiment(b *testing.B, id string) {
 	e, ok := experiment.Lookup(id)
 	if !ok {
@@ -42,6 +50,8 @@ func benchExperiment(b *testing.B, id string) {
 	opts := benchOpts()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		opts.BaseSeed = benchSeed
+		benchSeed++
 		if _, err := e.Run(opts); err != nil {
 			b.Fatal(err)
 		}

@@ -9,17 +9,19 @@ import (
 // TestSingleRunAllocCeiling is the allocation-regression gate for the full
 // single-run path — kernel, cluster, placement, recovery, replacement and
 // metrics together — at the benchmark configuration BENCH_*.json records
-// (50 TB user data, 10 GB groups, FARM engine). The ceiling was the
-// BENCH_1 baseline (8857 allocs/op) through PR 9; PR 6's arena event
-// queue and lazy group materialization plus PR 10's discard metric sinks
-// hold the measured figure near 7390, so the gate is tightened to the
-// BENCH_6 level (7430) — any change that drifts allocations back above
-// the claw-back fails `go test`, not just a benchmark eyeball.
+// (50 TB user data, 10 GB groups, FARM engine). The ceiling is the
+// SingleRunFARM benchmark figure (allocs/op at -benchtime=50x), which the
+// CI bench smoke gates too. The arena event queue and lazy group
+// materialization brought it to 7415; counting each run outcome once in
+// the RunResult's tally, with no metric sinks for unobserved runs, took
+// it to 7408 (this test's steady-state measurement: 7225, 7246 under
+// -race). Any change that drifts allocations back above it fails
+// `go test`, not just a benchmark eyeball.
 func TestSingleRunAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const ceiling = 7430 // BENCH_6 SingleRunFARM allocs/op (PR 6 claw-back, locked in)
+	const ceiling = 7408 // SingleRunFARM allocs/op with the per-run tally
 	cfg := DefaultConfig()
 	cfg.TotalDataBytes = 50 * disk.TB
 	cfg.GroupBytes = 10 * disk.GB
@@ -43,6 +45,6 @@ func TestSingleRunAllocCeiling(t *testing.T) {
 		run()
 	}
 	if n := testing.AllocsPerRun(20, run); n > ceiling {
-		t.Fatalf("full single run allocates %.0f times, ceiling %d (BENCH_6)", n, ceiling)
+		t.Fatalf("full single run allocates %.0f times, ceiling %d", n, ceiling)
 	}
 }

@@ -137,7 +137,7 @@ type Config struct {
 	// Used by cmd/farmtrace; nil costs nothing.
 	Hook func(trace.Event)
 	// Obs, when non-nil, attaches the flight recorder: a metrics
-	// Registry mirroring every simulator and recovery counter, a SpanLog
+	// Registry receiving every run outcome at the horizon, a SpanLog
 	// recording one lifecycle span per block rebuild, and a Series of
 	// periodic system-state samples. All instruments are read-only
 	// observers — an attached recorder leaves the run's RunResult (and,
@@ -273,128 +273,39 @@ func (c Config) diskModel() (disk.Model, error) {
 	}, nil
 }
 
-// RunResult reports one six-year trajectory.
+// RunResult reports one six-year trajectory: the run's event counters
+// (the embedded obs.Tally, each written once per event by the layer that
+// owns it) plus the floats derived at the horizon from the recovery
+// engine's distribution accumulators. The outcome table (outcome.go)
+// folds it into a Monte Carlo Result and exports it to a registry.
 type RunResult struct {
+	obs.Tally
 	// DataLoss is true if any group lost data during the run.
 	DataLoss bool
-	// LostGroups counts groups that lost data.
-	LostGroups int
-	// DiskFailures counts drive deaths (including spares and batch
-	// drives).
-	DiskFailures int
-	// BlocksRebuilt counts completed block reconstructions.
-	BlocksRebuilt int
-	// Redirections counts recovery-target failures mid-rebuild.
-	Redirections int
 	// MeanWindowHours is the mean window of vulnerability (failure to
-	// block restored).
+	// block restored); MaxWindowHours is the worst observed window.
+	// WindowP50Hours/WindowP99Hours are streaming-quantile estimates of
+	// the same per-block windows (the rebuild-time tail the fail-slow
+	// experiment reports). All zero when no block was rebuilt.
 	MeanWindowHours float64
-	// MaxWindowHours is the worst observed window.
-	MaxWindowHours float64
-	// SparesUsed counts dedicated spares (traditional engine only).
-	SparesUsed int
-	// BatchesAdded counts replacement batches injected.
-	BatchesAdded int
-	// DisksAdded counts drives injected by replacement.
-	DisksAdded int
-	// MigratedBytes counts bytes moved to rebalance onto new batches.
-	MigratedBytes int64
+	MaxWindowHours  float64
+	WindowP50Hours  float64
+	WindowP99Hours  float64
 	// RecoveryDiskHours is the disk-hours consumed by rebuild transfers
 	// (two drives per transfer) — the degraded-mode interference budget.
 	RecoveryDiskHours float64
-	// PredictedFailures counts failures flagged in advance by the
-	// S.M.A.R.T. monitor; DrainedBlocks counts blocks moved off suspect
-	// drives before they died.
-	PredictedFailures int
-	DrainedBlocks     int
-	// Fault-injection accounting (zero unless cfg.Faults is enabled).
-	// LSEInjected counts latent sector errors that arrived; LSEDetected
-	// counts those discovered by rebuild reads; ScrubFound counts those
-	// discovered (and queued for repair) by the scrubber. Undiscovered
-	// errors either die with their disk or silently ride to the horizon.
-	LSEInjected int
-	LSEDetected int
-	ScrubFound  int
-	// RebuildRetries counts backed-off re-attempts after transient
-	// source-read faults; TransientFaults counts the faults themselves;
-	// Resourcings counts rebuilds that switched source.
-	RebuildRetries  int
-	TransientFaults int
-	Resourcings     int
-	// Bursts counts correlated-failure bursts; BurstKills counts the
-	// drive deaths they injected (some may coincide with natural deaths).
-	Bursts     int
-	BurstKills int
-	// QueuedSpareJobs counts recovery jobs that waited for an exhausted
-	// spare pool (traditional engine with a finite pool).
-	QueuedSpareJobs int
-	// Fail-slow and straggler-mitigation accounting (zero unless
-	// cfg.Faults.FailSlow / cfg.Straggler are enabled). FailSlowOnsets
-	// counts drives that degraded; FailSlowRecoveries counts spontaneous
-	// recoveries; SlowBursts counts correlated slow-bursts.
-	FailSlowOnsets     int
-	FailSlowRecoveries int
-	SlowBursts         int
-	// SlowFlagged counts detector flag transitions; SlowEvicted counts
-	// drives the detector condemned; Hedges/HedgeWins count duplicate
-	// transfers launched and won; RebuildTimeouts counts hard-aborted
-	// attempts.
-	SlowFlagged     int
-	SlowEvicted     int
-	Hedges          int
-	HedgeWins       int
-	RebuildTimeouts int
-	// WindowP50Hours/WindowP99Hours are streaming-quantile estimates of
-	// the per-block vulnerability window (the rebuild-time tail the
-	// fail-slow experiment reports). Zero when no block was rebuilt.
-	WindowP50Hours float64
-	WindowP99Hours float64
-	// Network-fault accounting (zero unless cfg.Topology and
-	// cfg.Faults.Network are enabled). SwitchFails counts ToR-switch
-	// deaths; RackPowerEvents and Partitions count the transient rack
-	// outages; PartitionHeals counts racks that came back. FalseDeadRacks
-	// counts dark racks the false-dead timer declared lost, and
-	// FalseDeadDisks the (healthy) drives written off with them.
-	SwitchFails     int
-	RackPowerEvents int
-	Partitions      int
-	PartitionHeals  int
-	FalseDeadRacks  int
-	FalseDeadDisks  int
-	// ParkedTransfers counts rebuilds parked against a dark rack instead
-	// of abandoned; CrossRackTransfers/CrossRackBytes tally completed
-	// transfers that crossed the rack fabric.
-	ParkedTransfers    int
-	CrossRackTransfers int
-	CrossRackBytes     int64
-	// Foreground-coexistence accounting (zero unless cfg.Demand is
-	// enabled). DemandBursts counts burst episodes that began within the
-	// horizon; DegradedReads counts user reads served by reconstruction
-	// during a window of vulnerability, with mean/median/p99/max latency
-	// in milliseconds and the counterfactual healthy-read p99 sampled at
-	// the same instants.
-	DemandBursts       int
-	DegradedReads      int
+	// Degraded-read latency in milliseconds (zero unless cfg.Demand is
+	// enabled): mean/median/p99/max over the user reads served by
+	// reconstruction during a window of vulnerability, and the
+	// counterfactual healthy-read p99 sampled at the same instants.
 	DegradedReadMeanMs float64
 	DegradedReadP50Ms  float64
 	DegradedReadP99Ms  float64
 	DegradedReadMaxMs  float64
 	HealthyReadP99Ms   float64
-	// QoS accounting (zero unless cfg.Throttle is enabled). ThrottleSteps
-	// counts recovery-rate changes the policy made; ThrottleMeanMBps is
-	// the mean rate granted across decision points.
-	ThrottleSteps    int
+	// ThrottleMeanMBps is the mean recovery rate the QoS policy granted
+	// across decision points (zero unless cfg.Throttle is enabled).
 	ThrottleMeanMBps float64
-	// Maintenance accounting (zero unless cfg.Maintenance schedules
-	// anything). PlannedDrains counts drives sent through the proactive
-	// drain exit; UpgradeWindows counts rolling-upgrade rack windows;
-	// FencedParks counts rebuilds parked against a write-fenced target;
-	// GrowthBatches/GrowthDisksAdded tally scheduled capacity growth.
-	PlannedDrains    int
-	UpgradeWindows   int
-	FencedParks      int
-	GrowthBatches    int
-	GrowthDisksAdded int
 	// InitialUsedBytes and FinalUsedBytes are per-disk-slot utilization
 	// snapshots, present only when CollectUtilization is set. Final
 	// covers all slots ever provisioned (0 for dead drives).
@@ -480,10 +391,6 @@ func runOnce(cfg Config) (RunResult, error) {
 		random:  random,
 		res:     &res,
 		monitor: smart.Monitor{Accuracy: cfg.SmartAccuracy, LeadHours: cfg.SmartLeadHours},
-		// The sim-metrics bundle starts as a shared-handle discard sink,
-		// so the ~14 counter-mirror sites below need no nil checks; an
-		// attached recorder swaps in the real one.
-		sm: obs.NewDiscardSimMetrics(),
 	}
 
 	spawn := func(now sim.Time) int {
@@ -516,9 +423,9 @@ func runOnce(cfg Config) (RunResult, error) {
 	}
 	st.bw = bw
 	if cfg.UseFARM {
-		st.engine = recovery.NewFARM(cl, eng, sched, bw)
+		st.engine = recovery.NewFARM(cl, eng, sched, bw, &res.Tally)
 	} else {
-		st.engine = recovery.NewSpareDisk(cl, eng, sched, bw, spawn)
+		st.engine = recovery.NewSpareDisk(cl, eng, sched, bw, spawn, &res.Tally)
 	}
 	if net != nil {
 		st.net = net
@@ -554,17 +461,8 @@ func runOnce(cfg Config) (RunResult, error) {
 	if cfg.Maintenance.Enabled() {
 		st.scheduleMaintenance()
 	}
-	if o := cfg.Obs; o != nil {
-		if o.Registry != nil {
-			st.sm = o.SimMetrics()
-		}
-		if o.Registry != nil || o.Spans != nil {
-			var rm *obs.RecoveryMetrics
-			if o.Registry != nil {
-				rm = o.RecoveryMetrics()
-			}
-			st.engine.SetObservability(rm, o.Spans)
-		}
+	if cfg.Obs != nil {
+		st.engine.SetObservability(cfg.Obs)
 	}
 	if cfg.Straggler.Enabled {
 		st.engine.SetStraggler(cfg.Straggler, st.onSlowEvicted)
@@ -642,49 +540,22 @@ func runOnce(cfg Config) (RunResult, error) {
 
 	eng.RunUntil(sim.Time(cfg.SimHours))
 
-	if cfg.Obs != nil && cfg.Obs.Registry != nil {
-		// Latch the horizon state into the registry gauges so an exported
-		// registry is self-describing without the series.
-		st.setGauges(st.snapshot(float64(cfg.SimHours)))
-	}
-
 	es := st.engine.Stats()
 	res.DataLoss = cl.LostGroups > 0
 	res.LostGroups = cl.LostGroups
-	res.BlocksRebuilt = es.BlocksRebuilt
-	res.Redirections = es.Redirections
 	res.MeanWindowHours = es.Window.Mean()
 	res.MaxWindowHours = es.Window.Max()
-	res.SparesUsed = es.SparesUsed
-	res.RecoveryDiskHours = sched.BusyHours
-	res.RebuildRetries = es.Retries
-	res.TransientFaults = es.TransientFaults
-	res.Resourcings = es.Resourcings
-	res.QueuedSpareJobs = es.SpareWaits
-	res.SlowFlagged = es.SlowFlagged
-	res.SlowEvicted = es.Evictions
-	res.Hedges = es.Hedges
-	res.HedgeWins = es.HedgeWins
-	res.RebuildTimeouts = es.Timeouts
 	res.WindowP50Hours = es.WindowP50.Value()
 	res.WindowP99Hours = es.WindowP99.Value()
-	res.ParkedTransfers = es.Parked
-	res.CrossRackTransfers = es.CrossRackTransfers
-	res.CrossRackBytes = es.CrossRackBytes
-	res.DegradedReads = es.DegradedReads
+	res.RecoveryDiskHours = sched.BusyHours
 	res.DegradedReadMeanMs = es.DegradedMs.Mean()
 	res.DegradedReadMaxMs = es.DegradedMs.Max()
 	res.DegradedReadP50Ms = es.DegradedP50.Value()
 	res.DegradedReadP99Ms = es.DegradedP99.Value()
 	res.HealthyReadP99Ms = es.HealthyP99.Value()
-	res.ThrottleSteps = es.ThrottleSteps
 	res.ThrottleMeanMBps = es.ThrottleMBps.Mean()
-	res.FencedParks = es.FencedParks
 	if cfg.Obs != nil && cfg.Obs.Registry != nil {
-		st.sm.ThrottleMBps.Set(res.ThrottleMeanMBps)
-		if st.demand != nil {
-			st.sm.UserLoadShare.Set(st.demand.FleetShare(cfg.SimHours))
-		}
+		st.exportHorizon(cfg.Obs.Registry)
 	}
 	if cfg.CollectUtilization {
 		res.FinalUsedBytes = cl.UsedBytesAll()
@@ -708,11 +579,8 @@ type runState struct {
 	// inj, when non-nil, is the fault injector of the run (cfg.Faults
 	// enabled). Its randomness lives on a separate stream.
 	inj *faults.Injector
-	// sm is the simulator-level metrics bundle; never nil (a sink over a
-	// private registry when no recorder is attached), so every counter
-	// mirror below is branch-free. bw is the run's bandwidth model,
-	// retained for the sampler's in-flight recovery-rate estimate.
-	sm *obs.SimMetrics
+	// bw is the run's bandwidth model, retained for the sampler's
+	// in-flight recovery-rate estimate.
 	bw workload.BandwidthModel
 	// net, when non-nil, is the run's network fabric (cfg.Topology
 	// enabled); rack outages and heals route through it.
@@ -799,25 +667,11 @@ func (st *runState) snapshot(now float64) obs.Sample {
 			s.SuspectDisks++
 		}
 	}
-	s.EvictedSlow = st.engine.Stats().Evictions
+	s.EvictedSlow = st.res.SlowEvicted
 	if sp, ok := st.engine.(*recovery.SpareDisk); ok {
 		s.SparePoolFree, s.SpareQueue = sp.SparePoolFree()
 	}
 	return s
-}
-
-// setGauges latches one snapshot's values into the registry gauges.
-func (st *runState) setGauges(s obs.Sample) {
-	st.sm.ActiveRebuilds.Set(float64(s.ActiveRebuilds))
-	st.sm.QueuedRebuilds.Set(float64(s.QueuedTransfers))
-	st.sm.BusyDisks.Set(float64(s.BusyDisks))
-	st.sm.RecoveryMBps.Set(s.RecoveryMBps)
-	st.sm.DegradedGroups.Set(float64(s.DegradedGroups))
-	st.sm.LostGroups.Set(float64(s.LostGroups))
-	st.sm.SparePoolFree.Set(float64(s.SparePoolFree))
-	st.sm.AliveDisks.Set(float64(s.AliveDisks))
-	st.sm.SlowDisks.Set(float64(s.SlowDisks))
-	st.sm.SuspectDisks.Set(float64(s.SuspectDisks))
 }
 
 // emit forwards a trace event to the configured hook, if any.
@@ -842,7 +696,6 @@ func (st *runState) scheduleFailure(id int) {
 	})
 	if warnAt, ok := st.monitor.Predict(st.random, float64(st.eng.Now()), at); ok {
 		st.res.PredictedFailures++
-		st.sm.Predicted.Inc()
 		st.eng.Schedule(sim.Time(warnAt), "smart-warning", func(now sim.Time) {
 			st.onSmartWarning(now, id)
 		})
@@ -900,7 +753,6 @@ func (st *runState) drainStep(now sim.Time, id int) {
 		// marking this group dead; MoveBlock checks residency itself.
 		if st.cl.GroupDiskOf(group, int(ref.Rep)) == int32(id) && st.cl.MoveBlock(ref, target) {
 			st.res.DrainedBlocks++
-			st.sm.DrainedBlocks.Inc()
 		}
 		st.drainStep(done, id)
 	})
@@ -922,7 +774,6 @@ func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 	}
 	lost, newlyDead := st.cl.FailDisk(id, float64(failedAt))
 	st.res.DiskFailures++
-	st.sm.DiskFailures.Inc()
 	if st.inj != nil {
 		// Undiscovered latent errors on the dead drive are moot: the
 		// whole-disk loss supersedes them.
@@ -931,7 +782,6 @@ func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindDiskFail, Disk: id,
 		Detail: fmt.Sprintf("blocks=%d", len(lost))})
 	if newlyDead > 0 {
-		st.sm.DataLossGroups.Add(uint64(newlyDead))
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: id,
 			Detail: fmt.Sprintf("groups=%d", newlyDead)})
 	}
@@ -986,7 +836,6 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 	f := st.inj.DrawSlowSeverity()
 	d.Slowdown = f
 	st.res.FailSlowOnsets++
-	st.sm.FailSlowOnsets.Inc()
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowOnset, Disk: id,
 		Detail: fmt.Sprintf("factor=%g", f)})
 	if hours, ok := st.inj.DrawSlowRecovery(); ok {
@@ -996,7 +845,6 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 			}
 			d.Slowdown = 0
 			st.res.FailSlowRecoveries++
-			st.sm.FailSlowRecovers.Inc()
 			st.emit(trace.Event{Time: float64(rnow), Kind: trace.KindFailSlowRecover, Disk: id})
 		})
 	}
@@ -1031,7 +879,6 @@ func (st *runState) scheduleSlowBurst() {
 			hits++
 		}
 		st.res.SlowBursts++
-		st.sm.SlowBursts.Inc()
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSlowBurst,
 			Detail: fmt.Sprintf("hits=%d", hits)})
 		st.scheduleSlowBurst()
@@ -1070,7 +917,6 @@ func (st *runState) scheduleLSE(id int) {
 			ref := blocks[st.inj.PickIndex(len(blocks))]
 			if st.inj.MarkLatent(id, int(ref.Group), int(ref.Rep)) {
 				st.res.LSEInjected++
-				st.sm.LSEInjected.Inc()
 				st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSE,
 					Disk: id, Group: int(ref.Group), Rep: int(ref.Rep)})
 			}
@@ -1088,11 +934,9 @@ func (st *runState) onLatentDiscovered(now sim.Time, diskID, group, rep int) {
 	}
 	_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(group), Rep: int32(rep)})
 	st.res.LSEDetected++
-	st.sm.LSEDetected.Inc()
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSEDetect,
 		Disk: diskID, Group: group, Rep: rep})
 	if newlyDead {
-		st.sm.DataLossGroups.Inc()
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: diskID,
 			Detail: "groups=1"})
 		return // beyond repair; in-flight rebuilds of the group will drain
@@ -1116,12 +960,10 @@ func (st *runState) scheduleScrub() {
 			}
 			found++
 			st.res.ScrubFound++
-			st.sm.ScrubFound.Inc()
 			_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(e.Group), Rep: int32(e.Rep)})
 			st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrubRepair,
 				Disk: e.Disk, Group: e.Group, Rep: e.Rep})
 			if newlyDead {
-				st.sm.DataLossGroups.Inc()
 				st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: e.Disk,
 					Detail: "groups=1"})
 				continue
@@ -1164,8 +1006,6 @@ func (st *runState) scheduleBurst() {
 		}
 		st.res.Bursts++
 		st.res.BurstKills += kills
-		st.sm.Bursts.Inc()
-		st.sm.BurstKills.Add(uint64(kills))
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindBurst,
 			Detail: fmt.Sprintf("kills=%d", kills)})
 		st.scheduleBurst()
@@ -1184,7 +1024,6 @@ func (st *runState) scheduleSwitchFail() {
 	st.eng.Schedule(at, "switch-fail", func(now sim.Time) {
 		rack := st.inj.PickRack(st.net.Racks())
 		st.res.SwitchFails++
-		st.sm.SwitchFails.Inc()
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSwitchFail, Rack: rack})
 		st.rackDown(now, rack, "switch-fail", 0)
 		st.scheduleSwitchFail()
@@ -1203,7 +1042,6 @@ func (st *runState) schedulePowerEvent() {
 		rack := st.inj.PickRack(st.net.Racks())
 		restore := st.inj.DrawPowerRestore()
 		st.res.RackPowerEvents++
-		st.sm.RackPowerEvents.Inc()
 		st.rackDown(now, rack, "power", restore)
 		st.schedulePowerEvent()
 	})
@@ -1221,7 +1059,6 @@ func (st *runState) schedulePartition() {
 		rack := st.inj.PickRack(st.net.Racks())
 		heal := st.inj.DrawPartitionHeal()
 		st.res.Partitions++
-		st.sm.Partitions.Inc()
 		st.rackDown(now, rack, "partition", heal)
 		st.schedulePartition()
 	})
@@ -1267,7 +1104,6 @@ func (st *runState) rackDown(now sim.Time, rack int, cause string, healAfter flo
 func (st *runState) rackHeal(now sim.Time, rack int) {
 	st.net.SetRackReachable(rack)
 	st.res.PartitionHeals++
-	st.sm.PartitionHeals.Inc()
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindPartitionHeal, Rack: rack})
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
 		st.engine.HandleReachable(now, id)
@@ -1285,7 +1121,6 @@ func (st *runState) rackHeal(now sim.Time, rack int) {
 func (st *runState) declareRackDead(now sim.Time, rack int) {
 	since := sim.Time(st.net.UnreachableSince(rack))
 	st.res.FalseDeadRacks++
-	st.sm.FalseDeadRacks.Inc()
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFalseDead, Rack: rack})
 	killed := 0
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
@@ -1295,7 +1130,6 @@ func (st *runState) declareRackDead(now sim.Time, rack int) {
 		}
 	}
 	st.res.FalseDeadDisks += killed
-	st.sm.FalseDeadDisks.Add(uint64(killed))
 	st.net.SetRackReachable(rack)
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
 		st.engine.HandleReachable(now, id)
@@ -1328,8 +1162,6 @@ func (st *runState) maybeReplace(now sim.Time) {
 	}
 	st.res.BatchesAdded++
 	st.res.DisksAdded += count
-	st.sm.BatchesAdded.Inc()
-	st.sm.DisksAdded.Add(uint64(count))
 	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindBatchAdded,
 		Detail: fmt.Sprintf("disks=%d", count)})

@@ -314,69 +314,6 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 	return out, nil
 }
 
-// add folds one run into the aggregate.
-func (r *Result) add(run *RunResult) {
-	r.Runs++
-	r.lossCounts.Add(run.DataLoss)
-	if run.Redirections > 0 {
-		r.RedirectionRate++ // converted to a rate in finish
-	}
-	r.LostGroups.Add(float64(run.LostGroups))
-	r.DiskFailures.Add(float64(run.DiskFailures))
-	if run.BlocksRebuilt > 0 {
-		r.WindowHours.Add(run.MeanWindowHours)
-	}
-	r.BlocksRebuilt.Add(float64(run.BlocksRebuilt))
-	r.MigratedBytes.Add(float64(run.MigratedBytes))
-	r.BatchesAdded.Add(float64(run.BatchesAdded))
-	r.Predicted.Add(float64(run.PredictedFailures))
-	r.DrainedBlocks.Add(float64(run.DrainedBlocks))
-	r.LSEInjected.Add(float64(run.LSEInjected))
-	r.LSEDetected.Add(float64(run.LSEDetected))
-	r.ScrubFound.Add(float64(run.ScrubFound))
-	r.RebuildRetries.Add(float64(run.RebuildRetries))
-	r.Resourcings.Add(float64(run.Resourcings))
-	r.Bursts.Add(float64(run.Bursts))
-	r.QueuedSpareJobs.Add(float64(run.QueuedSpareJobs))
-	r.FailSlowOnsets.Add(float64(run.FailSlowOnsets))
-	r.SlowEvicted.Add(float64(run.SlowEvicted))
-	r.Hedges.Add(float64(run.Hedges))
-	r.HedgeWins.Add(float64(run.HedgeWins))
-	r.RebuildTimeouts.Add(float64(run.RebuildTimeouts))
-	if run.BlocksRebuilt > 0 {
-		r.WindowP50Hours.Add(run.WindowP50Hours)
-		r.WindowP99Hours.Add(run.WindowP99Hours)
-	}
-	r.SwitchFails.Add(float64(run.SwitchFails))
-	r.Partitions.Add(float64(run.Partitions))
-	r.FalseDeadRacks.Add(float64(run.FalseDeadRacks))
-	r.FalseDeadDisks.Add(float64(run.FalseDeadDisks))
-	r.ParkedTransfers.Add(float64(run.ParkedTransfers))
-	r.CrossRackTransfers.Add(float64(run.CrossRackTransfers))
-	r.CrossRackGB.Add(float64(run.CrossRackBytes) / 1e9)
-	if run.BlocksRebuilt > 0 {
-		r.MaxWindowHours.Add(run.MaxWindowHours)
-	}
-	r.DemandBursts.Add(float64(run.DemandBursts))
-	r.DegradedReads.Add(float64(run.DegradedReads))
-	if run.DegradedReads > 0 {
-		r.DegradedReadP50Ms.Add(run.DegradedReadP50Ms)
-		r.DegradedReadP99Ms.Add(run.DegradedReadP99Ms)
-		r.DegradedReadMaxMs.Add(run.DegradedReadMaxMs)
-		r.HealthyReadP99Ms.Add(run.HealthyReadP99Ms)
-	}
-	r.ThrottleSteps.Add(float64(run.ThrottleSteps))
-	if run.ThrottleMeanMBps > 0 {
-		r.ThrottleMeanMBps.Add(run.ThrottleMeanMBps)
-	}
-	r.PlannedDrains.Add(float64(run.PlannedDrains))
-	r.UpgradeWindows.Add(float64(run.UpgradeWindows))
-	r.FencedParks.Add(float64(run.FencedParks))
-	r.GrowthBatches.Add(float64(run.GrowthBatches))
-	r.GrowthDisksAdded.Add(float64(run.GrowthDisksAdded))
-	r.Disks = run.Disks
-}
-
 // finish converts counters into rates and intervals.
 func (r *Result) finish() {
 	r.PLoss = r.lossCounts.Estimate()

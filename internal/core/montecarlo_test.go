@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestResultAddAndFinish(t *testing.T) {
 	var r Result
 	runs := []RunResult{
-		{DataLoss: true, LostGroups: 3, DiskFailures: 10, BlocksRebuilt: 100,
-			MeanWindowHours: 2, Redirections: 1, Disks: 50},
-		{DataLoss: false, LostGroups: 0, DiskFailures: 8, BlocksRebuilt: 80,
-			MeanWindowHours: 1, Disks: 50},
-		{DataLoss: false, LostGroups: 0, DiskFailures: 12, BlocksRebuilt: 0,
-			Disks: 50},
+		{Tally: obs.Tally{LostGroups: 3, DiskFailures: 10, BlocksRebuilt: 100, Redirections: 1},
+			DataLoss: true, MeanWindowHours: 2, Disks: 50},
+		{Tally: obs.Tally{LostGroups: 0, DiskFailures: 8, BlocksRebuilt: 80},
+			DataLoss: false, MeanWindowHours: 1, Disks: 50},
+		{Tally: obs.Tally{LostGroups: 0, DiskFailures: 12, BlocksRebuilt: 0},
+			DataLoss: false, Disks: 50},
 	}
 	for i := range runs {
 		r.add(&runs[i])

@@ -13,7 +13,7 @@ import (
 // obsStormConfig is the everything-on scenario the byte-identity gate
 // runs under: gray failures, stragglers, latent errors, scrubbing,
 // bursts, S.M.A.R.T. draining, and replacement batches all active, so
-// every code path that mirrors into the flight recorder is exercised.
+// every code path that records into the flight recorder is exercised.
 func obsStormConfig() Config {
 	cfg := failSlowStormConfig()
 	cfg.Faults.LSERatePerDiskHour = 1e-5
@@ -93,20 +93,17 @@ func TestObsByteIdentity(t *testing.T) {
 			}
 		}
 
-		// The instruments actually recorded: counters mirror the result,
-		// spans cover every rebuild, and the sampler took its samples.
+		// The instruments actually recorded: every exported outcome
+		// counter equals its result field, spans cover every rebuild, and
+		// the sampler took its samples.
 		reg := ob.Registry
-		if n := reg.Counter(obs.MetricDiskFailures).Value(); n != uint64(res1.DiskFailures) {
-			t.Errorf("seed %d: disk_failures_total = %d, result says %d", seed, n, res1.DiskFailures)
-		}
-		if n := reg.Counter(obs.MetricBlocksRebuilt).Value(); n != uint64(res1.BlocksRebuilt) {
-			t.Errorf("seed %d: blocks_rebuilt_total = %d, result says %d", seed, n, res1.BlocksRebuilt)
-		}
-		if n := reg.Counter(obs.MetricLSEInjected).Value(); n != uint64(res1.LSEInjected) {
-			t.Errorf("seed %d: lse_injected_total = %d, result says %d", seed, n, res1.LSEInjected)
-		}
-		if n := reg.Counter(obs.MetricFailSlowOnsets).Value(); n != uint64(res1.FailSlowOnsets) {
-			t.Errorf("seed %d: failslow_onsets_total = %d, result says %d", seed, n, res1.FailSlowOnsets)
+		for _, o := range outcomes {
+			if len(o.metric) == 0 {
+				continue
+			}
+			if n, want := reg.Counter(o.metric).Value(), uint64(o.n(&res1.Tally)); n != want {
+				t.Errorf("seed %d: %s = %d, result says %d", seed, o.metric, n, want)
+			}
 		}
 		done := 0
 		for _, sp := range ob.Spans.Spans() {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/disk"
-	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -45,9 +44,8 @@ func newDrainScenario(t *testing.T) *runState {
 		random:  rng.New(cfg.Seed),
 		res:     &RunResult{},
 		monitor: smart.Monitor{},
-		sm:      obs.NewSimMetrics(obs.NewRegistry()),
 	}
-	st.engine = recovery.NewFARM(cl, eng, sched, workload.Fixed{MBps: cfg.RecoveryMBps})
+	st.engine = recovery.NewFARM(cl, eng, sched, workload.Fixed{MBps: cfg.RecoveryMBps}, &st.res.Tally)
 	return st
 }
 
@@ -102,8 +100,7 @@ func TestDrainWhileSource(t *testing.T) {
 	if len(st.cl.BlocksOn(src)) != 0 {
 		t.Fatalf("%d blocks left on the retired suspect", len(st.cl.BlocksOn(src)))
 	}
-	es := st.engine.Stats()
-	if es.BlocksRebuilt == 0 {
+	if st.res.BlocksRebuilt == 0 {
 		t.Fatal("no rebuilds completed around the draining source")
 	}
 }
@@ -136,7 +133,7 @@ func TestDrainWhileTarget(t *testing.T) {
 	if st.res.DrainedBlocks == 0 {
 		t.Fatal("suspect targets drained nothing")
 	}
-	if st.engine.Stats().BlocksRebuilt == 0 {
+	if st.res.BlocksRebuilt == 0 {
 		t.Fatal("no rebuilds completed")
 	}
 }
@@ -165,13 +162,12 @@ func TestDrainThenDeath(t *testing.T) {
 		t.Fatalf("drain claims %d blocks but only %d existed and the drive died early",
 			st.res.DrainedBlocks, before)
 	}
-	es := st.engine.Stats()
-	if es.BlocksRebuilt == 0 {
+	if st.res.BlocksRebuilt == 0 {
 		t.Fatal("reactive recovery rebuilt nothing after the mid-drain death")
 	}
 	// Everything the drain did not move was rebuilt reactively.
-	if got := st.res.DrainedBlocks + es.BlocksRebuilt; got < before {
+	if got := st.res.DrainedBlocks + st.res.BlocksRebuilt; got < before {
 		t.Fatalf("drained %d + rebuilt %d < %d blocks the drive held",
-			st.res.DrainedBlocks, es.BlocksRebuilt, before)
+			st.res.DrainedBlocks, st.res.BlocksRebuilt, before)
 	}
 }

@@ -102,7 +102,7 @@ type Config struct {
 	BackoffBaseHours float64
 	BackoffCapHours  float64
 	// MaxResourcings caps how many times one rebuild may switch source
-	// before it is abandoned through the DroppedLost path (default 8).
+	// before it is abandoned through the DroppedRebuilds path (default 8).
 	MaxResourcings int
 	// SparePoolSize, when positive, bounds the traditional engine's
 	// dedicated-spare pool: activations beyond the pool queue until a

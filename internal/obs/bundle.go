@@ -6,254 +6,6 @@ import (
 	"math"
 )
 
-// RecoveryMetrics is the pre-resolved handle bundle the recovery engines
-// record into. Resolving handles once at setup keeps the record paths
-// free of map lookups and allocation.
-type RecoveryMetrics struct {
-	BlocksRebuilt   *Counter
-	Dropped         *Counter
-	Redirections    *Counter
-	Resourcings     *Counter
-	Retries         *Counter
-	TransientFaults *Counter
-	Hedges          *Counter
-	HedgeWins       *Counter
-	Timeouts        *Counter
-	SlowFlagged     *Counter
-	SlowEvicted     *Counter
-	SpareWaits      *Counter
-	SparesUsed      *Counter
-
-	CrossRackTransfers *Counter
-	CrossRackBytes     *Counter
-	ParkedTransfers    *Counter
-
-	DegradedReads *Counter
-	ThrottleSteps *Counter
-
-	WindowHours       *Histogram
-	QueueWaitHours    *Histogram
-	TransferHours     *Histogram
-	RetryWaitHours    *Histogram
-	HedgeOverlapHours *Histogram
-	DetectWaitHours   *Histogram
-	DegradedLatencyMs *Histogram
-}
-
-// NewRecoveryMetrics resolves the recovery-engine handles on r.
-func NewRecoveryMetrics(r *Registry) *RecoveryMetrics {
-	return &RecoveryMetrics{
-		BlocksRebuilt:   r.Counter(MetricBlocksRebuilt),
-		Dropped:         r.Counter(MetricRebuildsDropped),
-		Redirections:    r.Counter(MetricRedirections),
-		Resourcings:     r.Counter(MetricResourcings),
-		Retries:         r.Counter(MetricRetries),
-		TransientFaults: r.Counter(MetricTransientFaults),
-		Hedges:          r.Counter(MetricHedges),
-		HedgeWins:       r.Counter(MetricHedgeWins),
-		Timeouts:        r.Counter(MetricTimeouts),
-		SlowFlagged:     r.Counter(MetricSlowFlagged),
-		SlowEvicted:     r.Counter(MetricSlowEvicted),
-		SpareWaits:      r.Counter(MetricSpareWaits),
-		SparesUsed:      r.Counter(MetricSparesUsed),
-
-		CrossRackTransfers: r.Counter(MetricCrossRackTransfers),
-		CrossRackBytes:     r.Counter(MetricCrossRackBytes),
-		ParkedTransfers:    r.Counter(MetricParkedTransfers),
-
-		DegradedReads: r.Counter(MetricDegradedReads),
-		ThrottleSteps: r.Counter(MetricThrottleSteps),
-
-		WindowHours:       r.Histogram(MetricWindowHours, PhaseBounds),
-		QueueWaitHours:    r.Histogram(MetricQueueWaitHours, PhaseBounds),
-		TransferHours:     r.Histogram(MetricTransferHours, PhaseBounds),
-		RetryWaitHours:    r.Histogram(MetricRetryWaitHours, PhaseBounds),
-		HedgeOverlapHours: r.Histogram(MetricHedgeOverlapHours, PhaseBounds),
-		DetectWaitHours:   r.Histogram(MetricDetectWaitHours, PhaseBounds),
-		DegradedLatencyMs: r.Histogram(MetricDegradedLatency, LatencyBounds),
-	}
-}
-
-// NewDiscardRecoveryMetrics returns a RecoveryMetrics sink whose
-// handles all share one scratch counter and one scratch histogram (a
-// single +Inf bucket). Unobserved runs need a non-nil bundle so the
-// record sites carry no nil checks; resolving a throwaway registry for
-// that costs ~55 allocations per run, the shared-handle sink four.
-// Nothing ever reads the scratch instruments, so the aliasing is
-// invisible — but each run still needs its own sink (the handles are
-// not atomic, so parallel Monte Carlo runs must not share one).
-func NewDiscardRecoveryMetrics() *RecoveryMetrics {
-	c := &Counter{}
-	h := &Histogram{counts: make([]uint64, 1)}
-	return &RecoveryMetrics{
-		BlocksRebuilt:   c,
-		Dropped:         c,
-		Redirections:    c,
-		Resourcings:     c,
-		Retries:         c,
-		TransientFaults: c,
-		Hedges:          c,
-		HedgeWins:       c,
-		Timeouts:        c,
-		SlowFlagged:     c,
-		SlowEvicted:     c,
-		SpareWaits:      c,
-		SparesUsed:      c,
-
-		CrossRackTransfers: c,
-		CrossRackBytes:     c,
-		ParkedTransfers:    c,
-
-		DegradedReads: c,
-		ThrottleSteps: c,
-
-		WindowHours:       h,
-		QueueWaitHours:    h,
-		TransferHours:     h,
-		RetryWaitHours:    h,
-		HedgeOverlapHours: h,
-		DetectWaitHours:   h,
-		DegradedLatencyMs: h,
-	}
-}
-
-// SimMetrics is the simulator-level handle bundle (internal/core).
-type SimMetrics struct {
-	DiskFailures     *Counter
-	DataLossGroups   *Counter
-	BatchesAdded     *Counter
-	DisksAdded       *Counter
-	Predicted        *Counter
-	DrainedBlocks    *Counter
-	LSEInjected      *Counter
-	LSEDetected      *Counter
-	ScrubFound       *Counter
-	Bursts           *Counter
-	BurstKills       *Counter
-	FailSlowOnsets   *Counter
-	FailSlowRecovers *Counter
-	SlowBursts       *Counter
-	SwitchFails      *Counter
-	RackPowerEvents  *Counter
-	Partitions       *Counter
-	PartitionHeals   *Counter
-	FalseDeadRacks   *Counter
-	FalseDeadDisks   *Counter
-
-	DemandBursts  *Counter
-	DrainsPlanned *Counter
-	UpgradeWins   *Counter
-	GrowthBatches *Counter
-	GrowthDisks   *Counter
-
-	ActiveRebuilds *Gauge
-	QueuedRebuilds *Gauge
-	BusyDisks      *Gauge
-	RecoveryMBps   *Gauge
-	DegradedGroups *Gauge
-	LostGroups     *Gauge
-	SparePoolFree  *Gauge
-	AliveDisks     *Gauge
-	SlowDisks      *Gauge
-	SuspectDisks   *Gauge
-	UserLoadShare  *Gauge
-	ThrottleMBps   *Gauge
-}
-
-// NewSimMetrics resolves the simulator-level handles on r.
-func NewSimMetrics(r *Registry) *SimMetrics {
-	return &SimMetrics{
-		DiskFailures:     r.Counter(MetricDiskFailures),
-		DataLossGroups:   r.Counter(MetricDataLossGroups),
-		BatchesAdded:     r.Counter(MetricBatchesAdded),
-		DisksAdded:       r.Counter(MetricDisksAdded),
-		Predicted:        r.Counter(MetricPredicted),
-		DrainedBlocks:    r.Counter(MetricDrainedBlocks),
-		LSEInjected:      r.Counter(MetricLSEInjected),
-		LSEDetected:      r.Counter(MetricLSEDetected),
-		ScrubFound:       r.Counter(MetricScrubFound),
-		Bursts:           r.Counter(MetricBursts),
-		BurstKills:       r.Counter(MetricBurstKills),
-		FailSlowOnsets:   r.Counter(MetricFailSlowOnsets),
-		FailSlowRecovers: r.Counter(MetricFailSlowRecovers),
-		SlowBursts:       r.Counter(MetricSlowBursts),
-		SwitchFails:      r.Counter(MetricSwitchFails),
-		RackPowerEvents:  r.Counter(MetricRackPowerEvents),
-		Partitions:       r.Counter(MetricPartitions),
-		PartitionHeals:   r.Counter(MetricPartitionHeals),
-		FalseDeadRacks:   r.Counter(MetricFalseDeadRacks),
-		FalseDeadDisks:   r.Counter(MetricFalseDeadDisks),
-
-		DemandBursts:  r.Counter(MetricDemandBursts),
-		DrainsPlanned: r.Counter(MetricDrainsPlanned),
-		UpgradeWins:   r.Counter(MetricUpgradeWins),
-		GrowthBatches: r.Counter(MetricGrowthBatches),
-		GrowthDisks:   r.Counter(MetricGrowthDisks),
-
-		ActiveRebuilds: r.Gauge(MetricActiveRebuilds),
-		QueuedRebuilds: r.Gauge(MetricQueuedRebuilds),
-		BusyDisks:      r.Gauge(MetricBusyDisks),
-		RecoveryMBps:   r.Gauge(MetricRecoveryMBps),
-		DegradedGroups: r.Gauge(MetricDegradedGroups),
-		LostGroups:     r.Gauge(MetricLostGroups),
-		SparePoolFree:  r.Gauge(MetricSparePoolFree),
-		AliveDisks:     r.Gauge(MetricAliveDisks),
-		SlowDisks:      r.Gauge(MetricSlowDisks),
-		SuspectDisks:   r.Gauge(MetricSuspectDisks),
-		UserLoadShare:  r.Gauge(MetricUserLoadShare),
-		ThrottleMBps:   r.Gauge(MetricThrottleMBps),
-	}
-}
-
-// NewDiscardSimMetrics returns a SimMetrics sink whose handles all
-// share one scratch counter and one scratch gauge — the simulator-level
-// counterpart of NewDiscardRecoveryMetrics, with the same contract:
-// per-run, write-only, never read.
-func NewDiscardSimMetrics() *SimMetrics {
-	c, g := &Counter{}, &Gauge{}
-	return &SimMetrics{
-		DiskFailures:     c,
-		DataLossGroups:   c,
-		BatchesAdded:     c,
-		DisksAdded:       c,
-		Predicted:        c,
-		DrainedBlocks:    c,
-		LSEInjected:      c,
-		LSEDetected:      c,
-		ScrubFound:       c,
-		Bursts:           c,
-		BurstKills:       c,
-		FailSlowOnsets:   c,
-		FailSlowRecovers: c,
-		SlowBursts:       c,
-		SwitchFails:      c,
-		RackPowerEvents:  c,
-		Partitions:       c,
-		PartitionHeals:   c,
-		FalseDeadRacks:   c,
-		FalseDeadDisks:   c,
-
-		DemandBursts:  c,
-		DrainsPlanned: c,
-		UpgradeWins:   c,
-		GrowthBatches: c,
-		GrowthDisks:   c,
-
-		ActiveRebuilds: g,
-		QueuedRebuilds: g,
-		BusyDisks:      g,
-		RecoveryMBps:   g,
-		DegradedGroups: g,
-		LostGroups:     g,
-		SparePoolFree:  g,
-		AliveDisks:     g,
-		SlowDisks:      g,
-		SuspectDisks:   g,
-		UserLoadShare:  g,
-		ThrottleMBps:   g,
-	}
-}
-
 // FaultMetrics is the fault-injector handle bundle (internal/faults):
 // read-probe classification counters.
 type FaultMetrics struct {
@@ -295,7 +47,10 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 // zero value (and a nil *RunObserver) disables the corresponding
 // instrument and leaves the simulation untouched.
 type RunObserver struct {
-	// Registry, when non-nil, receives the metric catalogue of the run.
+	// Registry, when non-nil, receives the metric catalogue of the run:
+	// the per-rebuild histograms record live, while the outcome counters
+	// are added and the gauges latched once, at the horizon. Counters
+	// accumulate across runs that reuse the observer.
 	Registry *Registry
 	// Spans, when non-nil, records a rebuild-lifecycle span per block
 	// rebuild.
@@ -306,30 +61,9 @@ type RunObserver struct {
 	// SampleEveryHours is the sampling cadence in simulated hours.
 	SampleEveryHours float64
 
-	// Memoized handle bundles over Registry, resolved on first use so
-	// repeat runs against one observer re-register nothing and allocate
-	// nothing (the metrics-on alloc parity gated by BENCH_5.json).
-	sm *SimMetrics
-	rm *RecoveryMetrics
+	// fm memoizes the fault-injector bundle over Registry, resolved on
+	// first use so repeat runs against one observer re-register nothing.
 	fm *FaultMetrics
-}
-
-// SimMetrics returns the simulator-level handle bundle over Registry,
-// resolving it on first call. Registry must be non-nil.
-func (o *RunObserver) SimMetrics() *SimMetrics {
-	if o.sm == nil {
-		o.sm = NewSimMetrics(o.Registry)
-	}
-	return o.sm
-}
-
-// RecoveryMetrics returns the recovery-engine handle bundle over
-// Registry, resolving it on first call. Registry must be non-nil.
-func (o *RunObserver) RecoveryMetrics() *RecoveryMetrics {
-	if o.rm == nil {
-		o.rm = NewRecoveryMetrics(o.Registry)
-	}
-	return o.rm
 }
 
 // FaultMetrics returns the fault-injector handle bundle over Registry,

@@ -21,8 +21,15 @@
 //     per-worker throughput, merged registries) behind an optional HTTP
 //     endpoint with Prometheus text and net/http/pprof.
 //
-// Determinism contract: metric registration happens at run setup (may
-// allocate); the record paths (Counter.Inc/Add, Gauge.Set, Histogram
+// Run outcomes are not mirrored into the registry as they happen. A run
+// counts each event once, in the Tally the core simulator embeds in its
+// RunResult; an attached registry receives every outcome counter in one
+// pass at the horizon, driven by the core's outcome table, and only the
+// per-rebuild histograms (which bin values no tally keeps) record live.
+// An unobserved run touches no metric instrument at all.
+//
+// Determinism contract: metric registration happens at run setup or at
+// the horizon export (may allocate); the record paths (Counter.Inc/Add, Gauge.Set, Histogram
 // .Observe) never allocate and never consult wall clocks or randomness.
 // Registries from a Monte Carlo campaign merge in run-index order, so the
 // merged registry is byte-identical regardless of worker count.

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"repro/internal/obs"
 	"testing"
 
 	"repro/internal/redundancy"
@@ -12,7 +13,7 @@ import (
 // stream walk, and space reservation — must not touch the heap.
 func TestFARMPickTargetZeroAlloc(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 400)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 
 	// Put the engine into a realistic steady state: one failure with
 	// rebuilds in flight, so perGroupTargets and the disk indexes are
@@ -43,7 +44,7 @@ func TestFARMPickTargetZeroAlloc(t *testing.T) {
 // cycle on a warmed group performs no allocation.
 func TestTrackUntrackSteadyStateZeroAlloc(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	r := &rebuild{task: &Task{Group: 7, Rep: 0, Source: 1, Target: 2}}
 	// Warm: first track allocates the group's slot and slice.
 	f.track(r)

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"repro/internal/obs"
 	"testing"
 
 	"repro/internal/cluster"
@@ -49,14 +50,14 @@ func (h *harness) failAndDetect(e Engine, id int) []cluster.BlockRef {
 
 func TestFARMRebuildsEverything(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	if f.Stats().BlocksRebuilt != len(lost) {
-		t.Fatalf("rebuilt %d of %d blocks", f.Stats().BlocksRebuilt, len(lost))
+	if f.tally.BlocksRebuilt != len(lost) {
+		t.Fatalf("rebuilt %d of %d blocks", f.tally.BlocksRebuilt, len(lost))
 	}
 	for _, ref := range lost {
 		g := int(ref.Group)
@@ -78,7 +79,7 @@ func TestFARMRebuildsEverything(t *testing.T) {
 
 func TestFARMTargetsAreSpread(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 400)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	lost := h.failAndDetect(f, 1)
 	h.eng.Run()
 	// Count distinct target disks among the recovered replicas.
@@ -98,18 +99,19 @@ func TestFARMFasterThanSpare(t *testing.T) {
 	mkTime := func(useFARM bool) sim.Time {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
 		var e Engine
+		tl := new(obs.Tally)
 		if useFARM {
-			e = NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+			e = NewFARM(h.cl, h.eng, h.sched, FixedBW(16), tl)
 		} else {
 			e = NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), func(now sim.Time) int {
 				ids := h.cl.AddDisks(1, float64(now))
 				h.sched.Grow(h.cl.NumDisks())
 				return ids[0]
-			})
+			}, tl)
 		}
 		h.failAndDetect(e, 0)
 		h.eng.Run()
-		if e.Stats().BlocksRebuilt == 0 {
+		if tl.BlocksRebuilt == 0 {
 			t.Fatal("no blocks rebuilt")
 		}
 		return sim.Time(e.Stats().Window.Max())
@@ -129,11 +131,11 @@ func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 		h.sched.Grow(h.cl.NumDisks())
 		spareID = ids[0]
 		return ids[0]
-	})
+	}, new(obs.Tally))
 	lost := h.failAndDetect(e, 0)
 	h.eng.Run()
-	if e.Stats().SparesUsed != 1 {
-		t.Fatalf("spares used = %d", e.Stats().SparesUsed)
+	if e.tally.SparesUsed != 1 {
+		t.Fatalf("spares used = %d", e.tally.SparesUsed)
 	}
 	// All recovered blocks sit on the one spare.
 	for _, ref := range lost {
@@ -157,7 +159,7 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	e := NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), func(now sim.Time) int {
 		t.Fatal("spawned a spare for an empty disk")
 		return -1
-	})
+	}, new(obs.Tally))
 	// Find a disk with no blocks (tiny cluster has spare room); if all
 	// loaded, add one.
 	empty := -1
@@ -173,14 +175,14 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	}
 	h.failAndDetect(e, empty)
 	h.eng.Run()
-	if e.Stats().SparesUsed != 0 {
+	if e.tally.SparesUsed != 0 {
 		t.Fatal("spare activated for empty disk")
 	}
 }
 
 func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
 		t.Fatal("no blocks lost")
@@ -205,7 +207,7 @@ func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 	h.cl.FailDisk(target, float64(now))
 	f.HandleFailure(now, target)
 	h.eng.Run()
-	if f.Stats().Redirections == 0 {
+	if f.tally.Redirections == 0 {
 		t.Fatal("expected at least one redirection")
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
@@ -215,7 +217,7 @@ func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 
 func TestFARMResourcingOnSourceFailure(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	h.failAndDetect(f, 0)
 	// Find an in-flight source and kill it. 3-way mirroring leaves an
 	// alternative replica, so the rebuild re-sources rather than dying.
@@ -234,7 +236,7 @@ func TestFARMResourcingOnSourceFailure(t *testing.T) {
 	f.HandleFailure(now, src)
 	f.HandleDetection(now, src, now, lost2)
 	h.eng.Run()
-	if f.Stats().Resourcings == 0 {
+	if f.tally.Resourcings == 0 {
 		t.Fatal("expected at least one re-sourcing")
 	}
 	if h.cl.LostGroups != 0 {
@@ -249,7 +251,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 	// Two-way mirroring, both replica disks die before any rebuild: the
 	// shared groups are lost and the engine abandons their rebuilds.
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	now := h.eng.Now()
 	lost0, _ := h.cl.FailDisk(0, float64(now))
 	f.HandleFailure(now, 0)
@@ -276,7 +278,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 	if h.cl.LostGroups != dead {
 		t.Fatalf("LostGroups %d, expected %d", h.cl.LostGroups, dead)
 	}
-	if f.Stats().DroppedLost == 0 {
+	if f.tally.DroppedRebuilds == 0 {
 		t.Fatal("engine should have dropped rebuilds of lost groups")
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
@@ -287,7 +289,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 func TestErasureToleratesTwoFailures(t *testing.T) {
 	// 4/6 survives two overlapping failures with zero-latency detection.
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 150)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	h.failAndDetect(f, 0)
 	h.failAndDetect(f, 1)
 	h.eng.Run()
@@ -309,7 +311,7 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 		h.sched.Grow(h.cl.NumDisks())
 		spawned = append(spawned, ids[0])
 		return ids[0]
-	})
+	}, new(obs.Tally))
 	h.failAndDetect(e, 0)
 	if len(spawned) != 1 {
 		t.Fatal("no spare spawned")
@@ -324,7 +326,7 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 	if len(spawned) < 2 {
 		t.Fatal("no replacement spare after spare failure")
 	}
-	if e.Stats().Redirections == 0 {
+	if e.tally.Redirections == 0 {
 		t.Fatal("expected redirections after spare death")
 	}
 	if h.cl.LostGroups != 0 {
@@ -337,8 +339,8 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 
 func TestEngineNames(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
-	s := NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), nil)
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
+	s := NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), nil, new(obs.Tally))
 	if f.Name() != "farm" || s.Name() != "spare" {
 		t.Fatal("engine names wrong")
 	}
@@ -348,7 +350,7 @@ func TestWindowIncludesDetectionLatency(t *testing.T) {
 	// Submitting detection later than the failure lengthens the measured
 	// window by exactly the latency.
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 100)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	now := h.eng.Now()
 	lost, _ := h.cl.FailDisk(0, float64(now))
 	f.HandleFailure(now, 0)

@@ -3,6 +3,7 @@ package recovery
 import (
 	"repro/internal/cluster"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -19,9 +20,10 @@ type FARM struct {
 }
 
 // NewFARM returns a FARM engine over the given cluster. bw supplies the
-// per-disk recovery bandwidth (use FixedBW for the paper's base model).
-func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel) *FARM {
-	return &FARM{base: newBase(cl, eng, sched, bw)}
+// per-disk recovery bandwidth (use FixedBW for the paper's base model);
+// tally receives the engine's event counters.
+func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel, tally *obs.Tally) *FARM {
+	return &FARM{base: newBase(cl, eng, sched, bw, tally)}
 }
 
 // FixedBW is shorthand for the constant-bandwidth model.
@@ -43,8 +45,7 @@ func (f *FARM) HandleDetection(now sim.Time, diskID int, failedAt sim.Time, lost
 // transfer. Returns silently if the group is already beyond repair.
 func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 	if f.cl.GroupLost(group) {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.tally.DroppedRebuilds++
 		return
 	}
 	src := f.cl.SourceFor(group, -1)
@@ -54,8 +55,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		src = f.cl.AnySourceFor(group, -1)
 	}
 	if src < 0 {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.tally.DroppedRebuilds++
 		return
 	}
 	r := &rebuild{failedAt: failedAt, baseDur: f.blockDuration()}
@@ -64,8 +64,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 	if !ok {
 		// Nowhere to put the block (cluster effectively full/dead);
 		// leave the group degraded.
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.tally.DroppedRebuilds++
 		f.spanDropped(r, f.eng.Now())
 		return
 	}
@@ -113,15 +112,13 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	f.untrack(r)
 	// No ReleaseTarget: the dead disk's byte accounting is already gone.
 	if f.cl.GroupLost(r.task.Group) {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.tally.DroppedRebuilds++
 		f.spanDropped(r, now)
 		return
 	}
 	target, trial, ok := f.pickTarget(r.task.Group, r.task.Rep, r.trial+1)
 	if !ok {
-		f.stats.DroppedLost++
-		f.rm.Dropped.Inc()
+		f.tally.DroppedRebuilds++
 		f.spanDropped(r, now)
 		return
 	}
@@ -133,8 +130,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 		}
 		if src < 0 {
 			f.cl.ReleaseTarget(target)
-			f.stats.DroppedLost++
-			f.rm.Dropped.Inc()
+			f.tally.DroppedRebuilds++
 			f.spanDropped(r, now)
 			return
 		}
@@ -149,8 +145,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	r.task = nt
 	r.trial = trial
 	f.track(r)
-	f.stats.Redirections++
-	f.rm.Redirections.Inc()
+	f.tally.Redirections++
 	if r.span != nil {
 		r.span.Redirections++
 	}

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"repro/internal/obs"
 	"testing"
 
 	"repro/internal/cluster"
@@ -53,7 +54,7 @@ func tracked(b *base) int {
 // counted.
 func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient, faults.ReadTransient},
 		backoff:        sim.Time(0.25),
@@ -63,9 +64,9 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	f.SetFaultModel(fm)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
-	st := f.Stats()
-	if st.TransientFaults != 2 || st.Retries != 2 {
-		t.Fatalf("faults=%d retries=%d, want 2/2", st.TransientFaults, st.Retries)
+	st := f.tally
+	if st.TransientFaults != 2 || st.RebuildRetries != 2 {
+		t.Fatalf("faults=%d retries=%d, want 2/2", st.TransientFaults, st.RebuildRetries)
 	}
 	if st.BlocksRebuilt != len(lost) {
 		t.Fatalf("rebuilt %d of %d", st.BlocksRebuilt, len(lost))
@@ -84,11 +85,11 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 // TestRetryCapEscalatesToResourceThenDrops is the graceful-degradation
 // acceptance path: with every read faulting transiently forever, each
 // rebuild retries up to the cap, re-sources up to the cap, and is then
-// abandoned through the DroppedLost path — the run terminates instead of
+// abandoned through the DroppedRebuilds path — the run terminates instead of
 // spinning.
 func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	fm := &scriptFM{
 		always:         faults.ReadTransient,
 		alwaysOn:       true,
@@ -102,18 +103,18 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run() // must terminate: the caps bound the work
-	st := f.Stats()
+	st := f.tally
 	if st.BlocksRebuilt != 0 {
 		t.Fatalf("rebuilt %d blocks under always-faulting reads", st.BlocksRebuilt)
 	}
-	if st.DroppedLost != len(lost) {
-		t.Fatalf("dropped %d of %d", st.DroppedLost, len(lost))
+	if st.DroppedRebuilds != len(lost) {
+		t.Fatalf("dropped %d of %d", st.DroppedRebuilds, len(lost))
 	}
 	// Per rebuild: (maxRetries) retries per source, (maxResourcings+1)
 	// sources tried before abandonment.
 	wantRetries := len(lost) * fm.maxRetries * (fm.maxResourcings + 1)
-	if st.Retries != wantRetries {
-		t.Fatalf("retries = %d, want %d", st.Retries, wantRetries)
+	if st.RebuildRetries != wantRetries {
+		t.Fatalf("retries = %d, want %d", st.RebuildRetries, wantRetries)
 	}
 	if st.Resourcings != len(lost)*fm.maxResourcings {
 		t.Fatalf("resourcings = %d, want %d", st.Resourcings, len(lost)*fm.maxResourcings)
@@ -130,7 +131,7 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 // switch to a different buddy (counted as a re-sourcing) and still finish.
 func TestLatentOutcomeForcesResource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadLatent},
 		maxRetries:     3,
@@ -139,7 +140,7 @@ func TestLatentOutcomeForcesResource(t *testing.T) {
 	f.SetFaultModel(fm)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
-	st := f.Stats()
+	st := f.tally
 	if st.Resourcings != 1 {
 		t.Fatalf("resourcings = %d, want 1", st.Resourcings)
 	}
@@ -157,7 +158,7 @@ func TestLatentOutcomeForcesResource(t *testing.T) {
 // fire afterwards and resurrect the old task.
 func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 120)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient},
 		backoff:        sim.Time(1000), // far beyond every other event
@@ -168,7 +169,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	lost := h.failAndDetect(f, 0)
 	// Step until the scripted transient fires: one rebuild is now parked
 	// in its backoff window.
-	for f.Stats().TransientFaults == 0 {
+	for f.tally.TransientFaults == 0 {
 		if !h.eng.Step() {
 			t.Fatal("queue drained before the transient fault fired")
 		}
@@ -188,12 +189,12 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	h.cl.FailDisk(victim, float64(h.eng.Now()))
 	f.HandleFailure(h.eng.Now(), victim)
 	h.eng.Run()
-	st := f.Stats()
+	st := f.tally
 	// Every block of disk 0 must be accounted for exactly once; the
 	// victim disk's own blocks were never handed to the engine, so the
 	// only flows are rebuilt or dropped-with-lost-group.
-	if st.BlocksRebuilt+st.DroppedLost != len(lost) {
-		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedLost, len(lost))
+	if st.BlocksRebuilt+st.DroppedRebuilds != len(lost) {
+		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedRebuilds, len(lost))
 	}
 	if st.Redirections == 0 {
 		t.Fatal("target death during backoff did not redirect")
@@ -216,14 +217,14 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 		ids := h.cl.AddDisks(1, float64(now))
 		h.sched.Grow(h.cl.NumDisks())
 		return ids[0]
-	})
+	}, new(obs.Tally))
 	e.ConfigureSparePool(1, 12)
 	lost0 := h.failAndDetect(e, 0)
 	lost1 := h.failAndDetect(e, 1)
 	if len(lost0) == 0 || len(lost1) == 0 {
 		t.Fatal("test disks held no blocks")
 	}
-	if e.Stats().SpareWaits == 0 {
+	if e.tally.QueuedSpareJobs == 0 {
 		t.Fatal("second failure did not queue for the exhausted pool")
 	}
 	if free, queued := e.SparePoolFree(); free != 0 || queued != 1 {
@@ -233,11 +234,11 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	if _, queued := e.SparePoolFree(); queued != 0 {
 		t.Fatalf("queue not drained: %d items", queued)
 	}
-	st := e.Stats()
+	st := e.tally
 	// Both disks' blocks resolve: rebuilt, or dropped because the group
 	// lost both replicas across the two failures.
-	if st.BlocksRebuilt+st.DroppedLost < len(lost0)+len(lost1) {
-		t.Fatalf("rebuilt %d + dropped %d < lost %d", st.BlocksRebuilt, st.DroppedLost,
+	if st.BlocksRebuilt+st.DroppedRebuilds < len(lost0)+len(lost1) {
+		t.Fatalf("rebuilt %d + dropped %d < lost %d", st.BlocksRebuilt, st.DroppedRebuilds,
 			len(lost0)+len(lost1))
 	}
 	if st.SparesUsed != 2 {
@@ -256,7 +257,7 @@ func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 		ids := h.cl.AddDisks(1, float64(now))
 		h.sched.Grow(h.cl.NumDisks())
 		return ids[0]
-	})
+	}, new(obs.Tally))
 	// Pick a resident block and corrupt it.
 	var group, rep, diskID int = -1, -1, -1
 	for id := 0; id < h.cl.NumDisks(); id++ {
@@ -271,8 +272,8 @@ func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 	h.cl.CorruptBlock(cluster.BlockRef{Group: int32(group), Rep: int32(rep)})
 	e.HandleBlockLoss(0, 0, diskID, group, rep)
 	h.eng.Run()
-	if e.Stats().BlocksRebuilt != 1 {
-		t.Fatalf("rebuilt %d, want 1", e.Stats().BlocksRebuilt)
+	if e.tally.BlocksRebuilt != 1 {
+		t.Fatalf("rebuilt %d, want 1", e.tally.BlocksRebuilt)
 	}
 	if got := int(h.cl.GroupDiskOf(group, rep)); got != diskID {
 		t.Fatalf("repair landed on disk %d, want in-place on %d", got, diskID)

@@ -43,8 +43,7 @@ func (b *base) throttleMBps(now float64) float64 {
 	b.stats.ThrottleMBps.Add(mbps)
 	if mbps != b.lastThrottle {
 		if b.lastThrottle != 0 {
-			b.stats.ThrottleSteps++
-			b.rm.ThrottleSteps.Inc()
+			b.tally.ThrottleSteps++
 			if b.detailObserver != nil {
 				b.detailObserver(sim.Time(now), trace.KindThrottle, -1, -1, -1,
 					fmt.Sprintf("mbps=%.2f share=%.3f", mbps, fleet))
@@ -110,13 +109,14 @@ func (b *base) sampleDegradedReads(now sim.Time, r *rebuild, t *Task, windowHour
 		healthy := cfg.HealthyLatencyMs * workload.ContentionFactor(share)
 		lat := cfg.HealthyLatencyMs * fg.KFactor * slow * cross *
 			workload.ContentionFactor(share+recShare)
-		b.stats.DegradedReads++
+		b.tally.DegradedReads++
 		b.stats.DegradedMs.Add(lat)
 		b.stats.DegradedP50.Add(lat)
 		b.stats.DegradedP99.Add(lat)
 		b.stats.HealthyP99.Add(healthy)
-		b.rm.DegradedReads.Inc()
-		b.rm.DegradedLatencyMs.Observe(lat)
+		if b.hists.degradedMs != nil {
+			b.hists.degradedMs.Observe(lat)
+		}
 		sum += lat
 		if lat > max {
 			max = lat
@@ -152,7 +152,7 @@ func (b *base) HandleWriteFence(now sim.Time, diskID int) {
 	_, asTarget := b.rebuildsTouching(diskID)
 	for _, r := range asTarget {
 		if !r.parked {
-			b.stats.FencedParks++
+			b.tally.FencedParks++
 			b.park(r)
 		}
 	}

@@ -34,7 +34,7 @@ func (b *base) submitTracked(r *rebuild) {
 	// rolling-upgrade window) parks until the fence lifts. Sources are
 	// exempt — a fenced disk still serves reads.
 	if b.cl.ReadOnly(r.task.Target) {
-		b.stats.FencedParks++
+		b.tally.FencedParks++
 		b.parkTracked(r)
 		return
 	}
@@ -103,8 +103,7 @@ func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 	if r.resourcings >= b.maxResourcings() {
 		return // mitigation exhausted; let the attempt finish at its pace
 	}
-	b.stats.Timeouts++
-	b.rm.Timeouts.Inc()
+	b.tally.RebuildTimeouts++
 	if r.span != nil {
 		r.span.TimedOut = true
 	}
@@ -150,8 +149,7 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 	r.hedgeTask = ht
 	r.hedges++
 	r.hedgeAt = now
-	b.stats.Hedges++
-	b.rm.Hedges.Inc()
+	b.tally.Hedges++
 	if r.span != nil {
 		r.span.Hedges++
 		ht.span = r.span
@@ -223,8 +221,7 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	if b.fm != nil {
 		switch b.fm.ProbeRead(now, ht.Source, ht.Group) {
 		case faults.ReadTransient:
-			b.stats.TransientFaults++
-			b.rm.TransientFaults.Inc()
+			b.tally.TransientFaults++
 			b.cl.ReleaseTarget(ht.Target)
 			b.untrackHedge(r)
 			return
@@ -245,18 +242,15 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	b.cl.ReleaseTarget(r.task.Target)
 	if b.cl.GroupLost(ht.Group) {
 		b.cl.ReleaseTarget(ht.Target)
-		b.stats.DroppedLost++
-		b.rm.Dropped.Inc()
+		b.tally.DroppedRebuilds++
 		b.spanDropped(r, now)
 		b.observe(now, trace.KindDropped, ht.Group, ht.Rep, ht.Target)
 		return
 	}
 	b.cl.PlaceRecovered(ht.Group, ht.Rep, ht.Target)
 	b.noteCrossRack(ht.Source, ht.Target)
-	b.stats.BlocksRebuilt++
-	b.stats.HedgeWins++
-	b.rm.BlocksRebuilt.Inc()
-	b.rm.HedgeWins.Inc()
+	b.tally.BlocksRebuilt++
+	b.tally.HedgeWins++
 	if r.span != nil {
 		r.span.HedgeWon = true
 	}
@@ -270,11 +264,13 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 }
 
 // recordWindow feeds one vulnerability window into the streaming tail
-// quantiles.
+// quantiles and, when a registry is attached, the window histogram.
 func (b *base) recordWindow(w float64) {
 	b.stats.WindowP50.Add(w)
 	b.stats.WindowP99.Add(w)
-	b.rm.WindowHours.Observe(w)
+	if b.hists.window != nil {
+		b.hists.window.Observe(w)
+	}
 }
 
 // noteTransfer feeds one successful transfer into the peer-comparison
@@ -297,13 +293,11 @@ func (b *base) noteTransfer(now sim.Time, t *Task) {
 func (b *base) scoreDisk(now sim.Time, id int, mbps float64) {
 	flagged, evicted := b.det.score(id, mbps)
 	if flagged {
-		b.stats.SlowFlagged++
-		b.rm.SlowFlagged.Inc()
+		b.tally.SlowFlagged++
 		b.observe(now, trace.KindFailSlowDetect, -1, -1, id)
 	}
 	if evicted {
-		b.stats.Evictions++
-		b.rm.SlowEvicted.Inc()
+		b.tally.SlowEvicted++
 		b.observe(now, trace.KindEvictSlow, -1, -1, id)
 		if b.evict != nil {
 			b.evict(now, id)

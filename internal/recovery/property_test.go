@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"repro/internal/obs"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +78,7 @@ func TestQuickSchedulerNeverOverlaps(t *testing.T) {
 func TestQuickFARMEndToEnd(t *testing.T) {
 	f := func(seed uint64, kills8 uint8) bool {
 		h := quickHarness(seed)
-		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 		kills := int(kills8%5) + 1
 		r := rng.New(seed)
 		for k := 0; k < kills; k++ {

@@ -8,11 +8,11 @@ import (
 
 // This file is the engines' span layer: rebuild-lifecycle bookkeeping
 // feeding the obs flight recorder. Everything here is strictly
-// observational — spans and metrics never influence a scheduling
+// observational — spans and histograms never influence a scheduling
 // decision — and everything is dormant unless SetObservability installs
-// a span log (per-rebuild span accounting) or a metrics bundle
-// (counters/histograms; a sink bundle is installed by default so record
-// sites need no nil checks).
+// a span log (per-rebuild span accounting) or a registry (the
+// per-rebuild histograms). Event counters are not recorded here: they
+// live in the run's obs.Tally and reach a registry at the horizon.
 //
 // Accounting model: a rebuild is one span; each (re)submission of its
 // primary task is one attempt. When an attempt ends — completion,
@@ -24,19 +24,37 @@ import (
 // attempt exactly once, and submitTracked re-arms the latch for the
 // next attempt.
 
-// SetObservability implements Engine: it installs the pre-resolved
-// metrics bundle (nil restores the default sink) and the span log (nil
-// disables span accounting). With spans enabled the scheduler's OnStart
-// hook is armed, which also emits the transfer-start trace event — new
-// event kinds appear in the transcript only when spans are on, so
-// existing transcripts stay byte-identical.
-func (b *base) SetObservability(rm *obs.RecoveryMetrics, spans *obs.SpanLog) {
-	if rm == nil {
-		rm = obs.NewDiscardRecoveryMetrics()
+// histograms are the per-rebuild registry histograms: they bin values
+// (phase durations, read latencies) that no tally keeps, so they record
+// live rather than at the horizon. All nil unless a registry is attached.
+type histograms struct {
+	window, queueWait, transfer, retryWait, hedgeOverlap, detectWait, degradedMs *obs.Histogram
+}
+
+// SetObservability implements Engine: it resolves the per-rebuild
+// histograms on o.Registry and installs the span log o.Spans (either
+// may be nil). With spans enabled the scheduler's OnStart hook is armed,
+// which also emits the transfer-start trace event — new event kinds
+// appear in the transcript only when spans are on, so existing
+// transcripts stay byte-identical.
+func (b *base) SetObservability(o *obs.RunObserver) {
+	b.hists, b.spans = histograms{}, nil
+	if o != nil && o.Registry != nil {
+		r := o.Registry
+		b.hists = histograms{
+			window:       r.Histogram(obs.MetricWindowHours, obs.PhaseBounds),
+			queueWait:    r.Histogram(obs.MetricQueueWaitHours, obs.PhaseBounds),
+			transfer:     r.Histogram(obs.MetricTransferHours, obs.PhaseBounds),
+			retryWait:    r.Histogram(obs.MetricRetryWaitHours, obs.PhaseBounds),
+			hedgeOverlap: r.Histogram(obs.MetricHedgeOverlapHours, obs.PhaseBounds),
+			detectWait:   r.Histogram(obs.MetricDetectWaitHours, obs.PhaseBounds),
+			degradedMs:   r.Histogram(obs.MetricDegradedLatency, obs.LatencyBounds),
+		}
 	}
-	b.rm = rm
-	b.spans = spans
-	if spans != nil {
+	if o != nil {
+		b.spans = o.Spans
+	}
+	if b.spans != nil {
 		b.sched.OnStart = func(now sim.Time, t *Task) {
 			if t.span != nil && t.span.StartAt < 0 {
 				t.span.StartAt = float64(now)
@@ -89,7 +107,8 @@ func (b *base) spanEndAttempt(r *rebuild, now sim.Time) {
 }
 
 // spanFinish latches the span's terminal outcome at now and feeds the
-// per-run phase histograms. Safe on a nil span.
+// per-run phase histograms (when a registry is attached). Safe on a nil
+// span.
 func (b *base) spanFinish(r *rebuild, now sim.Time, outcome string) {
 	sp := r.span
 	if sp == nil {
@@ -97,11 +116,13 @@ func (b *base) spanFinish(r *rebuild, now sim.Time, outcome string) {
 	}
 	sp.DoneAt = float64(now)
 	sp.Outcome = outcome
-	b.rm.QueueWaitHours.Observe(sp.QueueWait)
-	b.rm.TransferHours.Observe(sp.Transfer)
-	b.rm.RetryWaitHours.Observe(sp.RetryWait)
-	b.rm.HedgeOverlapHours.Observe(sp.HedgeOverlap)
-	b.rm.DetectWaitHours.Observe(sp.DetectWait())
+	if h := &b.hists; h.window != nil {
+		h.queueWait.Observe(sp.QueueWait)
+		h.transfer.Observe(sp.Transfer)
+		h.retryWait.Observe(sp.RetryWait)
+		h.hedgeOverlap.Observe(sp.HedgeOverlap)
+		h.detectWait.Observe(sp.DetectWait())
+	}
 }
 
 // spanDropped finishes a span as dropped (nil-safe convenience for the

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"math"
+	"repro/internal/obs"
 	"strings"
 	"testing"
 
@@ -180,7 +181,7 @@ func TestDetectorStreakResets(t *testing.T) {
 // finishes first. Every block still rebuilds and no index leaks.
 func TestHedgeWinsOverSlowSource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
+	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16), new(obs.Tally))
 	f.SetStraggler(StragglerPolicy{
 		Enabled:             true,
 		HedgeAfterMultiple:  2,
@@ -195,7 +196,7 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	st := f.Stats()
+	st := f.tally
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("hedges=%d wins=%d, want both > 0", st.Hedges, st.HedgeWins)
 	}
@@ -211,8 +212,8 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 	// The hedged rebuilds must beat the crawling source's 64x transfer:
 	// the worst window stays well under the crawl duration.
 	crawl := 64 * float64(f.blockDuration())
-	if st.Window.Max() >= crawl {
-		t.Fatalf("worst window %v did not beat the crawl %v", st.Window.Max(), crawl)
+	if f.Stats().Window.Max() >= crawl {
+		t.Fatalf("worst window %v did not beat the crawl %v", f.Stats().Window.Max(), crawl)
 	}
 }
 
@@ -220,9 +221,9 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 // timeout aborts transfers stuck on the crawling source and the ladder
 // re-sources them to a healthy buddy.
 func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
-	run := func(timeouts float64) Stats {
+	run := func(timeouts float64) *FARM {
 		h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-		f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
+		f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16), new(obs.Tally))
 		f.SetStraggler(StragglerPolicy{
 			Enabled:             true,
 			HedgeAfterMultiple:  -1,
@@ -232,7 +233,7 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 		h.cl.Disks[1].Slowdown = 64
 		lost := h.failAndDetect(f, 0)
 		h.eng.Run()
-		st := f.Stats()
+		st := f.tally
 		if st.BlocksRebuilt != len(lost) {
 			t.Fatalf("rebuilt %d of %d (timeouts=%v)", st.BlocksRebuilt, len(lost), timeouts)
 		}
@@ -242,13 +243,14 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 		if err := h.cl.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return *st
+		return f
 	}
-	off := run(-1)
-	on := run(3)
-	if on.Timeouts == 0 || on.Resourcings == 0 {
-		t.Fatalf("timeouts=%d resourcings=%d, want both > 0", on.Timeouts, on.Resourcings)
+	off := run(-1).Stats()
+	f := run(3)
+	if tl := f.tally; tl.RebuildTimeouts == 0 || tl.Resourcings == 0 {
+		t.Fatalf("timeouts=%d resourcings=%d, want both > 0", tl.RebuildTimeouts, tl.Resourcings)
 	}
+	on := f.Stats()
 	// Same placement, same failure: aborting transfers stuck on the
 	// crawling source must shrink the mean vulnerability window. (Blocks
 	// whose *target* crawls are beyond re-sourcing; the cap leaves them
@@ -264,7 +266,7 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 // resolves every block.
 func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
+	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16), new(obs.Tally))
 	f.SetStraggler(StragglerPolicy{
 		Enabled:             true,
 		HedgeAfterMultiple:  2,
@@ -273,7 +275,7 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	}, nil)
 	h.cl.Disks[1].Slowdown = 64
 	lost := h.failAndDetect(f, 0)
-	for f.Stats().Hedges == 0 {
+	for f.tally.Hedges == 0 {
 		if !h.eng.Step() {
 			t.Fatal("queue drained before any hedge launched")
 		}
@@ -293,9 +295,9 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	h.cl.FailDisk(victim, float64(h.eng.Now()))
 	f.HandleFailure(h.eng.Now(), victim)
 	h.eng.Run()
-	st := f.Stats()
-	if st.BlocksRebuilt+st.DroppedLost != len(lost) {
-		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedLost, len(lost))
+	st := f.tally
+	if st.BlocksRebuilt+st.DroppedRebuilds != len(lost) {
+		t.Fatalf("rebuilt %d + dropped %d != lost %d", st.BlocksRebuilt, st.DroppedRebuilds, len(lost))
 	}
 	if tracked(&f.base) != 0 || hedgesTracked(&f.base) != 0 {
 		t.Fatal("rebuilds or hedges leaked in the indexes")
@@ -310,7 +312,7 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 // that disk.
 func TestEvictionCallbackFires(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 120)
-	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
+	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16), new(obs.Tally))
 	var evicted []int
 	f.SetStraggler(StragglerPolicy{
 		Enabled:            true,
@@ -326,12 +328,12 @@ func TestEvictionCallbackFires(t *testing.T) {
 		t.Fatal("disk 0 held no blocks")
 	}
 	h.eng.Run()
-	st := f.Stats()
+	st := f.tally
 	if st.SlowFlagged == 0 {
 		t.Fatal("crawling disk never flagged")
 	}
-	if st.Evictions != 1 || len(evicted) != 1 || evicted[0] != 1 {
-		t.Fatalf("evictions=%d callback=%v, want exactly disk 1 once", st.Evictions, evicted)
+	if st.SlowEvicted != 1 || len(evicted) != 1 || evicted[0] != 1 {
+		t.Fatalf("evictions=%d callback=%v, want exactly disk 1 once", st.SlowEvicted, evicted)
 	}
 	if err := h.cl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -344,7 +346,7 @@ func TestEvictionCallbackFires(t *testing.T) {
 func TestDisabledPolicyIsInert(t *testing.T) {
 	run := func(install bool) Stats {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16))
+		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 		if install {
 			f.SetStraggler(StragglerPolicy{}, nil)
 		}
@@ -363,7 +365,7 @@ func TestDisabledPolicyIsInert(t *testing.T) {
 // bit for bit.
 func TestEffDurationHealthyIsExact(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16))
+	f := NewFARM(h.cl, h.eng, h.sched, degradedBW(h, 16), new(obs.Tally))
 	base := sim.Time(disk.RebuildHours(h.cl.BlockBytes, 16))
 	if got := f.effDuration(base, 2, 3); got != base {
 		t.Fatalf("healthy effDuration %v != base %v", got, base)

@@ -5,8 +5,8 @@
 # trajectory, each with -benchmem -count=5, plus the 100k-disk fleet
 # benchmark once (-benchtime=1x: one iteration is six simulated years of
 # a 100,000-drive system; repetition buys nothing but minutes), and
-# writes BENCH_10.json at the repository root mapping benchmark name ->
-# {ns/op, B/op, allocs/op}. For each metric the minimum over the
+# writes the given output file (paths are relative to the repository
+# root) mapping benchmark name -> {ns/op, B/op, allocs/op}. For each metric the minimum over the
 # repetitions is kept: minima are the standard noise-robust summary for
 # wall-clock benchmarks, and B/op / allocs/op are deterministic anyway.
 #
@@ -16,13 +16,17 @@
 # the script — wall time is machine-dependent — but allocs/op drift also
 # fails `go test` via the alloc-gate tests, which are the hard line.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json   (e.g. BENCH_11.json; required)
 # BENCH_COUNT overrides the repetition count (default 5): raise it on
 # noisy shared machines so the minima catch a quiet window.
 set -eu
 
+if [ $# -ne 1 ]; then
+    echo "usage: $0 output.json   (e.g. BENCH_11.json)" >&2
+    exit 2
+fi
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_10.json}"
+out="$1"
 count="${BENCH_COUNT:-5}"
 
 pattern='^(BenchmarkTable2BaseSystemBuild|BenchmarkSingleRunFARM|BenchmarkSingleRunFARMObs|BenchmarkFailDiskAndIndex|BenchmarkPlacementCandidate|BenchmarkErasureEncodeRS8of10|BenchmarkEventQueue)$'
