@@ -1,9 +1,9 @@
 package recovery
 
 import (
-	"repro/internal/obs"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 )
 

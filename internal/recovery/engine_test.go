@@ -1,11 +1,11 @@
 package recovery
 
 import (
-	"repro/internal/obs"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 )

@@ -1,12 +1,12 @@
 package recovery
 
 import (
-	"repro/internal/obs"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/rng"
 	"repro/internal/sim"

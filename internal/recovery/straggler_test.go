@@ -2,11 +2,11 @@ package recovery
 
 import (
 	"math"
-	"repro/internal/obs"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -341,10 +341,10 @@ func TestEvictionCallbackFires(t *testing.T) {
 }
 
 // TestDisabledPolicyIsInert: installing the zero policy changes nothing
-// against a run that never called SetStraggler — same stats, block for
-// block.
+// against a run that never called SetStraggler — same accumulators and
+// same outcome counters, block for block.
 func TestDisabledPolicyIsInert(t *testing.T) {
-	run := func(install bool) Stats {
+	run := func(install bool) (Stats, obs.Tally) {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
 		f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
 		if install {
@@ -352,11 +352,18 @@ func TestDisabledPolicyIsInert(t *testing.T) {
 		}
 		h.failAndDetect(f, 0)
 		h.eng.Run()
-		return f.base.stats
+		return f.base.stats, *f.tally
 	}
-	a, b := run(false), run(true)
-	if a != b {
-		t.Fatalf("zero policy perturbed the run:\n%+v\n%+v", a, b)
+	sa, ta := run(false)
+	sb, tb := run(true)
+	if sa != sb {
+		t.Fatalf("zero policy perturbed the accumulators:\n%+v\n%+v", sa, sb)
+	}
+	if ta != tb {
+		t.Fatalf("zero policy perturbed the counters:\n%+v\n%+v", ta, tb)
+	}
+	if ta.BlocksRebuilt == 0 {
+		t.Fatal("no rebuild completed; the comparison checks nothing")
 	}
 }
 
