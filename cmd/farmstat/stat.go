@@ -49,37 +49,28 @@ func traceTable(events []trace.Event) *report.Table {
 // degradedTable renders the user-visible price of rebuild windows from
 // one trace stream. Each degraded-reads event summarizes the
 // reconstruction-served reads of one closed window of vulnerability
-// (Detail: "n=N mean=M max=X", latencies in ms); demand-burst events
-// carry the episode duration, so windows are split by whether they
+// (N reads, X mean and Y max latency in ms); demand-burst events carry
+// the episode duration in X, so windows are split by whether they
 // closed inside a burst — the table shows where the latency tail lives.
 // Returns nil when the trace has no degraded-read events (an idle fleet
 // or a trace from before the foreground-load model).
 func degradedTable(events []trace.Event) *report.Table {
-	type window struct {
-		at        float64
-		n         int
-		mean, max float64
-	}
 	type episode struct{ start, end float64 }
-	var wins []window
+	var wins []trace.Event
 	var eps []episode
 	throttleSteps := 0
 	lastMBps := 0.0
 	for _, e := range events {
 		switch e.Kind {
 		case trace.KindDegradedReads:
-			if n, mean, max, ok := trace.ParseDegradedReads(e.Detail); ok && n > 0 {
-				wins = append(wins, window{e.Time, n, mean, max})
+			if e.N > 0 {
+				wins = append(wins, e)
 			}
 		case trace.KindDemandBurst:
-			if hours, _, ok := trace.ParseDemandBurst(e.Detail); ok {
-				eps = append(eps, episode{e.Time, e.Time + hours})
-			}
+			eps = append(eps, episode{e.Time, e.Time + e.X})
 		case trace.KindThrottle:
 			throttleSteps++
-			if mbps, _, ok := trace.ParseThrottleStep(e.Detail); ok {
-				lastMBps = mbps
-			}
+			lastMBps = e.X
 		}
 	}
 	if len(wins) == 0 {
@@ -95,7 +86,7 @@ func degradedTable(events []trace.Event) *report.Table {
 	}
 	t := report.NewTable("Degraded-read latency by rebuild window (ms)",
 		"window class", "windows", "reads", "mean", "p50", "p90", "p99", "max")
-	row := func(name string, keep func(window) bool) {
+	row := func(name string, keep func(trace.Event) bool) {
 		var means []float64
 		var sum, max float64
 		reads := 0
@@ -103,11 +94,11 @@ func degradedTable(events []trace.Event) *report.Table {
 			if !keep(w) {
 				continue
 			}
-			reads += w.n
-			sum += w.mean * float64(w.n)
-			means = append(means, w.mean)
-			if w.max > max {
-				max = w.max
+			reads += int(w.N)
+			sum += w.X * float64(w.N)
+			means = append(means, w.X)
+			if w.Y > max {
+				max = w.Y
 			}
 		}
 		if reads == 0 {
@@ -123,9 +114,9 @@ func degradedTable(events []trace.Event) *report.Table {
 			report.F(metrics.Quantile(means, 0.99)),
 			report.F(max))
 	}
-	row("all windows", func(window) bool { return true })
-	row("in demand burst", func(w window) bool { return inBurst(w.at) })
-	row("outside bursts", func(w window) bool { return !inBurst(w.at) })
+	row("all windows", func(trace.Event) bool { return true })
+	row("in demand burst", func(w trace.Event) bool { return inBurst(w.Time) })
+	row("outside bursts", func(w trace.Event) bool { return !inBurst(w.Time) })
 	t.AddNote("windows are classified by close time; quantiles are over per-window mean latency")
 	if throttleSteps > 0 {
 		t.AddNote("%d throttle steps; final recovery rate %.1f MB/s", throttleSteps, lastMBps)

@@ -55,14 +55,14 @@ func TestTraceTableNoLoss(t *testing.T) {
 
 func TestDegradedTable(t *testing.T) {
 	events := []trace.Event{
-		{Time: 50, Kind: trace.KindDemandBurst, Detail: "hours=2.00 amp=0.250"},
-		// Two windows inside the burst episode, one outside, one malformed.
-		{Time: 50.5, Kind: trace.KindDegradedReads, Disk: 3, Detail: "n=4 mean=40.000 max=80.000"},
-		{Time: 51, Kind: trace.KindDegradedReads, Disk: 4, Detail: "n=2 mean=60.000 max=90.000"},
-		{Time: 200, Kind: trace.KindDegradedReads, Disk: 5, Detail: "n=2 mean=10.000 max=12.000"},
-		{Time: 201, Kind: trace.KindDegradedReads, Disk: 6, Detail: "garbled"},
-		{Time: 300, Kind: trace.KindThrottle, Detail: "mbps=8.00 share=0.650"},
-		{Time: 400, Kind: trace.KindThrottle, Detail: "mbps=16.00 share=0.200"},
+		{Time: 50, Kind: trace.KindDemandBurst, X: 2, Y: 0.25},
+		// Two windows inside the burst episode, one outside, one empty.
+		{Time: 50.5, Kind: trace.KindDegradedReads, Disk: 3, N: 4, X: 40, Y: 80},
+		{Time: 51, Kind: trace.KindDegradedReads, Disk: 4, N: 2, X: 60, Y: 90},
+		{Time: 200, Kind: trace.KindDegradedReads, Disk: 5, N: 2, X: 10, Y: 12},
+		{Time: 201, Kind: trace.KindDegradedReads, Disk: 6},
+		{Time: 300, Kind: trace.KindThrottle, X: 8, Y: 0.65},
+		{Time: 400, Kind: trace.KindThrottle, X: 16, Y: 0.2},
 	}
 	tab := degradedTable(events)
 	if tab == nil {
@@ -75,7 +75,7 @@ func TestDegradedTable(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"all windows", "in demand burst", "outside bursts",
-		// All windows: 3 parsed, 8 reads, weighted mean (160+120+20)/8 = 37.5.
+		// All windows: 3 with reads, 8 reads, weighted mean (160+120+20)/8 = 37.5.
 		"3", "8", "37.5",
 		// Burst rows: 2 windows, 6 reads; outside: 1 window, 2 reads, mean 10.
 		"6", "10",

@@ -1,7 +1,11 @@
 // Command farmtrace runs a single six-year trajectory of the FARM
 // simulator and emits its full event trace — failures, detections,
 // rebuilds, data losses, health warnings, replacement batches — as JSON
-// lines, with a summary on stderr.
+// lines, with a summary on stderr. The first line is the schema header
+// {"trace_schema":2}; each later line is one trace.Event, whose typed
+// payload fields (n, x, y) and rebuild id are described in the trace
+// package doc. farmstat and trace.ReadJSONL refuse transcripts without
+// that header.
 //
 // Usage:
 //

@@ -467,20 +467,7 @@ func runOnce(cfg Config) (RunResult, error) {
 	if cfg.Straggler.Enabled {
 		st.engine.SetStraggler(cfg.Straggler, st.onSlowEvicted)
 	}
-	if cfg.Hook != nil {
-		st.engine.SetObserver(func(now sim.Time, kind trace.Kind, group, rep, diskID int) {
-			cfg.Hook(trace.Event{
-				Time: float64(now), Kind: kind,
-				Group: group, Rep: rep, Disk: diskID,
-			})
-		})
-		st.engine.SetDetailObserver(func(now sim.Time, kind trace.Kind, group, rep, diskID int, detail string) {
-			cfg.Hook(trace.Event{
-				Time: float64(now), Kind: kind,
-				Group: group, Rep: rep, Disk: diskID, Detail: detail,
-			})
-		})
-	}
+	st.engine.SetObserver(cfg.Hook)
 
 	// Replacement bookkeeping: batches trigger on failures of the
 	// original population fraction.
@@ -710,7 +697,7 @@ func (st *runState) onSmartWarning(now sim.Time, id int) {
 		return // died before the warning fired (lead clipped to now)
 	}
 	st.cl.MarkSuspect(id)
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindSmartWarn, Disk: id})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindSmartWarn, Disk: int32(id)})
 	st.drainStep(now, id)
 }
 
@@ -723,7 +710,7 @@ func (st *runState) drainStep(now sim.Time, id int) {
 	if len(blocks) == 0 {
 		// Fully drained: retire the drive before it fails in service.
 		st.cl.RetireDisk(id)
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDrained, Disk: id})
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDrained, Disk: int32(id)})
 		// A maintenance-planned drain is the front half of a drive swap:
 		// the retirement counts toward the replacement batch exactly like
 		// a failure, or repeated drain windows would starve the fleet of
@@ -779,16 +766,16 @@ func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 		// whole-disk loss supersedes them.
 		st.inj.DropDisk(id)
 	}
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindDiskFail, Disk: id,
-		Detail: fmt.Sprintf("blocks=%d", len(lost))})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindDiskFail, Disk: int32(id),
+		N: int32(len(lost))})
 	if newlyDead > 0 {
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: id,
-			Detail: fmt.Sprintf("groups=%d", newlyDead)})
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: int32(id),
+			N: int32(newlyDead)})
 	}
 	st.engine.HandleFailure(now, id)
 	blocks := lost
 	st.eng.Schedule(now+sim.Time(st.cfg.DetectionLatencyHours), "detect", func(dnow sim.Time) {
-		st.emit(trace.Event{Time: float64(dnow), Kind: trace.KindDetect, Disk: id})
+		st.emit(trace.Event{Time: float64(dnow), Kind: trace.KindDetect, Disk: int32(id)})
 		st.engine.HandleDetection(dnow, id, failedAt, blocks)
 	})
 	st.maybeReplace(now)
@@ -836,8 +823,8 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 	f := st.inj.DrawSlowSeverity()
 	d.Slowdown = f
 	st.res.FailSlowOnsets++
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowOnset, Disk: id,
-		Detail: fmt.Sprintf("factor=%g", f)})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowOnset, Disk: int32(id),
+		X: f})
 	if hours, ok := st.inj.DrawSlowRecovery(); ok {
 		st.eng.Schedule(now+sim.Time(hours), "failslow-recover", func(rnow sim.Time) {
 			if d.State != disk.Alive || d.Slowdown != f {
@@ -845,7 +832,7 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 			}
 			d.Slowdown = 0
 			st.res.FailSlowRecoveries++
-			st.emit(trace.Event{Time: float64(rnow), Kind: trace.KindFailSlowRecover, Disk: id})
+			st.emit(trace.Event{Time: float64(rnow), Kind: trace.KindFailSlowRecover, Disk: int32(id)})
 		})
 	}
 }
@@ -880,7 +867,7 @@ func (st *runState) scheduleSlowBurst() {
 		}
 		st.res.SlowBursts++
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSlowBurst,
-			Detail: fmt.Sprintf("hits=%d", hits)})
+			N: int32(hits)})
 		st.scheduleSlowBurst()
 	})
 }
@@ -918,7 +905,7 @@ func (st *runState) scheduleLSE(id int) {
 			if st.inj.MarkLatent(id, int(ref.Group), int(ref.Rep)) {
 				st.res.LSEInjected++
 				st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSE,
-					Disk: id, Group: int(ref.Group), Rep: int(ref.Rep)})
+					Disk: int32(id), Group: ref.Group, Rep: ref.Rep})
 			}
 		}
 		st.scheduleLSE(id)
@@ -935,10 +922,10 @@ func (st *runState) onLatentDiscovered(now sim.Time, diskID, group, rep int) {
 	_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(group), Rep: int32(rep)})
 	st.res.LSEDetected++
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSEDetect,
-		Disk: diskID, Group: group, Rep: rep})
+		Disk: int32(diskID), Group: int32(group), Rep: int32(rep)})
 	if newlyDead {
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: diskID,
-			Detail: "groups=1"})
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: int32(diskID),
+			N: 1})
 		return // beyond repair; in-flight rebuilds of the group will drain
 	}
 	st.engine.HandleBlockLoss(now, now, diskID, group, rep)
@@ -962,16 +949,16 @@ func (st *runState) scheduleScrub() {
 			st.res.ScrubFound++
 			_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(e.Group), Rep: int32(e.Rep)})
 			st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrubRepair,
-				Disk: e.Disk, Group: e.Group, Rep: e.Rep})
+				Disk: int32(e.Disk), Group: int32(e.Group), Rep: int32(e.Rep)})
 			if newlyDead {
-				st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: e.Disk,
-					Detail: "groups=1"})
+				st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: int32(e.Disk),
+					N: 1})
 				continue
 			}
 			st.engine.HandleBlockLoss(now, now, e.Disk, e.Group, e.Rep)
 		}
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrub,
-			Detail: fmt.Sprintf("found=%d", found)})
+			N: int32(found)})
 		st.scheduleScrub()
 	})
 }
@@ -1007,7 +994,7 @@ func (st *runState) scheduleBurst() {
 		st.res.Bursts++
 		st.res.BurstKills += kills
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindBurst,
-			Detail: fmt.Sprintf("kills=%d", kills)})
+			N: int32(kills)})
 		st.scheduleBurst()
 	})
 }
@@ -1024,8 +1011,8 @@ func (st *runState) scheduleSwitchFail() {
 	st.eng.Schedule(at, "switch-fail", func(now sim.Time) {
 		rack := st.inj.PickRack(st.net.Racks())
 		st.res.SwitchFails++
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSwitchFail, Rack: rack})
-		st.rackDown(now, rack, "switch-fail", 0)
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSwitchFail, Rack: int32(rack)})
+		st.rackDown(now, rack, trace.CauseSwitchFail, 0)
 		st.scheduleSwitchFail()
 	})
 }
@@ -1042,7 +1029,7 @@ func (st *runState) schedulePowerEvent() {
 		rack := st.inj.PickRack(st.net.Racks())
 		restore := st.inj.DrawPowerRestore()
 		st.res.RackPowerEvents++
-		st.rackDown(now, rack, "power", restore)
+		st.rackDown(now, rack, trace.CausePower, restore)
 		st.schedulePowerEvent()
 	})
 }
@@ -1059,7 +1046,7 @@ func (st *runState) schedulePartition() {
 		rack := st.inj.PickRack(st.net.Racks())
 		heal := st.inj.DrawPartitionHeal()
 		st.res.Partitions++
-		st.rackDown(now, rack, "partition", heal)
+		st.rackDown(now, rack, trace.CausePartition, heal)
 		st.schedulePartition()
 	})
 }
@@ -1071,12 +1058,12 @@ func (st *runState) schedulePartition() {
 // A rack already dark merges the new event into the ongoing outage:
 // reachability state and timers are left untouched (the random draws
 // were already consumed by the caller, so the stream stays aligned).
-func (st *runState) rackDown(now sim.Time, rack int, cause string, healAfter float64) {
+func (st *runState) rackDown(now sim.Time, rack int, cause int32, healAfter float64) {
 	if !st.net.SetRackUnreachable(rack, float64(now)) {
 		return // already dark; events merge into the ongoing outage
 	}
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindRackUnreachable,
-		Rack: rack, Detail: cause})
+		Rack: int32(rack), N: cause})
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
 		st.engine.HandleUnreachable(now, id)
 	}
@@ -1104,7 +1091,7 @@ func (st *runState) rackDown(now sim.Time, rack int, cause string, healAfter flo
 func (st *runState) rackHeal(now sim.Time, rack int) {
 	st.net.SetRackReachable(rack)
 	st.res.PartitionHeals++
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindPartitionHeal, Rack: rack})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindPartitionHeal, Rack: int32(rack)})
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
 		st.engine.HandleReachable(now, id)
 	}
@@ -1121,7 +1108,7 @@ func (st *runState) rackHeal(now sim.Time, rack int) {
 func (st *runState) declareRackDead(now sim.Time, rack int) {
 	since := sim.Time(st.net.UnreachableSince(rack))
 	st.res.FalseDeadRacks++
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFalseDead, Rack: rack})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFalseDead, Rack: int32(rack)})
 	killed := 0
 	for id := rack; id < st.cl.NumDisks(); id += st.net.Racks() {
 		if st.cl.Disks[id].State == disk.Alive {
@@ -1164,5 +1151,5 @@ func (st *runState) maybeReplace(now sim.Time) {
 	st.res.DisksAdded += count
 	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindBatchAdded,
-		Detail: fmt.Sprintf("disks=%d", count)})
+		N: int32(count)})
 }

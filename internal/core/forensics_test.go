@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -192,5 +193,68 @@ func TestMonteCarloRejectsSharedHook(t *testing.T) {
 	})
 	if !errors.Is(err, ErrSharedHook) {
 		t.Fatalf("err = %v, want ErrSharedHook", err)
+	}
+}
+
+// TestEveryDropTraced is drop completeness: with spans on, both engines
+// under both storm configs trace exactly one dropped event per dropped
+// span (joined by rebuild id), and no dropped event lacks a dropped
+// span. The spare engine opens a rebuild record for every block before
+// it can drop it, so its dropped events also equal the outcome tally.
+// Every trace must pass CheckCausality, whose rebuild-id rules (one
+// terminal event per id, nothing after it) these storms exercise.
+func TestEveryDropTraced(t *testing.T) {
+	dropped := 0
+	for _, base := range []struct {
+		name string
+		cfg  Config
+	}{{"obs-storm", obsStormConfig()}, {"forensics-storm", forensicsStormConfig()}} {
+		for _, farm := range []bool{true, false} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				run := base.cfg
+				run.UseFARM = farm
+				run.Seed = seed
+				rec := trace.NewRecorder()
+				run.Hook = rec.Record
+				spans := obs.NewSpanLog()
+				run.Obs = &obs.RunObserver{Spans: spans}
+				res, err := runOnce(run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := func() string {
+					return fmt.Sprintf("%s farm=%v seed %d", base.name, farm, seed)
+				}
+				if err := trace.CheckCausality(rec.Events()); err != nil {
+					t.Fatalf("%s: %v", where(), err)
+				}
+				events := map[int32]int{}
+				for _, e := range rec.Events() {
+					if e.Kind == trace.KindDropped {
+						events[e.Rebuild]++
+					}
+				}
+				spanDrops := 0
+				for _, sp := range spans.Spans() {
+					if sp.Outcome != obs.OutcomeDropped {
+						continue
+					}
+					spanDrops++
+					if n := events[sp.Rebuild]; n != 1 {
+						t.Fatalf("%s: dropped span %d has %d dropped events", where(), sp.Rebuild, n)
+					}
+				}
+				if len(events) != spanDrops {
+					t.Fatalf("%s: %d rebuilds traced dropped, %d dropped spans", where(), len(events), spanDrops)
+				}
+				if !farm && spanDrops != res.DroppedRebuilds {
+					t.Fatalf("%s: %d dropped events, tally says %d", where(), spanDrops, res.DroppedRebuilds)
+				}
+				dropped += spanDrops
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no storm dropped a rebuild; the gate is vacuous")
 	}
 }

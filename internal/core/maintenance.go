@@ -162,7 +162,7 @@ func (st *runState) scheduleDemandBurst(i int) {
 	st.eng.Schedule(sim.Time(start), "demand-burst", func(now sim.Time) {
 		st.res.DemandBursts++
 		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDemandBurst,
-			Detail: fmt.Sprintf("hours=%.2f amp=%.3f", hours, amp)})
+			X: hours, Y: amp})
 		st.scheduleDemandBurst(i + 1)
 	})
 }
@@ -211,7 +211,7 @@ func (st *runState) planDrains(now sim.Time, count int) {
 			st.plannedDrain = make(map[int]bool)
 		}
 		st.plannedDrain[id] = true
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDrainPlanned, Disk: id})
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDrainPlanned, Disk: int32(id)})
 		st.cl.MarkSuspect(id)
 		st.drainStep(now, id)
 	}
@@ -240,8 +240,8 @@ func (st *runState) beginUpgrade(now sim.Time, durHours float64) {
 	rack := st.upgradeCount % racks
 	st.upgradeCount++
 	st.res.UpgradeWindows++
-	st.emit(trace.Event{Time: float64(now), Kind: trace.KindUpgradeBegin, Rack: rack,
-		Detail: fmt.Sprintf("hours=%.2f", durHours)})
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindUpgradeBegin, Rack: int32(rack),
+		X: durHours})
 	var fenced []int
 	for id := rack; id < st.cl.NumDisks(); id += racks {
 		if st.cl.Disks[id].State != disk.Alive || st.cl.ReadOnly(id) {
@@ -256,7 +256,7 @@ func (st *runState) beginUpgrade(now sim.Time, durHours float64) {
 			st.cl.MarkReadOnly(id, false)
 			st.engine.HandleWriteUnfence(enow, id)
 		}
-		st.emit(trace.Event{Time: float64(enow), Kind: trace.KindUpgradeEnd, Rack: rack})
+		st.emit(trace.Event{Time: float64(enow), Kind: trace.KindUpgradeEnd, Rack: int32(rack)})
 	})
 }
 
@@ -301,5 +301,5 @@ func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
 	st.res.GrowthDisksAdded += len(ids)
 	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindGrowth,
-		Detail: fmt.Sprintf("disks=%d", len(ids))})
+		N: int32(len(ids))})
 }

@@ -96,7 +96,7 @@ func (b *Blame) scale(f float64) {
 //
 // The vector is finally normalized by its own sum, so the fractions sum
 // to 1 to within a few ulps whatever the float path here did.
-func (a *analyzer) blameFromSpan(sp *obs.Span, t float64, disk int) Blame {
+func (a *analyzer) blameFromSpan(sp *obs.Span, t float64, disk int32) Blame {
 	w := t - sp.FailedAt
 	if w <= 0 {
 		return Blame{Instant: 1}
@@ -122,12 +122,12 @@ func (a *analyzer) blameFromSpan(sp *obs.Span, t float64, disk int) Blame {
 		fFail = f
 	}
 	fCont := 1.0
-	if a.throttle.ok && a.throttle.share > 0 {
-		fCont = workload.ContentionFactor(a.throttle.share)
+	if share := a.throttle.Y; share > 0 {
+		fCont = workload.ContentionFactor(share)
 	}
 	fNet := 1.0
 	if a.ctx.OversubscriptionRatio > 1 {
-		if ct, ok := a.crossRackAt[gr{sp.Group, sp.Rep}]; ok && ct >= sp.QueuedAt && ct <= t {
+		if ct, ok := a.crossRackAt[sp.Rebuild]; ok && ct >= sp.QueuedAt && ct <= t {
 			fNet = a.ctx.OversubscriptionRatio
 		}
 	}

@@ -98,8 +98,6 @@ type Report struct {
 // always fit, deep retry ladders are summarized instead of enumerated.
 const maxChain = 16
 
-type gr struct{ g, r int }
-
 type lseHit struct {
 	t          float64
 	group, rep int
@@ -109,45 +107,34 @@ type parkSpan struct{ from, to float64 }
 
 // analyzer is the single-forward-pass state machine over the trace.
 // All lookups are by concrete key — no map iteration — so the pass is
-// deterministic without sorting.
+// deterministic without sorting. Rebuild-scoped state is keyed by the
+// rebuild id events and spans share, so one rebuild's history never
+// leaks into a later rebuild of the same block.
 type analyzer struct {
 	ctx   Context
 	spans []*obs.Span
+	// byID indexes the spans by rebuild id.
+	byID map[int32]*obs.Span
 
-	// dropIdx indexes dropped spans by rebuild identity for exact
-	// DoneAt matching; consumed front-to-back per key.
-	dropIdx map[gr][]*obs.Span
-
-	diskFailAt      map[int]float64
-	diskFailBlocks  map[int]int
-	darkSince       map[int]float64
-	lastLSEDetect   map[int]lseHit
-	lastScrubRepair map[int]lseHit
-	slowFactor      map[int]float64
-	crossRackAt     map[gr]float64
-	timedOutAt      map[gr]float64
-	hedgeAt         map[gr]float64
-	parkFrom        map[gr]float64
-	parks           map[gr][]parkSpan
+	diskFailAt      map[int32]float64
+	darkSince       map[int32]float64
+	lastLSEDetect   map[int32]lseHit
+	lastScrubRepair map[int32]lseHit
+	slowFactor      map[int32]float64
+	crossRackAt     map[int32]float64
+	timedOutAt      map[int32]float64
+	hedgeAt         map[int32]float64
+	parkFrom        map[int32]float64
+	parks           map[int32][]parkSpan
 
 	falseDead struct {
 		t, since float64
-		rack     int
+		rack     int32
 		ok       bool
 	}
-	throttle struct {
-		t, mbps, share float64
-		ok             bool
-	}
-	burst struct {
-		t     float64
-		kills int
-		ok    bool
-	}
-	spare struct {
-		t  float64
-		ok bool
-	}
+	// The latest throttle step, correlated burst and spare-pool wait;
+	// each has a zero Kind until one occurs.
+	throttle, burst, spare trace.Event
 }
 
 // Analyze runs the forensic pass over one run's event stream and
@@ -160,33 +147,26 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 	a := &analyzer{
 		ctx:             ctx,
 		spans:           spans,
-		dropIdx:         map[gr][]*obs.Span{},
-		diskFailAt:      map[int]float64{},
-		diskFailBlocks:  map[int]int{},
-		darkSince:       map[int]float64{},
-		lastLSEDetect:   map[int]lseHit{},
-		lastScrubRepair: map[int]lseHit{},
-		slowFactor:      map[int]float64{},
-		crossRackAt:     map[gr]float64{},
-		timedOutAt:      map[gr]float64{},
-		hedgeAt:         map[gr]float64{},
-		parkFrom:        map[gr]float64{},
-		parks:           map[gr][]parkSpan{},
+		byID:            make(map[int32]*obs.Span, len(spans)),
+		diskFailAt:      map[int32]float64{},
+		darkSince:       map[int32]float64{},
+		lastLSEDetect:   map[int32]lseHit{},
+		lastScrubRepair: map[int32]lseHit{},
+		slowFactor:      map[int32]float64{},
+		crossRackAt:     map[int32]float64{},
+		timedOutAt:      map[int32]float64{},
+		hedgeAt:         map[int32]float64{},
+		parkFrom:        map[int32]float64{},
+		parks:           map[int32][]parkSpan{},
 	}
 	for _, sp := range spans {
-		if sp.Outcome == obs.OutcomeDropped {
-			k := gr{sp.Group, sp.Rep}
-			a.dropIdx[k] = append(a.dropIdx[k], sp)
-		}
+		a.byID[sp.Rebuild] = sp
 	}
 	rep := &Report{}
 	for _, e := range events {
 		switch e.Kind {
 		case trace.KindDiskFail:
 			a.diskFailAt[e.Disk] = e.Time
-			if n, ok := trace.ParseBlocks(e.Detail); ok {
-				a.diskFailBlocks[e.Disk] = n
-			}
 		case trace.KindRackUnreachable:
 			a.darkSince[e.Rack] = e.Time
 		case trace.KindPartitionHeal:
@@ -198,47 +178,34 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 			a.falseDead.ok = true
 			delete(a.darkSince, e.Rack)
 		case trace.KindFailSlowOnset:
-			if f, ok := trace.ParseFactor(e.Detail); ok && f > 1 {
-				a.slowFactor[e.Disk] = f
-			} else {
-				a.slowFactor[e.Disk] = 1
-			}
+			a.slowFactor[e.Disk] = max(e.X, 1)
 		case trace.KindFailSlowRecover:
 			delete(a.slowFactor, e.Disk)
 		case trace.KindThrottle:
-			if m, s, ok := trace.ParseThrottleStep(e.Detail); ok {
-				a.throttle.t, a.throttle.mbps, a.throttle.share = e.Time, m, s
-				a.throttle.ok = true
-			}
+			a.throttle = e
 		case trace.KindBurst:
-			a.burst.t = e.Time
-			a.burst.ok = true
-			a.burst.kills = 0
-			if k, ok := trace.ParseKills(e.Detail); ok {
-				a.burst.kills = k
-			}
+			a.burst = e
 		case trace.KindSpareQueued:
-			a.spare.t = e.Time
-			a.spare.ok = true
+			a.spare = e
 		case trace.KindLSEDetect:
-			a.lastLSEDetect[e.Disk] = lseHit{e.Time, e.Group, e.Rep}
+			a.lastLSEDetect[e.Disk] = lseHit{e.Time, int(e.Group), int(e.Rep)}
 		case trace.KindScrubRepair:
-			a.lastScrubRepair[e.Disk] = lseHit{e.Time, e.Group, e.Rep}
+			a.lastScrubRepair[e.Disk] = lseHit{e.Time, int(e.Group), int(e.Rep)}
 		case trace.KindResourceCrossRack:
-			a.crossRackAt[gr{e.Group, e.Rep}] = e.Time
+			a.crossRackAt[e.Rebuild] = e.Time
 		case trace.KindRebuildTimeout:
-			a.timedOutAt[gr{e.Group, e.Rep}] = e.Time
+			a.timedOutAt[e.Rebuild] = e.Time
 		case trace.KindHedge:
-			a.hedgeAt[gr{e.Group, e.Rep}] = e.Time
+			a.hedgeAt[e.Rebuild] = e.Time
 		case trace.KindRebuildParked:
-			a.parkFrom[gr{e.Group, e.Rep}] = e.Time
+			a.parkFrom[e.Rebuild] = e.Time
 		case trace.KindRebuildResumed:
-			k := gr{e.Group, e.Rep}
-			if from, ok := a.parkFrom[k]; ok {
-				if len(a.parks[k]) < 4 {
-					a.parks[k] = append(a.parks[k], parkSpan{from, e.Time})
+			id := e.Rebuild
+			if from, ok := a.parkFrom[id]; ok {
+				if len(a.parks[id]) < 4 {
+					a.parks[id] = append(a.parks[id], parkSpan{from, e.Time})
 				}
-				delete(a.parkFrom, k)
+				delete(a.parkFrom, id)
 			}
 		case trace.KindDataLoss:
 			p := a.lossPostmortem(e)
@@ -275,19 +242,4 @@ func (a *analyzer) openSpanOn(t float64, group int) *obs.Span {
 		}
 	}
 	return best
-}
-
-// takeDroppedSpan consumes the first unconsumed dropped span for the
-// rebuild that ended exactly at t. Exact float equality is correct
-// here: the span's DoneAt and the dropped event's Time are the same
-// float64, surviving a JSON round-trip bit-for-bit.
-func (a *analyzer) takeDroppedSpan(k gr, t float64) *obs.Span {
-	list := a.dropIdx[k]
-	for i, sp := range list {
-		if sp.DoneAt == t {
-			a.dropIdx[k] = append(list[:i:i], list[i+1:]...)
-			return sp
-		}
-	}
-	return nil
 }

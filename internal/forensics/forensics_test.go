@@ -19,10 +19,10 @@ func sumsToOne(t *testing.T, p Postmortem) {
 func TestAnalyzeFalseDeadLoss(t *testing.T) {
 	events := []trace.Event{
 		{Time: 2, Kind: trace.KindSwitchFail, Rack: 3},
-		{Time: 2, Kind: trace.KindRackUnreachable, Rack: 3, Detail: "switch-fail"},
+		{Time: 2, Kind: trace.KindRackUnreachable, Rack: 3, N: trace.CauseSwitchFail},
 		{Time: 26, Kind: trace.KindFalseDead, Rack: 3},
-		{Time: 26, Kind: trace.KindDiskFail, Disk: 13, Rack: 3, Detail: "blocks=40"},
-		{Time: 26, Kind: trace.KindDataLoss, Disk: 13, Detail: "groups=2"},
+		{Time: 26, Kind: trace.KindDiskFail, Disk: 13, Rack: 3, N: 40},
+		{Time: 26, Kind: trace.KindDataLoss, Disk: 13, N: 2},
 	}
 	rep := Analyze(events, nil, Context{})
 	if rep.Losses != 1 || rep.Drops != 0 || len(rep.Posts) != 1 {
@@ -55,11 +55,11 @@ func TestAnalyzeLSEDuringRebuildLoss(t *testing.T) {
 		Attempts: 1, Outcome: obs.OutcomeUnfinished,
 	}}
 	events := []trace.Event{
-		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, Detail: "blocks=5"},
+		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, N: 5},
 		{Time: 1.5, Kind: trace.KindDetect, Disk: 2},
 		{Time: 3, Kind: trace.KindLSE, Disk: 4, Group: 9, Rep: 2},
 		{Time: 5, Kind: trace.KindLSEDetect, Disk: 4, Group: 9, Rep: 2},
-		{Time: 5, Kind: trace.KindDataLoss, Disk: 4, Detail: "groups=1"},
+		{Time: 5, Kind: trace.KindDataLoss, Disk: 4, N: 1},
 	}
 	rep := Analyze(events, spans, Context{})
 	if len(rep.Posts) != 1 {
@@ -85,9 +85,9 @@ func TestAnalyzeLSEDuringRebuildLoss(t *testing.T) {
 
 func TestAnalyzeBurstClasses(t *testing.T) {
 	base := []trace.Event{
-		{Time: 10, Kind: trace.KindBurst, Detail: "kills=5"},
+		{Time: 10, Kind: trace.KindBurst, N: 5},
 		{Time: 10.5, Kind: trace.KindSpareQueued, Group: -1, Rep: -1, Disk: 7},
-		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, Detail: "groups=1"},
+		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, N: 1},
 	}
 	rep := Analyze(base, nil, Context{})
 	if rep.Posts[0].Class != ClassBurstSpare {
@@ -105,7 +105,7 @@ func TestAnalyzeBurstClasses(t *testing.T) {
 	}
 
 	// Outside the association window the burst is forgotten.
-	late := []trace.Event{base[0], {Time: 40, Kind: trace.KindDataLoss, Disk: 8, Detail: "groups=1"}}
+	late := []trace.Event{base[0], {Time: 40, Kind: trace.KindDataLoss, Disk: 8, N: 1}}
 	rep = Analyze(late, nil, Context{})
 	if rep.Posts[0].Class != ClassIndependent {
 		t.Fatalf("class = %q, want independent-failures", rep.Posts[0].Class)
@@ -115,7 +115,7 @@ func TestAnalyzeBurstClasses(t *testing.T) {
 func TestAnalyzeDropClasses(t *testing.T) {
 	mk := func(doneAt float64, group int, timedOut bool, resourcings int) *obs.Span {
 		return &obs.Span{
-			Group: group, Rep: 0,
+			Rebuild: int32(group), Group: group, Rep: 0,
 			FailedAt: 1, DetectedAt: 1.2, QueuedAt: 1.2, StartAt: 1.3, DoneAt: doneAt,
 			QueueWait: 0.1, Transfer: 1, RetryWait: 0.4,
 			Attempts: 2, TimedOut: timedOut, Resourcings: resourcings,
@@ -128,12 +128,12 @@ func TestAnalyzeDropClasses(t *testing.T) {
 		mk(8, 3, false, 0),
 	}
 	events := []trace.Event{
-		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, Detail: "blocks=5"},
+		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, N: 5},
 		{Time: 1.2, Kind: trace.KindDetect, Disk: 2},
-		{Time: 5, Kind: trace.KindRebuildTimeout, Group: 2, Rep: 0, Disk: 11},
-		{Time: 6, Kind: trace.KindDropped, Group: 1, Rep: 0, Disk: 10},
-		{Time: 7, Kind: trace.KindDropped, Group: 2, Rep: 0, Disk: 11},
-		{Time: 8, Kind: trace.KindDropped, Group: 3, Rep: 0, Disk: 12},
+		{Time: 5, Kind: trace.KindRebuildTimeout, Rebuild: 2, Group: 2, Rep: 0, Disk: 11},
+		{Time: 6, Kind: trace.KindDropped, Rebuild: 1, Group: 1, Rep: 0, Disk: 10},
+		{Time: 7, Kind: trace.KindDropped, Rebuild: 2, Group: 2, Rep: 0, Disk: 11},
+		{Time: 8, Kind: trace.KindDropped, Rebuild: 3, Group: 3, Rep: 0, Disk: 12},
 	}
 	rep := Analyze(events, spans, Context{})
 	if rep.Drops != 3 || len(rep.Posts) != 3 {
@@ -153,7 +153,7 @@ func TestAnalyzeDropClasses(t *testing.T) {
 
 func TestAnalyzeSpanlessDropUnattributed(t *testing.T) {
 	events := []trace.Event{
-		{Time: 6, Kind: trace.KindDropped, Group: 1, Rep: 0, Disk: 10},
+		{Time: 6, Kind: trace.KindDropped, Rebuild: 1, Group: 1, Rep: 0, Disk: 10},
 	}
 	rep := Analyze(events, nil, Context{})
 	p := rep.Posts[0]
@@ -165,18 +165,18 @@ func TestAnalyzeSpanlessDropUnattributed(t *testing.T) {
 
 func TestAnalyzeStretchFactors(t *testing.T) {
 	spans := []*obs.Span{{
-		Group: 5, Rep: 1,
+		Rebuild: 1, Group: 5, Rep: 1,
 		FailedAt: 0, DetectedAt: 0, QueuedAt: 0, StartAt: 0, DoneAt: 10,
 		Transfer: 10,
 		Attempts: 1, Outcome: obs.OutcomeDropped,
 	}}
 	events := []trace.Event{
-		{Time: 0, Kind: trace.KindDiskFail, Disk: 2, Detail: "blocks=5"},
+		{Time: 0, Kind: trace.KindDiskFail, Disk: 2, N: 5},
 		{Time: 0, Kind: trace.KindDetect, Disk: 2},
-		{Time: 0.5, Kind: trace.KindFailSlowOnset, Disk: 20, Detail: "factor=4"},
-		{Time: 1, Kind: trace.KindThrottle, Group: -1, Rep: -1, Disk: -1, Detail: "mbps=12.00 share=0.500"},
-		{Time: 2, Kind: trace.KindResourceCrossRack, Group: 5, Rep: 1, Disk: 30},
-		{Time: 10, Kind: trace.KindDropped, Group: 5, Rep: 1, Disk: 20},
+		{Time: 0.5, Kind: trace.KindFailSlowOnset, Disk: 20, X: 4},
+		{Time: 1, Kind: trace.KindThrottle, Group: -1, Rep: -1, Disk: -1, X: 12, Y: 0.5},
+		{Time: 2, Kind: trace.KindResourceCrossRack, Rebuild: 1, Group: 5, Rep: 1, Disk: 30},
+		{Time: 10, Kind: trace.KindDropped, Rebuild: 1, Group: 5, Rep: 1, Disk: 20},
 	}
 	rep := Analyze(events, spans, Context{OversubscriptionRatio: 4})
 	p := rep.Posts[0]
@@ -196,19 +196,19 @@ func TestAnalyzeStretchFactors(t *testing.T) {
 
 func TestParkedChainLinks(t *testing.T) {
 	spans := []*obs.Span{{
-		Group: 7, Rep: 0,
+		Rebuild: 1, Group: 7, Rep: 0,
 		FailedAt: 1, DetectedAt: 1.2, QueuedAt: 1.2, StartAt: 1.3, DoneAt: 30,
 		QueueWait: 0.1, Transfer: 2,
 		Attempts: 2, Outcome: obs.OutcomeDropped,
 	}}
 	events := []trace.Event{
-		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, Detail: "blocks=5"},
+		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, N: 5},
 		{Time: 1.2, Kind: trace.KindDetect, Disk: 2},
-		{Time: 2, Kind: trace.KindRackUnreachable, Rack: 3, Detail: "partition"},
-		{Time: 2.5, Kind: trace.KindRebuildParked, Group: 7, Rep: 0, Disk: 9},
+		{Time: 2, Kind: trace.KindRackUnreachable, Rack: 3, N: trace.CausePartition},
+		{Time: 2.5, Kind: trace.KindRebuildParked, Rebuild: 1, Group: 7, Rep: 0, Disk: 9},
 		{Time: 14, Kind: trace.KindPartitionHeal, Rack: 3},
-		{Time: 14, Kind: trace.KindRebuildResumed, Group: 7, Rep: 0, Disk: 9},
-		{Time: 30, Kind: trace.KindDropped, Group: 7, Rep: 0, Disk: 9},
+		{Time: 14, Kind: trace.KindRebuildResumed, Rebuild: 1, Group: 7, Rep: 0, Disk: 9},
+		{Time: 30, Kind: trace.KindDropped, Rebuild: 1, Group: 7, Rep: 0, Disk: 9},
 	}
 	rep := Analyze(events, spans, Context{})
 	p := rep.Posts[0]
@@ -238,11 +238,56 @@ func TestParkedChainLinks(t *testing.T) {
 	}
 }
 
+// TestStaleBlockHistoryDoesNotLeak: two rebuilds of one block. The
+// first parks, times out and crosses racks before it completes; the
+// second drops. The drop's postmortem joins on its own rebuild id, so
+// none of the first rebuild's history reaches its chain or its blame.
+func TestStaleBlockHistoryDoesNotLeak(t *testing.T) {
+	spans := []*obs.Span{
+		{Rebuild: 1, Group: 7, Rep: 0, FailedAt: 1, DetectedAt: 1, QueuedAt: 1, StartAt: 1, DoneAt: 20,
+			Transfer: 4, Attempts: 2, Outcome: obs.OutcomeDone},
+		{Rebuild: 2, Group: 7, Rep: 0, FailedAt: 30, DetectedAt: 30, QueuedAt: 30, StartAt: 30, DoneAt: 40,
+			Transfer: 10, Attempts: 1, Outcome: obs.OutcomeDropped},
+	}
+	events := []trace.Event{
+		{Time: 1, Kind: trace.KindDiskFail, Disk: 2, N: 5},
+		{Time: 1, Kind: trace.KindDetect, Disk: 2},
+		{Time: 2, Kind: trace.KindRackUnreachable, Rack: 3, N: trace.CausePartition},
+		{Time: 3, Kind: trace.KindRebuildParked, Rebuild: 1, Group: 7, Disk: 9},
+		{Time: 5, Kind: trace.KindPartitionHeal, Rack: 3},
+		{Time: 5, Kind: trace.KindRebuildResumed, Rebuild: 1, Group: 7, Disk: 9},
+		{Time: 8, Kind: trace.KindRebuildTimeout, Rebuild: 1, Group: 7, Disk: 9},
+		{Time: 9, Kind: trace.KindResourceCrossRack, Rebuild: 1, Group: 7, Disk: 30},
+		{Time: 11, Kind: trace.KindRebuildParked, Rebuild: 1, Group: 7, Disk: 9},
+		{Time: 20, Kind: trace.KindRebuilt, Rebuild: 1, Group: 7, Disk: 9},
+		{Time: 30, Kind: trace.KindDiskFail, Disk: 9, N: 5},
+		{Time: 30, Kind: trace.KindDetect, Disk: 9},
+		{Time: 40, Kind: trace.KindDropped, Rebuild: 2, Group: 7, Disk: 12},
+	}
+	rep := Analyze(events, spans, Context{OversubscriptionRatio: 4})
+	if len(rep.Posts) != 1 {
+		t.Fatalf("posts = %d", len(rep.Posts))
+	}
+	p := rep.Posts[0]
+	if p.Class != ClassGroupLost {
+		t.Fatalf("class = %q, want group-lost (the timeout was the earlier rebuild's)", p.Class)
+	}
+	for _, l := range p.Chain {
+		if l.T < 30 {
+			t.Errorf("chain carries the earlier rebuild's %s at %g", l.Kind, l.T)
+		}
+	}
+	if p.Blame.Network != 0 {
+		t.Errorf("network stretch from the earlier rebuild's cross-rack flight: %+v", p.Blame)
+	}
+	sumsToOne(t, p)
+}
+
 func TestAggregateAndRecordInto(t *testing.T) {
 	events := []trace.Event{
-		{Time: 10, Kind: trace.KindBurst, Detail: "kills=5"},
-		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, Detail: "groups=1"},
-		{Time: 13, Kind: trace.KindDropped, Group: 1, Rep: 0, Disk: 10},
+		{Time: 10, Kind: trace.KindBurst, N: 5},
+		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, N: 1},
+		{Time: 13, Kind: trace.KindDropped, Rebuild: 1, Group: 1, Rep: 0, Disk: 10},
 	}
 	rep := Analyze(events, nil, Context{})
 	agg := NewAggregate()
@@ -277,8 +322,8 @@ func TestAggregateAndRecordInto(t *testing.T) {
 
 func TestPostmortemJSONLRoundTrip(t *testing.T) {
 	events := []trace.Event{
-		{Time: 10, Kind: trace.KindBurst, Detail: "kills=5"},
-		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, Detail: "groups=1"},
+		{Time: 10, Kind: trace.KindBurst, N: 5},
+		{Time: 12, Kind: trace.KindDataLoss, Disk: 8, N: 1},
 	}
 	rep := Analyze(events, nil, Context{})
 	var buf bytes.Buffer

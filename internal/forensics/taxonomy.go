@@ -56,14 +56,13 @@ var Classes = []string{
 
 // lossPostmortem builds the postmortem for one data-loss event.
 func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
-	groups := 1
-	if n, ok := trace.ParseGroups(e.Detail); ok {
-		groups = n
-	}
 	p := Postmortem{
 		T: e.Time, Kind: string(trace.KindDataLoss),
-		Disk: e.Disk, Group: -1, Rep: -1, Groups: groups,
+		Disk: int(e.Disk), Group: -1, Rep: -1, Groups: max(int(e.N), 1),
 	}
+	// id is the rebuild whose history the chain shows: the open span's,
+	// when that span is the postmortem's block.
+	var id int32
 	switch {
 	case a.falseDead.ok && a.falseDead.t == e.Time:
 		p.Class = ClassFalseDead
@@ -81,41 +80,41 @@ func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 		p.Group, p.Rep = h.group, h.rep
 		p.Chain = append(p.Chain,
 			ChainLink{h.t, string(trace.KindLSEDetect), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
-		a.windowFromOpenSpan(&p, e, h.group)
+		id = a.windowFromOpenSpan(&p, e, h.group)
 	case hitAt(a.lastScrubRepair, e.Disk, e.Time):
 		h := a.lastScrubRepair[e.Disk]
 		p.Class = ClassLSEScrub
 		p.Group, p.Rep = h.group, h.rep
 		p.Chain = append(p.Chain,
 			ChainLink{h.t, string(trace.KindScrubRepair), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
-		a.windowFromOpenSpan(&p, e, h.group)
-	case a.burst.ok && e.Time-a.burst.t <= a.ctx.burstWindow():
-		if a.spare.ok && e.Time-a.spare.t <= a.ctx.burstWindow() {
+		id = a.windowFromOpenSpan(&p, e, h.group)
+	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= a.ctx.burstWindow():
+		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= a.ctx.burstWindow() {
 			p.Class = ClassBurstSpare
 			p.Chain = append(p.Chain,
-				ChainLink{a.burst.t, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.kills)},
-				ChainLink{a.spare.t, string(trace.KindSpareQueued), ""})
+				ChainLink{a.burst.Time, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.N)},
+				ChainLink{a.spare.Time, string(trace.KindSpareQueued), ""})
 		} else {
 			p.Class = ClassBurst
 			p.Chain = append(p.Chain,
-				ChainLink{a.burst.t, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.kills)})
+				ChainLink{a.burst.Time, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.N)})
 		}
-		a.windowFromOpenSpan(&p, e, -1)
+		id = a.windowFromOpenSpan(&p, e, -1)
 	default:
 		p.Class = ClassIndependent
 		if t, ok := a.diskFailAt[e.Disk]; ok {
 			p.Chain = append(p.Chain,
 				ChainLink{t, string(trace.KindDiskFail), fmt.Sprintf("disk=%d", e.Disk)})
 		}
-		a.windowFromOpenSpan(&p, e, -1)
+		id = a.windowFromOpenSpan(&p, e, -1)
 	}
-	a.finishChain(&p, e.Time)
+	a.finishChain(&p, e.Time, id)
 	return p
 }
 
 // hitAt reports whether the map holds a hit for the disk at exactly t
 // (the presence check guards the zero lseHit from aliasing a hit at 0).
-func hitAt(m map[int]lseHit, disk int, t float64) bool {
+func hitAt(m map[int32]lseHit, disk int32, t float64) bool {
 	h, ok := m[disk]
 	return ok && h.t == t
 }
@@ -125,13 +124,14 @@ func hitAt(m map[int]lseHit, disk int, t float64) bool {
 // LSE-class loss, open on the struck group; for burst/independent
 // losses, the longest-exposed rebuild anywhere (the fleet's deepest
 // exposure when the music stopped). Without span evidence the loss is
-// Instant: no reconstruction was in flight, or spans were off.
-func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) {
+// Instant: no reconstruction was in flight, or spans were off. Returns
+// the span's rebuild id when the span is the postmortem's block, else 0.
+func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) int32 {
 	sp := a.openSpanOn(e.Time, group)
 	if sp == nil {
 		p.WindowHours = 0
 		p.Blame = Blame{Instant: 1}
-		return
+		return 0
 	}
 	if p.Group < 0 {
 		p.Group, p.Rep = sp.Group, sp.Rep
@@ -140,20 +140,24 @@ func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) {
 	p.Blame = a.blameFromSpan(sp, e.Time, e.Disk)
 	p.Chain = append(p.Chain,
 		ChainLink{sp.FailedAt, "block-failed", fmt.Sprintf("group=%d rep=%d", sp.Group, sp.Rep)})
+	if sp.Group != p.Group || sp.Rep != p.Rep {
+		return 0
+	}
+	return sp.Rebuild
 }
 
 // dropPostmortem builds the postmortem for one dropped-rebuild event.
 func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
-	k := gr{e.Group, e.Rep}
+	id := e.Rebuild
 	p := Postmortem{
 		T: e.Time, Kind: string(trace.KindDropped),
-		Disk: e.Disk, Group: e.Group, Rep: e.Rep,
+		Disk: int(e.Disk), Group: int(e.Group), Rep: int(e.Rep),
 	}
-	sp := a.takeDroppedSpan(k, e.Time)
+	sp := a.byID[id]
 	if sp == nil {
 		p.Class = ClassUnattributed
 		p.Blame = Blame{Instant: 1}
-		a.finishChain(&p, e.Time)
+		a.finishChain(&p, e.Time, id)
 		return p
 	}
 	switch {
@@ -173,41 +177,40 @@ func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 			fmt.Sprintf("retries=%d resourcings=%d redirections=%d",
 				sp.Retries, sp.Resourcings, sp.Redirections)})
 	}
-	if t, ok := a.timedOutAt[k]; ok {
+	if t, ok := a.timedOutAt[id]; ok {
 		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindRebuildTimeout), ""})
 	}
-	if t, ok := a.hedgeAt[k]; ok {
+	if t, ok := a.hedgeAt[id]; ok {
 		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindHedge), ""})
 	}
-	a.finishChain(&p, e.Time)
+	a.finishChain(&p, e.Time, id)
 	return p
 }
 
 // finishChain appends the chain links shared by every postmortem — the
-// rebuild's parked intervals, its cross-rack flight, the throttle step
-// and fail-slow episode in effect at the loss — then time-sorts (the
-// links arrive near-sorted; a stable insertion keeps ties in append
-// order) and caps the chain.
-func (a *analyzer) finishChain(p *Postmortem, t float64) {
-	k := gr{p.Group, p.Rep}
-	if p.Group >= 0 {
-		for _, ps := range a.parks[k] {
+// parked intervals and cross-rack flight of rebuild id (0 for none), the
+// throttle step and fail-slow episode in effect at the loss — then
+// time-sorts (the links arrive near-sorted; a stable insertion keeps
+// ties in append order) and caps the chain.
+func (a *analyzer) finishChain(p *Postmortem, t float64, id int32) {
+	if id > 0 {
+		for _, ps := range a.parks[id] {
 			p.Chain = append(p.Chain,
 				ChainLink{ps.from, string(trace.KindRebuildParked), ""},
 				ChainLink{ps.to, string(trace.KindRebuildResumed), ""})
 		}
-		if from, ok := a.parkFrom[k]; ok {
+		if from, ok := a.parkFrom[id]; ok {
 			p.Chain = append(p.Chain, ChainLink{from, string(trace.KindRebuildParked), "unresumed"})
 		}
-		if ct, ok := a.crossRackAt[k]; ok {
+		if ct, ok := a.crossRackAt[id]; ok {
 			p.Chain = append(p.Chain, ChainLink{ct, string(trace.KindResourceCrossRack), ""})
 		}
 	}
-	if a.throttle.ok && a.throttle.t <= t {
-		p.Chain = append(p.Chain, ChainLink{a.throttle.t, string(trace.KindThrottle),
-			fmt.Sprintf("mbps=%.2f share=%.3f", a.throttle.mbps, a.throttle.share)})
+	if a.throttle.Kind == trace.KindThrottle && a.throttle.Time <= t {
+		p.Chain = append(p.Chain, ChainLink{a.throttle.Time, string(trace.KindThrottle),
+			fmt.Sprintf("mbps=%.2f share=%.3f", a.throttle.X, a.throttle.Y)})
 	}
-	if f, ok := a.slowFactor[p.Disk]; ok && f > 1 {
+	if f, ok := a.slowFactor[int32(p.Disk)]; ok && f > 1 {
 		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindFailSlowOnset),
 			fmt.Sprintf("factor=%g", f)})
 	}

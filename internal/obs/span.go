@@ -25,10 +25,12 @@ const (
 // The phase accumulators break the window of vulnerability down by where
 // the time went; across retries, redirections, and re-sourcings each
 // attempt's queue wait and transfer time adds into the same buckets.
-// All times are simulated hours.
+// All times are simulated hours. Rebuild is the run-unique rebuild id
+// every trace event about this rebuild carries (trace.Event.Rebuild).
 type Span struct {
-	Group int `json:"group"`
-	Rep   int `json:"rep"`
+	Rebuild int32 `json:"rebuild"`
+	Group   int   `json:"group"`
+	Rep     int   `json:"rep"`
 
 	FailedAt   float64 `json:"failed_at"`
 	DetectedAt float64 `json:"detected_at"`
@@ -83,11 +85,11 @@ type SpanLog struct {
 // NewSpanLog returns an empty span log.
 func NewSpanLog() *SpanLog { return &SpanLog{} }
 
-// Start opens a span for one block rebuild at queue time and returns it
+// Start opens a span for block rebuild id at queue time and returns it
 // for in-place phase accounting.
-func (l *SpanLog) Start(group, rep int, failedAt, detectedAt, queuedAt float64) *Span {
+func (l *SpanLog) Start(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) *Span {
 	sp := &Span{
-		Group: group, Rep: rep,
+		Rebuild: id, Group: group, Rep: rep,
 		FailedAt: failedAt, DetectedAt: detectedAt, QueuedAt: queuedAt,
 		StartAt: -1, DoneAt: -1,
 		Outcome: OutcomeUnfinished,

@@ -7,7 +7,7 @@ import (
 
 func TestSpanLifecycle(t *testing.T) {
 	l := NewSpanLog()
-	sp := l.Start(3, 1, 10, 10.5, 10.5)
+	sp := l.Start(1, 3, 1, 10, 10.5, 10.5)
 	if sp.Outcome != OutcomeUnfinished {
 		t.Fatalf("new span outcome = %q", sp.Outcome)
 	}
@@ -37,13 +37,13 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestSpanJSONLRoundTrip(t *testing.T) {
 	l := NewSpanLog()
-	a := l.Start(1, 0, 0, 0.25, 0.25)
+	a := l.Start(1, 1, 0, 0, 0.25, 0.25)
 	a.StartAt, a.DoneAt = 0.5, 1.75
 	a.QueueWait, a.Transfer = 0.25, 1.25
 	a.Attempts, a.Retries, a.Hedges = 2, 1, 1
 	a.HedgeWon = true
 	a.Outcome = OutcomeDone
-	b := l.Start(2, 1, 5, 5, 5)
+	b := l.Start(2, 2, 1, 5, 5, 5)
 	b.Outcome = OutcomeDropped
 	b.DoneAt = 6
 
@@ -62,7 +62,7 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", back[0], back[1])
 	}
 	// Unfinished third span still serializes with the -1 sentinels.
-	l.Start(3, 2, 7, 7.5, 7.5)
+	l.Start(1, 3, 2, 7, 7.5, 7.5)
 	sb.Reset()
 	if err := l.WriteJSONL(&sb); err != nil {
 		t.Fatalf("write: %v", err)

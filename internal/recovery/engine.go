@@ -81,10 +81,9 @@ type Engine interface {
 	Stats() *Stats
 	// Name identifies the engine ("farm" or "spare").
 	Name() string
-	// SetObserver installs an optional callback fired when a block
-	// rebuild completes ("rebuilt"), is abandoned ("dropped"), or is
-	// retried after a transient fault ("retry"), for tracing.
-	SetObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int))
+	// SetObserver installs the optional trace observer, which receives
+	// every event the engine emits, fully built. Nil disables tracing.
+	SetObserver(fn func(trace.Event))
 	// SetObservability installs the flight-recorder surfaces of o: the
 	// per-rebuild histograms when o.Registry is set, the rebuild-lifecycle
 	// span log when o.Spans is set. Nil disables both.
@@ -109,10 +108,6 @@ type Engine interface {
 	// recovery rate, and completed windows sample degraded-read latency.
 	// Nil (the default) keeps every fast path bit-for-bit.
 	SetForeground(fg *workload.Foreground)
-	// SetDetailObserver installs the detail-bearing observer for
-	// foreground events (degraded-read samples, throttle steps), which
-	// carry a payload the positional observer cannot express.
-	SetDetailObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int, detail string))
 	// HandleWriteFence reacts to diskID turning read-only at now (a
 	// rolling-upgrade window): rebuilds writing to it park. Reads are
 	// unaffected — a fenced disk still serves as a rebuild source.
@@ -167,6 +162,9 @@ type rebuild struct {
 	// its task is cancelled and its timers disarmed, but it stays in the
 	// disk indexes so heals (and endpoint deaths) find it.
 	parked bool
+	// id is the rebuild's id (see open). It shares parked's word: one
+	// more word would push the struct past its 128-byte size class.
+	id int32
 }
 
 // base holds the machinery common to both engines.
@@ -191,8 +189,10 @@ type base struct {
 	// swap-remove beats a nested map; emptied slices keep their backing
 	// array for reuse, so steady-state tracking allocates nothing.
 	perGroupTargets map[int][]int
-	// observer, when set, sees rebuilt/dropped/retry block events.
-	observer func(now sim.Time, kind trace.Kind, group, rep, diskID int)
+	// observer, when set, receives every traced engine event.
+	observer func(trace.Event)
+	// lastID is the id of the most recently opened rebuild.
+	lastID int32
 	// fm, when set, injects read faults into completing transfers.
 	fm FaultModel
 	// scratchSrc/scratchTgt are reusable buffers for rebuildsTouching:
@@ -231,8 +231,6 @@ type base struct {
 	fg            *workload.Foreground
 	activeTargets int
 	lastThrottle  float64
-	// detailObserver, when set, sees foreground events with a payload.
-	detailObserver func(now sim.Time, kind trace.Kind, group, rep, diskID int, detail string)
 }
 
 func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel, tally *obs.Tally) base {
@@ -260,9 +258,7 @@ func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload
 func (b *base) Stats() *Stats { return &b.stats }
 
 // SetObserver implements Engine.
-func (b *base) SetObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int)) {
-	b.observer = fn
-}
+func (b *base) SetObserver(fn func(trace.Event)) { b.observer = fn }
 
 // SetFaultModel implements Engine.
 func (b *base) SetFaultModel(fm FaultModel) { b.fm = fm }
@@ -282,11 +278,46 @@ func (b *base) SetStraggler(p StragglerPolicy, evict func(now sim.Time, diskID i
 	}
 }
 
-// observe fires the observer if installed.
-func (b *base) observe(now sim.Time, kind trace.Kind, group, rep, diskID int) {
+// emit fires the observer, if installed, with one event.
+func (b *base) emit(e trace.Event) {
 	if b.observer != nil {
-		b.observer(now, kind, group, rep, diskID)
+		b.observer(e)
 	}
+}
+
+// emitRebuild traces one event of rebuild id on (group, rep) at disk.
+func (b *base) emitRebuild(now sim.Time, kind trace.Kind, id int32, group, rep, disk int) {
+	if b.observer != nil {
+		b.observer(trace.Event{Time: float64(now), Kind: kind, Rebuild: id,
+			Group: int32(group), Rep: int32(rep), Disk: int32(disk)})
+	}
+}
+
+// open opens one block rebuild detected now. It returns the rebuild's
+// run-unique id (the trace's Event.Rebuild, drawn in open order from 1)
+// and, when spans are enabled, its lifecycle span, announced by a
+// rebuild-queued event. The spare engine carries both across a
+// spare-pool wait and a target-death restart, so one block's rebuild
+// keeps one id however often it restarts. open draws no randomness and
+// schedules nothing.
+func (b *base) open(group, rep int, failedAt sim.Time) (int32, *obs.Span) {
+	b.lastID++
+	if b.spans == nil {
+		return b.lastID, nil
+	}
+	now := b.eng.Now()
+	b.emitRebuild(now, trace.KindRebuildQueued, b.lastID, group, rep, -1)
+	return b.lastID, b.spans.Start(b.lastID, group, rep, float64(failedAt), float64(now), float64(now))
+}
+
+// drop abandons opened rebuild r of (group, rep): it tallies the drop,
+// finishes the span as dropped and traces the dropped event. Every drop
+// of an opened rebuild goes through here; disk is the rebuild's target
+// (-1 when it never had one).
+func (b *base) drop(now sim.Time, r *rebuild, group, rep, disk int) {
+	b.tally.DroppedRebuilds++
+	b.spanFinish(r.span, now, obs.OutcomeDropped)
+	b.emitRebuild(now, trace.KindDropped, r.id, group, rep, disk)
 }
 
 // blockDuration is the healthy-model transfer time of one block rebuild
@@ -438,9 +469,7 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 		// The group lost data while this block was in flight; the
 		// reservation stands as wasted space dropped with the group.
 		b.cl.ReleaseTarget(r.task.Target)
-		b.tally.DroppedRebuilds++
-		b.spanDropped(r, now)
-		b.observe(now, trace.KindDropped, r.task.Group, r.task.Rep, r.task.Target)
+		b.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
 		return
 	}
 	b.cl.PlaceRecovered(r.task.Group, r.task.Rep, r.task.Target)
@@ -450,9 +479,9 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 	b.stats.Window.Add(w)
 	b.recordWindow(w)
 	b.sampleDegradedReads(now, r, r.task, w)
-	b.spanFinish(r, now, obs.OutcomeDone)
+	b.spanFinish(r.span, now, obs.OutcomeDone)
 	b.noteTransfer(now, r.task)
-	b.observe(now, trace.KindRebuilt, r.task.Group, r.task.Rep, r.task.Target)
+	b.emitRebuild(now, trace.KindRebuilt, r.id, r.task.Group, r.task.Rep, r.task.Target)
 }
 
 // abandon drops a rebuild whose group is beyond repair.
@@ -462,8 +491,7 @@ func (b *base) abandon(r *rebuild) {
 	b.sched.Cancel(r.task)
 	b.untrack(r)
 	b.cl.ReleaseTarget(r.task.Target)
-	b.tally.DroppedRebuilds++
-	b.spanDropped(r, now)
+	b.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
 }
 
 // resource replaces the failed read source of a rebuild, or abandons it if
@@ -504,7 +532,7 @@ func (b *base) resource(r *rebuild) {
 	if b.net != nil && !b.net.SameRack(src, r.task.Source) {
 		// Topology-aware re-sourcing crossed the fabric to another rack
 		// (typically fleeing a dark or dead one).
-		b.observe(b.eng.Now(), trace.KindResourceCrossRack, r.task.Group, r.task.Rep, src)
+		b.emitRebuild(b.eng.Now(), trace.KindResourceCrossRack, r.id, r.task.Group, r.task.Rep, src)
 	}
 	b.sched.Cancel(r.task)
 	b.untrack(r)
@@ -531,7 +559,6 @@ func (b *base) resource(r *rebuild) {
 func (b *base) resourceChecked(now sim.Time, r *rebuild) {
 	r.resourcings++
 	if r.resourcings > b.maxResourcings() {
-		b.observe(now, trace.KindDropped, r.task.Group, r.task.Rep, r.task.Target)
 		b.abandon(r)
 		return
 	}
@@ -566,14 +593,13 @@ func (b *base) retryOrResource(now sim.Time, r *rebuild) {
 	}
 	r.task = nt
 	r.retryArmedAt = now
-	b.observe(now, trace.KindRetry, nt.Group, nt.Rep, nt.Source)
+	b.emitRebuild(now, trace.KindRetry, r.id, nt.Group, nt.Rep, nt.Source)
 	r.retryEv = b.eng.After(b.fm.RetryBackoff(r.retries), "rebuild-retry", func(at sim.Time) {
 		r.retryEv = sim.Handle{}
 		if r.span != nil {
 			r.span.RetryWait += float64(at - r.retryArmedAt)
 		}
 		if b.cl.GroupLost(nt.Group) {
-			b.observe(at, trace.KindDropped, nt.Group, nt.Rep, nt.Target)
 			b.abandon(r)
 			return
 		}

@@ -42,7 +42,9 @@ func (f *FARM) HandleDetection(now sim.Time, diskID int, failedAt sim.Time, lost
 }
 
 // startRebuild selects target and source for one block and submits the
-// transfer. Returns silently if the group is already beyond repair.
+// transfer. Returns silently if the group is already beyond repair or
+// has no source: those drops are tallied only, since no rebuild (id,
+// span) was opened for them.
 func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 	if f.cl.GroupLost(group) {
 		f.tally.DroppedRebuilds++
@@ -59,13 +61,12 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		return
 	}
 	r := &rebuild{failedAt: failedAt, baseDur: f.blockDuration()}
-	r.span = f.spanOpen(group, rep, failedAt)
+	r.id, r.span = f.open(group, rep, failedAt)
 	target, trial, ok := f.pickTarget(group, rep, 0)
 	if !ok {
 		// Nowhere to put the block (cluster effectively full/dead);
 		// leave the group degraded.
-		f.tally.DroppedRebuilds++
-		f.spanDropped(r, f.eng.Now())
+		f.drop(f.eng.Now(), r, group, rep, -1)
 		return
 	}
 	r.trial = trial
@@ -112,14 +113,12 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	f.untrack(r)
 	// No ReleaseTarget: the dead disk's byte accounting is already gone.
 	if f.cl.GroupLost(r.task.Group) {
-		f.tally.DroppedRebuilds++
-		f.spanDropped(r, now)
+		f.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
 		return
 	}
 	target, trial, ok := f.pickTarget(r.task.Group, r.task.Rep, r.trial+1)
 	if !ok {
-		f.tally.DroppedRebuilds++
-		f.spanDropped(r, now)
+		f.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
 		return
 	}
 	src := r.task.Source
@@ -130,8 +129,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 		}
 		if src < 0 {
 			f.cl.ReleaseTarget(target)
-			f.tally.DroppedRebuilds++
-			f.spanDropped(r, now)
+			f.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
 			return
 		}
 	}

@@ -1,8 +1,6 @@
 package recovery
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,11 +20,6 @@ func (b *base) SetForeground(fg *workload.Foreground) {
 	b.lastThrottle = 0
 }
 
-// SetDetailObserver implements Engine.
-func (b *base) SetDetailObserver(fn func(now sim.Time, kind trace.Kind, group, rep, diskID int, detail string)) {
-	b.detailObserver = fn
-}
-
 // throttleMBps asks the QoS policy for the recovery rate at a decision
 // point (a rebuild being created), feeding it the fleet user share and
 // the engine's current backlog. Rate changes are counted as throttle
@@ -44,10 +37,8 @@ func (b *base) throttleMBps(now float64) float64 {
 	if mbps != b.lastThrottle {
 		if b.lastThrottle != 0 {
 			b.tally.ThrottleSteps++
-			if b.detailObserver != nil {
-				b.detailObserver(sim.Time(now), trace.KindThrottle, -1, -1, -1,
-					fmt.Sprintf("mbps=%.2f share=%.3f", mbps, fleet))
-			}
+			b.emit(trace.Event{Time: now, Kind: trace.KindThrottle,
+				Group: -1, Rep: -1, Disk: -1, X: mbps, Y: fleet})
 		}
 		b.lastThrottle = mbps
 	}
@@ -122,10 +113,9 @@ func (b *base) sampleDegradedReads(now sim.Time, r *rebuild, t *Task, windowHour
 			max = lat
 		}
 	}
-	if b.detailObserver != nil {
-		b.detailObserver(now, trace.KindDegradedReads, t.Group, t.Rep, t.Source,
-			fmt.Sprintf("n=%d mean=%.3f max=%.3f", n, sum/float64(n), max))
-	}
+	b.emit(trace.Event{Time: float64(now), Kind: trace.KindDegradedReads, Rebuild: r.id,
+		Group: int32(t.Group), Rep: int32(t.Rep), Disk: int32(t.Source),
+		N: int32(n), X: sum / float64(n), Y: max})
 }
 
 // HandleWriteFence implements Engine: disk diskID turned read-only at

@@ -43,7 +43,7 @@ func (b *base) submitTracked(r *rebuild) {
 	// accounted exactly once, and hand the span to the scheduler so the
 	// OnStart hook can mark the first transfer start.
 	r.spanDone = false
-	r.task.span = r.span
+	r.task.rb = r
 	if r.span != nil {
 		r.span.Attempts++
 	}
@@ -107,7 +107,7 @@ func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 	if r.span != nil {
 		r.span.TimedOut = true
 	}
-	b.observe(now, trace.KindRebuildTimeout, r.task.Group, r.task.Rep, r.task.Target)
+	b.emitRebuild(now, trace.KindRebuildTimeout, r.id, r.task.Group, r.task.Rep, r.task.Target)
 	r.retries = 0
 	b.resourceChecked(now, r)
 }
@@ -152,10 +152,10 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 	b.tally.Hedges++
 	if r.span != nil {
 		r.span.Hedges++
-		ht.span = r.span
 	}
+	ht.rb = r
 	b.trackHedge(r)
-	b.observe(now, trace.KindHedge, ht.Group, ht.Rep, ht.Target)
+	b.emitRebuild(now, trace.KindHedge, r.id, ht.Group, ht.Rep, ht.Target)
 	b.sched.Submit(ht, func(done sim.Time, _ *Task) { b.hedgeComplete(done, r) })
 }
 
@@ -242,9 +242,7 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	b.cl.ReleaseTarget(r.task.Target)
 	if b.cl.GroupLost(ht.Group) {
 		b.cl.ReleaseTarget(ht.Target)
-		b.tally.DroppedRebuilds++
-		b.spanDropped(r, now)
-		b.observe(now, trace.KindDropped, ht.Group, ht.Rep, ht.Target)
+		b.drop(now, r, ht.Group, ht.Rep, ht.Target)
 		return
 	}
 	b.cl.PlaceRecovered(ht.Group, ht.Rep, ht.Target)
@@ -258,9 +256,9 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	b.stats.Window.Add(w)
 	b.recordWindow(w)
 	b.sampleDegradedReads(now, r, ht, w)
-	b.spanFinish(r, now, obs.OutcomeDone)
+	b.spanFinish(r.span, now, obs.OutcomeDone)
 	b.noteTransfer(now, ht)
-	b.observe(now, trace.KindHedgeWin, ht.Group, ht.Rep, ht.Target)
+	b.emitRebuild(now, trace.KindHedgeWin, r.id, ht.Group, ht.Rep, ht.Target)
 }
 
 // recordWindow feeds one vulnerability window into the streaming tail
@@ -294,11 +292,11 @@ func (b *base) scoreDisk(now sim.Time, id int, mbps float64) {
 	flagged, evicted := b.det.score(id, mbps)
 	if flagged {
 		b.tally.SlowFlagged++
-		b.observe(now, trace.KindFailSlowDetect, -1, -1, id)
+		b.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowDetect, Group: -1, Rep: -1, Disk: int32(id)})
 	}
 	if evicted {
 		b.tally.SlowEvicted++
-		b.observe(now, trace.KindEvictSlow, -1, -1, id)
+		b.emit(trace.Event{Time: float64(now), Kind: trace.KindEvictSlow, Group: -1, Rep: -1, Disk: int32(id)})
 		if b.evict != nil {
 			b.evict(now, id)
 		}

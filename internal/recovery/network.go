@@ -91,7 +91,7 @@ func (b *base) parkTracked(r *rebuild) {
 	b.spanEndAttempt(r, b.eng.Now())
 	b.cancelTimers(r)
 	b.tally.ParkedTransfers++
-	b.observe(b.eng.Now(), trace.KindRebuildParked, r.task.Group, r.task.Rep, r.task.Target)
+	b.emitRebuild(b.eng.Now(), trace.KindRebuildParked, r.id, r.task.Group, r.task.Rep, r.task.Target)
 }
 
 // park suspends a rebuild whose task may be queued or running (a dark
@@ -206,7 +206,7 @@ func (b *base) resumeParked(now sim.Time, r *rebuild) {
 			r.span.Resourcings++
 		}
 		if b.net != nil && !b.net.SameRack(src, r.task.Source) {
-			b.observe(now, trace.KindResourceCrossRack, r.task.Group, r.task.Rep, src)
+			b.emitRebuild(now, trace.KindResourceCrossRack, r.id, r.task.Group, r.task.Rep, src)
 		}
 	}
 	nt := &Task{
@@ -219,6 +219,6 @@ func (b *base) resumeParked(now sim.Time, r *rebuild) {
 	r.task = nt
 	b.track(r)
 	r.parked = false
-	b.observe(now, trace.KindRebuildResumed, r.task.Group, r.task.Rep, r.task.Target)
+	b.emitRebuild(now, trace.KindRebuildResumed, r.id, r.task.Group, r.task.Rep, r.task.Target)
 	b.submitTracked(r)
 }

@@ -19,7 +19,6 @@ package recovery
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -57,9 +56,10 @@ type Task struct {
 	// (network contention) stretched Duration; equal to Duration when no
 	// hook is installed. Set at transfer start.
 	shaped sim.Time
-	// span, when non-nil, is the rebuild-lifecycle span this attempt
-	// belongs to; the scheduler marks its first transfer start.
-	span *obs.Span
+	// rb is the block rebuild this attempt belongs to (nil for tasks
+	// submitted outside an engine); the span layer's OnStart hook marks
+	// its first transfer start.
+	rb *rebuild
 }
 
 // State helpers used by engines and tests.

@@ -56,10 +56,11 @@ func (b *base) SetObservability(o *obs.RunObserver) {
 	}
 	if b.spans != nil {
 		b.sched.OnStart = func(now sim.Time, t *Task) {
-			if t.span != nil && t.span.StartAt < 0 {
-				t.span.StartAt = float64(now)
+			r := t.rb
+			if r.span != nil && r.span.StartAt < 0 {
+				r.span.StartAt = float64(now)
 			}
-			b.observe(now, trace.KindTransferStart, t.Group, t.Rep, t.Target)
+			b.emitRebuild(now, trace.KindTransferStart, r.id, t.Group, t.Rep, t.Target)
 		}
 	} else {
 		b.sched.OnStart = nil
@@ -70,18 +71,6 @@ func (b *base) SetObservability(o *obs.RunObserver) {
 // (transferring, queued, or backing off). Read-only; used by the state
 // sampler.
 func (b *base) InFlight() int { return b.inFlight }
-
-// spanOpen opens the lifecycle span of one block rebuild detected now,
-// emitting the rebuild-queued trace event. Returns nil when spans are
-// disabled; every accounting helper below tolerates a nil span.
-func (b *base) spanOpen(group, rep int, failedAt sim.Time) *obs.Span {
-	if b.spans == nil {
-		return nil
-	}
-	now := b.eng.Now()
-	b.observe(now, trace.KindRebuildQueued, group, rep, -1)
-	return b.spans.Start(group, rep, float64(failedAt), float64(now), float64(now))
-}
 
 // spanEndAttempt folds the rebuild's current attempt into its span's
 // phase accumulators. Call it at the instant the attempt ends, BEFORE
@@ -109,8 +98,7 @@ func (b *base) spanEndAttempt(r *rebuild, now sim.Time) {
 // spanFinish latches the span's terminal outcome at now and feeds the
 // per-run phase histograms (when a registry is attached). Safe on a nil
 // span.
-func (b *base) spanFinish(r *rebuild, now sim.Time, outcome string) {
-	sp := r.span
+func (b *base) spanFinish(sp *obs.Span, now sim.Time, outcome string) {
 	if sp == nil {
 		return
 	}
@@ -123,10 +111,4 @@ func (b *base) spanFinish(r *rebuild, now sim.Time, outcome string) {
 		h.hedgeOverlap.Observe(sp.HedgeOverlap)
 		h.detectWait.Observe(sp.DetectWait())
 	}
-}
-
-// spanDropped finishes a span as dropped (nil-safe convenience for the
-// abandonment paths).
-func (b *base) spanDropped(r *rebuild, now sim.Time) {
-	b.spanFinish(r, now, obs.OutcomeDropped)
 }

@@ -41,9 +41,10 @@ type SpareDisk struct {
 type pendingBlock struct {
 	group, rep int
 	failedAt   sim.Time
-	// span is the block's lifecycle span carried across the wait (nil
-	// when spans are disabled); parkedAt is when the block joined the
+	// id and span are the block's rebuild, opened at queueing and
+	// carried across the wait; parkedAt is when the block joined the
 	// queue — the wait folds into the span's queue-wait phase at drain.
+	id       int32
 	span     *obs.Span
 	parkedAt sim.Time
 }
@@ -110,7 +111,7 @@ func (s *SpareDisk) takeSpare() bool {
 func (s *SpareDisk) queueSpareWork(now sim.Time, failed int, blocks []pendingBlock) {
 	s.tally.QueuedSpareJobs++
 	s.waiting = append(s.waiting, spareWork{failed: failed, blocks: blocks})
-	s.observe(now, trace.KindSpareQueued, -1, -1, failed)
+	s.emit(trace.Event{Time: float64(now), Kind: trace.KindSpareQueued, Group: -1, Rep: -1, Disk: int32(failed)})
 }
 
 // drainSpareQueue activates spares for queued work, FIFO, as the pool
@@ -126,7 +127,7 @@ func (s *SpareDisk) drainSpareQueue(now sim.Time) {
 				pb.span.QueueWait += float64(now - pb.parkedAt)
 			}
 			// startRebuild drops blocks whose group died while waiting.
-			s.startRebuild(pb.failedAt, pb.group, pb.rep, spare, pb.span)
+			s.startRebuild(pb.failedAt, pb.group, pb.rep, spare, pb.id, pb.span)
 		}
 	}
 }
@@ -140,17 +141,16 @@ func (s *SpareDisk) HandleDetection(now sim.Time, diskID int, failedAt sim.Time,
 	if !s.takeSpare() {
 		blocks := make([]pendingBlock, len(lost))
 		for i, ref := range lost {
-			blocks[i] = pendingBlock{
-				group: int(ref.Group), rep: int(ref.Rep), failedAt: failedAt,
-				span: s.spanOpen(int(ref.Group), int(ref.Rep), failedAt), parkedAt: now,
-			}
+			pb := &blocks[i]
+			pb.group, pb.rep, pb.failedAt, pb.parkedAt = int(ref.Group), int(ref.Rep), failedAt, now
+			pb.id, pb.span = s.open(pb.group, pb.rep, failedAt)
 		}
 		s.queueSpareWork(now, diskID, blocks)
 		return
 	}
 	spare := s.activateSpare(now, diskID)
 	for _, ref := range lost {
-		s.startRebuild(failedAt, int(ref.Group), int(ref.Rep), spare, nil)
+		s.startRebuild(failedAt, int(ref.Group), int(ref.Rep), spare, 0, nil)
 	}
 }
 
@@ -165,34 +165,26 @@ func (s *SpareDisk) activateSpare(now sim.Time, failed int) int {
 	return spare
 }
 
-// startRebuild queues one block onto the designated spare. sp, when
-// non-nil, is an existing lifecycle span carried over from an earlier
-// attempt (spare death, spare-pool wait); nil opens a fresh one when
-// spans are enabled.
-func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, sp *obs.Span) {
-	if sp == nil {
-		sp = s.spanOpen(group, rep, failedAt)
+// startRebuild queues one block onto the designated spare. A non-zero
+// id names the block's rebuild (with its span sp) carried over from an
+// earlier attempt (spare death, spare-pool wait); id 0 opens a fresh one.
+func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, id int32, sp *obs.Span) {
+	if id == 0 {
+		id, sp = s.open(group, rep, failedAt)
 	}
-	r := &rebuild{failedAt: failedAt, baseDur: s.blockDuration(), span: sp}
-	if s.cl.GroupLost(group) {
-		s.tally.DroppedRebuilds++
-		s.spanDropped(r, s.eng.Now())
-		return
+	r := &rebuild{id: id, span: sp, failedAt: failedAt, baseDur: s.blockDuration()}
+	src := -1
+	if !s.cl.GroupLost(group) {
+		src = s.cl.SourceFor(group, spare)
+		if src < 0 && s.net != nil {
+			src = s.cl.AnySourceFor(group, spare)
+		}
 	}
-	src := s.cl.SourceFor(group, spare)
-	if src < 0 && s.net != nil {
-		src = s.cl.AnySourceFor(group, spare)
-	}
-	if src < 0 {
-		s.tally.DroppedRebuilds++
-		s.spanDropped(r, s.eng.Now())
-		return
-	}
-	if !s.cl.ReserveTarget(spare) {
-		// The spare cannot be full in the paper's regime (a fresh drive
-		// absorbing at most one failed drive's data); treat as dropped.
-		s.tally.DroppedRebuilds++
-		s.spanDropped(r, s.eng.Now())
+	// A spare cannot be full in the paper's regime (a fresh drive
+	// absorbing at most one failed drive's data); treat that as dropped
+	// like a lost group or a missing source.
+	if src < 0 || !s.cl.ReserveTarget(spare) {
+		s.drop(s.eng.Now(), r, group, rep, spare)
 		return
 	}
 	r.task = &Task{
@@ -211,20 +203,19 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, sp *o
 // the block in place, so the repair targets the same drive when it is
 // alive with space, falling back to any eligible drive otherwise.
 func (s *SpareDisk) HandleBlockLoss(now sim.Time, failedAt sim.Time, diskID, group, rep int) {
-	s.blockLoss(now, failedAt, diskID, group, rep, nil)
+	s.blockLoss(now, failedAt, diskID, group, rep, 0, nil)
 }
 
-// blockLoss is HandleBlockLoss with an optional carried-over span (the
-// target-death restart path re-drives repairs through here without
-// opening a second span for the same block).
-func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, rep int, sp *obs.Span) {
-	if sp == nil {
-		sp = s.spanOpen(group, rep, failedAt)
+// blockLoss is HandleBlockLoss with an optional carried-over rebuild id
+// and span (the target-death restart path re-drives repairs through here
+// without opening a second rebuild for the same block).
+func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, rep int, id int32, sp *obs.Span) {
+	if id == 0 {
+		id, sp = s.open(group, rep, failedAt)
 	}
-	r := &rebuild{failedAt: failedAt, baseDur: s.blockDuration(), span: sp}
+	r := &rebuild{id: id, span: sp, failedAt: failedAt, baseDur: s.blockDuration()}
 	if s.cl.GroupLost(group) {
-		s.tally.DroppedRebuilds++
-		s.spanDropped(r, now)
+		s.drop(now, r, group, rep, -1)
 		return
 	}
 	target := -1
@@ -233,8 +224,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	} else {
 		t, _, ok := s.pickTarget(group, rep, 0)
 		if !ok {
-			s.tally.DroppedRebuilds++
-			s.spanDropped(r, now)
+			s.drop(now, r, group, rep, -1)
 			return
 		}
 		target = t
@@ -245,8 +235,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	}
 	if src < 0 {
 		s.cl.ReleaseTarget(target)
-		s.tally.DroppedRebuilds++
-		s.spanDropped(r, now)
+		s.drop(now, r, group, rep, target)
 		return
 	}
 	r.task = &Task{
@@ -273,39 +262,19 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 			if s.takeSpare() {
 				replacement := s.activateSpare(now, failed)
 				for _, r := range asTarget {
-					s.spanEndAttempt(r, now)
-					s.sched.Cancel(r.task)
-					s.untrack(r)
-					if s.cl.GroupLost(r.task.Group) {
-						s.tally.DroppedRebuilds++
-						s.spanDropped(r, now)
-						continue
+					if s.liftDeadTarget(now, r) {
+						s.startRebuild(r.failedAt, r.task.Group, r.task.Rep, replacement, r.id, r.span)
 					}
-					s.tally.Redirections++
-					if r.span != nil {
-						r.span.Redirections++
-					}
-					s.startRebuild(r.failedAt, r.task.Group, r.task.Rep, replacement, r.span)
 				}
 			} else {
 				// Pool exhausted mid-recovery: park the remaining work.
 				blocks := make([]pendingBlock, 0, len(asTarget))
 				for _, r := range asTarget {
-					s.spanEndAttempt(r, now)
-					s.sched.Cancel(r.task)
-					s.untrack(r)
-					if s.cl.GroupLost(r.task.Group) {
-						s.tally.DroppedRebuilds++
-						s.spanDropped(r, now)
-						continue
+					if s.liftDeadTarget(now, r) {
+						blocks = append(blocks, pendingBlock{
+							group: r.task.Group, rep: r.task.Rep, failedAt: r.failedAt,
+							id: r.id, span: r.span, parkedAt: now})
 					}
-					s.tally.Redirections++
-					if r.span != nil {
-						r.span.Redirections++
-					}
-					blocks = append(blocks, pendingBlock{
-						group: r.task.Group, rep: r.task.Rep, failedAt: r.failedAt,
-						span: r.span, parkedAt: now})
 				}
 				if len(blocks) > 0 {
 					s.queueSpareWork(now, failed, blocks)
@@ -324,25 +293,33 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 	// latent-error repairs (in place or redirected); restart each on a
 	// surviving drive so the replica is not silently forgotten.
 	for _, r := range asTarget {
-		s.spanEndAttempt(r, now)
-		s.sched.Cancel(r.task)
-		s.untrack(r)
-		if s.cl.GroupLost(r.task.Group) {
-			s.tally.DroppedRebuilds++
-			s.spanDropped(r, now)
-			continue
+		if s.liftDeadTarget(now, r) {
+			s.blockLoss(now, r.failedAt, diskID, r.task.Group, r.task.Rep, r.id, r.span)
 		}
-		s.tally.Redirections++
-		if r.span != nil {
-			r.span.Redirections++
-		}
-		s.blockLoss(now, r.failedAt, diskID, r.task.Group, r.task.Rep, r.span)
 	}
 	for _, r := range asSource {
 		if r.task.Source == diskID {
 			s.resource(r)
 		}
 	}
+}
+
+// liftDeadTarget stops a rebuild whose target died and reports whether
+// it restarts elsewhere (counted as a redirection); a rebuild whose
+// group is lost drops instead.
+func (s *SpareDisk) liftDeadTarget(now sim.Time, r *rebuild) bool {
+	s.spanEndAttempt(r, now)
+	s.sched.Cancel(r.task)
+	s.untrack(r)
+	if s.cl.GroupLost(r.task.Group) {
+		s.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
+		return false
+	}
+	s.tally.Redirections++
+	if r.span != nil {
+		r.span.Redirections++
+	}
+	return true
 }
 
 // SpareOf returns the active spare for a failed disk, or -1 (test hook).

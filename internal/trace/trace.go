@@ -3,19 +3,62 @@
 // replay. cmd/farmtrace dumps a run's trace as JSON lines; tests use the
 // recorder to assert event ordering properties (a detection never precedes
 // its failure, a rebuild never precedes its detection, ...).
+//
+// An Event names what happened (Kind, Time), where (Disk, Group, Rep,
+// Rack), which block rebuild it belongs to (Rebuild, a per-run id; 0 when
+// the event is not about a rebuild), and a typed numeric payload: a
+// count N and two measurements X and Y. What the payload means depends
+// on the kind; kinds not listed here carry none:
+//
+//	kind              N                    X               Y
+//	disk-fail         blocks lost
+//	data-loss         groups lost
+//	burst             drives killed
+//	slow-burst        drives slowed
+//	scrub             latent errors found
+//	batch-added       disks added
+//	growth-batch      disks added
+//	rack-unreachable  cause (Cause*)
+//	failslow-onset                         slowdown factor
+//	demand-burst                           hours           amplitude
+//	upgrade-begin                          hours
+//	throttle-step                          MB/s granted    fleet user share
+//	degraded-reads    reads                mean ms         max ms
+//
+// Rebuild-scoped kinds (see rebuildScoped) always carry the id of the
+// rebuild they describe, so readers join events to each other and to
+// obs.Span records by id.
+//
+// WriteJSONL writes a schema header line ({"trace_schema":2}) before the
+// events; ReadJSONL refuses any other schema, including the unversioned
+// schema-1 transcripts whose payloads were detail strings.
 package trace
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 )
 
+// Schema is the JSONL transcript version WriteJSONL stamps and
+// ReadJSONL requires. Version 1 (no header line) carried payloads as a
+// "detail" string.
+const Schema = 2
+
+// Rack-unreachable causes, carried in Event.N.
+const (
+	CauseSwitchFail int32 = 1 // the rack's ToR switch died
+	CausePower      int32 = 2 // a rack power event
+	CausePartition  int32 = 3 // a transient network partition
+)
+
 // Kind labels an event.
 type Kind string
 
-// Event kinds emitted by the simulator. Kinds whose ordering is part of
+// Event kinds emitted by the simulator; each kind's payload is the table
+// in the package doc. Kinds whose ordering is part of
 // the trace contract appear in CheckCausality below; pure markers with
 // no ordering semantics carry //farm:nocausality with the reason
 // (farmlint's kindflow analyzer enforces that every kind does one or
@@ -24,7 +67,7 @@ const (
 	KindDiskFail   Kind = "disk-fail"   // a drive died
 	KindDetect     Kind = "detect"      // the death was noticed
 	KindRebuilt    Kind = "rebuilt"     // one block reconstruction completed
-	KindDropped    Kind = "dropped"     //farm:nocausality a rebuild was abandoned; abandonment may follow any rung of the retry ladder, not one fixed predecessor
+	KindDropped    Kind = "dropped"     // a rebuild was abandoned
 	KindDataLoss   Kind = "data-loss"   //farm:nocausality group(s) crossed into data loss; losses from bursts or false-dead write-offs need no prior detection
 	KindSmartWarn  Kind = "smart-warn"  //farm:nocausality the health monitor fires from its own draw, not from a prior event
 	KindDrained    Kind = "drained"     //farm:nocausality a drain completes from warn, plan, or eviction paths; no single required predecessor
@@ -41,7 +84,7 @@ const (
 
 	// Fail-slow / straggler-mitigation kinds (gray failures and the
 	// hedging layer in internal/recovery).
-	KindFailSlowOnset   Kind = "failslow-onset"   // a drive degraded (Detail: factor)
+	KindFailSlowOnset   Kind = "failslow-onset"   // a drive degraded
 	KindFailSlowRecover Kind = "failslow-recover" // a degraded drive recovered
 	KindFailSlowDetect  Kind = "failslow-detect"  //farm:nocausality the peer-comparison detector scores observed service times, which lag onsets arbitrarily and survive recoveries
 	KindHedge           Kind = "hedge"            // a duplicate transfer was launched
@@ -59,7 +102,7 @@ const (
 	// Network fault-domain kinds (internal/topology + internal/faults).
 	// Rack-scoped events carry the rack in Event.Rack.
 	KindSwitchFail        Kind = "switch-fail"        //farm:nocausality ToR switch deaths arrive from their own failure process; no predecessor
-	KindRackUnreachable   Kind = "rack-unreachable"   // a rack went dark (Detail: cause)
+	KindRackUnreachable   Kind = "rack-unreachable"   // a rack went dark
 	KindPartitionHeal     Kind = "partition-heal"     // a dark rack became reachable again
 	KindResourceCrossRack Kind = "resource-crossrack" //farm:nocausality re-sourcing reacts to source-rack state at transfer time, not to one prior trace event
 	KindFalseDead         Kind = "false-dead"         // a dark rack's disks were declared lost
@@ -67,7 +110,7 @@ const (
 	// Living-fleet kinds (foreground traffic, recovery QoS, and planned
 	// maintenance in internal/workload + internal/core).
 	KindDemandBurst   Kind = "demand-burst"   //farm:nocausality foreground bursts arrive from the workload's own stream; no predecessor
-	KindDegradedReads Kind = "degraded-reads" // a closed window's degraded reads (Detail: n, mean/max ms)
+	KindDegradedReads Kind = "degraded-reads" // a closed window's degraded reads
 	KindThrottle      Kind = "throttle-step"  //farm:nocausality QoS steps track utilization thresholds, which move with load as well as events
 	KindDrainPlanned  Kind = "drain-planned"  //farm:nocausality operator-scheduled; planned work has no in-trace cause
 	KindUpgradeBegin  Kind = "upgrade-begin"  // a rack's rolling-upgrade window opened (read-only)
@@ -82,15 +125,31 @@ const (
 )
 
 // Event is one timestamped simulator occurrence. Times are simulation
-// hours.
+// hours. The layout is 64 bytes: a storm trajectory records hundreds of
+// thousands of events, so every padded byte here is recorder memory.
 type Event struct {
-	Time   float64 `json:"t"`
-	Kind   Kind    `json:"kind"`
-	Disk   int     `json:"disk,omitempty"`
-	Group  int     `json:"group,omitempty"`
-	Rep    int     `json:"rep,omitempty"`
-	Rack   int     `json:"rack,omitempty"`
-	Detail string  `json:"detail,omitempty"`
+	Time    float64 `json:"t"`
+	Kind    Kind    `json:"kind"`
+	Disk    int32   `json:"disk,omitempty"`
+	Group   int32   `json:"group,omitempty"`
+	Rep     int32   `json:"rep,omitempty"`
+	Rack    int32   `json:"rack,omitempty"`
+	Rebuild int32   `json:"rebuild,omitempty"`
+	N       int32   `json:"n,omitempty"`
+	X       float64 `json:"x,omitempty"`
+	Y       float64 `json:"y,omitempty"`
+}
+
+// rebuildScoped reports whether events of kind k describe one block
+// rebuild and so must carry its id in Event.Rebuild.
+func rebuildScoped(k Kind) bool {
+	switch k {
+	case KindRebuilt, KindDropped, KindRetry, KindHedge, KindHedgeWin,
+		KindRebuildTimeout, KindResourceCrossRack, KindRebuildParked,
+		KindRebuildResumed, KindRebuildQueued, KindTransferStart, KindDegradedReads:
+		return true
+	}
+	return false
 }
 
 // Recorder buffers events in arrival order. Not safe for concurrent use —
@@ -111,9 +170,18 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// WriteJSONL writes one JSON object per line.
+// header is the first line of a JSONL transcript.
+type header struct {
+	Schema int `json:"trace_schema"`
+}
+
+// WriteJSONL writes the schema header line, then one JSON object per
+// event line.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
+	if err := enc.Encode(header{Schema}); err != nil {
+		return err
+	}
 	for i := range r.events {
 		if err := enc.Encode(&r.events[i]); err != nil {
 			return err
@@ -122,9 +190,23 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL parses a stream written by WriteJSONL.
+// ReadJSONL parses a stream written by WriteJSONL. The stream must open
+// with the current schema header, and event lines may carry no field
+// the schema does not declare.
 func ReadJSONL(rd io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(rd)
+	var h header
+	if err := dec.Decode(&h); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("trace: empty stream, want a schema %d header", Schema)
+		}
+		return nil, fmt.Errorf("trace: header: %w", err)
+	}
+	if h.Schema != Schema {
+		v := max(h.Schema, 1) // no header: schema 1, payloads in detail strings
+		return nil, fmt.Errorf("trace: transcript schema %d; this reader needs schema %d", v, Schema)
+	}
+	dec.DisallowUnknownFields()
 	var out []Event
 	for dec.More() {
 		var e Event
@@ -133,11 +215,16 @@ func ReadJSONL(rd io.Reader) ([]Event, error) {
 		}
 		out = append(out, e)
 	}
+	// More stops at a stray closing bracket; anything left is not a
+	// transcript line.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("trace: trailing data after event %d", len(out))
+	}
 	return out, nil
 }
 
 // clusterWide lists the kinds whose Disk field carries no drive
-// identity (cluster-scope events; their payload lives in Detail).
+// identity (cluster-scope events).
 // Every other kind's Disk names a real drive — the failed, detected,
 // warned, degraded, or rebuilt-onto disk — except when negative (the
 // emitter had no disk in hand).
@@ -187,7 +274,7 @@ func Summarize(events []Event) Summary {
 		LastAt:      make(map[Kind]float64),
 		FirstLossAt: -1,
 	}
-	disks := map[int]bool{}
+	disks := map[int32]bool{}
 	for _, e := range events {
 		if s.Counts[e.Kind] == 0 {
 			s.FirstAt[e.Kind] = e.Time
@@ -240,7 +327,10 @@ func (s Summary) WriteSummary(w io.Writer) error {
 //   - no block rebuild completes before some repair trigger (a
 //     detection, a discovered latent error, or a scrub repair) has
 //     appeared — rebuilds are always *re*actions;
-//   - a hedge win follows a hedge launch for the same (group, rep);
+//   - every rebuild-scoped event carries a rebuild id; an id reaches at
+//     most one terminal event (rebuilt, hedge-win or dropped), and no
+//     event carries the id after it;
+//   - a hedge win follows a hedge launch of the same rebuild;
 //   - a discovered latent error (lse-detect) follows the arrival of a
 //     latent error on the same (disk, group);
 //   - a fail-slow recovery follows a fail-slow onset on the same disk
@@ -259,21 +349,21 @@ func (s Summary) WriteSummary(w io.Writer) error {
 //     write fences; the predicate is sticky because a false-dead
 //     write-off can redirect work into the still-dark rack at the very
 //     timestamp that closes the outage);
-//   - a rebuild-resumed follows a rebuild-parked on the same
-//     (group, rep) (only parked work can resume).
+//   - a rebuild-resumed follows a rebuild-parked of the same rebuild
+//     (only parked work can resume).
 //
 // Returns the first violation found.
 func CheckCausality(events []Event) error {
-	type gr struct{ g, r int }
-	type dg struct{ d, g int }
+	type dg struct{ d, g int32 }
 	last := -1.0
-	failedAt := map[int]float64{}
-	hedged := map[gr]bool{}
+	failedAt := map[int32]float64{}
+	hedged := map[int32]bool{}
 	latent := map[dg]bool{}
-	darkAt := map[int]float64{}
-	slow := map[int]bool{}
-	upgrading := map[int]bool{}
-	parked := map[gr]bool{}
+	darkAt := map[int32]float64{}
+	slow := map[int32]bool{}
+	upgrading := map[int32]bool{}
+	parked := map[int32]bool{}
+	ended := map[int32]bool{}
 	triggerSeen := false
 	fenceSeen := false
 	for i, e := range events {
@@ -281,6 +371,14 @@ func CheckCausality(events []Event) error {
 			return fmt.Errorf("trace: event %d at %v precedes predecessor at %v", i, e.Time, last)
 		}
 		last = e.Time
+		if rebuildScoped(e.Kind) {
+			if e.Rebuild <= 0 {
+				return fmt.Errorf("trace: %s on group %d rep %d carries no rebuild id", e.Kind, e.Group, e.Rep)
+			}
+			if ended[e.Rebuild] {
+				return fmt.Errorf("trace: %s of rebuild %d after its terminal event", e.Kind, e.Rebuild)
+			}
+		}
 		switch e.Kind {
 		case KindDiskFail:
 			failedAt[e.Disk] = e.Time
@@ -312,12 +410,16 @@ func CheckCausality(events []Event) error {
 			if !triggerSeen {
 				return fmt.Errorf("trace: rebuilt of group %d rep %d before any detection", e.Group, e.Rep)
 			}
+			ended[e.Rebuild] = true
+		case KindDropped:
+			ended[e.Rebuild] = true
 		case KindHedge:
-			hedged[gr{e.Group, e.Rep}] = true
+			hedged[e.Rebuild] = true
 		case KindHedgeWin:
-			if !hedged[gr{e.Group, e.Rep}] {
-				return fmt.Errorf("trace: hedge-win on group %d rep %d without a prior hedge", e.Group, e.Rep)
+			if !hedged[e.Rebuild] {
+				return fmt.Errorf("trace: hedge-win of rebuild %d without a prior hedge", e.Rebuild)
 			}
+			ended[e.Rebuild] = true
 		case KindFailSlowOnset:
 			slow[e.Disk] = true
 		case KindFailSlowRecover:
@@ -358,12 +460,12 @@ func CheckCausality(events []Event) error {
 			if !fenceSeen {
 				return fmt.Errorf("trace: rebuild-parked on group %d rep %d before any rack outage or write fence", e.Group, e.Rep)
 			}
-			parked[gr{e.Group, e.Rep}] = true
+			parked[e.Rebuild] = true
 		case KindRebuildResumed:
-			if !parked[gr{e.Group, e.Rep}] {
-				return fmt.Errorf("trace: rebuild-resumed on group %d rep %d without a prior rebuild-parked", e.Group, e.Rep)
+			if !parked[e.Rebuild] {
+				return fmt.Errorf("trace: rebuild-resumed of rebuild %d without a prior rebuild-parked", e.Rebuild)
 			}
-			delete(parked, gr{e.Group, e.Rep})
+			delete(parked, e.Rebuild)
 		}
 	}
 	return nil

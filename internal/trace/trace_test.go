@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -16,14 +17,15 @@ import (
 func TestRecorderRoundTrip(t *testing.T) {
 	rec := NewRecorder()
 	events := []Event{
-		{Time: 1, Kind: KindDiskFail, Disk: 3, Detail: "blocks=10"},
+		{Time: 1, Kind: KindDiskFail, Disk: 3, N: 10},
 		{Time: 1.01, Kind: KindDetect, Disk: 3},
-		{Time: 2, Kind: KindRebuilt, Group: 7, Rep: 1, Disk: 9},
+		{Time: 1.5, Kind: KindThrottle, Group: -1, Rep: -1, Disk: -1, X: 12.345678901, Y: 0.1 + 0.2},
+		{Time: 2, Kind: KindRebuilt, Rebuild: 4, Group: 7, Rep: 1, Disk: 9},
 	}
 	for _, e := range events {
 		rec.Record(e)
 	}
-	if rec.Len() != 3 {
+	if rec.Len() != len(events) {
 		t.Fatalf("Len = %d", rec.Len())
 	}
 	var buf bytes.Buffer
@@ -48,18 +50,47 @@ func TestReadJSONLBadInput(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	header := `{"trace_schema":2}` + "\n"
+	for name, in := range map[string]string{
+		"empty stream":       "",
+		"unversioned":        `{"t":1,"kind":"disk-fail","disk":3,"detail":"blocks=10"}` + "\n",
+		"future schema":      `{"trace_schema":3}` + "\n",
+		"v1 line after v2":   header + `{"t":1,"kind":"disk-fail","detail":"blocks=10"}` + "\n",
+		"overflowing field":  header + `{"t":1,"kind":"disk-fail","disk":4294967296}` + "\n",
+		"trailing bracket":   header + "]",
+		"truncated event":    header + `{"t":1,"kind":`,
+		"string for payload": header + `{"t":1,"kind":"burst","n":"5"}` + "\n",
+	} {
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	_, err := ReadJSONL(strings.NewReader(`{"t":1,"kind":"disk-fail","detail":"blocks=10"}`))
+	if err == nil || !strings.Contains(err.Error(), "schema 1") {
+		t.Errorf("unversioned transcript: error %v does not name schema 1", err)
+	}
+}
+
+// TestEventSize pins the event layout. A storm trajectory's recorder
+// held 186 MB of the 428 MB the trajectory allocated with 72-byte
+// events; padding the event to 88 bytes cost +64 MB per trajectory and
+// 104 bytes +80 MB (+19 %), at the benchmark's 20 % alloc bound.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 72 {
+		t.Fatalf("trace.Event is %d bytes, want at most 72", n)
+	}
 }
 
 func TestSummarize(t *testing.T) {
 	events := []Event{
 		{Time: 1, Kind: KindDiskFail, Disk: 1},
 		{Time: 2, Kind: KindDiskFail, Disk: 2},
-		{Time: 3, Kind: KindDataLoss, Disk: 2, Detail: "groups=2"},
-		{Time: 4, Kind: KindRebuilt, Disk: 7},         // rebuild targets count as disks
-		{Time: 5, Kind: KindSmartWarn, Disk: 9},       // so do warned drives
-		{Time: 6, Kind: KindScrub, Detail: "found=0"}, // cluster-wide: no disk identity
-		{Time: 7, Kind: KindRebuildQueued, Disk: -1},  // negative disk: emitter had none
-		{Time: 8, Kind: KindDiskFail, Disk: 1},        // duplicate: still one drive
+		{Time: 3, Kind: KindDataLoss, Disk: 2, N: 2},
+		{Time: 4, Kind: KindRebuilt, Disk: 7},        // rebuild targets count as disks
+		{Time: 5, Kind: KindSmartWarn, Disk: 9},      // so do warned drives
+		{Time: 6, Kind: KindScrub},                   // cluster-wide: no disk identity
+		{Time: 7, Kind: KindRebuildQueued, Disk: -1}, // negative disk: emitter had none
+		{Time: 8, Kind: KindDiskFail, Disk: 1},       // duplicate: still one drive
 	}
 	s := Summarize(events)
 	if s.Counts[KindDiskFail] != 3 || s.Counts[KindRebuilt] != 1 {
@@ -110,7 +141,7 @@ func TestCheckCausality(t *testing.T) {
 	good := []Event{
 		{Time: 1, Kind: KindDiskFail, Disk: 1},
 		{Time: 1.5, Kind: KindDetect, Disk: 1},
-		{Time: 2, Kind: KindRebuilt},
+		{Time: 2, Kind: KindRebuilt, Rebuild: 1},
 	}
 	if err := CheckCausality(good); err != nil {
 		t.Fatalf("good trace rejected: %v", err)
@@ -134,16 +165,30 @@ func TestCheckCausalityViolations(t *testing.T) {
 	}{
 		{"rebuilt before any detection", []Event{
 			fail,
-			{Time: 1.2, Kind: KindRebuilt, Group: 3, Rep: 0, Disk: 7},
+			{Time: 1.2, Kind: KindRebuilt, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+		}},
+		{"rebuild-scoped event without a rebuild id", []Event{
+			fail, detect,
+			{Time: 2, Kind: KindRetry, Group: 3, Rep: 0, Disk: 7},
+		}},
+		{"two terminal events for one rebuild", []Event{
+			fail, detect,
+			{Time: 2, Kind: KindRebuilt, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindDropped, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+		}},
+		{"event after the rebuild's terminal event", []Event{
+			fail, detect,
+			{Time: 2, Kind: KindDropped, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindTransferStart, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		}},
 		{"hedge-win without hedge", []Event{
 			fail, detect,
-			{Time: 2, Kind: KindHedgeWin, Group: 3, Rep: 0, Disk: 7},
+			{Time: 2, Kind: KindHedgeWin, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		}},
-		{"hedge-win for a different rebuild", []Event{
+		{"hedge-win for a different rebuild of the same block", []Event{
 			fail, detect,
-			{Time: 2, Kind: KindHedge, Group: 3, Rep: 1, Disk: 7},
-			{Time: 3, Kind: KindHedgeWin, Group: 3, Rep: 0, Disk: 7},
+			{Time: 2, Kind: KindHedge, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindHedgeWin, Rebuild: 2, Group: 3, Rep: 0, Disk: 7},
 		}},
 		{"lse-detect without lse", []Event{
 			fail, detect,
@@ -178,26 +223,26 @@ func TestCheckCausalityViolations(t *testing.T) {
 		}},
 		{"rebuild-parked before any outage or fence", []Event{
 			fail, detect,
-			{Time: 2, Kind: KindRebuildParked, Group: 3, Rep: 0, Disk: 7},
+			{Time: 2, Kind: KindRebuildParked, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		}},
 		{"rebuild-resumed without a park", []Event{
 			fail, detect,
 			{Time: 2, Kind: KindRackUnreachable, Rack: 1},
-			{Time: 3, Kind: KindRebuildResumed, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindRebuildResumed, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		}},
-		{"rebuild-resumed for a different rebuild", []Event{
+		{"rebuild-resumed for a different rebuild of the same block", []Event{
 			fail, detect,
 			{Time: 2, Kind: KindRackUnreachable, Rack: 1},
-			{Time: 2.5, Kind: KindRebuildParked, Group: 3, Rep: 1, Disk: 7},
-			{Time: 3, Kind: KindRebuildResumed, Group: 3, Rep: 0, Disk: 7},
+			{Time: 2.5, Kind: KindRebuildParked, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindRebuildResumed, Rebuild: 2, Group: 3, Rep: 0, Disk: 7},
 		}},
 		{"rebuild-resumed twice for one park", []Event{
 			fail, detect,
 			{Time: 2, Kind: KindRackUnreachable, Rack: 1},
-			{Time: 2.5, Kind: KindRebuildParked, Group: 3, Rep: 0, Disk: 7},
+			{Time: 2.5, Kind: KindRebuildParked, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 			{Time: 3, Kind: KindPartitionHeal, Rack: 1},
-			{Time: 3, Kind: KindRebuildResumed, Group: 3, Rep: 0, Disk: 7},
-			{Time: 4, Kind: KindRebuildResumed, Group: 3, Rep: 0, Disk: 7},
+			{Time: 3, Kind: KindRebuildResumed, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
+			{Time: 4, Kind: KindRebuildResumed, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		}},
 	}
 	for _, tc := range cases {
@@ -209,17 +254,19 @@ func TestCheckCausalityViolations(t *testing.T) {
 	good := []Event{
 		fail, detect,
 		{Time: 2, Kind: KindLSE, Disk: 4, Group: 9, Rep: 1},
-		{Time: 2.5, Kind: KindRebuilt, Group: 3, Rep: 0, Disk: 7},
+		{Time: 2.5, Kind: KindRebuilt, Rebuild: 1, Group: 3, Rep: 0, Disk: 7},
 		{Time: 3, Kind: KindLSEDetect, Disk: 4, Group: 9, Rep: 1},
-		{Time: 3.5, Kind: KindHedge, Group: 3, Rep: 0, Disk: 8},
-		{Time: 4, Kind: KindHedgeWin, Group: 3, Rep: 0, Disk: 8},
+		// A later rebuild of the same block has its own id.
+		{Time: 3.2, Kind: KindRebuildQueued, Rebuild: 2, Group: 3, Rep: 0, Disk: -1},
+		{Time: 3.5, Kind: KindHedge, Rebuild: 2, Group: 3, Rep: 0, Disk: 8},
+		{Time: 4, Kind: KindHedgeWin, Rebuild: 2, Group: 3, Rep: 0, Disk: 8},
 		{Time: 5, Kind: KindSwitchFail, Rack: 2},
-		{Time: 5, Kind: KindRackUnreachable, Rack: 2, Detail: "switch-fail"},
-		{Time: 6, Kind: KindRackUnreachable, Rack: 4, Detail: "partition"},
+		{Time: 5, Kind: KindRackUnreachable, Rack: 2, N: CauseSwitchFail},
+		{Time: 6, Kind: KindRackUnreachable, Rack: 4, N: CausePartition},
 		{Time: 7, Kind: KindPartitionHeal, Rack: 4},
 		{Time: 29, Kind: KindFalseDead, Rack: 2},
 		// A rack may go dark again after healing or fencing.
-		{Time: 30, Kind: KindRackUnreachable, Rack: 4, Detail: "power"},
+		{Time: 30, Kind: KindRackUnreachable, Rack: 4, N: CausePower},
 		{Time: 31, Kind: KindPartitionHeal, Rack: 4},
 	}
 	if err := CheckCausality(good); err != nil {
@@ -238,14 +285,14 @@ func TestCheckCausalityForensicChains(t *testing.T) {
 		{Time: 1, Kind: KindDiskFail, Disk: 1},
 		{Time: 1.5, Kind: KindDetect, Disk: 1},
 		{Time: 2, Kind: KindSwitchFail, Rack: 2},
-		{Time: 2, Kind: KindRackUnreachable, Rack: 2, Detail: "switch-fail"},
-		{Time: 3, Kind: KindRebuildParked, Group: 5, Rep: 1, Disk: 9},
+		{Time: 2, Kind: KindRackUnreachable, Rack: 2, N: CauseSwitchFail},
+		{Time: 3, Kind: KindRebuildParked, Rebuild: 1, Group: 5, Rep: 1, Disk: 9},
 		{Time: 26, Kind: KindFalseDead, Rack: 2},
 		{Time: 26, Kind: KindDiskFail, Disk: 40, Rack: 2},
-		{Time: 26, Kind: KindDataLoss, Disk: 40, Detail: "groups=1"},
+		{Time: 26, Kind: KindDataLoss, Disk: 40, N: 1},
 		// The write-off reopens the survivors: the park resumes at the
 		// same instant the rack is marked reachable again.
-		{Time: 26, Kind: KindRebuildResumed, Group: 5, Rep: 1, Disk: 9},
+		{Time: 26, Kind: KindRebuildResumed, Rebuild: 1, Group: 5, Rep: 1, Disk: 9},
 	}
 	if err := CheckCausality(falseDead); err != nil {
 		t.Fatalf("false-dead write-off chain rejected: %v", err)
@@ -253,16 +300,16 @@ func TestCheckCausalityForensicChains(t *testing.T) {
 	parkResume := []Event{
 		{Time: 1, Kind: KindDiskFail, Disk: 1},
 		{Time: 1.5, Kind: KindDetect, Disk: 1},
-		{Time: 2, Kind: KindRackUnreachable, Rack: 3, Detail: "partition"},
-		{Time: 2.1, Kind: KindRebuildParked, Group: 7, Rep: 0, Disk: 11},
+		{Time: 2, Kind: KindRackUnreachable, Rack: 3, N: CausePartition},
+		{Time: 2.1, Kind: KindRebuildParked, Rebuild: 1, Group: 7, Rep: 0, Disk: 11},
 		{Time: 14, Kind: KindPartitionHeal, Rack: 3},
-		{Time: 14, Kind: KindRebuildResumed, Group: 7, Rep: 0, Disk: 11},
+		{Time: 14, Kind: KindRebuildResumed, Rebuild: 1, Group: 7, Rep: 0, Disk: 11},
 		// The same rebuild may park again against a later outage.
-		{Time: 20, Kind: KindRackUnreachable, Rack: 3, Detail: "power"},
-		{Time: 20.5, Kind: KindRebuildParked, Group: 7, Rep: 0, Disk: 11},
+		{Time: 20, Kind: KindRackUnreachable, Rack: 3, N: CausePower},
+		{Time: 20.5, Kind: KindRebuildParked, Rebuild: 1, Group: 7, Rep: 0, Disk: 11},
 		{Time: 30, Kind: KindPartitionHeal, Rack: 3},
-		{Time: 30, Kind: KindRebuildResumed, Group: 7, Rep: 0, Disk: 11},
-		{Time: 31, Kind: KindRebuilt, Group: 7, Rep: 0, Disk: 11},
+		{Time: 30, Kind: KindRebuildResumed, Rebuild: 1, Group: 7, Rep: 0, Disk: 11},
+		{Time: 31, Kind: KindRebuilt, Rebuild: 1, Group: 7, Rep: 0, Disk: 11},
 	}
 	if err := CheckCausality(parkResume); err != nil {
 		t.Fatalf("park/resume chain rejected: %v", err)
@@ -270,10 +317,10 @@ func TestCheckCausalityForensicChains(t *testing.T) {
 	fencePark := []Event{
 		{Time: 1, Kind: KindDiskFail, Disk: 1},
 		{Time: 1.5, Kind: KindDetect, Disk: 1},
-		{Time: 2, Kind: KindUpgradeBegin, Rack: 4, Detail: "hours=6.00"},
-		{Time: 2.2, Kind: KindRebuildParked, Group: 9, Rep: 2, Disk: 13},
+		{Time: 2, Kind: KindUpgradeBegin, Rack: 4, X: 6},
+		{Time: 2.2, Kind: KindRebuildParked, Rebuild: 3, Group: 9, Rep: 2, Disk: 13},
 		{Time: 8, Kind: KindUpgradeEnd, Rack: 4},
-		{Time: 8, Kind: KindRebuildResumed, Group: 9, Rep: 2, Disk: 13},
+		{Time: 8, Kind: KindRebuildResumed, Rebuild: 3, Group: 9, Rep: 2, Disk: 13},
 	}
 	if err := CheckCausality(fencePark); err != nil {
 		t.Fatalf("write-fence park chain rejected: %v", err)
