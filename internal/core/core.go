@@ -71,12 +71,6 @@ type Config struct {
 	// last batch (Figure 7 examines 0.02–0.08). Zero disables
 	// replacement.
 	ReplaceTrigger float64
-	// AdaptiveRecovery enables the workload-adaptive bandwidth model of
-	// §2.4: recovery receives the guaranteed RecoveryMBps floor at the
-	// user-load peak and up to the drive's full idle bandwidth at night,
-	// following a diurnal load curve. The paper's base experiments keep
-	// this off (fixed reservation).
-	AdaptiveRecovery bool
 	// SmartAccuracy, with SmartLeadHours, enables S.M.A.R.T.-style
 	// failure prediction (§2.3): that fraction of failures is flagged
 	// SmartLeadHours in advance, the flagged drive is excluded from
@@ -114,13 +108,15 @@ type Config struct {
 	// priced as degraded (k-way reconstruction) latencies. The zero value
 	// constructs no model and leaves every experiment byte-identical.
 	Demand workload.DemandConfig
-	// Throttle selects the recovery QoS policy governing how much
-	// bandwidth rebuilds may take from users: the paper's fixed floor, a
-	// load-adaptive AIMD with hysteresis, or the deadline-aware variant
+	// Throttle selects the recovery QoS policy, the one decision of how
+	// much bandwidth rebuilds may take from users: the paper's fixed
+	// floor; idle, §2.4's adaptive recovery, which takes whatever a
+	// diurnal user load leaves of the drive (never less than FloorMBps);
+	// a load-adaptive AIMD with hysteresis; or the deadline-aware variant
 	// floored at the minimum repair rate that clears the backlog before
-	// the next expected failure. Requires Demand (the policy reacts to
-	// the fleet user share). The zero value keeps the static
-	// RecoveryMBps / AdaptiveRecovery bandwidth model.
+	// the next expected failure. AIMD and deadline require Demand (they
+	// react to the fleet user share). The zero value is the fixed policy
+	// at RecoveryMBps, the paper's base.
 	Throttle workload.ThrottleConfig
 	// Maintenance schedules planned fleet operations: periodic proactive
 	// drains, rolling-upgrade windows that hold one rack read-only at a
@@ -233,8 +229,11 @@ func (c Config) Validate() error {
 	if err := c.Maintenance.Validate(); err != nil {
 		return err
 	}
-	if c.Throttle.Enabled() && !c.Demand.Enabled() {
-		return errors.New("core: throttle policy needs a demand model (set Demand.BaseShare)")
+	if c.Throttle.ReactsToLoad() && !c.Demand.Enabled() {
+		return errors.New("core: throttle policy " + c.Throttle.Policy + " needs a demand model (set Demand.BaseShare)")
+	}
+	if c.Throttle.FloorMBps > c.DiskBandwidthMBps {
+		return errors.New("core: throttle floor exceeds disk bandwidth")
 	}
 	if c.Maintenance.UpgradeEveryHours > 0 && !c.Topology.Enabled() {
 		return errors.New("core: rolling upgrades need a topology (set Topology.Racks)")
@@ -258,6 +257,16 @@ func (c Config) NumGroups() int {
 		n = 1
 	}
 	return n
+}
+
+// ThrottlePolicy builds the run's recovery-rate policy: cfg.Throttle, or
+// the paper's fixed RecoveryMBps reservation when no throttle is set.
+func (c Config) ThrottlePolicy() (workload.ThrottlePolicy, error) {
+	tc := c.Throttle
+	if !tc.Enabled() {
+		tc = workload.ThrottleConfig{Policy: workload.PolicyFixed, FloorMBps: c.RecoveryMBps}
+	}
+	return workload.NewThrottle(tc, c.DiskBandwidthMBps)
 }
 
 // diskModel materializes the drive model, applying the vintage scale.
@@ -304,7 +313,7 @@ type RunResult struct {
 	DegradedReadMaxMs  float64
 	HealthyReadP99Ms   float64
 	// ThrottleMeanMBps is the mean recovery rate the QoS policy granted
-	// across decision points (zero unless cfg.Throttle is enabled).
+	// across decision points (zero unless cfg.Throttle is set).
 	ThrottleMeanMBps float64
 	// InitialUsedBytes and FinalUsedBytes are per-disk-slot utilization
 	// snapshots, present only when CollectUtilization is set. Final
@@ -401,31 +410,14 @@ func runOnce(cfg Config) (RunResult, error) {
 		st.armFailSlow(ids[0])
 		return ids[0]
 	}
-	var bw workload.BandwidthModel = workload.Fixed{MBps: cfg.RecoveryMBps}
-	if cfg.AdaptiveRecovery {
-		d, berr := workload.NewDiurnal(cfg.DiskBandwidthMBps, cfg.RecoveryMBps, 0.8, 14)
-		if berr != nil {
-			return RunResult{}, berr
-		}
-		bw = d
+	throttle, err := cfg.ThrottlePolicy()
+	if err != nil {
+		return RunResult{}, err
 	}
-	if cfg.Faults.FailSlow.Enabled() {
-		// Per-disk degradation view over the expectation model. Only
-		// installed when gray failures can actually occur, so a zero
-		// fail-slow config keeps the engines' healthy fast path (and the
-		// golden transcript) byte-identical.
-		bw = workload.Degraded{Base: bw, Slowdown: func(id int) float64 {
-			if id < len(cl.Disks) {
-				return cl.Disks[id].SlowFactor()
-			}
-			return 1
-		}}
-	}
-	st.bw = bw
 	if cfg.UseFARM {
-		st.engine = recovery.NewFARM(cl, eng, sched, bw, &res.Tally)
+		st.engine = recovery.NewFARM(cl, eng, sched, throttle, &res.Tally)
 	} else {
-		st.engine = recovery.NewSpareDisk(cl, eng, sched, bw, spawn, &res.Tally)
+		st.engine = recovery.NewSpareDisk(cl, eng, sched, throttle, spawn, &res.Tally)
 	}
 	if net != nil {
 		st.net = net
@@ -437,10 +429,6 @@ func runOnce(cfg Config) (RunResult, error) {
 	}
 	if demand != nil {
 		st.demand = demand
-		pol, terr := workload.NewThrottle(cfg.Throttle)
-		if terr != nil {
-			return RunResult{}, terr
-		}
 		// Cross-rack reconstruction pays the oversubscribed spine: the
 		// degraded-read stretch is the oversubscription ratio itself.
 		cross := 1.0
@@ -449,7 +437,6 @@ func runOnce(cfg Config) (RunResult, error) {
 		}
 		st.engine.SetForeground(&workload.Foreground{
 			Demand:          demand,
-			Policy:          pol,
 			Reads:           rng.New(cfg.Seed ^ degradedReadSalt),
 			DiskMBps:        cfg.DiskBandwidthMBps,
 			KFactor:         float64(cfg.Scheme.M),
@@ -540,7 +527,9 @@ func runOnce(cfg Config) (RunResult, error) {
 	res.DegradedReadP50Ms = es.DegradedP50.Value()
 	res.DegradedReadP99Ms = es.DegradedP99.Value()
 	res.HealthyReadP99Ms = es.HealthyP99.Value()
-	res.ThrottleMeanMBps = es.ThrottleMBps.Mean()
+	if cfg.Throttle.Enabled() {
+		res.ThrottleMeanMBps = es.ThrottleMBps.Mean()
+	}
 	if cfg.Obs != nil && cfg.Obs.Registry != nil {
 		st.exportHorizon(cfg.Obs.Registry)
 	}
@@ -566,9 +555,6 @@ type runState struct {
 	// inj, when non-nil, is the fault injector of the run (cfg.Faults
 	// enabled). Its randomness lives on a separate stream.
 	inj *faults.Injector
-	// bw is the run's bandwidth model, retained for the sampler's
-	// in-flight recovery-rate estimate.
-	bw workload.BandwidthModel
 	// net, when non-nil, is the run's network fabric (cfg.Topology
 	// enabled); rack outages and heals route through it.
 	net *topology.Network
@@ -621,8 +607,8 @@ func (st *runState) snapshot(now float64) obs.Sample {
 		SparePoolFree:   -1,
 	}
 	// Each running transfer occupies a source/target pair; the pair moves
-	// data at the per-disk recovery allotment in force at the instant.
-	s.RecoveryMBps = float64(s.BusyDisks/2) * st.bw.RecoveryMBps(now)
+	// data at the per-disk rate of the throttle grant in force.
+	s.RecoveryMBps = float64(s.BusyDisks/2) * st.engine.GrantMBps()
 	// Only damaged groups carry materialized state; healthy groups need
 	// no visit, so the scan scales with concurrent damage, not fleet
 	// size. The counts are commutative sums, so record order is free.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/redundancy"
+	"repro/internal/workload"
 )
 
 // smallConfig is a laptop-sized system that still exhibits the paper's
@@ -65,6 +66,35 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestConfigValidateThrottleInputs: validation follows the policy's
+// inputs. Only aimd and deadline read the fleet load, so only they need
+// a demand model; no policy may floor recovery above the drive.
+func TestConfigValidateThrottleInputs(t *testing.T) {
+	demand := workload.DemandConfig{BaseShare: 0.3}
+	cases := []struct {
+		name     string
+		throttle workload.ThrottleConfig
+		demand   workload.DemandConfig
+		ok       bool
+	}{
+		{"idle-without-demand", workload.ThrottleConfig{Policy: workload.PolicyIdle}, workload.DemandConfig{}, true},
+		{"fixed-without-demand", workload.ThrottleConfig{Policy: workload.PolicyFixed}, workload.DemandConfig{}, true},
+		{"aimd-without-demand", workload.ThrottleConfig{Policy: workload.PolicyAIMD}, workload.DemandConfig{}, false},
+		{"deadline-without-demand", workload.ThrottleConfig{Policy: workload.PolicyDeadline}, workload.DemandConfig{}, false},
+		{"aimd-with-demand", workload.ThrottleConfig{Policy: workload.PolicyAIMD}, demand, true},
+		{"idle-floor-above-disk", workload.ThrottleConfig{Policy: workload.PolicyIdle, FloorMBps: 100}, workload.DemandConfig{}, false},
+		{"fixed-floor-at-disk", workload.ThrottleConfig{Policy: workload.PolicyFixed, FloorMBps: 80}, workload.DemandConfig{}, true},
+	}
+	for _, tc := range cases {
+		cfg := smallConfig()
+		cfg.Throttle = tc.throttle
+		cfg.Demand = tc.demand
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -158,6 +158,51 @@ func TestObsSamplerReadOnly(t *testing.T) {
 	}
 }
 
+// TestSampleRateIsGrantInForce: under an AIMD throttle the sampler's
+// in-flight recovery rate is BusyDisks/2 times the policy grant in force
+// at the sample (the X of the last throttle step before it), not the
+// static Config.RecoveryMBps.
+func TestSampleRateIsGrantInForce(t *testing.T) {
+	cfg := forensicsStormConfig()
+	cfg.Obs = &obs.RunObserver{Series: obs.NewSeries(), SampleEveryHours: 24}
+	var steps []trace.Event
+	cfg.Hook = func(e trace.Event) {
+		if e.Kind == trace.KindThrottle {
+			steps = append(steps, e)
+		}
+	}
+	simr, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := simr.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	checked, offStatic := 0, 0
+	next := 0
+	for _, s := range cfg.Obs.Series.Samples() {
+		for next < len(steps) && steps[next].Time < s.T {
+			next++
+		}
+		if next == 0 || s.BusyDisks < 2 || (next < len(steps) && steps[next].Time == s.T) {
+			continue // no step yet, nothing in flight, or a same-instant tie
+		}
+		grant := steps[next-1].X
+		if want := float64(s.BusyDisks/2) * grant; s.RecoveryMBps != want {
+			t.Fatalf("sample at %v: %v MB/s in flight, want %d pairs x %v MB/s = %v",
+				s.T, s.RecoveryMBps, s.BusyDisks/2, grant, want)
+		}
+		checked++
+		if grant != cfg.RecoveryMBps {
+			offStatic++
+		}
+	}
+	if offStatic == 0 {
+		t.Fatalf("%d samples checked, none under a grant other than %v MB/s; the test checks nothing",
+			checked, cfg.RecoveryMBps)
+	}
+}
+
 // TestMonteCarloTelemetryByteIdenticalAcrossWorkers: the campaign's
 // merged master registry is folded in run-index order, so its exposition
 // bytes must not depend on the worker count. Run under -race this also

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/workload"
+)
 
 func TestSmartValidation(t *testing.T) {
 	cfg := smallConfig()
@@ -71,9 +75,11 @@ func TestSmartReducesRebuildLoad(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRecoveryRuns(t *testing.T) {
+// TestIdleRecoveryRuns: adaptive recovery (the idle throttle policy)
+// runs without a demand model and still rebuilds.
+func TestIdleRecoveryRuns(t *testing.T) {
 	cfg := smallConfig()
-	cfg.AdaptiveRecovery = true
+	cfg.Throttle = workload.ThrottleConfig{Policy: workload.PolicyIdle}
 	simr, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +105,7 @@ func TestAdaptiveShortensSpareWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ad := base
-	ad.AdaptiveRecovery = true
+	ad.Throttle = workload.ThrottleConfig{Policy: workload.PolicyIdle}
 	adaptive, err := MonteCarlo(ad, MonteCarloOptions{Runs: runs, BaseSeed: 17})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/smart"
-	"repro/internal/workload"
 )
 
 // newDrainScenario builds a miniature run whose events the test drives by
@@ -45,7 +44,11 @@ func newDrainScenario(t *testing.T) *runState {
 		res:     &RunResult{},
 		monitor: smart.Monitor{},
 	}
-	st.engine = recovery.NewFARM(cl, eng, sched, workload.Fixed{MBps: cfg.RecoveryMBps}, &st.res.Tally)
+	throttle, err := cfg.ThrottlePolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.engine = recovery.NewFARM(cl, eng, sched, throttle, &st.res.Tally)
 	return st
 }
 

@@ -191,18 +191,6 @@ func (d *Drive) SlowFactor() float64 {
 	return 1
 }
 
-// EffectiveRecoveryMBps returns the recovery bandwidth the drive
-// actually delivers given a nominal allotment: the allotment divided by
-// the fail-slow degradation factor. Healthy drives return the allotment
-// bit-for-bit unchanged (no division), so enabling the fail-slow fields
-// without any degradation cannot perturb durations.
-func (d *Drive) EffectiveRecoveryMBps(nominalMBps float64) float64 {
-	if d.Slowdown > 1 {
-		return nominalMBps / d.Slowdown
-	}
-	return nominalMBps
-}
-
 // FreeBytes returns remaining capacity.
 func (d *Drive) FreeBytes() int64 { return d.Model.CapacityBytes - d.UsedBytes }
 

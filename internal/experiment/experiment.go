@@ -47,8 +47,8 @@ type Options struct {
 	// each experiment's own configuration untouched.
 	Demand *workload.DemandConfig
 	// Throttle, when non-nil, replaces the recovery throttle policy of
-	// every data point. A policy needs a demand model — the experiment's
-	// own or a Demand override.
+	// every data point. The aimd and deadline policies need a demand
+	// model — the experiment's own or a Demand override.
 	Throttle *workload.ThrottleConfig
 	// Maintenance, when non-nil, replaces the maintenance schedule
 	// (drains, rolling upgrades, batch growth) of every data point.

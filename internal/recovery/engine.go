@@ -104,10 +104,14 @@ type Engine interface {
 	// against the disk resubmit.
 	HandleReachable(now sim.Time, diskID int)
 	// SetForeground installs the run's foreground-traffic bundle: rebuild
-	// transfers contend with user load, the throttle policy governs the
-	// recovery rate, and completed windows sample degraded-read latency.
-	// Nil (the default) keeps every fast path bit-for-bit.
+	// transfers contend with user load, the throttle policy sees the
+	// fleet user share, and completed windows sample degraded-read
+	// latency. Nil (the default) keeps every fast path bit-for-bit.
 	SetForeground(fg *workload.Foreground)
+	// GrantMBps returns the per-disk recovery rate of the throttle
+	// policy's last grant (zero before the first rebuild). Read-only: it
+	// never consults the policy, which may be stateful.
+	GrantMBps() float64
 	// HandleWriteFence reacts to diskID turning read-only at now (a
 	// rolling-upgrade window): rebuilds writing to it park. Reads are
 	// unaffected — a fenced disk still serves as a rebuild source.
@@ -172,11 +176,11 @@ type base struct {
 	cl    *cluster.Cluster
 	eng   *sim.Engine
 	sched *Scheduler
-	// bw yields the per-disk bandwidth available to a rebuild starting
-	// at a given time (fixed in the paper's base experiments; diurnal
-	// under adaptive recovery, §2.4).
-	bw    workload.BandwidthModel
-	stats Stats
+	// throttle is the run's one recovery-rate decision: every rebuild
+	// asks it for its rate (fixed in the paper's base experiments, idle
+	// under adaptive recovery, §2.4; see throttleMBps).
+	throttle workload.ThrottlePolicy
+	stats    Stats
 	// tally is the run's outcome record; every engine event counter is
 	// written there, once per event.
 	tally *obs.Tally
@@ -200,10 +204,6 @@ type base struct {
 	// lists are copied — into these, not fresh slices.
 	scratchSrc []*rebuild
 	scratchTgt []*rebuild
-	// pd is bw's per-disk view when the bandwidth model carries fail-slow
-	// state (nil otherwise); cached so the hot path does not repeat the
-	// interface assertion.
-	pd workload.PerDiskModel
 	// policy/det/evict are the straggler-mitigation layer; det is nil
 	// (and every related code path dormant) until SetStraggler enables
 	// the policy.
@@ -223,25 +223,23 @@ type base struct {
 	// net, when non-nil, is the run's network fabric (SetTopology).
 	net *topology.Network
 	// fg, when non-nil, is the run's foreground-traffic bundle
-	// (SetForeground): demand contention, throttle policy, degraded-read
-	// sampling. activeTargets counts distinct disks with in-flight
-	// rebuild writes — the parallel-stream estimate the deadline policy's
-	// repair bound divides the backlog by. lastThrottle is the previous
-	// policy grant, for throttle-step detection.
+	// (SetForeground): demand contention and degraded-read sampling.
+	// activeTargets counts distinct disks with in-flight rebuild writes —
+	// the parallel-stream estimate the deadline policy's repair bound
+	// divides the backlog by. lastThrottle is the previous policy grant,
+	// for throttle-step detection and the sampler (GrantMBps).
 	fg            *workload.Foreground
 	activeTargets int
 	lastThrottle  float64
 }
 
-func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel, tally *obs.Tally) base {
-	pd, _ := bw.(workload.PerDiskModel)
+func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) base {
 	b := base{
 		cl:              cl,
 		eng:             eng,
 		sched:           sched,
-		bw:              bw,
+		throttle:        throttle,
 		tally:           tally,
-		pd:              pd,
 		bySource:        make(map[int][]*rebuild),
 		byTarget:        make(map[int][]*rebuild),
 		perGroupTargets: make(map[int][]int),
@@ -321,34 +319,23 @@ func (b *base) drop(now sim.Time, r *rebuild, group, rep, disk int) {
 }
 
 // blockDuration is the healthy-model transfer time of one block rebuild
-// requested now — the expectation deadlines are measured against. Under
-// a throttle policy the policy's grant replaces the bandwidth model's
-// curve (the policy *is* the recovery-rate decision).
+// requested now, at the rate the throttle policy grants — the
+// expectation deadlines are measured against.
 func (b *base) blockDuration() sim.Time {
-	var mbps float64
-	if b.fg != nil && b.fg.Policy != nil {
-		mbps = b.throttleMBps(float64(b.eng.Now()))
-	} else {
-		mbps = b.bw.RecoveryMBps(float64(b.eng.Now()))
-	}
-	return sim.Time(disk.RebuildHours(b.cl.BlockBytes, mbps))
+	return sim.Time(disk.RebuildHours(b.cl.BlockBytes, b.throttleMBps(float64(b.eng.Now()))))
 }
 
 // effDuration scales a healthy-model duration by the worse of the two
-// endpoints' fail-slow factors and, when a demand model is installed, by
-// the contention stretch of the busier endpoint's user share. With
-// neither layer installed it returns baseDur bit-for-bit unchanged (no
-// float operation), so the disabled layers cannot perturb schedules.
+// endpoints' fail-slow factors (Drive.SlowFactor) and, when a demand
+// model is installed, by the contention stretch of the busier endpoint's
+// user share. A healthy drive's factor is exactly 1, so with both
+// endpoints healthy and no demand it returns baseDur bit-for-bit
+// unchanged (no float multiply), and the dormant layers cannot perturb
+// schedules.
 func (b *base) effDuration(baseDur sim.Time, src, tgt int) sim.Time {
-	if b.pd == nil && b.fg == nil {
-		return baseDur
-	}
-	f := 1.0
-	if b.pd != nil {
-		f = b.pd.SlowdownFactor(src)
-		if g := b.pd.SlowdownFactor(tgt); g > f {
-			f = g
-		}
+	f := b.cl.Disks[src].SlowFactor()
+	if g := b.cl.Disks[tgt].SlowFactor(); g > f {
+		f = g
 	}
 	if b.fg != nil {
 		now := float64(b.eng.Now())

@@ -19,16 +19,11 @@ type FARM struct {
 	base
 }
 
-// NewFARM returns a FARM engine over the given cluster. bw supplies the
-// per-disk recovery bandwidth (use FixedBW for the paper's base model);
-// tally receives the engine's event counters.
-func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel, tally *obs.Tally) *FARM {
-	return &FARM{base: newBase(cl, eng, sched, bw, tally)}
-}
-
-// FixedBW is shorthand for the constant-bandwidth model.
-func FixedBW(mbps float64) workload.BandwidthModel {
-	return workload.Fixed{MBps: mbps}
+// NewFARM returns a FARM engine over the given cluster. throttle decides
+// each rebuild's per-disk recovery rate (the fixed policy at 16 MB/s is
+// the paper's base model); tally receives the engine's event counters.
+func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) *FARM {
+	return &FARM{base: newBase(cl, eng, sched, throttle, tally)}
 }
 
 // Name implements Engine.

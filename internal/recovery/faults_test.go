@@ -54,7 +54,7 @@ func tracked(b *base) int {
 // counted.
 func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
+	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient, faults.ReadTransient},
 		backoff:        sim.Time(0.25),
@@ -89,7 +89,7 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 // spinning.
 func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
+	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		always:         faults.ReadTransient,
 		alwaysOn:       true,
@@ -131,7 +131,7 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 // switch to a different buddy (counted as a re-sourcing) and still finish.
 func TestLatentOutcomeForcesResource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
+	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadLatent},
 		maxRetries:     3,
@@ -158,7 +158,7 @@ func TestLatentOutcomeForcesResource(t *testing.T) {
 // fire afterwards and resurrect the old task.
 func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 120)
-	f := NewFARM(h.cl, h.eng, h.sched, FixedBW(16), new(obs.Tally))
+	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient},
 		backoff:        sim.Time(1000), // far beyond every other event
@@ -213,7 +213,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 // of dropped work.
 func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	e := NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), func(now sim.Time) int {
+	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
 		ids := h.cl.AddDisks(1, float64(now))
 		h.sched.Grow(h.cl.NumDisks())
 		return ids[0]
@@ -253,7 +253,7 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 // live drive is rewritten onto the same drive (sector remap semantics).
 func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 100)
-	e := NewSpareDisk(h.cl, h.eng, h.sched, FixedBW(16), func(now sim.Time) int {
+	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
 		ids := h.cl.AddDisks(1, float64(now))
 		h.sched.Grow(h.cl.NumDisks())
 		return ids[0]

@@ -7,32 +7,36 @@ import (
 )
 
 // This file is the engines' foreground-coexistence layer: the throttle
-// policy governing how much bandwidth recovery may take from users, the
+// policy deciding how much bandwidth recovery may take from users, the
 // degraded-read latency sampling that prices each block's window of
 // vulnerability, and the write-fence park/resume machinery for rolling
-// upgrades. Everything here is dormant (fg == nil, no fences raised)
-// until SetForeground / HandleWriteFence wire it in, so a run without
-// foreground traffic is byte-identical to a tree without this file.
+// upgrades. The demand-driven parts are dormant (fg == nil, no fences
+// raised) until SetForeground / HandleWriteFence wire them in, so a run
+// without foreground traffic is byte-identical to a tree without them.
 
 // SetForeground implements Engine.
-func (b *base) SetForeground(fg *workload.Foreground) {
-	b.fg = fg
-	b.lastThrottle = 0
-}
+func (b *base) SetForeground(fg *workload.Foreground) { b.fg = fg }
+
+// GrantMBps implements Engine.
+func (b *base) GrantMBps() float64 { return b.lastThrottle }
 
 // throttleMBps asks the QoS policy for the recovery rate at a decision
-// point (a rebuild being created), feeding it the fleet user share and
-// the engine's current backlog. Rate changes are counted as throttle
-// steps and traced; the policy's hysteresis keeps them sparse.
+// point (a rebuild being created), feeding it the fleet user share (zero
+// without a demand model) and the engine's current backlog. Rate changes
+// are counted as throttle steps and traced; a fixed policy never steps,
+// and aimd's hysteresis keeps its steps sparse.
 func (b *base) throttleMBps(now float64) float64 {
-	fg := b.fg
-	fleet := fg.Demand.FleetShare(now)
+	var fleet, mttf float64
+	if b.fg != nil {
+		fleet = b.fg.Demand.FleetShare(now)
+		mttf = b.fg.MTTFHours
+	}
 	bl := workload.Backlog{
 		PendingBytes: int64(b.inFlight) * b.cl.BlockBytes,
 		Streams:      b.activeTargets,
-		MTTFHours:    fg.MTTFHours,
+		MTTFHours:    mttf,
 	}
-	mbps := fg.Policy.RecoveryMBps(now, fleet, bl)
+	mbps := b.throttle.RecoveryMBps(now, fleet, bl)
 	b.stats.ThrottleMBps.Add(mbps)
 	if mbps != b.lastThrottle {
 		if b.lastThrottle != 0 {
@@ -85,10 +89,7 @@ func (b *base) sampleDegradedReads(now sim.Time, r *rebuild, t *Task, windowHour
 	if fg.DiskMBps > 0 && t.shaped > 0 {
 		recShare = float64(b.cl.BlockBytes) / (float64(t.shaped) * 3600 * 1e6) / fg.DiskMBps
 	}
-	slow := 1.0
-	if b.pd != nil {
-		slow = b.pd.SlowdownFactor(t.Source)
-	}
+	slow := b.cl.Disks[t.Source].SlowFactor()
 	cross := 1.0
 	if b.net != nil && !b.net.SameRack(t.Source, t.Target) && fg.CrossRackFactor > 1 {
 		cross = fg.CrossRackFactor

@@ -56,12 +56,13 @@ type spareWork struct {
 }
 
 // NewSpareDisk returns the traditional engine. spawn provisions fresh
-// spare drives on demand (the simulator schedules their failures). bw
-// supplies the per-disk recovery bandwidth (use FixedBW for the paper's
-// base model); tally receives the engine's event counters.
-func NewSpareDisk(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, bw workload.BandwidthModel, spawn DiskSpawner, tally *obs.Tally) *SpareDisk {
+// spare drives on demand (the simulator schedules their failures).
+// throttle decides each rebuild's per-disk recovery rate (the fixed
+// policy at 16 MB/s is the paper's base model); tally receives the
+// engine's event counters.
+func NewSpareDisk(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, spawn DiskSpawner, tally *obs.Tally) *SpareDisk {
 	return &SpareDisk{
-		base:      newBase(cl, eng, sched, bw, tally),
+		base:      newBase(cl, eng, sched, throttle, tally),
 		spawn:     spawn,
 		spareFor:  make(map[int]int),
 		spareRole: make(map[int]int),

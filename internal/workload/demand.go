@@ -223,15 +223,17 @@ func (d *Demand) BurstAt(i int) (start, hours, amp float64) {
 
 // diurnal is the base user share at nowHours: a raised cosine around
 // BaseShare swinging ±DiurnalAmplitude·BaseShare, peaking at PeakHour.
+// It is the package's one day-cycle curve: Demand's base load and the
+// idle throttle policy's schedule both evaluate it.
 //
 //farm:hotpath runs per demand query on the transfer-submission path
-func (d *Demand) diurnal(nowHours float64) float64 {
+func (c DemandConfig) diurnal(nowHours float64) float64 {
 	hourOfDay := math.Mod(nowHours, 24)
 	if hourOfDay < 0 {
 		hourOfDay += 24
 	}
-	phase := (hourOfDay - d.cfg.PeakHour) * (2 * math.Pi / 24)
-	return d.cfg.BaseShare * (1 + d.cfg.DiurnalAmplitude*math.Cos(phase))
+	phase := (hourOfDay - c.PeakHour) * (2 * math.Pi / 24)
+	return c.BaseShare * (1 + c.DiurnalAmplitude*math.Cos(phase))
 }
 
 // burstBoost sums the amplitudes of episodes covering nowHours: a
@@ -266,7 +268,7 @@ func (d *Demand) burstBoost(nowHours float64) float64 {
 //
 //farm:hotpath runs per throttle decision
 func (d *Demand) FleetShare(nowHours float64) float64 {
-	s := d.diurnal(nowHours) + d.burstBoost(nowHours)
+	s := d.cfg.diurnal(nowHours) + d.burstBoost(nowHours)
 	if s > d.cfg.MaxShare {
 		return d.cfg.MaxShare
 	}
@@ -279,7 +281,7 @@ func (d *Demand) FleetShare(nowHours float64) float64 {
 //
 //farm:hotpath runs per transfer submission and degraded-read sample
 func (d *Demand) Share(nowHours float64, diskID int) float64 {
-	s := d.diurnal(nowHours) + d.burstBoost(nowHours)
+	s := d.cfg.diurnal(nowHours) + d.burstBoost(nowHours)
 	if d.skew != nil {
 		s *= d.skew[diskID%d.racks]
 	}

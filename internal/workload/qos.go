@@ -11,11 +11,15 @@ import (
 // The paper's base experiments reserve a fixed 16 MB/s (20% of a drive)
 // regardless of load; Luby's repair-rate bounds (PAPERS.md) show a fleet
 // must also sustain a *minimum* repair rate to clear its rebuild backlog
-// before the next expected failure. The three policies here span that
-// trade-off:
+// before the next expected failure. The policy is the engines' only
+// recovery-rate source (core builds fixed at Config.RecoveryMBps when no
+// throttle is set). The four policies here span that trade-off:
 //
 //   - fixed-floor: the paper's reservation — never yields to users,
 //     never exploits idle time.
+//   - idle: §2.4's idle-time schedule — recovery takes whatever disk
+//     bandwidth a diurnal user load (peak share 0.8 at hour 14) leaves,
+//     never less than the floor. It follows the clock, not Demand.
 //   - aimd: load-adaptive with hysteresis — multiplicative decrease when
 //     fleet user share crosses HighLoad, additive increase when it drops
 //     below LowLoad, hold in the deadband between (oscillation-free).
@@ -26,26 +30,29 @@ import (
 //
 // Policies are consulted at deterministic points (transfer submission)
 // with deterministic inputs (sim time, precomputed demand, engine
-// backlog), so runs remain byte-identical for a given seed.
+// backlog), so runs remain byte-identical for a given seed. Only aimd and
+// deadline read the fleet load; fixed and idle run without a Demand.
 
 // Throttle policy names accepted by ThrottleConfig.Policy.
 const (
 	PolicyFixed    = "fixed"
 	PolicyAIMD     = "aimd"
 	PolicyDeadline = "deadline"
+	PolicyIdle     = "idle"
 )
 
 // ThrottleConfig selects and parameterizes a recovery throttle policy.
 // The zero value (empty Policy) disables throttling entirely.
 type ThrottleConfig struct {
-	// Policy is one of "", "fixed", "aimd", "deadline".
+	// Policy is one of "", "fixed", "idle", "aimd", "deadline".
 	Policy string
 	// FloorMBps is the minimum recovery rate (default 16, the paper's
 	// guaranteed 20% of an 80 MB/s drive). The fixed policy always runs
 	// at exactly this rate.
 	FloorMBps float64
 	// MaxMBps is the adaptive ceiling (default 64 — the night-time
-	// headroom of the paper's drive). Ignored by the fixed policy.
+	// headroom of the paper's drive). Ignored by fixed and idle (idle's
+	// ceiling is the drive's own bandwidth).
 	MaxMBps float64
 	// IncreaseMBps is the additive-increase step per decision when the
 	// fleet is quiet (default 4).
@@ -63,10 +70,17 @@ type ThrottleConfig struct {
 // Enabled reports whether a throttle policy is configured.
 func (c ThrottleConfig) Enabled() bool { return c.Policy != "" }
 
+// ReactsToLoad reports whether the policy reads the fleet user share,
+// and so needs a demand model: aimd and deadline do, fixed and idle
+// follow only the clock.
+func (c ThrottleConfig) ReactsToLoad() bool {
+	return c.Policy == PolicyAIMD || c.Policy == PolicyDeadline
+}
+
 // Validate rejects unknown policies, NaN/Inf, and inverted bands.
 func (c ThrottleConfig) Validate() error {
 	switch c.Policy {
-	case "", PolicyFixed, PolicyAIMD, PolicyDeadline:
+	case "", PolicyFixed, PolicyIdle, PolicyAIMD, PolicyDeadline:
 	default:
 		return errors.New("workload: unknown throttle policy " + c.Policy)
 	}
@@ -150,7 +164,9 @@ type ThrottlePolicy interface {
 }
 
 // NewThrottle builds the configured policy, or nil when disabled.
-func NewThrottle(cfg ThrottleConfig) (ThrottlePolicy, error) {
+// diskMBps is the drive's sustainable bandwidth, the idle policy's
+// ceiling; the other policies ignore it.
+func NewThrottle(cfg ThrottleConfig, diskMBps float64) (ThrottlePolicy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,6 +177,11 @@ func NewThrottle(cfg ThrottleConfig) (ThrottlePolicy, error) {
 	switch cfg.Policy {
 	case PolicyFixed:
 		return &fixedFloor{cfg: cfg}, nil
+	case PolicyIdle:
+		if diskMBps <= 0 {
+			return nil, errors.New("workload: idle policy needs a positive disk bandwidth")
+		}
+		return &idle{floor: cfg.FloorMBps, diskMBps: diskMBps}, nil
 	case PolicyAIMD:
 		return &aimd{cfg: cfg, cur: cfg.FloorMBps}, nil
 	default:
@@ -175,6 +196,29 @@ type fixedFloor struct{ cfg ThrottleConfig }
 func (p *fixedFloor) RecoveryMBps(float64, float64, Backlog) float64 { return p.cfg.FloorMBps }
 
 func (p *fixedFloor) Name() string { return PolicyFixed }
+
+// idleLoad is the user load the idle policy yields to: the seed's
+// diurnal curve, a share of 0.8 at the busiest hour (14:00) falling to
+// zero twelve hours away, evaluated by the same function as Demand's
+// base load.
+var idleLoad = DemandConfig{BaseShare: 0.4, DiurnalAmplitude: 1, PeakHour: 14}
+
+// idle exploits system idle time (§2.4): recovery receives whatever the
+// users leave of the drive, max(floor, diskMBps·(1 − share)). With the
+// paper's drive and floor that is 16 MB/s at the peak, the whole
+// 80 MB/s at the trough, and 48 MB/s on the day's mean.
+type idle struct{ floor, diskMBps float64 }
+
+//farm:hotpath runs per transfer submission
+func (p *idle) RecoveryMBps(nowHours float64, _ float64, _ Backlog) float64 {
+	free := p.diskMBps * (1 - idleLoad.diurnal(nowHours))
+	if free < p.floor {
+		return p.floor
+	}
+	return free
+}
+
+func (p *idle) Name() string { return PolicyIdle }
 
 // aimd adapts the rate to the fleet user share with hysteresis: decrease
 // multiplicatively above HighLoad, increase additively below LowLoad,
@@ -251,15 +295,12 @@ func MinRepairMBps(b Backlog) float64 {
 }
 
 // Foreground bundles everything the recovery engines need to coexist
-// with users: the demand model, the throttle policy, a private RNG
-// stream for degraded-read sampling, and the latency-model constants.
-// A nil *Foreground (the zero config) leaves every engine fast path
-// untouched.
+// with users: the demand model, a private RNG stream for degraded-read
+// sampling, and the latency-model constants. A nil *Foreground (the
+// zero config) leaves every engine fast path untouched.
 type Foreground struct {
 	// Demand is the user-load model (never nil in an enabled bundle).
 	Demand *Demand
-	// Policy is the recovery throttle, or nil for unthrottled.
-	Policy ThrottlePolicy
 	// Reads is the private stream degraded-read arrivals are drawn from.
 	Reads *rng.Source
 	// DiskMBps is the drive's sustainable bandwidth, for converting

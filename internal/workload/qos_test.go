@@ -6,7 +6,7 @@ import (
 )
 
 func TestThrottleDisabledIsNil(t *testing.T) {
-	p, err := NewThrottle(ThrottleConfig{})
+	p, err := NewThrottle(ThrottleConfig{}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +26,17 @@ func TestThrottleValidation(t *testing.T) {
 		{Policy: PolicyAIMD, IncreaseMBps: math.NaN()},
 	}
 	for i, cfg := range bad {
-		if _, err := NewThrottle(cfg); err == nil {
+		if _, err := NewThrottle(cfg, 80); err == nil {
 			t.Errorf("bad throttle config %d accepted: %+v", i, cfg)
 		}
+	}
+	if _, err := NewThrottle(ThrottleConfig{Policy: PolicyIdle}, 0); err == nil {
+		t.Error("idle policy built without a disk bandwidth")
 	}
 }
 
 func TestFixedFloorNeverMoves(t *testing.T) {
-	p, err := NewThrottle(ThrottleConfig{Policy: PolicyFixed})
+	p, err := NewThrottle(ThrottleConfig{Policy: PolicyFixed}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestFixedFloorNeverMoves(t *testing.T) {
 }
 
 func TestAIMDHysteresis(t *testing.T) {
-	p, err := NewThrottle(ThrottleConfig{Policy: PolicyAIMD})
+	p, err := NewThrottle(ThrottleConfig{Policy: PolicyAIMD}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestAIMDHysteresis(t *testing.T) {
 }
 
 func TestDeadlineRefusesStarvation(t *testing.T) {
-	p, err := NewThrottle(ThrottleConfig{Policy: PolicyDeadline})
+	p, err := NewThrottle(ThrottleConfig{Policy: PolicyDeadline}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestMinRepairMBps(t *testing.T) {
 
 func TestThrottleDeterministic(t *testing.T) {
 	mk := func() ThrottlePolicy {
-		p, err := NewThrottle(ThrottleConfig{Policy: PolicyDeadline})
+		p, err := NewThrottle(ThrottleConfig{Policy: PolicyDeadline}, 80)
 		if err != nil {
 			t.Fatal(err)
 		}

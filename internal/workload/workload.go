@@ -5,197 +5,27 @@
 // storage system. It fluctuates with the intensity of user requests,
 // especially if we exploit system idle time [Golding et al.] and adapt
 // recovery to the workload." The base experiments pin recovery at a fixed
-// 16 MB/s (20% of a drive); this package supplies that fixed model plus a
-// diurnal workload-adaptive model used by the adaptive-recovery extension
-// experiment and example.
+// 16 MB/s (20% of a drive). This package supplies the user load (Demand:
+// a diurnal base, burst episodes and rack skew) and the one recovery-rate
+// decision the engines consult (ThrottlePolicy): the paper's fixed
+// reservation, the idle-time schedule that follows a diurnal load curve,
+// and the load-adaptive aimd and deadline policies.
 package workload
 
-import (
-	"errors"
-	"math"
-)
-
-// BandwidthModel yields the per-disk bandwidth (MB/s) available to
-// recovery at a given simulation time (hours since the run started).
-type BandwidthModel interface {
-	// RecoveryMBps returns the bandwidth a rebuild starting at time
-	// nowHours may use.
-	RecoveryMBps(nowHours float64) float64
-	// Name identifies the model in reports.
-	Name() string
-}
-
-// Fixed is the paper's base model: a constant reservation.
-type Fixed struct {
-	MBps float64
-}
-
-// ErrBandwidth reports a non-positive bandwidth configuration.
-var ErrBandwidth = errors.New("workload: non-positive bandwidth")
-
-// NewFixed returns a constant-bandwidth model.
-func NewFixed(mbps float64) (Fixed, error) {
-	if mbps <= 0 {
-		return Fixed{}, ErrBandwidth
-	}
-	return Fixed{MBps: mbps}, nil
-}
-
-// RecoveryMBps implements BandwidthModel.
-func (f Fixed) RecoveryMBps(float64) float64 { return f.MBps }
-
-// Name implements BandwidthModel.
-func (f Fixed) Name() string { return "fixed" }
-
-// Diurnal models a day/night user load cycle: user demand follows a
-// sinusoid peaking at PeakHour, and recovery receives whatever share of
-// the disk bandwidth the users leave plus the guaranteed floor.
-//
-// With the paper's drive (80 MB/s sustainable), a floor of 16 MB/s (the
-// guaranteed 20%) and a busy-hour user share of 80%, recovery gets
-// 16 MB/s at peak and up to 64 MB/s in the dead of night — the "idleness
-// is not sloth" opportunity.
-type Diurnal struct {
-	// DiskMBps is the drive's sustainable bandwidth.
-	DiskMBps float64
-	// FloorMBps is the guaranteed recovery reservation (the paper's 20%).
-	FloorMBps float64
-	// PeakUserShare is the fraction of the disk the users consume at the
-	// busiest hour (0..1).
-	PeakUserShare float64
-	// PeakHour is the busiest hour of day, in [0, 24).
-	PeakHour float64
-}
-
-// NewDiurnal validates and returns a diurnal model.
-func NewDiurnal(diskMBps, floorMBps, peakUserShare, peakHour float64) (Diurnal, error) {
-	switch {
-	case diskMBps <= 0 || floorMBps <= 0:
-		return Diurnal{}, ErrBandwidth
-	case floorMBps > diskMBps:
-		return Diurnal{}, errors.New("workload: floor exceeds disk bandwidth")
-	case peakUserShare < 0 || peakUserShare > 1:
-		return Diurnal{}, errors.New("workload: peak user share out of [0,1]")
-	case peakHour < 0 || peakHour >= 24:
-		return Diurnal{}, errors.New("workload: peak hour out of [0,24)")
-	}
-	return Diurnal{
-		DiskMBps:      diskMBps,
-		FloorMBps:     floorMBps,
-		PeakUserShare: peakUserShare,
-		PeakHour:      peakHour,
-	}, nil
-}
-
-// UserShare returns the user-load fraction of the disk at the given time:
-// a raised cosine that hits PeakUserShare at PeakHour and zero twelve
-// hours away.
-func (d Diurnal) UserShare(nowHours float64) float64 {
-	hourOfDay := math.Mod(nowHours, 24)
-	if hourOfDay < 0 {
-		hourOfDay += 24
-	}
-	phase := (hourOfDay - d.PeakHour) * 2 * math.Pi / 24
-	return d.PeakUserShare * (1 + math.Cos(phase)) / 2
-}
-
-// RecoveryMBps implements BandwidthModel: the floor plus whatever the
-// users are not consuming.
-func (d Diurnal) RecoveryMBps(nowHours float64) float64 {
-	free := d.DiskMBps * (1 - d.UserShare(nowHours))
-	if free < d.FloorMBps {
-		return d.FloorMBps
-	}
-	return free
-}
-
-// Name implements BandwidthModel.
-func (d Diurnal) Name() string { return "diurnal" }
-
-// PerDiskModel extends BandwidthModel with the *effective* bandwidth of
-// one specific disk — the fail-slow view. The window-of-vulnerability
-// math consumes this instead of the global constant when gray failures
-// are modelled: a transfer runs at the slower of its two endpoints'
-// effective rates, so a crawling source stretches a rebuild far past
-// the paper's 16 MB/s prediction.
-type PerDiskModel interface {
-	BandwidthModel
-	// DiskRecoveryMBps returns the bandwidth disk id actually delivers
-	// to a recovery transfer starting at nowHours.
-	DiskRecoveryMBps(nowHours float64, id int) float64
-	// SlowdownFactor returns the disk's degradation multiplier (>= 1;
-	// exactly 1 for a healthy disk). DiskRecoveryMBps equals
-	// RecoveryMBps / SlowdownFactor.
-	SlowdownFactor(id int) float64
-}
-
-// Degraded wraps a base BandwidthModel with a per-disk fail-slow lookup.
-// RecoveryMBps (the healthy expectation) delegates to the base model
-// untouched — detectors and deadline math use it as the "what should
-// this take" reference — while DiskRecoveryMBps divides by the disk's
-// current degradation factor.
-type Degraded struct {
-	Base BandwidthModel
-	// Slowdown returns the degradation multiplier of a disk; values <= 1
-	// read as healthy. Typically bound to the cluster's drive states.
-	Slowdown func(id int) float64
-}
-
-// RecoveryMBps implements BandwidthModel (the healthy expectation).
-func (d Degraded) RecoveryMBps(nowHours float64) float64 {
-	return d.Base.RecoveryMBps(nowHours)
-}
-
-// SlowdownFactor implements PerDiskModel.
-func (d Degraded) SlowdownFactor(id int) float64 {
-	if d.Slowdown == nil {
-		return 1
-	}
-	if f := d.Slowdown(id); f > 1 {
-		return f
-	}
-	return 1
-}
-
-// DiskRecoveryMBps implements PerDiskModel.
-func (d Degraded) DiskRecoveryMBps(nowHours float64, id int) float64 {
-	mbps := d.Base.RecoveryMBps(nowHours)
-	if f := d.SlowdownFactor(id); f > 1 {
-		return mbps / f
-	}
-	return mbps
-}
-
-// Name implements BandwidthModel.
-func (d Degraded) Name() string { return d.Base.Name() + "+failslow" }
-
-// EndpointFactor returns the degradation multiplier governing a transfer
-// between src and tgt under m: the worse of the two endpoints when m is
-// per-disk-aware, 1 otherwise. A transfer runs at the slower endpoint's
-// rate, so its duration is the healthy duration times this factor.
-func EndpointFactor(m BandwidthModel, src, tgt int) float64 {
-	pd, ok := m.(PerDiskModel)
-	if !ok {
-		return 1
-	}
-	f := pd.SlowdownFactor(src)
-	if g := pd.SlowdownFactor(tgt); g > f {
-		f = g
-	}
-	return f
-}
-
-// MeanRecoveryMBps integrates the model over one day (trapezoid rule),
-// for reporting. The endpoints at hour 0 and 24 each carry half weight;
-// for a 24-hour-periodic model they coincide, so the result matches the
+// MeanRecoveryMBps integrates a policy's grant over one day (trapezoid
+// rule), for reporting. The policy is asked with zero fleet load and an
+// empty backlog, so the mean is meaningful for the time-only policies
+// (fixed and idle); aimd and deadline would ramp as if the fleet were
+// quiet. The endpoints at hour 0 and 24 each carry half weight; for a
+// 24-hour-periodic schedule they coincide, so the result matches the
 // periodic average exactly.
-func MeanRecoveryMBps(m BandwidthModel) float64 {
+func MeanRecoveryMBps(p ThrottlePolicy) float64 {
 	const steps = 24 * 60
 	const h = 24.0 / steps
 	sum := 0.0
-	prev := m.RecoveryMBps(0)
+	prev := p.RecoveryMBps(0, 0, Backlog{})
 	for i := 1; i <= steps; i++ {
-		cur := m.RecoveryMBps(float64(i) * h)
+		cur := p.RecoveryMBps(float64(i)*h, 0, Backlog{})
 		sum += (prev + cur) / 2
 		prev = cur
 	}
