@@ -30,8 +30,9 @@
 //	-bursts F      demand burst episodes per day
 //	-burstshare F  mean extra user share during a burst episode
 //	-rackskew F    per-rack demand skew 0..1 (needs a rack topology)
-//	-throttle P    recovery throttle policy: fixed, aimd, or deadline
-//	               (needs a demand model: -load and/or -bursts)
+//	-throttle P    recovery throttle policy: fixed, idle, aimd, or deadline
+//	               (aimd and deadline need a demand model: -load and/or
+//	               -bursts; idle follows the diurnal idle-time schedule)
 //	-floor M       throttle floor in MB/s (default 16)
 //	-maxrate M     adaptive throttle ceiling in MB/s (default 64)
 //	-vintage F     starting-vintage AFR scale (0 = experiment default)
@@ -119,7 +120,7 @@ func runExperiments(args []string) error {
 	bursts := fs.Float64("bursts", 0, "demand burst episodes per day")
 	burstShare := fs.Float64("burstshare", 0, "mean extra user share during a burst episode")
 	rackSkew := fs.Float64("rackskew", 0, "per-rack demand skew 0..1")
-	throttle := fs.String("throttle", "", "recovery throttle policy: fixed, aimd, or deadline")
+	throttle := fs.String("throttle", "", "recovery throttle policy: fixed, idle, aimd, or deadline (aimd and deadline need -load or -bursts)")
 	floor := fs.Float64("floor", 0, "throttle floor in MB/s (0 = policy default)")
 	maxRate := fs.Float64("maxrate", 0, "adaptive throttle ceiling in MB/s (0 = policy default)")
 	vintage := fs.Float64("vintage", 0, "starting-vintage AFR scale (0 = experiment default)")

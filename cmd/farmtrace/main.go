@@ -42,8 +42,10 @@
 //	-bursts F      demand burst episodes per day (flash crowds, batch jobs)
 //	-burstshare F  mean extra user share during a burst episode
 //	-rackskew F    per-rack demand skew 0..1 (needs -racks)
-//	-throttle P    recovery throttle policy: fixed, aimd, or deadline
-//	               (empty = the paper's static reservation; needs -load)
+//	-throttle P    recovery throttle policy: fixed, idle, aimd, or deadline
+//	               (empty = the paper's fixed reservation; aimd and
+//	               deadline need -load; idle follows the diurnal
+//	               idle-time schedule)
 //	-floor M       throttle floor in MB/s (default 16)
 //	-maxrate M     adaptive throttle ceiling in MB/s (default 64)
 //	-vintage F     AFR scale of the starting drive vintage (default 1)
@@ -142,7 +144,7 @@ func run() error {
 	bursts := flag.Float64("bursts", 0, "demand burst episodes per day")
 	burstShare := flag.Float64("burstshare", 0, "mean extra user share during a burst episode")
 	rackSkew := flag.Float64("rackskew", 0, "per-rack demand skew 0..1")
-	throttle := flag.String("throttle", "", "recovery throttle policy: fixed, aimd, or deadline")
+	throttle := flag.String("throttle", "", "recovery throttle policy: fixed, idle, aimd, or deadline (aimd and deadline need -load)")
 	floor := flag.Float64("floor", 0, "throttle floor in MB/s (0 = policy default)")
 	maxRate := flag.Float64("maxrate", 0, "adaptive throttle ceiling in MB/s (0 = policy default)")
 	vintage := flag.Float64("vintage", 1, "AFR scale of the starting drive vintage")
