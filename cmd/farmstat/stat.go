@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/forensics"
 	"repro/internal/metrics"
@@ -20,17 +19,12 @@ func traceTable(events []trace.Event) *report.Table {
 	s := trace.Summarize(events)
 	t := report.NewTable("Trace events by kind",
 		"kind", "count", "first (h)", "last (h)", "per 1000 h")
-	kinds := make([]trace.Kind, 0, len(s.Counts))
-	for k := range s.Counts { //farm:orderinvariant keys are sorted on the next line before any output
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
+	for _, k := range s.Kinds() {
 		rate := 0.0
 		if s.LastEventAt > 0 {
 			rate = float64(s.Counts[k]) / s.LastEventAt * 1000
 		}
-		t.AddRow(string(k),
+		t.AddRow(k.String(),
 			fmt.Sprintf("%d", s.Counts[k]),
 			fmt.Sprintf("%.1f", s.FirstAt[k]),
 			fmt.Sprintf("%.1f", s.LastAt[k]),
@@ -217,7 +211,7 @@ func postmortemTables(posts []forensics.Postmortem) []*report.Table {
 		}
 		w.Add(p.WindowHours)
 		window.Add(p.WindowHours)
-		if p.Kind == string(trace.KindDataLoss) {
+		if p.Kind == trace.KindDataLoss {
 			groupsLost += p.Groups
 		}
 		blame = forensics.AddBlame(blame, p.Blame)

@@ -301,12 +301,12 @@ func TestRunBadJSON(t *testing.T) {
 
 func testPostmortems() []forensics.Postmortem {
 	return []forensics.Postmortem{
-		{T: 100, Kind: string(trace.KindDataLoss), Class: forensics.ClassFalseDead,
+		{T: 100, Kind: trace.KindDataLoss, Class: forensics.ClassFalseDead,
 			Groups: 3, WindowHours: 24, Blame: forensics.Blame{Stalled: 1}},
-		{T: 200, Kind: string(trace.KindDataLoss), Class: forensics.ClassLSERebuild,
+		{T: 200, Kind: trace.KindDataLoss, Class: forensics.ClassLSERebuild,
 			Groups: 1, WindowHours: 4,
 			Blame: forensics.Blame{Detect: 0.125, Queue: 0.125, Transfer: 0.5, Stalled: 0.25}},
-		{T: 300, Kind: string(trace.KindDropped), Class: forensics.ClassTimeout,
+		{T: 300, Kind: trace.KindDropped, Class: forensics.ClassTimeout,
 			WindowHours: 8,
 			Blame:       forensics.Blame{Transfer: 0.5, Retry: 0.25, FailSlow: 0.25}},
 	}

@@ -169,7 +169,7 @@ func TestForensicsStormCoverage(t *testing.T) {
 			}
 			// Drops have span evidence by construction (spans were on),
 			// so none may fall back to the unattributed class.
-			if p.Kind == string(trace.KindDropped) && p.Class == forensics.ClassUnattributed {
+			if p.Kind == trace.KindDropped && p.Class == forensics.ClassUnattributed {
 				t.Fatalf("seed %d: dropped rebuild left unattributed: %+v", seed, p)
 			}
 		}

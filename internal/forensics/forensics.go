@@ -62,8 +62,8 @@ type Postmortem struct {
 	Seq int `json:"seq"`
 	// T is the time of the loss event (simulated hours).
 	T float64 `json:"t"`
-	// Kind is the losing event's trace kind: "data-loss" or "dropped".
-	Kind string `json:"kind"`
+	// Kind is the losing event's trace kind: data-loss or dropped.
+	Kind trace.Kind `json:"kind"`
 	// Class is the deterministic taxonomy verdict (see taxonomy.go).
 	Class string `json:"class"`
 	// Disk is the event's disk: the final trigger for a loss, the

@@ -42,7 +42,7 @@ func TestAnalyzeFalseDeadLoss(t *testing.T) {
 		t.Fatalf("groups = %d", p.Groups)
 	}
 	sumsToOne(t, p)
-	if len(p.Chain) < 2 || p.Chain[0].Kind != string(trace.KindRackUnreachable) {
+	if len(p.Chain) < 2 || p.Chain[0].Kind != trace.KindRackUnreachable.String() {
 		t.Fatalf("chain = %+v, want rack-unreachable first", p.Chain)
 	}
 }
@@ -220,10 +220,10 @@ func TestParkedChainLinks(t *testing.T) {
 	}
 	var sawPark, sawResume bool
 	for _, l := range p.Chain {
-		if l.Kind == string(trace.KindRebuildParked) {
+		if l.Kind == trace.KindRebuildParked.String() {
 			sawPark = true
 		}
-		if l.Kind == string(trace.KindRebuildResumed) {
+		if l.Kind == trace.KindRebuildResumed.String() {
 			sawResume = true
 		}
 	}

@@ -57,7 +57,7 @@ var Classes = []string{
 // lossPostmortem builds the postmortem for one data-loss event.
 func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 	p := Postmortem{
-		T: e.Time, Kind: string(trace.KindDataLoss),
+		T: e.Time, Kind: trace.KindDataLoss,
 		Disk: int(e.Disk), Group: -1, Rep: -1, Groups: max(int(e.N), 1),
 	}
 	// id is the rebuild whose history the chain shows: the open span's,
@@ -71,40 +71,40 @@ func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 		p.WindowHours = e.Time - a.falseDead.since
 		p.Blame = Blame{Stalled: 1}
 		p.Chain = append(p.Chain,
-			ChainLink{a.falseDead.since, string(trace.KindRackUnreachable), fmt.Sprintf("rack=%d", a.falseDead.rack)},
-			ChainLink{a.falseDead.t, string(trace.KindFalseDead), fmt.Sprintf("rack=%d", a.falseDead.rack)},
-			ChainLink{e.Time, string(trace.KindDiskFail), fmt.Sprintf("disk=%d", e.Disk)})
+			ChainLink{a.falseDead.since, trace.KindRackUnreachable.String(), fmt.Sprintf("rack=%d", a.falseDead.rack)},
+			ChainLink{a.falseDead.t, trace.KindFalseDead.String(), fmt.Sprintf("rack=%d", a.falseDead.rack)},
+			ChainLink{e.Time, trace.KindDiskFail.String(), fmt.Sprintf("disk=%d", e.Disk)})
 	case hitAt(a.lastLSEDetect, e.Disk, e.Time):
 		h := a.lastLSEDetect[e.Disk]
 		p.Class = ClassLSERebuild
 		p.Group, p.Rep = h.group, h.rep
 		p.Chain = append(p.Chain,
-			ChainLink{h.t, string(trace.KindLSEDetect), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
+			ChainLink{h.t, trace.KindLSEDetect.String(), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
 		id = a.windowFromOpenSpan(&p, e, h.group)
 	case hitAt(a.lastScrubRepair, e.Disk, e.Time):
 		h := a.lastScrubRepair[e.Disk]
 		p.Class = ClassLSEScrub
 		p.Group, p.Rep = h.group, h.rep
 		p.Chain = append(p.Chain,
-			ChainLink{h.t, string(trace.KindScrubRepair), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
+			ChainLink{h.t, trace.KindScrubRepair.String(), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
 		id = a.windowFromOpenSpan(&p, e, h.group)
 	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= a.ctx.burstWindow():
 		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= a.ctx.burstWindow() {
 			p.Class = ClassBurstSpare
 			p.Chain = append(p.Chain,
-				ChainLink{a.burst.Time, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.N)},
-				ChainLink{a.spare.Time, string(trace.KindSpareQueued), ""})
+				ChainLink{a.burst.Time, trace.KindBurst.String(), fmt.Sprintf("kills=%d", a.burst.N)},
+				ChainLink{a.spare.Time, trace.KindSpareQueued.String(), ""})
 		} else {
 			p.Class = ClassBurst
 			p.Chain = append(p.Chain,
-				ChainLink{a.burst.Time, string(trace.KindBurst), fmt.Sprintf("kills=%d", a.burst.N)})
+				ChainLink{a.burst.Time, trace.KindBurst.String(), fmt.Sprintf("kills=%d", a.burst.N)})
 		}
 		id = a.windowFromOpenSpan(&p, e, -1)
 	default:
 		p.Class = ClassIndependent
 		if t, ok := a.diskFailAt[e.Disk]; ok {
 			p.Chain = append(p.Chain,
-				ChainLink{t, string(trace.KindDiskFail), fmt.Sprintf("disk=%d", e.Disk)})
+				ChainLink{t, trace.KindDiskFail.String(), fmt.Sprintf("disk=%d", e.Disk)})
 		}
 		id = a.windowFromOpenSpan(&p, e, -1)
 	}
@@ -150,7 +150,7 @@ func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) i
 func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 	id := e.Rebuild
 	p := Postmortem{
-		T: e.Time, Kind: string(trace.KindDropped),
+		T: e.Time, Kind: trace.KindDropped,
 		Disk: int(e.Disk), Group: int(e.Group), Rep: int(e.Rep),
 	}
 	sp := a.byID[id]
@@ -178,10 +178,10 @@ func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 				sp.Retries, sp.Resourcings, sp.Redirections)})
 	}
 	if t, ok := a.timedOutAt[id]; ok {
-		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindRebuildTimeout), ""})
+		p.Chain = append(p.Chain, ChainLink{t, trace.KindRebuildTimeout.String(), ""})
 	}
 	if t, ok := a.hedgeAt[id]; ok {
-		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindHedge), ""})
+		p.Chain = append(p.Chain, ChainLink{t, trace.KindHedge.String(), ""})
 	}
 	a.finishChain(&p, e.Time, id)
 	return p
@@ -196,22 +196,22 @@ func (a *analyzer) finishChain(p *Postmortem, t float64, id int32) {
 	if id > 0 {
 		for _, ps := range a.parks[id] {
 			p.Chain = append(p.Chain,
-				ChainLink{ps.from, string(trace.KindRebuildParked), ""},
-				ChainLink{ps.to, string(trace.KindRebuildResumed), ""})
+				ChainLink{ps.from, trace.KindRebuildParked.String(), ""},
+				ChainLink{ps.to, trace.KindRebuildResumed.String(), ""})
 		}
 		if from, ok := a.parkFrom[id]; ok {
-			p.Chain = append(p.Chain, ChainLink{from, string(trace.KindRebuildParked), "unresumed"})
+			p.Chain = append(p.Chain, ChainLink{from, trace.KindRebuildParked.String(), "unresumed"})
 		}
 		if ct, ok := a.crossRackAt[id]; ok {
-			p.Chain = append(p.Chain, ChainLink{ct, string(trace.KindResourceCrossRack), ""})
+			p.Chain = append(p.Chain, ChainLink{ct, trace.KindResourceCrossRack.String(), ""})
 		}
 	}
 	if a.throttle.Kind == trace.KindThrottle && a.throttle.Time <= t {
-		p.Chain = append(p.Chain, ChainLink{a.throttle.Time, string(trace.KindThrottle),
+		p.Chain = append(p.Chain, ChainLink{a.throttle.Time, trace.KindThrottle.String(),
 			fmt.Sprintf("mbps=%.2f share=%.3f", a.throttle.X, a.throttle.Y)})
 	}
 	if f, ok := a.slowFactor[int32(p.Disk)]; ok && f > 1 {
-		p.Chain = append(p.Chain, ChainLink{t, string(trace.KindFailSlowOnset),
+		p.Chain = append(p.Chain, ChainLink{t, trace.KindFailSlowOnset.String(),
 			fmt.Sprintf("factor=%g", f)})
 	}
 	// Insertion sort: chains are tiny and near-sorted, and stability

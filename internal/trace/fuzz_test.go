@@ -14,7 +14,7 @@ import (
 // payloads), and everything it accepts re-encodes through WriteJSONL
 // and reads back to the same events. The seed corpus in
 // testdata/fuzz/FuzzReadJSONL holds a header-only stream, one event of
-// each payload-bearing kind, and a schema-1 line.
+// each payload-bearing kind, a schema-1 line, and an unknown kind.
 func FuzzReadJSONL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ReadJSONL(bytes.NewReader(data))

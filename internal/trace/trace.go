@@ -25,7 +25,7 @@
 //	throttle-step                          MB/s granted    fleet user share
 //	degraded-reads    reads                mean ms         max ms
 //
-// Rebuild-scoped kinds (see rebuildScoped) always carry the id of the
+// Rebuild-scoped kinds (see the kind table) always carry the id of the
 // rebuild they describe, so readers join events to each other and to
 // obs.Span records by id.
 //
@@ -54,8 +54,11 @@ const (
 	CausePartition  int32 = 3 // a transient network partition
 )
 
-// Kind labels an event.
-type Kind string
+// Kind labels an event. Each kind has one row in the kind table, which
+// holds the name the JSONL transcript spells it with and the scope of
+// its Disk and Rebuild fields. The zero Kind is the unnamed kind and
+// encodes as "".
+type Kind uint8
 
 // Event kinds emitted by the simulator; each kind's payload is the table
 // in the package doc. Kinds whose ordering is part of
@@ -64,68 +67,175 @@ type Kind string
 // (farmlint's kindflow analyzer enforces that every kind does one or
 // the other, and that every kind is emitted somewhere).
 const (
-	KindDiskFail   Kind = "disk-fail"   // a drive died
-	KindDetect     Kind = "detect"      // the death was noticed
-	KindRebuilt    Kind = "rebuilt"     // one block reconstruction completed
-	KindDropped    Kind = "dropped"     // a rebuild was abandoned
-	KindDataLoss   Kind = "data-loss"   //farm:nocausality group(s) crossed into data loss; losses from bursts or false-dead write-offs need no prior detection
-	KindSmartWarn  Kind = "smart-warn"  //farm:nocausality the health monitor fires from its own draw, not from a prior event
-	KindDrained    Kind = "drained"     //farm:nocausality a drain completes from warn, plan, or eviction paths; no single required predecessor
-	KindBatchAdded Kind = "batch-added" //farm:nocausality replacement batches trigger on cumulative failure counts, a threshold not visible per event
+	KindDiskFail   Kind = iota + 1 // a drive died
+	KindDetect                     // the death was noticed
+	KindRebuilt                    // one block reconstruction completed
+	KindDropped                    // a rebuild was abandoned
+	KindDataLoss                   //farm:nocausality group(s) crossed into data loss; losses from bursts or false-dead write-offs need no prior detection
+	KindSmartWarn                  //farm:nocausality the health monitor fires from its own draw, not from a prior event
+	KindDrained                    //farm:nocausality a drain completes from warn, plan, or eviction paths; no single required predecessor
+	KindBatchAdded                 //farm:nocausality replacement batches trigger on cumulative failure counts, a threshold not visible per event
 
 	// Fault-injection kinds (internal/faults).
-	KindLSE         Kind = "lse"          // a latent sector error arrived (undiscovered)
-	KindLSEDetect   Kind = "lse-detect"   // a rebuild read discovered a latent error
-	KindScrub       Kind = "scrub"        //farm:nocausality scrub passes run on a fixed period independent of other events
-	KindScrubRepair Kind = "scrub-repair" // the scrubber queued a damaged replica for repair
-	KindBurst       Kind = "burst"        //farm:nocausality correlated bursts arrive from their own Poisson process; no predecessor
-	KindRetry       Kind = "retry"        //farm:nocausality transient read faults can hit the very first transfer of a rebuild
-	KindSpareQueued Kind = "spare-queued" //farm:nocausality queueing is a pool-capacity marker; exhaustion depends on counts, not one event
+	KindLSE         // a latent sector error arrived (undiscovered)
+	KindLSEDetect   // a rebuild read discovered a latent error
+	KindScrub       //farm:nocausality scrub passes run on a fixed period independent of other events
+	KindScrubRepair // the scrubber queued a damaged replica for repair
+	KindBurst       //farm:nocausality correlated bursts arrive from their own Poisson process; no predecessor
+	KindRetry       //farm:nocausality transient read faults can hit the very first transfer of a rebuild
+	KindSpareQueued //farm:nocausality queueing is a pool-capacity marker; exhaustion depends on counts, not one event
 
 	// Fail-slow / straggler-mitigation kinds (gray failures and the
 	// hedging layer in internal/recovery).
-	KindFailSlowOnset   Kind = "failslow-onset"   // a drive degraded
-	KindFailSlowRecover Kind = "failslow-recover" // a degraded drive recovered
-	KindFailSlowDetect  Kind = "failslow-detect"  //farm:nocausality the peer-comparison detector scores observed service times, which lag onsets arbitrarily and survive recoveries
-	KindHedge           Kind = "hedge"            // a duplicate transfer was launched
-	KindHedgeWin        Kind = "hedge-win"        // the duplicate finished before the primary
-	KindEvictSlow       Kind = "evict-slow"       //farm:nocausality eviction needs consecutive slow scores, a detector-internal streak not visible in the trace
-	KindRebuildTimeout  Kind = "rebuild-timeout"  //farm:nocausality timeouts fire against expected duration; the rebuild's queue event predates the recorder when spans are off
-	KindSlowBurst       Kind = "slow-burst"       //farm:nocausality correlated slow-bursts arrive from their own Poisson process; no predecessor
+	KindFailSlowOnset   // a drive degraded
+	KindFailSlowRecover // a degraded drive recovered
+	KindFailSlowDetect  //farm:nocausality the peer-comparison detector scores observed service times, which lag onsets arbitrarily and survive recoveries
+	KindHedge           // a duplicate transfer was launched
+	KindHedgeWin        // the duplicate finished before the primary
+	KindEvictSlow       //farm:nocausality eviction needs consecutive slow scores, a detector-internal streak not visible in the trace
+	KindRebuildTimeout  //farm:nocausality timeouts fire against expected duration; the rebuild's queue event predates the recorder when spans are off
+	KindSlowBurst       //farm:nocausality correlated slow-bursts arrive from their own Poisson process; no predecessor
 
 	// Span-lifecycle kinds, emitted only when the flight recorder's
 	// rebuild-lifecycle spans are enabled — transcripts recorded without
 	// the obs stack stay byte-identical.
-	KindRebuildQueued Kind = "rebuild-queued" //farm:nocausality span marker, present only when span recording is on; rebuilds elsewhere in the trace have no queued event to order against
-	KindTransferStart Kind = "transfer-start" //farm:nocausality span marker, present only when span recording is on (see rebuild-queued)
+	KindRebuildQueued //farm:nocausality span marker, present only when span recording is on; rebuilds elsewhere in the trace have no queued event to order against
+	KindTransferStart //farm:nocausality span marker, present only when span recording is on (see rebuild-queued)
 
 	// Network fault-domain kinds (internal/topology + internal/faults).
 	// Rack-scoped events carry the rack in Event.Rack.
-	KindSwitchFail        Kind = "switch-fail"        //farm:nocausality ToR switch deaths arrive from their own failure process; no predecessor
-	KindRackUnreachable   Kind = "rack-unreachable"   // a rack went dark
-	KindPartitionHeal     Kind = "partition-heal"     // a dark rack became reachable again
-	KindResourceCrossRack Kind = "resource-crossrack" //farm:nocausality re-sourcing reacts to source-rack state at transfer time, not to one prior trace event
-	KindFalseDead         Kind = "false-dead"         // a dark rack's disks were declared lost
+	KindSwitchFail        //farm:nocausality ToR switch deaths arrive from their own failure process; no predecessor
+	KindRackUnreachable   // a rack went dark
+	KindPartitionHeal     // a dark rack became reachable again
+	KindResourceCrossRack //farm:nocausality re-sourcing reacts to source-rack state at transfer time, not to one prior trace event
+	KindFalseDead         // a dark rack's disks were declared lost
 
 	// Living-fleet kinds (foreground traffic, recovery QoS, and planned
 	// maintenance in internal/workload + internal/core).
-	KindDemandBurst   Kind = "demand-burst"   //farm:nocausality foreground bursts arrive from the workload's own stream; no predecessor
-	KindDegradedReads Kind = "degraded-reads" // a closed window's degraded reads
-	KindThrottle      Kind = "throttle-step"  //farm:nocausality QoS steps track utilization thresholds, which move with load as well as events
-	KindDrainPlanned  Kind = "drain-planned"  //farm:nocausality operator-scheduled; planned work has no in-trace cause
-	KindUpgradeBegin  Kind = "upgrade-begin"  // a rack's rolling-upgrade window opened (read-only)
-	KindUpgradeEnd    Kind = "upgrade-end"    // the upgrade window closed (writes unfenced)
-	KindGrowth        Kind = "growth-batch"   //farm:nocausality operator-scheduled; planned work has no in-trace cause
+	KindDemandBurst   //farm:nocausality foreground bursts arrive from the workload's own stream; no predecessor
+	KindDegradedReads // a closed window's degraded reads
+	KindThrottle      //farm:nocausality QoS steps track utilization thresholds, which move with load as well as events
+	KindDrainPlanned  //farm:nocausality operator-scheduled; planned work has no in-trace cause
+	KindUpgradeBegin  // a rack's rolling-upgrade window opened (read-only)
+	KindUpgradeEnd    // the upgrade window closed (writes unfenced)
+	KindGrowth        //farm:nocausality operator-scheduled; planned work has no in-trace cause
 
 	// Forensic park/resume kinds: a rebuild's stalled intervals, emitted
 	// so postmortems can attribute window time spent waiting on dark
 	// racks or write fences.
-	KindRebuildParked  Kind = "rebuild-parked"  // a rebuild stalled against a dark rack or write fence
-	KindRebuildResumed Kind = "rebuild-resumed" // a parked rebuild was resubmitted
+	KindRebuildParked  // a rebuild stalled against a dark rack or write fence
+	KindRebuildResumed // a parked rebuild was resubmitted
 )
 
+// kindRow is one kind's entry in the kind table.
+type kindRow struct {
+	name string
+	// rebuild marks kinds that describe one block rebuild and so must
+	// carry its id in Event.Rebuild.
+	rebuild bool
+	// cluster marks kinds whose Disk field carries no drive identity
+	// (cluster- or rack-scope events). Every other kind's Disk names a
+	// real drive — the failed, detected, warned, degraded, or
+	// rebuilt-onto disk — except when negative (the emitter had no disk
+	// in hand).
+	cluster bool
+}
+
+// kinds is the kind table, indexed by Kind.
+var kinds = [...]kindRow{
+	KindDiskFail:   {name: "disk-fail"},
+	KindDetect:     {name: "detect"},
+	KindRebuilt:    {name: "rebuilt", rebuild: true},
+	KindDropped:    {name: "dropped", rebuild: true},
+	KindDataLoss:   {name: "data-loss"},
+	KindSmartWarn:  {name: "smart-warn"},
+	KindDrained:    {name: "drained"},
+	KindBatchAdded: {name: "batch-added", cluster: true},
+
+	KindLSE:         {name: "lse"},
+	KindLSEDetect:   {name: "lse-detect"},
+	KindScrub:       {name: "scrub", cluster: true},
+	KindScrubRepair: {name: "scrub-repair"},
+	KindBurst:       {name: "burst", cluster: true},
+	KindRetry:       {name: "retry", rebuild: true},
+	KindSpareQueued: {name: "spare-queued"},
+
+	KindFailSlowOnset:   {name: "failslow-onset"},
+	KindFailSlowRecover: {name: "failslow-recover"},
+	KindFailSlowDetect:  {name: "failslow-detect"},
+	KindHedge:           {name: "hedge", rebuild: true},
+	KindHedgeWin:        {name: "hedge-win", rebuild: true},
+	KindEvictSlow:       {name: "evict-slow"},
+	KindRebuildTimeout:  {name: "rebuild-timeout", rebuild: true},
+	KindSlowBurst:       {name: "slow-burst", cluster: true},
+
+	KindRebuildQueued: {name: "rebuild-queued", rebuild: true},
+	KindTransferStart: {name: "transfer-start", rebuild: true},
+
+	// Rack-scoped network events keep their identity in Rack, not Disk;
+	// resource-crossrack keeps a real disk, the new source.
+	KindSwitchFail:        {name: "switch-fail", cluster: true},
+	KindRackUnreachable:   {name: "rack-unreachable", cluster: true},
+	KindPartitionHeal:     {name: "partition-heal", cluster: true},
+	KindResourceCrossRack: {name: "resource-crossrack", rebuild: true},
+	KindFalseDead:         {name: "false-dead", cluster: true},
+
+	// Demand episodes, throttle steps and growth batches have no drive
+	// identity, and upgrade windows are rack-scoped; degraded-reads and
+	// drain-planned keep a real disk, the read source and the drained
+	// drive.
+	KindDemandBurst:   {name: "demand-burst", cluster: true},
+	KindDegradedReads: {name: "degraded-reads", rebuild: true},
+	KindThrottle:      {name: "throttle-step", cluster: true},
+	KindDrainPlanned:  {name: "drain-planned"},
+	KindUpgradeBegin:  {name: "upgrade-begin", cluster: true},
+	KindUpgradeEnd:    {name: "upgrade-end", cluster: true},
+	KindGrowth:        {name: "growth-batch", cluster: true},
+
+	KindRebuildParked:  {name: "rebuild-parked", rebuild: true},
+	KindRebuildResumed: {name: "rebuild-resumed", rebuild: true},
+}
+
+// byName lists every kind in name order, the unnamed zero kind first.
+var byName = func() (out [len(kinds)]Kind) {
+	for i := range out {
+		out[i] = Kind(i)
+	}
+	sort.Slice(out[:], func(i, j int) bool { return kinds[out[i]].name < kinds[out[j]].name })
+	return out
+}()
+
+// String returns the kind's transcript name.
+func (k Kind) String() string {
+	if int(k) >= len(kinds) {
+		return fmt.Sprintf("Kind(%d)", uint8(k))
+	}
+	return kinds[k].name
+}
+
+// MarshalText spells the kind with its transcript name. It fails on a
+// Kind outside the kind table.
+func (k Kind) MarshalText() ([]byte, error) {
+	if int(k) >= len(kinds) {
+		return nil, fmt.Errorf("trace: %v is not a declared kind", k)
+	}
+	return []byte(kinds[k].name), nil
+}
+
+// UnmarshalText reads a transcript name back into its Kind and rejects
+// names the kind table does not know.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i := range kinds {
+		if kinds[i].name == string(b) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown event kind %q", b)
+}
+
 // Event is one timestamped simulator occurrence. Times are simulation
-// hours. The layout is 64 bytes: a storm trajectory records hundreds of
+// hours. The layout is 56 bytes: a storm trajectory records hundreds of
 // thousands of events, so every padded byte here is recorder memory.
 type Event struct {
 	Time    float64 `json:"t"`
@@ -138,18 +248,6 @@ type Event struct {
 	N       int32   `json:"n,omitempty"`
 	X       float64 `json:"x,omitempty"`
 	Y       float64 `json:"y,omitempty"`
-}
-
-// rebuildScoped reports whether events of kind k describe one block
-// rebuild and so must carry its id in Event.Rebuild.
-func rebuildScoped(k Kind) bool {
-	switch k {
-	case KindRebuilt, KindDropped, KindRetry, KindHedge, KindHedgeWin,
-		KindRebuildTimeout, KindResourceCrossRack, KindRebuildParked,
-		KindRebuildResumed, KindRebuildQueued, KindTransferStart, KindDegradedReads:
-		return true
-	}
-	return false
 }
 
 // Recorder buffers events in arrival order. Not safe for concurrent use —
@@ -223,40 +321,14 @@ func ReadJSONL(rd io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// clusterWide lists the kinds whose Disk field carries no drive
-// identity (cluster-scope events).
-// Every other kind's Disk names a real drive — the failed, detected,
-// warned, degraded, or rebuilt-onto disk — except when negative (the
-// emitter had no disk in hand).
-var clusterWide = map[Kind]bool{
-	KindScrub:      true,
-	KindBurst:      true,
-	KindSlowBurst:  true,
-	KindBatchAdded: true,
-	// Rack-scoped network events: identity lives in Rack, not Disk
-	// (resource-crossrack keeps a real disk — the new source).
-	KindSwitchFail:      true,
-	KindRackUnreachable: true,
-	KindPartitionHeal:   true,
-	KindFalseDead:       true,
-	// Living-fleet cluster-scope events: demand episodes, throttle steps,
-	// and growth batches have no drive identity; upgrade windows are
-	// rack-scoped like the network events (degraded-reads and
-	// drain-planned keep a real disk — the read source / drained drive).
-	KindDemandBurst:  true,
-	KindThrottle:     true,
-	KindUpgradeBegin: true,
-	KindUpgradeEnd:   true,
-	KindGrowth:       true,
-}
-
 // Summary aggregates an event stream.
 type Summary struct {
-	Counts map[Kind]int
-	// FirstAt/LastAt record the first and last occurrence time of each
-	// kind present in the stream.
-	FirstAt map[Kind]float64
-	LastAt  map[Kind]float64
+	// Counts, FirstAt and LastAt hold each kind's number of events and
+	// its first and last occurrence time, indexed by Kind (zero for kinds
+	// absent from the stream).
+	Counts  [len(kinds)]int
+	FirstAt [len(kinds)]float64
+	LastAt  [len(kinds)]float64
 	// FirstLossAt is the time of the first data-loss event (-1 if none).
 	FirstLossAt float64
 	LastEventAt float64
@@ -268,12 +340,7 @@ type Summary struct {
 
 // Summarize computes a Summary.
 func Summarize(events []Event) Summary {
-	s := Summary{
-		Counts:      make(map[Kind]int),
-		FirstAt:     make(map[Kind]float64),
-		LastAt:      make(map[Kind]float64),
-		FirstLossAt: -1,
-	}
+	s := Summary{FirstLossAt: -1}
 	disks := map[int32]bool{}
 	for _, e := range events {
 		if s.Counts[e.Kind] == 0 {
@@ -287,7 +354,7 @@ func Summarize(events []Event) Summary {
 		if e.Time > s.LastEventAt {
 			s.LastEventAt = e.Time
 		}
-		if !clusterWide[e.Kind] && e.Disk >= 0 {
+		if !kinds[e.Kind].cluster && e.Disk >= 0 {
 			disks[e.Disk] = true
 		}
 	}
@@ -295,27 +362,38 @@ func Summarize(events []Event) Summary {
 	return s
 }
 
+// Kinds returns the kinds present in the stream in name order, the
+// order WriteSummary prints them in.
+func (s Summary) Kinds() []Kind {
+	var out []Kind
+	for _, k := range byName {
+		if s.Counts[k] > 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // WriteSummary prints a human-readable digest: one line per kind with
 // its count and first/last occurrence, then the loss verdict.
 func (s Summary) WriteSummary(w io.Writer) error {
-	kinds := make([]string, 0, len(s.Counts))
-	for k := range s.Counts { //farm:orderinvariant keys are sorted on the next line before any output
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
+	for _, k := range s.Kinds() {
 		if _, err := fmt.Fprintf(w, "%-16s %7d   first %10.1f h   last %10.1f h\n",
-			k, s.Counts[Kind(k)], s.FirstAt[Kind(k)], s.LastAt[Kind(k)]); err != nil {
+			k, s.Counts[k], s.FirstAt[k], s.LastAt[k]); err != nil {
 			return err
 		}
 	}
+	var err error
 	if s.FirstLossAt >= 0 {
-		fmt.Fprintf(w, "first data loss at %.1f h (%.2f years)\n",
+		_, err = fmt.Fprintf(w, "first data loss at %.1f h (%.2f years)\n",
 			s.FirstLossAt, s.FirstLossAt/8760)
 	} else {
-		fmt.Fprintln(w, "no data loss")
+		_, err = fmt.Fprintln(w, "no data loss")
 	}
-	_, err := fmt.Fprintf(w, "distinct disks seen: %d, last event at %.1f h\n",
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "distinct disks seen: %d, last event at %.1f h\n",
 		s.DistinctDisks, s.LastEventAt)
 	return err
 }
@@ -371,7 +449,7 @@ func CheckCausality(events []Event) error {
 			return fmt.Errorf("trace: event %d at %v precedes predecessor at %v", i, e.Time, last)
 		}
 		last = e.Time
-		if rebuildScoped(e.Kind) {
+		if kinds[e.Kind].rebuild {
 			if e.Rebuild <= 0 {
 				return fmt.Errorf("trace: %s on group %d rep %d carries no rebuild id", e.Kind, e.Group, e.Rep)
 			}

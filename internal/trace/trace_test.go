@@ -5,6 +5,7 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"unsafe"
@@ -60,6 +61,7 @@ func TestReadJSONLBadInput(t *testing.T) {
 		"trailing bracket":   header + "]",
 		"truncated event":    header + `{"t":1,"kind":`,
 		"string for payload": header + `{"t":1,"kind":"burst","n":"5"}` + "\n",
+		"unknown kind":       header + `{"t":1,"kind":"bogus"}` + "\n",
 	} {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -74,10 +76,54 @@ func TestReadJSONLBadInput(t *testing.T) {
 // TestEventSize pins the event layout. A storm trajectory's recorder
 // held 186 MB of the 428 MB the trajectory allocated with 72-byte
 // events; padding the event to 88 bytes cost +64 MB per trajectory and
-// 104 bytes +80 MB (+19 %), at the benchmark's 20 % alloc bound.
+// 104 bytes +80 MB (+19 %), at the benchmark's 20 % alloc bound. A
+// one-byte Kind packs the event into 56 bytes.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 72 {
-		t.Fatalf("trace.Event is %d bytes, want at most 72", n)
+	if n := unsafe.Sizeof(Event{}); n != 56 {
+		t.Fatalf("trace.Event is %d bytes, want 56", n)
+	}
+}
+
+// TestKindTable checks the kind table: every kind from the first
+// declared one to the last table row has a unique, non-empty name that
+// round-trips through MarshalText/UnmarshalText; the unnamed zero kind
+// round-trips as ""; and a Kind past the table does not encode.
+func TestKindTable(t *testing.T) {
+	seen := map[string]Kind{}
+	k := KindDiskFail
+	for ; ; k++ {
+		b, err := k.MarshalText()
+		if err != nil {
+			break
+		}
+		name := string(b)
+		if name == "" || name != k.String() {
+			t.Errorf("kind %d: name %q, String %q", uint8(k), name, k.String())
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", uint8(prev), uint8(k), name)
+		}
+		seen[name] = k
+		var back Kind
+		if err := back.UnmarshalText(b); err != nil || back != k {
+			t.Errorf("kind %q round-trips to %d (err %v)", name, uint8(back), err)
+		}
+	}
+	if k != KindRebuildResumed+1 {
+		t.Errorf("table ends at kind %d, want %d (the last declared kind + 1)", uint8(k), uint8(KindRebuildResumed+1))
+	}
+	if _, err := Kind(255).MarshalText(); err == nil {
+		t.Error("out-of-range kind encoded")
+	}
+	var zero Kind
+	if b, err := zero.MarshalText(); err != nil || len(b) != 0 {
+		t.Errorf("zero kind encodes as %q (err %v), want \"\"", b, err)
+	}
+	if err := zero.UnmarshalText(nil); err != nil || zero != 0 {
+		t.Errorf("\"\" decodes to %d (err %v), want the zero kind", uint8(zero), err)
+	}
+	if err := zero.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("unknown kind name decoded")
 	}
 }
 
@@ -134,6 +180,29 @@ func TestSummarizeNoLoss(t *testing.T) {
 	s.WriteSummary(&buf)
 	if !strings.Contains(buf.String(), "no data loss") {
 		t.Fatal("summary should say no data loss")
+	}
+}
+
+// failOn is a writer that fails every write containing its substring.
+type failOn string
+
+func (f failOn) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), string(f)) {
+		return 0, errors.New("write refused")
+	}
+	return len(p), nil
+}
+
+// TestWriteSummaryLossVerdictError: a failed write of the loss-verdict
+// line is returned, whichever verdict the line carries.
+func TestWriteSummaryLossVerdictError(t *testing.T) {
+	for _, events := range [][]Event{
+		{{Time: 1, Kind: KindDiskFail, Disk: 1}},
+		{{Time: 1, Kind: KindDataLoss, Disk: 1, N: 1}},
+	} {
+		if err := Summarize(events).WriteSummary(failOn("data loss")); err == nil {
+			t.Errorf("verdict write error dropped for %v", events[0].Kind)
+		}
 	}
 }
 
