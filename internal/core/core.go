@@ -474,9 +474,6 @@ func runOnce(cfg Config) (RunResult, error) {
 		}
 		st.inj = inj
 		inj.SetDiscoveryHandler(st.onLatentDiscovered)
-		if cfg.Obs != nil && cfg.Obs.Registry != nil {
-			inj.SetMetrics(cfg.Obs.FaultMetrics())
-		}
 		st.engine.SetFaultModel(inj)
 		if sp, ok := st.engine.(*recovery.SpareDisk); ok && cfg.Faults.SparePoolSize > 0 {
 			eff := inj.Config()

@@ -98,7 +98,7 @@ func TestObsByteIdentity(t *testing.T) {
 		// the sampler took its samples.
 		reg := ob.Registry
 		for _, o := range outcomes {
-			if len(o.metric) == 0 {
+			if o.metric == 0 {
 				continue
 			}
 			if n, want := reg.Counter(o.metric).Value(), uint64(o.n(&res1.Tally)); n != want {

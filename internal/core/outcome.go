@@ -33,7 +33,7 @@ type (
 // outcome is one row of the table. Counter rows read a tally field
 // through n; derived-float rows (n nil) read a horizon float through v.
 type outcome struct {
-	metric obs.Name                 // registry counter, empty when not exported
+	metric obs.Name                 // registry counter, zero when not exported
 	n      func(*tally) int64       // the tally field
 	v      func(*RunResult) float64 // the derived float, when n is nil
 	fold   foldRule
@@ -57,6 +57,9 @@ var outcomes = [...]outcome{
 	{metric: obs.MetricScrubFound, n: func(t *tally) int64 { return int64(t.ScrubFound) }, fold: foldAlways, to: func(r *Result) *welford { return &r.ScrubFound }},
 	{metric: obs.MetricRetries, n: func(t *tally) int64 { return int64(t.RebuildRetries) }, fold: foldAlways, to: func(r *Result) *welford { return &r.RebuildRetries }},
 	{metric: obs.MetricTransientFaults, n: func(t *tally) int64 { return int64(t.TransientFaults) }},
+	{metric: obs.MetricProbeReads, n: func(t *tally) int64 { return int64(t.ProbeReads) }},
+	{metric: obs.MetricProbeTransient, n: func(t *tally) int64 { return int64(t.TransientFaults) }},
+	{metric: obs.MetricProbeLatent, n: func(t *tally) int64 { return int64(t.ProbeLatent) }},
 	{metric: obs.MetricResourcings, n: func(t *tally) int64 { return int64(t.Resourcings) }, fold: foldAlways, to: func(r *Result) *welford { return &r.Resourcings }},
 	{metric: obs.MetricBursts, n: func(t *tally) int64 { return int64(t.Bursts) }, fold: foldAlways, to: func(r *Result) *welford { return &r.Bursts }},
 	{metric: obs.MetricBurstKills, n: func(t *tally) int64 { return int64(t.BurstKills) }},
@@ -149,7 +152,7 @@ func (r *Result) add(run *RunResult) {
 // accumulates), and the gauges latch the horizon state.
 func (st *runState) exportHorizon(reg *obs.Registry) {
 	for i := range outcomes {
-		if o := &outcomes[i]; len(o.metric) > 0 {
+		if o := &outcomes[i]; o.metric != 0 {
 			reg.Counter(o.metric).Add(uint64(o.n(&st.res.Tally)))
 		}
 	}

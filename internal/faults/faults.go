@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -367,10 +366,6 @@ type Injector struct {
 	// rebuild read (scrub discovery is driven by the caller through
 	// TakeLatent). It runs before ProbeRead returns.
 	onDiscover func(now sim.Time, diskID, group, rep int)
-	// fm mirrors probe outcomes into the flight recorder; never nil (a
-	// sink over a private registry until SetMetrics installs a real one),
-	// so ProbeRead stays branch-free.
-	fm *obs.FaultMetrics
 }
 
 // failSlowSeedSalt splits the fail-slow (degraded-performance) stream
@@ -391,16 +386,7 @@ func NewInjector(cfg Config, seed uint64) (*Injector, error) {
 		slow:   rng.New(seed ^ failSlowSeedSalt),
 		netr:   newNetStream(seed),
 		latent: make(map[lseKey]int32),
-		fm:     obs.NewFaultMetrics(obs.NewRegistry()),
 	}, nil
-}
-
-// SetMetrics mirrors the injector's read-probe classifications into the
-// given flight-recorder bundle. Purely observational.
-func (in *Injector) SetMetrics(fm *obs.FaultMetrics) {
-	if fm != nil {
-		in.fm = fm
-	}
 }
 
 // Config returns the effective (default-filled) configuration.
@@ -497,14 +483,11 @@ func (in *Injector) TakeLatent() []Entry {
 // error from the undiscovered set and fires the discovery handler
 // before returning.
 func (in *Injector) ProbeRead(now sim.Time, src, group int) Outcome {
-	in.fm.ProbeReads.Inc()
 	if p := in.cfg.TransientReadProb; p > 0 && in.rng.Float64() < p {
-		in.fm.ProbeTransient.Inc()
 		return ReadTransient
 	}
 	k := lseKey{int32(src), int32(group)}
 	if rep, ok := in.latent[k]; ok {
-		in.fm.ProbeLatent.Inc()
 		in.removeLatent(k)
 		if in.onDiscover != nil {
 			in.onDiscover(now, src, group, int(rep))

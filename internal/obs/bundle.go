@@ -6,23 +6,6 @@ import (
 	"math"
 )
 
-// FaultMetrics is the fault-injector handle bundle (internal/faults):
-// read-probe classification counters.
-type FaultMetrics struct {
-	ProbeReads     *Counter
-	ProbeTransient *Counter
-	ProbeLatent    *Counter
-}
-
-// NewFaultMetrics resolves the fault-injector handles on r.
-func NewFaultMetrics(r *Registry) *FaultMetrics {
-	return &FaultMetrics{
-		ProbeReads:     r.Counter(MetricProbeReads),
-		ProbeTransient: r.Counter(MetricProbeTransient),
-		ProbeLatent:    r.Counter(MetricProbeLatent),
-	}
-}
-
 // StoreMetrics is the object-store handle bundle (internal/objstore):
 // degraded-path data counters.
 type StoreMetrics struct {
@@ -60,19 +43,6 @@ type RunObserver struct {
 	Series *Series
 	// SampleEveryHours is the sampling cadence in simulated hours.
 	SampleEveryHours float64
-
-	// fm memoizes the fault-injector bundle over Registry, resolved on
-	// first use so repeat runs against one observer re-register nothing.
-	fm *FaultMetrics
-}
-
-// FaultMetrics returns the fault-injector handle bundle over Registry,
-// resolving it on first call. Registry must be non-nil.
-func (o *RunObserver) FaultMetrics() *FaultMetrics {
-	if o.fm == nil {
-		o.fm = NewFaultMetrics(o.Registry)
-	}
-	return o.fm
 }
 
 // ErrSampleCadence reports an invalid sampler configuration.

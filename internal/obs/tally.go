@@ -47,6 +47,12 @@ type Tally struct {
 	RebuildRetries  int
 	TransientFaults int
 	Resourcings     int
+	// ProbeReads counts rebuild source reads the fault model classified,
+	// hedges included; ProbeLatent counts the probes that hit a latent
+	// error. It can exceed LSEDetected, which skips errors on blocks
+	// already moved.
+	ProbeReads  int
+	ProbeLatent int
 	// Bursts counts correlated-failure bursts; BurstKills counts the
 	// drive deaths they injected (some may coincide with natural deaths).
 	Bursts     int

@@ -436,12 +436,14 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 	// its queue wait and transfer time into the span now.
 	b.spanEndAttempt(r, now)
 	if b.fm != nil {
+		b.tally.ProbeReads++
 		switch b.fm.ProbeRead(now, r.task.Source, r.task.Group) {
 		case faults.ReadTransient:
 			b.tally.TransientFaults++
 			b.retryOrResource(now, r)
 			return
 		case faults.ReadLatent:
+			b.tally.ProbeLatent++
 			// The damaged source replica has already been unlinked and
 			// queued for repair by the injector's discovery handler
 			// (which may have latched the group lost); this rebuild

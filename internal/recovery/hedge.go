@@ -219,6 +219,7 @@ func (b *base) dropHedgesOn(diskID int) {
 func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	ht := r.hedgeTask
 	if b.fm != nil {
+		b.tally.ProbeReads++
 		switch b.fm.ProbeRead(now, ht.Source, ht.Group) {
 		case faults.ReadTransient:
 			b.tally.TransientFaults++
@@ -226,6 +227,7 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 			b.untrackHedge(r)
 			return
 		case faults.ReadLatent:
+			b.tally.ProbeLatent++
 			// The damaged replica was unlinked (and queued for repair) by
 			// the injector's discovery handler; this hedge just loses.
 			b.cl.ReleaseTarget(ht.Target)
