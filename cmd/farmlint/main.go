@@ -17,15 +17,14 @@
 //	nodeterm    no wall clocks, global randomness, or order-dependent
 //	            map walks in simulator packages
 //	hotpath     //farm:hotpath functions stay structurally alloc-free
-//	floatvalid  every float config field is covered by Validate
-//	tracekind   trace.Kind is a closed vocabulary of unique constants
 //	seqtie      heap comparators tie-break on a sequence number
 //	rngsalt     XOR stream salts are named *Salt/*Seed constants, unique
 //	            across the import closure (cross-package facts)
 //	unitcheck   unit-suffixed quantities (*Hours/*Ms/*MBps/*Bytes/*Ratio/
 //	            *PerHour) never mix dimensions without a conversion
-//	configflow  every integer config knob is validated, and every knob is
-//	            read outside Validate somewhere in the simulator
+//	configflow  every numeric config knob (integer, float, Duration) is
+//	            validated, and every knob is read outside Validate
+//	            somewhere in the simulator
 //	kindflow    every trace.Kind has a CheckCausality rule (or an
 //	            annotation) and is emitted somewhere in the simulator
 package main

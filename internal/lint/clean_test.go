@@ -6,11 +6,11 @@ import (
 )
 
 // TestRepoClean is the meta-test behind scripts/lint.sh: the full farmlint
-// suite — all ten analyzers, facts threaded across packages — must run
+// suite — all seven analyzers, facts threaded across packages — must run
 // clean over every package of the module. Any new wall-clock read,
 // global-randomness import, order-dependent map walk, allocating
-// hot-path construct, unvalidated config float or integer, inline trace
-// kind, tie-break-free heap, inline or colliding RNG salt, cross-unit
+// hot-path construct, unvalidated config float or integer,
+// tie-break-free heap, inline or colliding RNG salt, cross-unit
 // arithmetic, dead config knob, or dead/uncovered trace kind anywhere
 // in the repo fails this test.
 func TestRepoClean(t *testing.T) {

@@ -5,12 +5,15 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// ConfigFlow generalizes floatvalid into a dataflow contract over the
-// whole simulator: an exported field on a Config/Policy struct is an
-// operator-facing knob, and a knob is only real if (a) Validate vets it
-// before a run starts and (b) something actually reads it afterwards. A
+// ConfigFlow is a dataflow contract over the whole simulator: an
+// exported field on a Config/Policy struct is an operator-facing knob,
+// and a knob is only real if (a) Validate vets it before a run starts
+// and (b) something actually reads it afterwards. A NaN or ±Inf smuggled
+// into a sweep config sails through `< 0` comparisons and silently
+// poisons years of simulated arithmetic; a
 // field that is validated but never read is a dead knob — the operator
 // turns it and nothing happens, the evaluation silently runs a different
 // system than its config claims — and the reader is frequently in a
@@ -18,11 +21,12 @@ import (
 // workload's knobs), so the check cannot be package-local.
 //
 //   - locally, in the watched packages (core, faults, recovery,
-//     topology, workload): every exported integer field of an exported
-//     Config/Policy struct must be referenced by the package's
-//     Validate/validate function, extending floatvalid (which owns
-//     float64/Duration) to the int knobs; //farm:anyvalue <why> exempts
-//     a field whose entire domain is valid (e.g. a seed);
+//     topology, workload): every exported numeric field (integer,
+//     float, or time.Duration) of an exported Config/Policy struct must
+//     be referenced by the package's Validate/validate function;
+//     //farm:anyvalue <why> exempts an integer field whose entire domain
+//     is valid (e.g. a seed), but never a float or Duration, which
+//     always needs its NaN/Inf or range guard;
 //   - via facts: each watched package exports its declared fields (with
 //     local read/validate bits) and every package exports the foreign
 //     config fields it reads; a //farm:factsink package — one whose
@@ -40,8 +44,7 @@ var ConfigFlow = &Analyzer{
 	Run:  runConfigFlow,
 }
 
-// configFlowPkgs are the watched declaration packages (the same set
-// floatvalid audits).
+// configFlowPkgs are the watched declaration packages.
 var configFlowPkgs = map[string]bool{"core": true, "faults": true, "recovery": true, "topology": true, "workload": true}
 
 // configFlowFact is the package fact. Watched packages export Fields;
@@ -103,8 +106,8 @@ func runConfigFlow(pass *Pass) error {
 	// Collect every field *read*: a FieldVal selection that is not a
 	// pure write, split into local-struct reads and foreign reads, and
 	// flagged by whether it sits inside a Validate body.
-	localReads := make(map[*types.Var]bool)     // reads outside Validate, this package's structs
-	validatedBy := make(map[*types.Var]bool)    // references inside Validate (any selection)
+	localReads := make(map[*types.Var]bool)  // reads outside Validate, this package's structs
+	validatedBy := make(map[*types.Var]bool) // references inside Validate (any selection)
 	foreignReads := make(map[string]configFieldRef)
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
@@ -163,7 +166,7 @@ func runConfigFlow(pass *Pass) error {
 	}
 	sort.Slice(fact.Reads, func(i, j int) bool { return fact.Reads[i].key() < fact.Reads[j].key() })
 
-	// Declaration audit in watched packages: integer fields must be
+	// Declaration audit in watched packages: numeric fields must be
 	// covered by Validate (the local half), and every exported field is
 	// exported as a fact for the sink's read audit (the global half).
 	if watched {
@@ -203,6 +206,15 @@ func runConfigFlow(pass *Pass) error {
 	return nil
 }
 
+// isConfigStructName matches the exported configuration types the
+// contract covers.
+func isConfigStructName(name string) bool {
+	if !ast.IsExported(name) {
+		return false
+	}
+	return name == "Config" || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy")
+}
+
 // configOwner reports whether the selection's receiver is an exported
 // Config/Policy struct, and its name.
 func configOwner(recv types.Type) (bool, string) {
@@ -237,11 +249,15 @@ func (p *Pass) auditConfigFlow(typeName string, st *ast.StructType, validatedBy,
 			pos := p.Fset.Position(name.Pos())
 			_, anyValue := p.directiveAt(pos.Line, pos.Filename, dirAnyValue)
 			_, reserved := p.directiveAt(pos.Line, pos.Filename, dirReserved)
-			if isIntegerKnob(obj.Type()) && !anyValue {
+			if knob, exemptable := numericKnob(obj.Type()); knob && !(anyValue && exemptable) && !validatedBy[obj] {
+				risk := "NaN/Inf or out-of-range values will reach the simulation"
+				if exemptable {
+					risk = "out-of-range values will reach the simulation (//farm:anyvalue if the whole domain is valid)"
+				}
 				if !sawValidate {
 					p.Reportf(name.Pos(), "%s.%s is a numeric knob but package %s has no Validate function to check it", typeName, name.Name, p.Pkg.Name())
-				} else if !validatedBy[obj] {
-					p.Reportf(name.Pos(), "%s.%s (%s) is never referenced by Validate: out-of-range values will reach the simulation (//farm:anyvalue if the whole domain is valid)", typeName, name.Name, obj.Type().String())
+				} else {
+					p.Reportf(name.Pos(), "%s.%s (%s) is never referenced by Validate: %s", typeName, name.Name, obj.Type().String(), risk)
 				}
 			}
 			out = append(out, configFieldDecl{
@@ -257,12 +273,26 @@ func (p *Pass) auditConfigFlow(typeName string, st *ast.StructType, validatedBy,
 	return out
 }
 
-// isIntegerKnob matches the numeric kinds floatvalid does not already
-// own: integers of any width and signedness (bools, strings, structs,
-// funcs, and floats/Durations are out of scope here).
-func isIntegerKnob(t types.Type) bool {
+// numericKnob reports whether t is a numeric knob Validate must cover
+// (an integer of any width, a float, or a time.Duration) and whether
+// //farm:anyvalue may exempt it: only a plain integer may.
+func numericKnob(t types.Type) (knob, exemptable bool) {
+	if named, ok := t.(*types.Named); ok {
+		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Duration" {
+			return true, false
+		}
+	}
 	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
+	if !ok {
+		return false, false
+	}
+	switch {
+	case b.Info()&types.IsInteger != 0:
+		return true, true
+	case b.Info()&types.IsFloat != 0:
+		return true, false
+	}
+	return false, false
 }
 
 // reportDeadKnobs is the sink-side aggregation: union the read sets of

@@ -7,9 +7,10 @@ import (
 	"sort"
 )
 
-// KindFlow closes the loop tracekind opens. tracekind proves the Kind
-// vocabulary is declared only in internal/trace and collision-free;
-// kindflow proves the vocabulary is *alive*:
+// KindFlow proves the trace.Kind vocabulary is *alive*. The type keeps
+// it closed: Kind is a small integer whose names live in internal/trace's
+// kind table, so no inline string converts to a Kind. kindflow checks
+// that every declared kind means something:
 //
 //   - locally, in internal/trace: every declared Kind constant must be
 //     referenced by CheckCausality — the ordering contract is the whole
@@ -28,6 +29,22 @@ var KindFlow = &Analyzer{
 	Name: "kindflow",
 	Doc:  "every trace.Kind is emitted somewhere in the simulator and has a CheckCausality rule or //farm:nocausality",
 	Run:  runKindFlow,
+}
+
+// isTracePkg matches the trace package itself (and fixture stand-ins
+// named trace).
+func isTracePkg(path string) bool {
+	return pkgPathBase(path) == "trace"
+}
+
+// isKindType reports whether t is the trace package's Kind type.
+func isKindType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Kind" && obj.Pkg() != nil && isTracePkg(obj.Pkg().Path())
 }
 
 // kindFlowFact is the package fact: internal/trace exports Declared;

@@ -13,15 +13,6 @@
 //   - hotpath: functions annotated //farm:hotpath must stay structurally
 //     allocation-free (no fmt/errors calls, closures, map/chan makes,
 //     non-self appends, defers);
-//   - floatvalid: every exported float64/time.Duration field on a
-//     Config/Policy struct in core, faults, and recovery must be
-//     referenced by that package's Validate function;
-//   - tracekind: trace.Kind constants are unique, declared only in
-//     internal/trace, and emitted only via declared constants — never
-//     inline string literals;
-//   - metricname: obs.Name constants are unique snake_case [a-z_]+
-//     strings declared only in internal/obs, and metrics register only
-//     via declared constants — never inline name strings;
 //   - seqtie: every container/heap element ordering must tie-break on an
 //     explicit sequence number, so simultaneous events pop in a
 //     deterministic order.
@@ -39,12 +30,18 @@
 //     a recognized conversion (annotate exceptions //farm:unitless);
 //   - configflow: every exported field of a Config/Policy struct in
 //     core/faults/recovery/topology/workload is validated (numeric
-//     fields referenced by Validate; //farm:anyvalue exempts) and read
-//     outside Validate somewhere in the simulator's import closure
-//     (//farm:reserved exempts) — the dead-knob detector;
+//     fields referenced by Validate; //farm:anyvalue exempts integers,
+//     never floats or Durations) and read outside Validate somewhere in
+//     the simulator's import closure (//farm:reserved exempts) — the
+//     NaN guard and the dead-knob detector;
 //   - kindflow: every trace.Kind constant carries a CheckCausality rule
 //     or //farm:nocausality, and is actually used outside internal/trace
 //     somewhere in the simulator — the dead-kind detector.
+//
+// Two vocabularies need no analyzer: trace.Kind and obs.Name are small
+// integer types with one name table each, so an inline string does not
+// compile as a kind or a metric name, and unit tests over the two tables
+// check that the names are unique (and, for metrics, snake_case).
 //
 // The suite is framework-compatible in spirit with
 // golang.org/x/tools/go/analysis but deliberately depends only on the
@@ -131,9 +128,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoDeterm,
 		HotPath,
-		FloatValid,
-		TraceKind,
-		MetricName,
 		SeqTie,
 		RngSalt,
 		UnitCheck,

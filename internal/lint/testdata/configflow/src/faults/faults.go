@@ -4,7 +4,8 @@
 // too.
 package faults
 
-// InjectPolicy carries a knob no Validate checks and no code reads.
+// InjectPolicy carries knobs no Validate checks and no code reads.
 type InjectPolicy struct {
-	Burst int // want "has no Validate function" "dead knob"
+	Burst  int     // want "has no Validate function" "dead knob"
+	Lambda float64 // want "has no Validate function" "dead knob"
 }

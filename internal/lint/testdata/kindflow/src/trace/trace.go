@@ -7,21 +7,21 @@ package trace
 import "errors"
 
 // Kind labels an event.
-type Kind string
+type Kind uint8
 
 const (
 	// KindFail and KindDetect have causality rules and emitters: clean.
-	KindFail   Kind = "fail"
-	KindDetect Kind = "detect"
+	KindFail Kind = iota + 1
+	KindDetect
 	// KindMarker is a declared pure marker, emitted: clean.
-	KindMarker Kind = "marker" //farm:nocausality load-bearing free-form marker with no ordering contract
+	KindMarker //farm:nocausality load-bearing free-form marker with no ordering contract
 	// KindNoRule is emitted but has neither a rule nor an annotation.
-	KindNoRule Kind = "norule" // want "has no CheckCausality rule"
+	KindNoRule // want "has no CheckCausality rule"
 	// KindDead has a rule but no emitter anywhere in the closure.
-	KindDead Kind = "dead" // want "dead kind"
+	KindDead // want "dead kind"
 	// KindFuture is forward-declared: exempt from both checks.
 	//farm:reserved forward-declared for the planned maintenance PR
-	KindFuture Kind = "future" //farm:nocausality pure marker once emitted
+	KindFuture //farm:nocausality pure marker once emitted
 )
 
 // Event is one trace record.
