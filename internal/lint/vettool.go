@@ -159,7 +159,9 @@ func PrintVersion(w io.Writer) {
 // results may be served from the vet action cache. 2.0.0 is the
 // fact-exporting suite: the .vetx payload format is keyed on this
 // string too, so older cached facts read as empty rather than lying.
-const Version = "2.0.0"
+// 2.1.0 is the seven-analyzer suite, with configflow owning the float
+// rule.
+const Version = "2.1.0"
 
 // PrintFlags implements the -flags handshake: the JSON list of
 // analyzer flags this tool accepts (none — the suite is not
