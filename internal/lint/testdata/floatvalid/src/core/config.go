@@ -1,6 +1,7 @@
-// Package core is a floatvalid fixture standing in for a simulator
-// package carrying validated configuration structs (the guard matches
-// path base names core, faults, recovery).
+// Package core is a fixture of the float rule configflow took over from
+// floatvalid, standing in for a simulator package carrying validated
+// configuration structs (the guard matches watched path base names such
+// as core and faults).
 package core
 
 import (
@@ -17,7 +18,7 @@ type Config struct {
 	Timeout  time.Duration // checked below: clean
 	Checked  float64       // checked below: clean
 	Name     string        // not a float: exempt
-	Replicas int           // not a float: exempt
+	Replicas int           // checked below: integers need Validate too
 	hidden   float64       // unexported: exempt
 }
 
@@ -26,7 +27,7 @@ func (c *Config) Validate() error {
 	if c.Checked < 0 || c.Checked != c.Checked {
 		return errBad
 	}
-	if c.Timeout <= 0 {
+	if c.Timeout <= 0 || c.Replicas <= 0 {
 		return errBad
 	}
 	_ = c.hidden

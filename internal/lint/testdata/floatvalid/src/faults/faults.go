@@ -1,6 +1,6 @@
-// Package faults is a floatvalid fixture for the degenerate case: a
-// guarded package declaring float-bearing config structs with no Validate
-// function at all.
+// Package faults is a fixture of configflow's float rule for the
+// degenerate case: a guarded package declaring float-bearing config
+// structs with no Validate function at all.
 package faults
 
 // BurstPolicy carries a rate no one checks.
