@@ -230,7 +230,7 @@ func BenchmarkAblationBandwidthScheduler(b *testing.B) {
 			eng := sim.New()
 			s := recovery.NewScheduler(eng, tasks+1)
 			for t := 0; t < tasks; t++ {
-				s.Submit(&recovery.Task{Group: t, Source: t, Target: tasks, Duration: 1}, nil)
+				s.Submit(&recovery.Task{Group: t, Source: t, Target: tasks, Duration: 1})
 			}
 			eng.Run()
 			makespan = eng.Now()
@@ -243,7 +243,7 @@ func BenchmarkAblationBandwidthScheduler(b *testing.B) {
 			eng := sim.New()
 			s := recovery.NewScheduler(eng, 2*tasks)
 			for t := 0; t < tasks; t++ {
-				s.Submit(&recovery.Task{Group: t, Source: t, Target: tasks + t, Duration: 1}, nil)
+				s.Submit(&recovery.Task{Group: t, Source: t, Target: tasks + t, Duration: 1})
 			}
 			eng.Run()
 			makespan = eng.Now()

@@ -15,15 +15,16 @@ import (
 // materialization brought it to 7415; counting each run outcome once in
 // the RunResult's tally, with no metric sinks for unobserved runs, took
 // it to 7408; typed trace payloads, which unobserved runs no longer
-// format into detail strings, to 7379 (this test's steady-state
-// measurement: 7197, 7198 under -race). Any change that drifts
-// allocations back above it fails `go test`, not just a benchmark
-// eyeball.
+// format into detail strings, to 7379; pooled rebuild records with
+// callbacks bound once per record, generation-stamped disk queues and
+// dense per-disk indexes, to 657 (this test's steady-state measurement:
+// 649, 650 under -race). Any change that drifts allocations back above
+// it fails `go test`, not just a benchmark eyeball.
 func TestSingleRunAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const ceiling = 7379 // SingleRunFARM allocs/op with typed trace payloads
+	const ceiling = 657 // SingleRunFARM allocs/op with pooled rebuild records
 	cfg := DefaultConfig()
 	cfg.TotalDataBytes = 50 * disk.TB
 	cfg.GroupBytes = 10 * disk.GB

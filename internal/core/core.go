@@ -404,7 +404,7 @@ func runOnce(cfg Config) (RunResult, error) {
 
 	spawn := func(now sim.Time) int {
 		ids := cl.AddDisks(1, float64(now))
-		sched.Grow(cl.NumDisks())
+		st.engine.Grow(cl.NumDisks())
 		st.scheduleFailure(ids[0])
 		st.armLSE(ids[0])
 		st.armFailSlow(ids[0])
@@ -570,6 +570,9 @@ type runState struct {
 	// planned drain is the front half of a drive swap). Nil until the
 	// first window opens.
 	plannedDrain map[int]bool
+	// rebalance keeps the replacement and growth batches' migration
+	// scratch across the run's batches.
+	rebalance replace.Rebalancer
 }
 
 // scheduleSample arms the next read-only system-state snapshot. The
@@ -1124,7 +1127,7 @@ func (st *runState) maybeReplace(now sim.Time) {
 	count := st.failedSinceBatch
 	st.failedSinceBatch = 0
 	ids := st.cl.AddDisks(count, float64(now))
-	st.sched.Grow(st.cl.NumDisks())
+	st.engine.Grow(st.cl.NumDisks())
 	for _, nid := range ids {
 		st.scheduleFailure(nid)
 		st.armLSE(nid)
@@ -1132,7 +1135,7 @@ func (st *runState) maybeReplace(now sim.Time) {
 	}
 	st.res.BatchesAdded++
 	st.res.DisksAdded += count
-	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
+	st.res.MigratedBytes += st.rebalance.Onto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindBatchAdded,
 		N: int32(count)})
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/faults"
-	"repro/internal/replace"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -291,7 +290,7 @@ func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
 		Vintage:       v,
 	}
 	ids := st.cl.AddDisksModel(m.GrowDisks, float64(now), model)
-	st.sched.Grow(st.cl.NumDisks())
+	st.engine.Grow(st.cl.NumDisks())
 	for _, nid := range ids {
 		st.scheduleFailure(nid)
 		st.armLSE(nid)
@@ -299,7 +298,7 @@ func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
 	}
 	st.res.GrowthBatches++
 	st.res.GrowthDisksAdded += len(ids)
-	st.res.MigratedBytes += replace.RebalanceOnto(st.cl, ids)
+	st.res.MigratedBytes += st.rebalance.Onto(st.cl, ids)
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindGrowth,
 		N: int32(len(ids))})
 }

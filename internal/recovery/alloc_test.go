@@ -3,8 +3,12 @@ package recovery
 import (
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/redundancy"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // TestFARMPickTargetZeroAlloc is the allocation-regression gate for the
@@ -16,7 +20,7 @@ func TestFARMPickTargetZeroAlloc(t *testing.T) {
 	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 
 	// Put the engine into a realistic steady state: one failure with
-	// rebuilds in flight, so perGroupTargets and the disk indexes are
+	// rebuilds in flight, so the group target lists and disk indexes are
 	// populated and their backing storage is warm.
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
@@ -39,20 +43,148 @@ func TestFARMPickTargetZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTrackUntrackSteadyStateZeroAlloc verifies that the per-group
-// in-flight-target index reuses its backing storage: a track/untrack
-// cycle on a warmed group performs no allocation.
-func TestTrackUntrackSteadyStateZeroAlloc(t *testing.T) {
-	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-	r := &rebuild{task: &Task{Group: 7, Rep: 0, Source: 1, Target: 2}}
-	// Warm: first track allocates the group's slot and slice.
-	f.track(r)
-	f.untrack(r)
-	if n := testing.AllocsPerRun(100, func() {
-		f.track(r)
-		f.untrack(r)
-	}); n != 0 {
-		t.Fatalf("track/untrack allocates %v times per run, want 0", n)
+// flipFM is a FaultModel whose source reads alternate transient, clean,
+// transient, …: every rebuild retries exactly once.
+type flipFM struct{ n int }
+
+func (f *flipFM) ProbeRead(sim.Time, int, int) faults.Outcome {
+	f.n++
+	if f.n%2 == 1 {
+		return faults.ReadTransient
+	}
+	return faults.ReadOK
+}
+func (f *flipFM) RetryBackoff(int) sim.Time { return 0.25 }
+func (f *flipFM) MaxRetries() int           { return 3 }
+func (f *flipFM) MaxResourcings() int       { return 3 }
+
+// relose unlinks block ref wherever it lives and reports the loss to e,
+// which opens a fresh rebuild of it.
+func (h *harness) relose(e Engine, ref cluster.BlockRef) {
+	now := h.eng.Now()
+	d, _ := h.cl.CorruptBlock(ref)
+	e.HandleBlockLoss(now, now, d, int(ref.Group), int(ref.Rep))
+}
+
+// TestRebuildLifecycleZeroAlloc is the allocation gate for the rebuild
+// lifecycle. Each cycle loses one block and drives its rebuild to the
+// end through one path: submit → complete, redirection, a transient
+// retry, a hedge that wins, and park → resume behind a dark rack. Once
+// the slab, the disk indexes and the disk queues are warm, no cycle
+// touches the heap.
+func TestRebuildLifecycleZeroAlloc(t *testing.T) {
+	ref := cluster.BlockRef{Group: 5, Rep: 0}
+	mirror3 := redundancy.Scheme{M: 1, N: 3}
+	cases := []struct {
+		name string
+		// setup builds the engine and returns one lifecycle cycle.
+		setup func(t *testing.T) (f *FARM, cycle func())
+	}{
+		{"submit-complete", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			return f, func() {
+				h.relose(f, ref)
+				h.eng.Run()
+			}
+		}},
+		{"redirect", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			return f, func() {
+				h.relose(f, ref)
+				r := f.groupTargets[ref.Group].rb
+				old := r.task.Target
+				f.redirect(h.eng.Now(), r)
+				// The target is alive, so hand its reservation back
+				// (redirect assumes a dead target's bytes are gone).
+				f.cl.ReleaseTarget(old)
+				h.eng.Run()
+			}
+		}},
+		{"transient-retry", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			f.SetFaultModel(&flipFM{})
+			return f, func() {
+				h.relose(f, ref)
+				h.eng.Run()
+			}
+		}},
+		{"hedge-win", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			f.SetStraggler(StragglerPolicy{
+				Enabled:             true,
+				HedgeAfterMultiple:  2,
+				TimeoutMultiple:     -1,
+				SlowFactorThreshold: -1,
+			}, nil)
+			// The rebuild reads from the first intact buddy; make it
+			// crawl so the hedge, reading the other buddy, wins.
+			h.cl.Disks[h.cl.GroupDiskOf(int(ref.Group), 1)].Slowdown = 64
+			return f, func() {
+				h.relose(f, ref)
+				h.eng.Run()
+			}
+		}},
+		{"park-resume", func(t *testing.T) (*FARM, func()) {
+			net, err := topology.NewNetwork(topology.Config{Racks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newHarnessNet(t, mirror3, 200, net)
+			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			f.SetTopology(net)
+			return f, func() {
+				h.relose(f, ref)
+				tgt := f.groupTargets[ref.Group].Target
+				rack := net.RackOf(tgt)
+				net.SetRackUnreachable(rack, float64(h.eng.Now()))
+				f.HandleUnreachable(h.eng.Now(), tgt)
+				net.SetRackReachable(rack)
+				f.HandleReachable(h.eng.Now(), tgt)
+				h.eng.Run()
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, cycle := tc.setup(t)
+			for i := 0; i < 20; i++ {
+				cycle()
+			}
+			before := f.tally.BlocksRebuilt
+			if n := testing.AllocsPerRun(50, cycle); n != 0 {
+				t.Fatalf("rebuild lifecycle allocates %v times per cycle, want 0", n)
+			}
+			// AllocsPerRun runs the cycle once more as its own warm-up.
+			if got := f.tally.BlocksRebuilt - before; got != 51 {
+				t.Fatalf("rebuilt %d blocks over 51 cycles", got)
+			}
+			if f.InFlight() != 0 || f.cl.GroupAvailable(int(ref.Group)) != 3 {
+				t.Fatalf("cycle left %d rebuilds in flight, group at %d blocks",
+					f.InFlight(), f.cl.GroupAvailable(int(ref.Group)))
+			}
+			tl := f.tally
+			switch tc.name {
+			case "redirect":
+				if tl.Redirections < 51 {
+					t.Fatalf("redirections = %d, want one per cycle", tl.Redirections)
+				}
+			case "transient-retry":
+				if tl.RebuildRetries < 51 {
+					t.Fatalf("retries = %d, want one per cycle", tl.RebuildRetries)
+				}
+			case "hedge-win":
+				if tl.HedgeWins < 51 {
+					t.Fatalf("hedge wins = %d, want one per cycle", tl.HedgeWins)
+				}
+			case "park-resume":
+				if tl.ParkedTransfers < 51 {
+					t.Fatalf("parked = %d, want one per cycle", tl.ParkedTransfers)
+				}
+			}
+		})
 	}
 }

@@ -119,6 +119,9 @@ type Engine interface {
 	// HandleWriteUnfence reacts to diskID's write fence lifting: rebuilds
 	// parked against it resubmit.
 	HandleWriteUnfence(now sim.Time, diskID int)
+	// Grow extends the engine's and its scheduler's per-disk tables to
+	// numDisks after disks join the cluster.
+	Grow(numDisks int)
 }
 
 // DiskSpawner lets an engine add drives to the system; the simulator hooks
@@ -126,8 +129,16 @@ type Engine interface {
 type DiskSpawner func(now sim.Time) int
 
 // rebuild carries the engine-level state of one block reconstruction.
+// Records come from the engine's slab (see slab.go) and return to it at
+// the rebuild's terminal point, so the steady-state lifecycle allocates
+// nothing.
 type rebuild struct {
-	task     *Task
+	// task is the primary transfer and hedge the duplicate one. Both are
+	// re-pointed in place for every attempt (setTask); the scheduler's
+	// attempt generation keeps a cancelled attempt's stale queue entry
+	// from aliasing the next one.
+	task     Task
+	hedge    Task
 	failedAt sim.Time // when the block was lost
 	// trial is the candidate-stream position of the current target, so
 	// redirection resumes the stream past it (FARM only).
@@ -147,8 +158,8 @@ type rebuild struct {
 	// submission uses it bit-for-bit unchanged.
 	baseDur sim.Time
 	// hedgeEv/timeoutEv are the pending straggler timers; hedgeTask is
-	// the in-flight duplicate transfer (nil when none); hedges counts
-	// duplicates launched over the rebuild's lifetime (capped).
+	// the in-flight duplicate transfer (&hedge, nil when none); hedges
+	// counts duplicates launched over the rebuild's lifetime (capped).
 	hedgeEv   sim.Handle
 	timeoutEv sim.Handle
 	hedgeTask *Task
@@ -166,9 +177,14 @@ type rebuild struct {
 	// its task is cancelled and its timers disarmed, but it stays in the
 	// disk indexes so heals (and endpoint deaths) find it.
 	parked bool
-	// id is the rebuild's id (see open). It shares parked's word: one
-	// more word would push the struct past its 128-byte size class.
+	// id is the rebuild's id (see open).
 	id int32
+	// onRetry, onHedge and onTimeout are the record's timer callbacks,
+	// bound the first time the record arms a timer (bind), so later
+	// timers allocate nothing.
+	onRetry, onHedge, onTimeout func(now sim.Time)
+	// next links the record into the slab's free list.
+	next *rebuild
 }
 
 // base holds the machinery common to both engines.
@@ -184,15 +200,18 @@ type base struct {
 	// tally is the run's outcome record; every engine event counter is
 	// written there, once per event.
 	tally *obs.Tally
-	// active indexes live rebuilds by the disks they touch.
-	bySource map[int][]*rebuild
-	byTarget map[int][]*rebuild
-	// perGroupTargets tracks in-flight rebuild targets per group so two
-	// rebuilds of one group never pick the same disk. Values are tiny
-	// (at most the group's missing-block count), so a slice with
-	// swap-remove beats a nested map; emptied slices keep their backing
-	// array for reuse, so steady-state tracking allocates nothing.
-	perGroupTargets map[int][]int
+	// bySource and byTarget index live rebuilds by the disks they touch,
+	// one list per disk id (Grow extends them).
+	bySource [][]*rebuild
+	byTarget [][]*rebuild
+	// groupTargets heads, per group, the list of in-flight rebuild and
+	// hedge tasks (threaded through Task.groupNext) so two rebuilds of
+	// one group never pick the same disk. A group's key is deleted when
+	// its list empties, so the map stays at the peak number of
+	// concurrently repairing groups.
+	groupTargets map[int32]*Task
+	// slabFree heads the free list of rebuild records (see newRebuild).
+	slabFree *rebuild
 	// observer, when set, receives every traced engine event.
 	observer func(trace.Event)
 	// lastID is the id of the most recently opened rebuild.
@@ -211,8 +230,8 @@ type base struct {
 	det    *stragglerDetector
 	evict  func(now sim.Time, diskID int)
 	// hedgeByDisk indexes in-flight hedge transfers by both endpoints so
-	// disk deaths can drop them.
-	hedgeByDisk map[int][]*rebuild
+	// disk deaths can drop them (one list per disk id, like bySource).
+	hedgeByDisk [][]*rebuild
 	// hists are the per-rebuild registry histograms (all nil when no
 	// registry is attached).
 	hists histograms
@@ -233,27 +252,57 @@ type base struct {
 	lastThrottle  float64
 }
 
-func newBase(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) base {
-	b := base{
-		cl:              cl,
-		eng:             eng,
-		sched:           sched,
-		throttle:        throttle,
-		tally:           tally,
-		bySource:        make(map[int][]*rebuild),
-		byTarget:        make(map[int][]*rebuild),
-		perGroupTargets: make(map[int][]int),
-		hedgeByDisk:     make(map[int][]*rebuild),
+// init sets up the machinery in place (the scheduler's OnDone hook binds
+// b's final address) and claims the scheduler for this engine.
+func (b *base) init(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) {
+	n := cl.NumDisks()
+	*b = base{
+		cl:           cl,
+		eng:          eng,
+		sched:        sched,
+		throttle:     throttle,
+		tally:        tally,
+		bySource:     seededLists(n),
+		byTarget:     seededLists(n),
+		groupTargets: make(map[int32]*Task),
+		hedgeByDisk:  make([][]*rebuild, n),
 	}
 	b.stats.WindowP50 = metrics.NewP2(0.5)
 	b.stats.WindowP99 = metrics.NewP2(0.99)
 	b.stats.DegradedP50 = metrics.NewP2(0.5)
 	b.stats.DegradedP99 = metrics.NewP2(0.99)
 	b.stats.HealthyP99 = metrics.NewP2(0.99)
-	return b
+	sched.OnDone = b.transferDone
 }
 
 func (b *base) Stats() *Stats { return &b.stats }
+
+// listSeed is the capacity each initial disk's bySource and byTarget
+// lists start with. Most disks serve at most a couple of concurrent
+// rebuilds, so carving every list from one shared array saves a
+// first-use allocation per disk per run.
+const listSeed = 2
+
+// seededLists returns n empty per-disk lists of capacity listSeed.
+func seededLists(n int) [][]*rebuild {
+	lists := make([][]*rebuild, n)
+	backing := make([]*rebuild, n*listSeed)
+	for i := range lists {
+		lists[i] = backing[i*listSeed : i*listSeed : (i+1)*listSeed]
+	}
+	return lists
+}
+
+// Grow implements Engine: it extends the scheduler's and the engine's
+// per-disk tables to numDisks.
+func (b *base) Grow(numDisks int) {
+	b.sched.Grow(numDisks)
+	for len(b.bySource) < numDisks {
+		b.bySource = append(b.bySource, nil)
+		b.byTarget = append(b.byTarget, nil)
+		b.hedgeByDisk = append(b.hedgeByDisk, nil)
+	}
+}
 
 // SetObserver implements Engine.
 func (b *base) SetObserver(fn func(trace.Event)) { b.observer = fn }
@@ -312,10 +361,14 @@ func (b *base) open(group, rep int, failedAt sim.Time) (int32, *obs.Span) {
 // finishes the span as dropped and traces the dropped event. Every drop
 // of an opened rebuild goes through here; disk is the rebuild's target
 // (-1 when it never had one).
+//
+// drop is a terminal point: r returns to the slab, so the caller must
+// not touch it afterwards.
 func (b *base) drop(now sim.Time, r *rebuild, group, rep, disk int) {
 	b.tally.DroppedRebuilds++
 	b.spanFinish(r.span, now, obs.OutcomeDropped)
 	b.emitRebuild(now, trace.KindDropped, r.id, group, rep, disk)
+	b.free(r)
 }
 
 // blockDuration is the healthy-model transfer time of one block rebuild
@@ -353,14 +406,15 @@ func (b *base) effDuration(baseDur sim.Time, src, tgt int) sim.Time {
 
 // track registers a rebuild in the disk indexes.
 //
-//farm:hotpath in-flight index insert, gated by TestTrackUntrackSteadyStateZeroAlloc
+//farm:hotpath in-flight index insert, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) track(r *rebuild) {
-	b.bySource[r.task.Source] = append(b.bySource[r.task.Source], r)
-	if len(b.byTarget[r.task.Target]) == 0 {
+	src, tgt := r.task.Source, r.task.Target
+	b.bySource[src] = append(b.bySource[src], r)
+	if len(b.byTarget[tgt]) == 0 {
 		b.activeTargets++
 	}
-	b.byTarget[r.task.Target] = append(b.byTarget[r.task.Target], r)
-	b.perGroupTargets[r.task.Group] = append(b.perGroupTargets[r.task.Group], r.task.Target)
+	b.byTarget[tgt] = append(b.byTarget[tgt], r)
+	b.linkGroupTarget(&r.task)
 	b.inFlight++
 }
 
@@ -369,26 +423,52 @@ func (b *base) track(r *rebuild) {
 // hedge: every path that untracks (success, abandonment, redirection,
 // re-sourcing, hedge win) supersedes them.
 //
-//farm:hotpath in-flight index removal, gated by TestTrackUntrackSteadyStateZeroAlloc
+//farm:hotpath in-flight index removal, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) untrack(r *rebuild) {
 	b.cancelTimers(r)
-	b.bySource[r.task.Source] = removeRebuild(b.bySource[r.task.Source], r)
-	tl := removeRebuild(b.byTarget[r.task.Target], r)
-	if len(tl) == 0 && len(b.byTarget[r.task.Target]) > 0 {
+	src, tgt := r.task.Source, r.task.Target
+	b.bySource[src] = removeRebuild(b.bySource[src], r)
+	tl := removeRebuild(b.byTarget[tgt], r)
+	if len(tl) == 0 && len(b.byTarget[tgt]) > 0 {
 		b.activeTargets--
 	}
-	b.byTarget[r.task.Target] = tl
-	tg := b.perGroupTargets[r.task.Group]
-	for i, t := range tg {
-		if t == r.task.Target {
-			tg[i] = tg[len(tg)-1]
-			// Keep the emptied slice in the map: its backing array is
-			// reused by the next rebuild of this group.
-			b.perGroupTargets[r.task.Group] = tg[:len(tg)-1]
-			break
+	b.byTarget[tgt] = tl
+	b.unlinkGroupTarget(&r.task)
+	b.inFlight--
+}
+
+// linkGroupTarget adds t's target to its group's in-flight target list.
+//
+//farm:hotpath per-group target index insert
+func (b *base) linkGroupTarget(t *Task) {
+	g := int32(t.Group)
+	t.groupNext = b.groupTargets[g]
+	b.groupTargets[g] = t
+}
+
+// unlinkGroupTarget removes t from its group's in-flight target list,
+// deleting the group's key when the list empties.
+//
+//farm:hotpath per-group target index removal
+func (b *base) unlinkGroupTarget(t *Task) {
+	g := int32(t.Group)
+	head := b.groupTargets[g]
+	if head == t {
+		if t.groupNext == nil {
+			delete(b.groupTargets, g)
+		} else {
+			b.groupTargets[g] = t.groupNext
+		}
+		t.groupNext = nil
+		return
+	}
+	for p := head; p != nil; p = p.groupNext {
+		if p.groupNext == t {
+			p.groupNext = t.groupNext
+			t.groupNext = nil
+			return
 		}
 	}
-	b.inFlight--
 }
 
 // cancelTimers disarms a rebuild's pending backed-off resubmission,
@@ -431,6 +511,8 @@ func removeRebuild(list []*rebuild, r *rebuild) []*rebuild {
 
 // complete finishes a rebuild: probe the source read for injected
 // faults, then install the block and record the window.
+//
+//farm:hotpath every primary transfer end, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) complete(now sim.Time, r *rebuild) {
 	// The attempt ran to completion whatever the probe below says; fold
 	// its queue wait and transfer time into the span now.
@@ -467,17 +549,18 @@ func (b *base) complete(now sim.Time, r *rebuild) {
 	w := float64(now - r.failedAt)
 	b.stats.Window.Add(w)
 	b.recordWindow(w)
-	b.sampleDegradedReads(now, r, r.task, w)
+	b.sampleDegradedReads(now, r, &r.task, w)
 	b.spanFinish(r.span, now, obs.OutcomeDone)
-	b.noteTransfer(now, r.task)
+	b.noteTransfer(now, &r.task)
 	b.emitRebuild(now, trace.KindRebuilt, r.id, r.task.Group, r.task.Rep, r.task.Target)
+	b.free(r)
 }
 
 // abandon drops a rebuild whose group is beyond repair.
 func (b *base) abandon(r *rebuild) {
 	now := b.eng.Now()
 	b.spanEndAttempt(r, now)
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	b.untrack(r)
 	b.cl.ReleaseTarget(r.task.Target)
 	b.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)
@@ -523,16 +606,9 @@ func (b *base) resource(r *rebuild) {
 		// (typically fleeing a dark or dead one).
 		b.emitRebuild(b.eng.Now(), trace.KindResourceCrossRack, r.id, r.task.Group, r.task.Rep, src)
 	}
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	b.untrack(r)
-	nt := &Task{
-		Group:    r.task.Group,
-		Rep:      r.task.Rep,
-		Source:   src,
-		Target:   r.task.Target,
-		Duration: b.effDuration(r.baseDur, src, r.task.Target),
-	}
-	r.task = nt
+	b.setTask(&r.task, r, r.task.Group, r.task.Rep, src, r.task.Target)
 	b.track(r)
 	b.tally.Resourcings++
 	if r.span != nil {
@@ -570,30 +646,47 @@ func (b *base) retryOrResource(now sim.Time, r *rebuild) {
 	if r.span != nil {
 		r.span.Retries++
 	}
-	// A fresh Task with identical endpoints: the finished task is spent
-	// (scheduler state done), but the disk indexes key by endpoint, so
-	// swapping the task pointer keeps tracking consistent.
-	nt := &Task{
-		Group:    r.task.Group,
-		Rep:      r.task.Rep,
-		Source:   r.task.Source,
-		Target:   r.task.Target,
-		Duration: b.effDuration(r.baseDur, r.task.Source, r.task.Target),
-	}
-	r.task = nt
+	// Re-point the spent task at the same endpoints: it stays tracked
+	// (the disk indexes key by endpoint) and idle until the backoff ends.
+	b.setTask(&r.task, r, r.task.Group, r.task.Rep, r.task.Source, r.task.Target)
 	r.retryArmedAt = now
-	b.emitRebuild(now, trace.KindRetry, r.id, nt.Group, nt.Rep, nt.Source)
-	r.retryEv = b.eng.After(b.fm.RetryBackoff(r.retries), "rebuild-retry", func(at sim.Time) {
-		r.retryEv = sim.Handle{}
-		if r.span != nil {
-			r.span.RetryWait += float64(at - r.retryArmedAt)
-		}
-		if b.cl.GroupLost(nt.Group) {
-			b.abandon(r)
-			return
-		}
-		b.submitTracked(r)
-	})
+	b.emitRebuild(now, trace.KindRetry, r.id, r.task.Group, r.task.Rep, r.task.Source)
+	b.bind(r)
+	r.retryEv = b.eng.After(b.fm.RetryBackoff(r.retries), "rebuild-retry", r.onRetry)
+}
+
+// retryFired resubmits a rebuild whose transient-fault backoff elapsed
+// (its "rebuild-retry" event).
+func (b *base) retryFired(at sim.Time, r *rebuild) {
+	r.retryEv = sim.Handle{}
+	if r.span != nil {
+		r.span.RetryWait += float64(at - r.retryArmedAt)
+	}
+	if b.cl.GroupLost(r.task.Group) {
+		b.abandon(r)
+		return
+	}
+	b.submitTracked(r)
+}
+
+// setTask re-points t, one of r's two task records, at a new attempt of
+// block (group, rep) from src to tgt, timed from r's base duration. The
+// task is idle until submitted. Its attempt generation, done callback
+// and group-list link carry over: the generation is what keeps a
+// cancelled attempt's stale queue entry from aliasing the new one.
+func (b *base) setTask(t *Task, r *rebuild, group, rep, src, tgt int) {
+	*t = Task{
+		Group:     group,
+		Rep:       rep,
+		Source:    src,
+		Target:    tgt,
+		Duration:  b.effDuration(r.baseDur, src, tgt),
+		gen:       t.gen,
+		queuedOn:  -1,
+		fire:      t.fire,
+		rb:        r,
+		groupNext: t.groupNext,
+	}
 }
 
 // pickTarget applies the paper's target rules via the placement candidate
@@ -608,8 +701,8 @@ func (b *base) pickTarget(group, rep, startTrial int) (target, trial int, ok boo
 		return b.pickTargetSpread(group, rep, startTrial)
 	}
 	exclude := b.cl.BuddyExcludes(group)
-	for _, t := range b.perGroupTargets[group] {
-		exclude.Add(t)
+	for t := b.groupTargets[int32(group)]; t != nil; t = t.groupNext {
+		exclude.Add(t.Target)
 	}
 	target, trial, err := b.cl.Hasher().RecoveryTarget(
 		b.cl, uint64(group), rep, b.cl.BlockBytes, exclude, startTrial)
@@ -638,9 +731,9 @@ func (b *base) pickTarget(group, rep, startTrial int) (target, trial int, ok boo
 func (b *base) pickTargetSpread(group, rep, startTrial int) (target, trial int, ok bool) {
 	exclude := b.cl.BuddyExcludes(group)
 	rackEx := b.cl.BuddyRackExcludes(group)
-	for _, t := range b.perGroupTargets[group] {
-		exclude.Add(t)
-		rackEx.Add(b.net.RackOf(t))
+	for t := b.groupTargets[int32(group)]; t != nil; t = t.groupNext {
+		exclude.Add(t.Target)
+		rackEx.Add(b.net.RackOf(t.Target))
 	}
 	target, trial, err := b.cl.Hasher().RecoveryTargetSpread(
 		b.cl, b.net, uint64(group), rep, b.cl.BlockBytes, exclude, rackEx, startTrial)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -21,6 +22,13 @@ type harness struct {
 
 func newHarness(t *testing.T, scheme redundancy.Scheme, groups int) *harness {
 	t.Helper()
+	return newHarnessNet(t, scheme, groups, nil)
+}
+
+// newHarnessNet is newHarness over the network fabric net (nil for the
+// flat model).
+func newHarnessNet(t *testing.T, scheme redundancy.Scheme, groups int, net *topology.Network) *harness {
+	t.Helper()
 	cfg := cluster.Config{
 		Scheme:             scheme,
 		GroupBytes:         10 * disk.GB,
@@ -31,6 +39,7 @@ func newHarness(t *testing.T, scheme redundancy.Scheme, groups int) *harness {
 		// Keep the cluster comfortably wider than one group so recovery
 		// targets satisfying rule (b) always exist.
 		ExtraDisks: 10,
+		Net:        net,
 	}
 	cl, err := cluster.New(cfg)
 	if err != nil {
@@ -183,7 +192,7 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	}
 	if empty == -1 {
 		empty = h.cl.AddDisks(1, 0)[0]
-		h.sched.Grow(h.cl.NumDisks())
+		e.Grow(h.cl.NumDisks())
 	}
 	h.failAndDetect(e, empty)
 	h.eng.Run()

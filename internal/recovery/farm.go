@@ -23,7 +23,9 @@ type FARM struct {
 // each rebuild's per-disk recovery rate (the fixed policy at 16 MB/s is
 // the paper's base model); tally receives the engine's event counters.
 func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) *FARM {
-	return &FARM{base: newBase(cl, eng, sched, throttle, tally)}
+	f := new(FARM)
+	f.init(cl, eng, sched, throttle, tally)
+	return f
 }
 
 // Name implements Engine.
@@ -55,7 +57,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		f.tally.DroppedRebuilds++
 		return
 	}
-	r := &rebuild{failedAt: failedAt, baseDur: f.blockDuration()}
+	r := f.newRebuild(failedAt, f.blockDuration())
 	r.id, r.span = f.open(group, rep, failedAt)
 	target, trial, ok := f.pickTarget(group, rep, 0)
 	if !ok {
@@ -65,13 +67,7 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		return
 	}
 	r.trial = trial
-	r.task = &Task{
-		Group:    group,
-		Rep:      rep,
-		Source:   src,
-		Target:   target,
-		Duration: f.effDuration(r.baseDur, src, target),
-	}
+	f.setTask(&r.task, r, group, rep, src, target)
 	f.track(r)
 	f.submitTracked(r)
 }
@@ -104,7 +100,7 @@ func (f *FARM) HandleFailure(now sim.Time, diskID int) {
 // restarts from scratch on the new disk.
 func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	f.spanEndAttempt(r, now)
-	f.sched.Cancel(r.task)
+	f.sched.Cancel(&r.task)
 	f.untrack(r)
 	// No ReleaseTarget: the dead disk's byte accounting is already gone.
 	if f.cl.GroupLost(r.task.Group) {
@@ -128,14 +124,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 			return
 		}
 	}
-	nt := &Task{
-		Group:    r.task.Group,
-		Rep:      r.task.Rep,
-		Source:   src,
-		Target:   target,
-		Duration: f.effDuration(r.baseDur, src, target),
-	}
-	r.task = nt
+	f.setTask(&r.task, r, r.task.Group, r.task.Rep, src, target)
 	r.trial = trial
 	f.track(r)
 	f.tally.Redirections++

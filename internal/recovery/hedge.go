@@ -22,6 +22,8 @@ import (
 // the hedge's fresh source/target pair escapes both. The detector, by
 // contrast, scores only transfer durations — a busy healthy disk is
 // never *flagged* slow, it just gets hedged around.
+//
+//farm:hotpath every attempt submission, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) submitTracked(r *rebuild) {
 	// Unified dark-rack catch-all: an attempt headed at or out of an
 	// unreachable rack parks here whatever path produced it (initial
@@ -40,39 +42,47 @@ func (b *base) submitTracked(r *rebuild) {
 	}
 	r.parked = false
 	// A new attempt begins: re-arm the span latch so its end is
-	// accounted exactly once, and hand the span to the scheduler so the
-	// OnStart hook can mark the first transfer start.
+	// accounted exactly once.
 	r.spanDone = false
-	r.task.rb = r
 	if r.span != nil {
 		r.span.Attempts++
 	}
-	b.sched.Submit(r.task, func(now sim.Time, _ *Task) { b.complete(now, r) })
+	b.sched.Submit(&r.task)
 	b.armStragglerTimers(r)
+}
+
+// transferDone is the scheduler's OnDone hook: a finished transfer is
+// either its rebuild's primary attempt or its hedge.
+//
+//farm:hotpath every transfer end, gated by TestRebuildLifecycleZeroAlloc
+func (b *base) transferDone(now sim.Time, t *Task) {
+	r := t.rb
+	if t == &r.hedge {
+		b.hedgeComplete(now, r)
+		return
+	}
+	b.complete(now, r)
 }
 
 // armStragglerTimers arms the hedge and timeout deadlines for the
 // rebuild's current attempt. Already-armed timers are left running (a
 // transient retry keeps its original deadlines: the rebuild has been
 // outstanding the whole time); terminal paths cancel both via untrack.
+//
+//farm:hotpath every attempt submission, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) armStragglerTimers(r *rebuild) {
 	if b.det == nil {
 		return
 	}
+	b.bind(r)
 	if b.policy.timeouts() && !r.timeoutEv.Valid() {
 		d := sim.Time(float64(r.baseDur) * b.policy.TimeoutMultiple)
-		r.timeoutEv = b.eng.After(d, "rebuild-timeout", func(now sim.Time) {
-			r.timeoutEv = sim.Handle{}
-			b.timeoutFired(now, r)
-		})
+		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
 	}
 	if b.policy.hedging() && !r.hedgeEv.Valid() && r.hedgeTask == nil &&
 		r.hedges < b.policy.MaxHedgesPerRebuild {
 		d := sim.Time(float64(r.baseDur) * b.policy.HedgeAfterMultiple)
-		r.hedgeEv = b.eng.After(d, "rebuild-hedge", func(now sim.Time) {
-			r.hedgeEv = sim.Handle{}
-			b.maybeHedge(now, r)
-		})
+		r.hedgeEv = b.eng.After(d, "rebuild-hedge", r.onHedge)
 	}
 }
 
@@ -94,10 +104,7 @@ func (b *base) armStragglerTimers(r *rebuild) {
 func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 	if r.hedgeTask != nil {
 		d := sim.Time(float64(r.baseDur) * b.policy.TimeoutMultiple)
-		r.timeoutEv = b.eng.After(d, "rebuild-timeout", func(at sim.Time) {
-			r.timeoutEv = sim.Handle{}
-			b.timeoutFired(at, r)
-		})
+		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
 		return
 	}
 	if r.resourcings >= b.maxResourcings() {
@@ -115,8 +122,8 @@ func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 // maybeHedge launches the duplicate transfer for a rebuild stuck past
 // its hedge deadline: another buddy read onto a fresh declustered
 // target, first finisher wins. The hedge claims its own reservation and
-// a perGroupTargets slot so concurrent rebuilds of the group cannot
-// collide with it.
+// place in the group's in-flight target list so concurrent rebuilds of
+// the group cannot collide with it.
 func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 	if r.hedgeTask != nil || r.hedges >= b.policy.MaxHedgesPerRebuild {
 		return
@@ -139,13 +146,8 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 		b.cl.ReleaseTarget(target)
 		return
 	}
-	ht := &Task{
-		Group:    r.task.Group,
-		Rep:      r.task.Rep,
-		Source:   src,
-		Target:   target,
-		Duration: b.effDuration(r.baseDur, src, target),
-	}
+	ht := &r.hedge
+	b.setTask(ht, r, r.task.Group, r.task.Rep, src, target)
 	r.hedgeTask = ht
 	r.hedges++
 	r.hedgeAt = now
@@ -153,19 +155,18 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 	if r.span != nil {
 		r.span.Hedges++
 	}
-	ht.rb = r
 	b.trackHedge(r)
 	b.emitRebuild(now, trace.KindHedge, r.id, ht.Group, ht.Rep, ht.Target)
-	b.sched.Submit(ht, func(done sim.Time, _ *Task) { b.hedgeComplete(done, r) })
+	b.sched.Submit(ht)
 }
 
 // trackHedge registers the rebuild's hedge task in the hedge indexes and
-// the per-group target set.
+// the per-group target list.
 func (b *base) trackHedge(r *rebuild) {
 	ht := r.hedgeTask
 	b.hedgeByDisk[ht.Source] = append(b.hedgeByDisk[ht.Source], r)
 	b.hedgeByDisk[ht.Target] = append(b.hedgeByDisk[ht.Target], r)
-	b.perGroupTargets[ht.Group] = append(b.perGroupTargets[ht.Group], ht.Target)
+	b.linkGroupTarget(ht)
 }
 
 // untrackHedge removes the hedge from the indexes and clears the task
@@ -180,14 +181,7 @@ func (b *base) untrackHedge(r *rebuild) {
 	ht := r.hedgeTask
 	b.hedgeByDisk[ht.Source] = removeRebuild(b.hedgeByDisk[ht.Source], r)
 	b.hedgeByDisk[ht.Target] = removeRebuild(b.hedgeByDisk[ht.Target], r)
-	tg := b.perGroupTargets[ht.Group]
-	for i, t := range tg {
-		if t == ht.Target {
-			tg[i] = tg[len(tg)-1]
-			b.perGroupTargets[ht.Group] = tg[:len(tg)-1]
-			break
-		}
-	}
+	b.unlinkGroupTarget(ht)
 	r.hedgeTask = nil
 }
 
@@ -216,6 +210,8 @@ func (b *base) dropHedgesOn(diskID int) {
 // simply loses the race (the primary is untouched); a clean hedge
 // supersedes the primary: the block lands on the hedge target and the
 // primary attempt is cancelled.
+//
+//farm:hotpath every hedge transfer end, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	ht := r.hedgeTask
 	if b.fm != nil {
@@ -239,7 +235,7 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	// First finisher wins: cancel the primary attempt and release its
 	// reservation (dead targets already dropped their byte accounting).
 	b.spanEndAttempt(r, now)
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	b.untrack(r)
 	b.cl.ReleaseTarget(r.task.Target)
 	if b.cl.GroupLost(ht.Group) {
@@ -261,6 +257,7 @@ func (b *base) hedgeComplete(now sim.Time, r *rebuild) {
 	b.spanFinish(r.span, now, obs.OutcomeDone)
 	b.noteTransfer(now, ht)
 	b.emitRebuild(now, trace.KindHedgeWin, r.id, ht.Group, ht.Rep, ht.Target)
+	b.free(r)
 }
 
 // recordWindow feeds one vulnerability window into the streaming tail

@@ -101,7 +101,7 @@ func (b *base) park(r *rebuild) {
 		return
 	}
 	b.spanEndAttempt(r, b.eng.Now())
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	b.parkTracked(r)
 }
 
@@ -111,17 +111,10 @@ func (b *base) park(r *rebuild) {
 // under that buddy — parking it under its old (dead or faulty) source
 // would orphan it forever.
 func (b *base) parkOnSource(r *rebuild, src int) {
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	if src != r.task.Source {
 		b.untrack(r)
-		nt := &Task{
-			Group:    r.task.Group,
-			Rep:      r.task.Rep,
-			Source:   src,
-			Target:   r.task.Target,
-			Duration: b.effDuration(r.baseDur, src, r.task.Target),
-		}
-		r.task = nt
+		b.setTask(&r.task, r, r.task.Group, r.task.Rep, src, r.task.Target)
 		b.track(r)
 	}
 	b.parkTracked(r)
@@ -173,9 +166,9 @@ func (b *base) HandleReachable(now sim.Time, diskID int) {
 // resumeParked re-drives one parked rebuild after an endpoint's rack
 // healed. The group may have died, the other endpoint may still be
 // dark, or the source may need re-picking; whatever survives those
-// checks resubmits on a fresh task (the parked task is cancelled and
-// may sit stale in a disk FIFO queue — reusing its pointer could alias
-// a lazily-removed queue entry).
+// checks resubmits its re-pointed task. The parked attempt may still sit
+// stale in a disk FIFO queue; the resubmission's new attempt generation
+// keeps that entry from aliasing it.
 func (b *base) resumeParked(now sim.Time, r *rebuild) {
 	if !r.parked {
 		return
@@ -198,7 +191,7 @@ func (b *base) resumeParked(now sim.Time, r *rebuild) {
 			return // no reachable buddy yet; keep waiting
 		}
 	}
-	b.sched.Cancel(r.task)
+	b.sched.Cancel(&r.task)
 	b.untrack(r)
 	if src != r.task.Source {
 		b.tally.Resourcings++
@@ -209,14 +202,7 @@ func (b *base) resumeParked(now sim.Time, r *rebuild) {
 			b.emitRebuild(now, trace.KindResourceCrossRack, r.id, r.task.Group, r.task.Rep, src)
 		}
 	}
-	nt := &Task{
-		Group:    r.task.Group,
-		Rep:      r.task.Rep,
-		Source:   src,
-		Target:   r.task.Target,
-		Duration: b.effDuration(r.baseDur, src, r.task.Target),
-	}
-	r.task = nt
+	b.setTask(&r.task, r, r.task.Group, r.task.Rep, src, r.task.Target)
 	b.track(r)
 	r.parked = false
 	b.emitRebuild(now, trace.KindRebuildResumed, r.id, r.task.Group, r.task.Rep, r.task.Target)

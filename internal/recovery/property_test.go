@@ -29,6 +29,11 @@ func TestQuickSchedulerNeverOverlaps(t *testing.T) {
 		s := NewScheduler(eng, numDisks)
 		var done []interval
 		completed := 0
+		s.OnDone = func(now sim.Time, tk *Task) {
+			completed++
+			done = append(done, interval{start: now - tk.Duration, end: now,
+				src: tk.Source, tgt: tk.Target})
+		}
 		for i := 0; i < numTasks; i++ {
 			src := r.Intn(numDisks)
 			tgt := r.Intn(numDisks - 1)
@@ -36,12 +41,7 @@ func TestQuickSchedulerNeverOverlaps(t *testing.T) {
 				tgt++
 			}
 			dur := sim.Time(r.Float64()*5 + 0.1)
-			task := &Task{Group: i, Source: src, Target: tgt, Duration: dur}
-			s.Submit(task, func(now sim.Time, tk *Task) {
-				completed++
-				done = append(done, interval{start: now - tk.Duration, end: now,
-					src: tk.Source, tgt: tk.Target})
-			})
+			s.Submit(&Task{Group: i, Source: src, Target: tgt, Duration: dur})
 		}
 		eng.Run()
 		if completed != numTasks || s.Completed != numTasks {

@@ -26,14 +26,19 @@ import (
 type taskState uint8
 
 const (
-	taskPending taskState = iota
+	// taskIdle is a task built (or re-pointed) but not yet submitted —
+	// for instance a retry waiting out its backoff.
+	taskIdle taskState = iota
+	taskPending
 	taskRunning
 	taskDone
 	taskCancelled
 )
 
 // Task is one block rebuild: read from Source, write to Target, taking
-// Duration of virtual time once both disks are free.
+// Duration of virtual time once both disks are free. A Task may be
+// submitted many times (the engines reuse one record per block rebuild);
+// each Submit starts a new attempt.
 type Task struct {
 	Group  int
 	Rep    int
@@ -41,25 +46,36 @@ type Task struct {
 	Target int
 	// Duration is the transfer time once started.
 	Duration sim.Time
-	// SubmittedAt records when the rebuild was first requested, for
+	// SubmittedAt records when the current attempt was requested, for
 	// window-of-vulnerability statistics.
 	SubmittedAt sim.Time
 	// StartedAt records when the transfer actually began (queue wait is
 	// StartedAt - SubmittedAt); meaningful once the task is running.
 	StartedAt sim.Time
 
-	state    taskState
+	state taskState
+	// gen is the attempt generation, bumped by every Submit. Queue
+	// entries carry the generation they were filed under, so an entry
+	// left behind by a cancelled attempt stays stale after the task is
+	// resubmitted.
+	gen      uint32
 	event    sim.Handle
-	onDone   func(now sim.Time, t *Task)
 	queuedOn int // disk queue currently holding the task, -1 if none
+	// fire is the "rebuild-done" callback, bound once at the task's
+	// first Submit (a Task belongs to the Scheduler that first ran it),
+	// so starting a transfer allocates nothing.
+	fire func(now sim.Time)
 	// shaped is the effective transfer time after the Shape hook
 	// (network contention) stretched Duration; equal to Duration when no
 	// hook is installed. Set at transfer start.
 	shaped sim.Time
 	// rb is the block rebuild this attempt belongs to (nil for tasks
-	// submitted outside an engine); the span layer's OnStart hook marks
-	// its first transfer start.
+	// submitted outside an engine); the engines' OnDone and OnStart hooks
+	// route through it.
 	rb *rebuild
+	// groupNext threads the engine's per-group list of in-flight rebuild
+	// targets (base.groupTargets).
+	groupNext *Task
 }
 
 // State helpers used by engines and tests.
@@ -67,13 +83,30 @@ func (t *Task) Done() bool      { return t.state == taskDone }
 func (t *Task) Cancelled() bool { return t.state == taskCancelled }
 func (t *Task) Running() bool   { return t.state == taskRunning }
 
+// queued is one disk-queue entry: the task and the attempt generation it
+// was filed under. An entry whose generation no longer matches its task
+// is stale (the attempt was cancelled, and maybe resubmitted elsewhere)
+// and is skipped.
+type queued struct {
+	t   *Task
+	gen uint32
+}
+
+// fifo is one disk's wait queue. Entries before head are consumed; the
+// queue rewinds to the start of its backing array whenever it empties,
+// so a steady stream of appends reuses the same storage.
+type fifo struct {
+	items []queued
+	head  int
+}
+
 // Scheduler serializes rebuild transfers per disk: each disk performs at
 // most one recovery transfer at a time. Tasks whose source or target is
 // busy wait in that disk's FIFO queue.
 type Scheduler struct {
 	eng     *sim.Engine
 	busy    []bool
-	waiting [][]*Task
+	waiting []fifo
 	// Started counts transfers begun; Completed counts finished.
 	Started   int
 	Completed int
@@ -81,6 +114,10 @@ type Scheduler struct {
 	// disks per transfer) — the degraded-mode interference the paper's
 	// declustering argument is about.
 	BusyHours float64
+	// OnDone, when set, fires as each transfer completes, after both
+	// disks are released and before their queues drain. The engines
+	// install it once and route through Task.rb.
+	OnDone func(now sim.Time, t *Task)
 	// OnStart, when set, fires as each transfer begins — the engines'
 	// span layer hooks it to mark transfer starts. Strictly read-only
 	// with respect to scheduling decisions.
@@ -99,7 +136,7 @@ func NewScheduler(eng *sim.Engine, numDisks int) *Scheduler {
 	return &Scheduler{
 		eng:     eng,
 		busy:    make([]bool, numDisks),
-		waiting: make([][]*Task, numDisks),
+		waiting: make([]fifo, numDisks),
 	}
 }
 
@@ -107,15 +144,19 @@ func NewScheduler(eng *sim.Engine, numDisks int) *Scheduler {
 func (s *Scheduler) Grow(numDisks int) {
 	for len(s.busy) < numDisks {
 		s.busy = append(s.busy, false)
-		s.waiting = append(s.waiting, nil)
+		s.waiting = append(s.waiting, fifo{})
 	}
 }
 
 // Busy reports whether disk id is mid-transfer.
 func (s *Scheduler) Busy(id int) bool { return s.busy[id] }
 
-// QueueLen returns the number of tasks waiting on disk id.
-func (s *Scheduler) QueueLen(id int) int { return len(s.waiting[id]) }
+// QueueLen returns the number of entries waiting on disk id, stale ones
+// included.
+func (s *Scheduler) QueueLen(id int) int {
+	q := &s.waiting[id]
+	return len(q.items) - q.head
+}
 
 // BusyDisks counts disks currently mid-transfer (two per running
 // transfer). Read-only; used by the state sampler.
@@ -130,13 +171,14 @@ func (s *Scheduler) BusyDisks() int {
 }
 
 // QueuedTransfers counts live tasks parked in the per-disk FIFO queues
-// (cancelled or re-filed entries are lazily removed, so they are
-// skipped here). Read-only; used by the state sampler.
+// (stale entries are lazily removed, so they are skipped here).
+// Read-only; used by the state sampler.
 func (s *Scheduler) QueuedTransfers() int {
 	n := 0
-	for d, q := range s.waiting {
-		for _, t := range q {
-			if t.state == taskPending && t.queuedOn == d {
+	for d := range s.waiting {
+		q := &s.waiting[d]
+		for _, e := range q.items[q.head:] {
+			if e.live(d) {
 				n++
 			}
 		}
@@ -144,13 +186,24 @@ func (s *Scheduler) QueuedTransfers() int {
 	return n
 }
 
-// Submit queues a rebuild. onDone fires at completion with the simulation
-// time. The task starts immediately if both disks are idle.
-func (s *Scheduler) Submit(t *Task, onDone func(now sim.Time, t *Task)) {
+// live reports whether a queue entry on disk d still names a pending
+// attempt filed there.
+func (e queued) live(d int) bool {
+	return e.gen == e.t.gen && e.t.state == taskPending && e.t.queuedOn == d
+}
+
+// Submit starts a new attempt of t: it runs immediately if both disks
+// are idle and queues otherwise. OnDone fires at completion. A task may
+// be resubmitted once its previous attempt is done or cancelled, but
+// only to the Scheduler that first ran it.
+func (s *Scheduler) Submit(t *Task) {
 	if t.Source == t.Target {
 		panic(fmt.Sprintf("recovery: task %d/%d source == target %d", t.Group, t.Rep, t.Source))
 	}
-	t.onDone = onDone
+	if t.fire == nil {
+		t.fire = func(now sim.Time) { s.finish(now, t) }
+	}
+	t.gen++
 	t.state = taskPending
 	t.queuedOn = -1
 	t.SubmittedAt = s.eng.Now()
@@ -158,19 +211,31 @@ func (s *Scheduler) Submit(t *Task, onDone func(now sim.Time, t *Task)) {
 }
 
 // dispatch starts t if possible, otherwise parks it on a busy disk's queue.
+//
+//farm:hotpath every submission and every queue hand-off
 func (s *Scheduler) dispatch(t *Task) {
 	switch {
 	case !s.busy[t.Source] && !s.busy[t.Target]:
 		s.start(t)
 	case s.busy[t.Target]:
-		t.queuedOn = t.Target
-		s.waiting[t.Target] = append(s.waiting[t.Target], t)
+		s.enqueue(t, t.Target)
 	default:
-		t.queuedOn = t.Source
-		s.waiting[t.Source] = append(s.waiting[t.Source], t)
+		s.enqueue(t, t.Source)
 	}
 }
 
+// enqueue files t's current attempt on disk d's queue.
+//
+//farm:hotpath queue append, reusing the rewound backing array
+func (s *Scheduler) enqueue(t *Task, d int) {
+	t.queuedOn = d
+	q := &s.waiting[d]
+	q.items = append(q.items, queued{t: t, gen: t.gen})
+}
+
+// start begins t's transfer on both disks.
+//
+//farm:hotpath every transfer start
 func (s *Scheduler) start(t *Task) {
 	s.busy[t.Source] = true
 	s.busy[t.Target] = true
@@ -186,45 +251,60 @@ func (s *Scheduler) start(t *Task) {
 		dur = s.Shape(t.StartedAt, t)
 	}
 	t.shaped = dur
-	t.event = s.eng.After(dur, "rebuild-done", func(now sim.Time) {
-		t.event = sim.Handle{}
-		t.state = taskDone
-		s.busy[t.Source] = false
-		s.busy[t.Target] = false
-		s.Completed++
-		if s.Release != nil {
-			s.Release(t)
-		}
-		s.BusyHours += 2 * float64(t.shaped)
-		done := t.onDone
-		if done != nil {
-			done(now, t)
-		}
-		s.drain(t.Source)
-		s.drain(t.Target)
-	})
+	t.event = s.eng.After(dur, "rebuild-done", t.fire)
+}
+
+// finish completes t's running transfer (its "rebuild-done" event). The
+// endpoints are read before OnDone: the engine may re-point and
+// resubmit the same task from inside the hook.
+func (s *Scheduler) finish(now sim.Time, t *Task) {
+	src, tgt := t.Source, t.Target
+	t.event = sim.Handle{}
+	t.state = taskDone
+	s.busy[src] = false
+	s.busy[tgt] = false
+	s.Completed++
+	if s.Release != nil {
+		s.Release(t)
+	}
+	s.BusyHours += 2 * float64(t.shaped)
+	if s.OnDone != nil {
+		s.OnDone(now, t)
+	}
+	s.drain(src)
+	s.drain(tgt)
 }
 
 // drain starts or re-files tasks waiting on disk d after it frees up.
+//
+//farm:hotpath queue hand-off after every transfer end
 func (s *Scheduler) drain(d int) {
-	for len(s.waiting[d]) > 0 && !s.busy[d] {
-		t := s.waiting[d][0]
-		s.waiting[d] = s.waiting[d][1:]
-		if t.state != taskPending || t.queuedOn != d {
-			continue // cancelled or moved
+	q := &s.waiting[d]
+	for q.head < len(q.items) && !s.busy[d] {
+		e := q.items[q.head]
+		q.items[q.head] = queued{}
+		q.head++
+		if q.head == len(q.items) {
+			q.items, q.head = q.items[:0], 0
 		}
-		t.queuedOn = -1
-		s.dispatch(t)
+		if !e.live(d) {
+			continue // cancelled, resubmitted or moved
+		}
+		e.t.queuedOn = -1
+		s.dispatch(e.t)
 	}
 }
 
-// Cancel aborts a task. A running transfer releases both disks (and wakes
-// their queues); a waiting task is lazily removed from its queue. Returns
-// false if the task already completed.
+// Cancel aborts a task's current attempt. A running transfer releases
+// both disks (and wakes their queues); a waiting task's queue entry goes
+// stale and is skipped lazily. Returns false if the attempt already
+// completed. A task that was never submitted stays idle.
 func (s *Scheduler) Cancel(t *Task) bool {
 	switch t.state {
 	case taskDone, taskCancelled:
 		return t.state == taskCancelled
+	case taskIdle:
+		return true
 	case taskRunning:
 		if t.event.Valid() {
 			s.eng.Cancel(t.event)

@@ -10,9 +10,9 @@ func TestSchedulerParallelWhenDisjoint(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 6)
 	var doneAt []sim.Time
+	s.OnDone = func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) }
 	for i := 0; i < 3; i++ {
-		task := &Task{Group: i, Source: i * 2, Target: i*2 + 1, Duration: 10}
-		s.Submit(task, func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) })
+		s.Submit(&Task{Group: i, Source: i * 2, Target: i*2 + 1, Duration: 10})
 	}
 	eng.Run()
 	if len(doneAt) != 3 {
@@ -33,9 +33,9 @@ func TestSchedulerSerializesSharedTarget(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 6)
 	var doneAt []sim.Time
+	s.OnDone = func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) }
 	for i := 0; i < 4; i++ {
-		task := &Task{Group: i, Source: i, Target: 5, Duration: 10}
-		s.Submit(task, func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) })
+		s.Submit(&Task{Group: i, Source: i, Target: 5, Duration: 10})
 	}
 	eng.Run()
 	want := []sim.Time{10, 20, 30, 40}
@@ -53,9 +53,9 @@ func TestSchedulerSerializesSharedSource(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 6)
 	var doneAt []sim.Time
+	s.OnDone = func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) }
 	for i := 0; i < 2; i++ {
-		task := &Task{Group: i, Source: 0, Target: i + 1, Duration: 5}
-		s.Submit(task, func(now sim.Time, _ *Task) { doneAt = append(doneAt, now) })
+		s.Submit(&Task{Group: i, Source: 0, Target: i + 1, Duration: 5})
 	}
 	eng.Run()
 	if len(doneAt) != 2 || doneAt[0] != 5 || doneAt[1] != 10 {
@@ -71,9 +71,9 @@ func TestSchedulerChainedDependency(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 4)
 	var order []int
+	s.OnDone = func(_ sim.Time, t *Task) { order = append(order, t.Group) }
 	submit := func(id, src, tgt int) {
-		s.Submit(&Task{Group: id, Source: src, Target: tgt, Duration: 10},
-			func(now sim.Time, _ *Task) { order = append(order, id) })
+		s.Submit(&Task{Group: id, Source: src, Target: tgt, Duration: 10})
 	}
 	submit(1, 0, 1)
 	submit(2, 1, 2)
@@ -93,9 +93,9 @@ func TestSchedulerRefileBetweenQueues(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 4)
 	var order []int
+	s.OnDone = func(_ sim.Time, t *Task) { order = append(order, t.Group) }
 	add := func(id, src, tgt int, dur sim.Time) {
-		s.Submit(&Task{Group: id, Source: src, Target: tgt, Duration: dur},
-			func(now sim.Time, _ *Task) { order = append(order, id) })
+		s.Submit(&Task{Group: id, Source: src, Target: tgt, Duration: dur})
 	}
 	add(1, 0, 2, 5)  // holds 2 until t=5
 	add(3, 1, 3, 20) // holds 1 until t=20
@@ -110,10 +110,11 @@ func TestSchedulerCancelPending(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 3)
 	done := 0
+	s.OnDone = func(sim.Time, *Task) { done++ }
 	t1 := &Task{Group: 1, Source: 0, Target: 1, Duration: 10}
 	t2 := &Task{Group: 2, Source: 0, Target: 2, Duration: 10}
-	s.Submit(t1, func(sim.Time, *Task) { done++ })
-	s.Submit(t2, func(sim.Time, *Task) { done++ })
+	s.Submit(t1)
+	s.Submit(t2)
 	if !s.Cancel(t2) {
 		t.Fatal("cancel pending failed")
 	}
@@ -130,10 +131,11 @@ func TestSchedulerCancelRunningFreesDisks(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 3)
 	done := 0
+	s.OnDone = func(sim.Time, *Task) { done++ }
 	t1 := &Task{Group: 1, Source: 0, Target: 1, Duration: 100}
 	t2 := &Task{Group: 2, Source: 0, Target: 2, Duration: 10}
-	s.Submit(t1, func(sim.Time, *Task) { done++ })
-	s.Submit(t2, func(sim.Time, *Task) { done++ })
+	s.Submit(t1)
+	s.Submit(t2)
 	if !s.Busy(0) || !s.Busy(1) {
 		t.Fatal("t1 should be running")
 	}
@@ -154,7 +156,7 @@ func TestSchedulerCancelDoneReturnsFalse(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 2)
 	task := &Task{Group: 1, Source: 0, Target: 1, Duration: 1}
-	s.Submit(task, nil)
+	s.Submit(task)
 	eng.Run()
 	if s.Cancel(task) {
 		t.Fatal("cancelling a done task returned true")
@@ -166,7 +168,7 @@ func TestSchedulerGrow(t *testing.T) {
 	s := NewScheduler(eng, 2)
 	s.Grow(5)
 	task := &Task{Group: 1, Source: 0, Target: 4, Duration: 1}
-	s.Submit(task, nil)
+	s.Submit(task)
 	eng.Run()
 	if !task.Done() {
 		t.Fatal("task on grown disk slot did not run")
@@ -184,7 +186,7 @@ func TestSchedulerSameSourceTargetPanics(t *testing.T) {
 			t.Fatal("source == target did not panic")
 		}
 	}()
-	s.Submit(&Task{Group: 1, Source: 1, Target: 1, Duration: 1}, nil)
+	s.Submit(&Task{Group: 1, Source: 1, Target: 1, Duration: 1})
 }
 
 func TestSchedulerFIFOFairness(t *testing.T) {
@@ -192,15 +194,57 @@ func TestSchedulerFIFOFairness(t *testing.T) {
 	eng := sim.New()
 	s := NewScheduler(eng, 10)
 	var order []int
+	s.OnDone = func(_ sim.Time, t *Task) { order = append(order, t.Group) }
 	for i := 0; i < 8; i++ {
-		id := i
-		s.Submit(&Task{Group: id, Source: id, Target: 9, Duration: 1},
-			func(now sim.Time, _ *Task) { order = append(order, id) })
+		s.Submit(&Task{Group: i, Source: i, Target: 9, Duration: 1})
 	}
 	eng.Run()
 	for i := 1; i < len(order); i++ {
 		if order[i] < order[i-1] {
 			t.Fatalf("FIFO violated: %v", order)
 		}
+	}
+}
+
+// TestSchedulerStaleEntryAfterResubmit: a cancelled attempt's queue entry
+// must stay dead when the same Task is resubmitted. The task first waits
+// on busy disk 1 and is cancelled; u queues behind that stale entry;
+// then the task is resubmitted on another pair, which again waits on
+// disk 1, behind u. When disk 1 frees, exactly one transfer starts and
+// it is u's — honouring the stale entry would let the task jump the
+// queue — and the task still runs and completes exactly once.
+func TestSchedulerStaleEntryAfterResubmit(t *testing.T) {
+	eng := sim.New()
+	s := NewScheduler(eng, 6)
+	done := map[*Task]int{}
+	s.OnDone = func(_ sim.Time, tk *Task) { done[tk]++ }
+	blocker := &Task{Group: 0, Source: 0, Target: 1, Duration: 10}
+	s.Submit(blocker)
+	task := &Task{Group: 1, Source: 2, Target: 1, Duration: 1}
+	s.Submit(task)
+	if !s.Cancel(task) {
+		t.Fatal("cancel of a queued attempt failed")
+	}
+	u := &Task{Group: 2, Source: 3, Target: 1, Duration: 1}
+	s.Submit(u)
+	task.Source, task.Target = 1, 5
+	s.Submit(task)
+	if s.QueuedTransfers() != 2 {
+		t.Fatalf("queued = %d, want 2 live entries (u and the resubmitted task)", s.QueuedTransfers())
+	}
+	started := s.Started
+	s.Cancel(blocker) // frees disk 1
+	if s.Started != started+1 {
+		t.Fatalf("freeing disk 1 started %d transfers, want 1", s.Started-started)
+	}
+	if !u.Running() || task.Running() {
+		t.Fatalf("after disk 1 frees: u running=%v, task running=%v; want u first", u.Running(), task.Running())
+	}
+	eng.Run()
+	if done[task] != 1 || done[u] != 1 || done[blocker] != 0 {
+		t.Fatalf("completions task=%d u=%d blocker=%d, want 1 1 0", done[task], done[u], done[blocker])
+	}
+	if s.Started != 3 || s.QueueLen(1) != 0 {
+		t.Fatalf("started %d transfers, disk 1 queue %d; want 3 and 0", s.Started, s.QueueLen(1))
 	}
 }

@@ -82,11 +82,12 @@ func (b *base) spanEndAttempt(r *rebuild, now sim.Time) {
 		return
 	}
 	r.spanDone = true
-	t := r.task
+	t := &r.task
 	switch {
-	case t.onDone == nil:
-		// Created for a backed-off retry but never submitted; the wait is
-		// retry backoff, accounted by the retry bookkeeping in untrack.
+	case t.state == taskIdle:
+		// Re-pointed for a backed-off retry (or a park) but never
+		// submitted; the wait is retry backoff, accounted by the retry
+		// bookkeeping in cancelTimers.
 	case t.Running() || t.Done():
 		sp.QueueWait += float64(t.StartedAt - t.SubmittedAt)
 		sp.Transfer += float64(now - t.StartedAt)

@@ -61,13 +61,14 @@ type spareWork struct {
 // policy at 16 MB/s is the paper's base model); tally receives the
 // engine's event counters.
 func NewSpareDisk(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, spawn DiskSpawner, tally *obs.Tally) *SpareDisk {
-	return &SpareDisk{
-		base:      newBase(cl, eng, sched, throttle, tally),
+	s := &SpareDisk{
 		spawn:     spawn,
 		spareFor:  make(map[int]int),
 		spareRole: make(map[int]int),
 		pool:      -1,
 	}
+	s.init(cl, eng, sched, throttle, tally)
+	return s
 }
 
 // Name implements Engine.
@@ -159,7 +160,7 @@ func (s *SpareDisk) HandleDetection(now sim.Time, diskID int, failedAt sim.Time,
 // The caller must have consumed a pool slot via takeSpare.
 func (s *SpareDisk) activateSpare(now sim.Time, failed int) int {
 	spare := s.spawn(now)
-	s.sched.Grow(s.cl.NumDisks())
+	s.Grow(s.cl.NumDisks())
 	s.spareFor[failed] = spare
 	s.spareRole[spare] = failed
 	s.tally.SparesUsed++
@@ -173,7 +174,8 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, id in
 	if id == 0 {
 		id, sp = s.open(group, rep, failedAt)
 	}
-	r := &rebuild{id: id, span: sp, failedAt: failedAt, baseDur: s.blockDuration()}
+	r := s.newRebuild(failedAt, s.blockDuration())
+	r.id, r.span = id, sp
 	src := -1
 	if !s.cl.GroupLost(group) {
 		src = s.cl.SourceFor(group, spare)
@@ -188,13 +190,7 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, id in
 		s.drop(s.eng.Now(), r, group, rep, spare)
 		return
 	}
-	r.task = &Task{
-		Group:    group,
-		Rep:      rep,
-		Source:   src,
-		Target:   spare,
-		Duration: s.effDuration(r.baseDur, src, spare),
-	}
+	s.setTask(&r.task, r, group, rep, src, spare)
 	s.track(r)
 	s.submitTracked(r)
 }
@@ -214,7 +210,8 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 	if id == 0 {
 		id, sp = s.open(group, rep, failedAt)
 	}
-	r := &rebuild{id: id, span: sp, failedAt: failedAt, baseDur: s.blockDuration()}
+	r := s.newRebuild(failedAt, s.blockDuration())
+	r.id, r.span = id, sp
 	if s.cl.GroupLost(group) {
 		s.drop(now, r, group, rep, -1)
 		return
@@ -239,13 +236,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 		s.drop(now, r, group, rep, target)
 		return
 	}
-	r.task = &Task{
-		Group:    group,
-		Rep:      rep,
-		Source:   src,
-		Target:   target,
-		Duration: s.effDuration(r.baseDur, src, target),
-	}
+	s.setTask(&r.task, r, group, rep, src, target)
 	s.track(r)
 	s.submitTracked(r)
 }
@@ -265,6 +256,7 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 				for _, r := range asTarget {
 					if s.liftDeadTarget(now, r) {
 						s.startRebuild(r.failedAt, r.task.Group, r.task.Rep, replacement, r.id, r.span)
+						s.free(r)
 					}
 				}
 			} else {
@@ -275,6 +267,7 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 						blocks = append(blocks, pendingBlock{
 							group: r.task.Group, rep: r.task.Rep, failedAt: r.failedAt,
 							id: r.id, span: r.span, parkedAt: now})
+						s.free(r)
 					}
 				}
 				if len(blocks) > 0 {
@@ -296,6 +289,7 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 	for _, r := range asTarget {
 		if s.liftDeadTarget(now, r) {
 			s.blockLoss(now, r.failedAt, diskID, r.task.Group, r.task.Rep, r.id, r.span)
+			s.free(r)
 		}
 	}
 	for _, r := range asSource {
@@ -307,10 +301,11 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 
 // liftDeadTarget stops a rebuild whose target died and reports whether
 // it restarts elsewhere (counted as a redirection); a rebuild whose
-// group is lost drops instead.
+// group is lost drops instead. A restart carries r's id and span into a
+// new record, after which the caller frees r.
 func (s *SpareDisk) liftDeadTarget(now sim.Time, r *rebuild) bool {
 	s.spanEndAttempt(r, now)
-	s.sched.Cancel(r.task)
+	s.sched.Cancel(&r.task)
 	s.untrack(r)
 	if s.cl.GroupLost(r.task.Group) {
 		s.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)

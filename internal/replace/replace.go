@@ -52,15 +52,31 @@ func (p Policy) ExpectedBatches(sixYearFailureFraction float64) int {
 	return int(sixYearFailureFraction / p.TriggerFraction)
 }
 
-// RebalanceOnto migrates blocks onto freshly added drives until each new
-// drive reaches the alive-population mean utilization, drawing from the
-// most-loaded drives. A block never moves onto a drive that already holds
-// another block of its group. Returns the bytes migrated.
+// Rebalancer holds RebalanceOnto's scratch buffers — the donor list and
+// the snapshot of a donor's block list — so a caller that rebalances
+// repeatedly reuses them. The zero value is ready; a Rebalancer must not
+// be shared between goroutines (Monte Carlo workers each keep their own).
+type Rebalancer struct {
+	donors []int
+	blocks []cluster.BlockRef
+}
+
+// RebalanceOnto migrates blocks onto freshly added drives with a
+// one-shot Rebalancer (see Rebalancer.Onto). Returns the bytes migrated.
+func RebalanceOnto(cl *cluster.Cluster, newDisks []int) int64 {
+	var rb Rebalancer
+	return rb.Onto(cl, newDisks)
+}
+
+// Onto migrates blocks onto freshly added drives until each new drive
+// reaches the alive-population mean utilization, drawing from the drives
+// above the mean in disk-id order. A block never moves onto a drive that
+// already holds another block of its group. Returns the bytes migrated.
 //
 // The paper treats reorganization as instantaneous weight-based
 // remapping; what matters for reliability is the small migrated fraction
 // (2–8% of objects) and the fresh cohort's age, both preserved here.
-func RebalanceOnto(cl *cluster.Cluster, newDisks []int) int64 {
+func (rb *Rebalancer) Onto(cl *cluster.Cluster, newDisks []int) int64 {
 	if len(newDisks) == 0 {
 		return 0
 	}
@@ -78,25 +94,26 @@ func RebalanceOnto(cl *cluster.Cluster, newDisks []int) int64 {
 	}
 	mean := total / int64(alive)
 
-	// Donors: alive drives above the mean, heaviest first (simple
-	// selection; populations are small enough).
-	donors := make([]int, 0, len(cl.Disks))
+	// Donors: alive drives above the mean, in id order.
+	rb.donors = rb.donors[:0]
 	for id, d := range cl.Disks {
 		if d.State == disk.Alive && d.UsedBytes > mean && !contains(newDisks, id) {
-			donors = append(donors, id)
+			rb.donors = append(rb.donors, id)
 		}
 	}
 
 	var migrated int64
 	for _, nd := range newDisks {
-		for _, donor := range donors {
+		for _, donor := range rb.donors {
 			if cl.Disks[nd].UsedBytes >= mean {
 				break
 			}
-			blocks := cl.BlocksOn(donor)
+			if cl.Disks[donor].UsedBytes <= mean {
+				continue // drained by an earlier new drive; nothing to give
+			}
 			// Walk a snapshot; MoveBlock mutates the list.
-			snapshot := append([]cluster.BlockRef(nil), blocks...)
-			for _, ref := range snapshot {
+			rb.blocks = append(rb.blocks[:0], cl.BlocksOn(donor)...)
+			for _, ref := range rb.blocks {
 				if cl.Disks[nd].UsedBytes >= mean || cl.Disks[donor].UsedBytes <= mean {
 					break
 				}

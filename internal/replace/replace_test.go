@@ -157,3 +157,64 @@ func TestRebalanceDeadClusterIsNoop(t *testing.T) {
 		t.Fatalf("migrated %d bytes from a dead cluster", got)
 	}
 }
+
+// TestRebalancerReuseZeroAlloc: once a Rebalancer's buffers are warm, a
+// further rebalance allocates nothing. Each measured run migrates onto
+// the fresh drives and then moves every migrated block back where it
+// came from, so every run does the same real work.
+func TestRebalancerReuseZeroAlloc(t *testing.T) {
+	cl := buildCluster(t, 400)
+	ids := cl.AddDisks(2, 1000)
+	n := cl.Cfg.Scheme.N
+	origin := make([]int32, cl.GroupCount()*n)
+	var moved []cluster.BlockRef
+	var rb Rebalancer
+	migrated := int64(0)
+	run := func() {
+		for g := 0; g < cl.GroupCount(); g++ {
+			for rep := 0; rep < n; rep++ {
+				origin[g*n+rep] = cl.GroupDiskOf(g, rep)
+			}
+		}
+		migrated = rb.Onto(cl, ids)
+		for _, nd := range ids {
+			moved = append(moved[:0], cl.BlocksOn(nd)...)
+			for _, ref := range moved {
+				cl.MoveBlock(ref, int(origin[int(ref.Group)*n+int(ref.Rep)]))
+			}
+		}
+	}
+	run()
+	if migrated <= 0 {
+		t.Fatal("warm-up rebalance migrated nothing")
+	}
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Fatalf("a warm Rebalancer allocates %v times per rebalance, want 0", a)
+	}
+	if migrated <= 0 {
+		t.Fatal("measured rebalance migrated nothing")
+	}
+	if err := cl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRebalancerMatchesRebalanceOnto: a Rebalancer reused across batches
+// moves exactly the blocks a fresh RebalanceOnto would.
+func TestRebalancerMatchesRebalanceOnto(t *testing.T) {
+	a, b := buildCluster(t, 400), buildCluster(t, 400)
+	var rb Rebalancer
+	for batch := 0; batch < 3; batch++ {
+		ia, ib := a.AddDisks(2, 1000), b.AddDisks(2, 1000)
+		if ma, mb := RebalanceOnto(a, ia), rb.Onto(b, ib); ma != mb {
+			t.Fatalf("batch %d: RebalanceOnto migrated %d bytes, reused Rebalancer %d", batch, ma, mb)
+		}
+		for g := 0; g < a.GroupCount(); g++ {
+			for rep := 0; rep < a.Cfg.Scheme.N; rep++ {
+				if a.GroupDiskOf(g, rep) != b.GroupDiskOf(g, rep) {
+					t.Fatalf("batch %d: block %d/%d on %d vs %d", batch, g, rep, a.GroupDiskOf(g, rep), b.GroupDiskOf(g, rep))
+				}
+			}
+		}
+	}
+}
