@@ -21,36 +21,19 @@
 //	             (e.g. :8080 or 127.0.0.1:0): /progress (JSON),
 //	             /metrics (Prometheus text), /debug/pprof/. Read-only —
 //	             results stay byte-identical with telemetry on or off.
-//
-// Living-fleet overrides (all off by default; each replaces the matching
-// piece of every data point's config, so any paper figure can be re-run
-// under foreground load, a throttle policy, or a maintenance schedule):
-//
-//	-load F        mean user share of disk bandwidth 0..1
-//	-bursts F      demand burst episodes per day
-//	-burstshare F  mean extra user share during a burst episode
-//	-rackskew F    per-rack demand skew 0..1 (needs a rack topology)
-//	-throttle P    recovery throttle policy: fixed, idle, aimd, or deadline
-//	               (aimd and deadline need a demand model: -load and/or
-//	               -bursts; idle follows the diurnal idle-time schedule)
-//	-floor M       throttle floor in MB/s (default 16)
-//	-maxrate M     adaptive throttle ceiling in MB/s (default 64)
-//	-vintage F     starting-vintage AFR scale (0 = experiment default)
-//	-drainevery H  planned-drain period in hours
-//	-draindisks N  disks evacuated per drain window
-//	-upgradeevery H  rolling-upgrade period in hours (needs racks)
-//	-upgradehours H  upgrade window duration in hours
-//	-growevery H   batch-growth period in hours
-//	-growdisks N   disks added per growth batch
-//	-growafr F     AFR factor compounded per growth vintage
-//	-growcap F     capacity factor compounded per growth vintage
-//	-growbw F      bandwidth factor compounded per growth vintage
+//	-scenario F  JSON patch applied to every data point's config. Its
+//	             keys are core.Config field names; omitted keys keep the
+//	             experiment's own settings, and nested structs merge field
+//	             by field, so any paper figure can be re-run under
+//	             foreground load, a throttle policy, or a maintenance
+//	             schedule (see scenarios/). Unknown keys are an error.
 //
 // Examples:
 //
 //	farmsim run table1
 //	farmsim run -runs 200 -scale 0.25 fig3
 //	farmsim run -runs 60 -scale 0.1 -v all
+//	farmsim run -runs 4 -scale 0.02 -scenario scenarios/load-aimd.json fig7
 
 //farm:factsink farmsim's import closure spans the full simulator, so farmlint's whole-program aggregations (dead config knobs, dead trace kinds) are decidable here and only here
 package main
@@ -64,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -96,7 +78,11 @@ func run(args []string) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   farmsim list
-  farmsim run [-runs N] [-scale F] [-seed N] [-workers N] [-csv] [-v] [-telemetry addr] <id>... | all`)
+  farmsim run [-runs N] [-scale F] [-seed N] [-workers N] [-csv] [-v] [-telemetry addr]
+              [-scenario file.json] <id>... | all
+
+A scenario's keys are core.Config field names; omitted keys keep each
+experiment's own settings.`)
 }
 
 func list() error {
@@ -116,23 +102,7 @@ func runExperiments(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	verbose := fs.Bool("v", false, "log per-point progress")
 	telemetry := fs.String("telemetry", "", "serve live telemetry on this HTTP address (empty = off)")
-	load := fs.Float64("load", 0, "mean user share of disk bandwidth 0..1")
-	bursts := fs.Float64("bursts", 0, "demand burst episodes per day")
-	burstShare := fs.Float64("burstshare", 0, "mean extra user share during a burst episode")
-	rackSkew := fs.Float64("rackskew", 0, "per-rack demand skew 0..1")
-	throttle := fs.String("throttle", "", "recovery throttle policy: fixed, idle, aimd, or deadline (aimd and deadline need -load or -bursts)")
-	floor := fs.Float64("floor", 0, "throttle floor in MB/s (0 = policy default)")
-	maxRate := fs.Float64("maxrate", 0, "adaptive throttle ceiling in MB/s (0 = policy default)")
-	vintage := fs.Float64("vintage", 0, "starting-vintage AFR scale (0 = experiment default)")
-	drainEvery := fs.Float64("drainevery", 0, "planned-drain period in hours (0 = off)")
-	drainDisks := fs.Int("draindisks", 0, "disks evacuated per drain window")
-	upgradeEvery := fs.Float64("upgradeevery", 0, "rolling-upgrade period in hours (0 = off)")
-	upgradeHours := fs.Float64("upgradehours", 0, "upgrade window duration in hours")
-	growEvery := fs.Float64("growevery", 0, "batch-growth period in hours (0 = off)")
-	growDisks := fs.Int("growdisks", 0, "disks added per growth batch")
-	growAFR := fs.Float64("growafr", 0, "AFR factor compounded per growth vintage")
-	growCap := fs.Float64("growcap", 0, "capacity factor compounded per growth vintage")
-	growBW := fs.Float64("growbw", 0, "bandwidth factor compounded per growth vintage")
+	scenario := fs.String("scenario", "", "JSON patch over every data point's config (keys are core.Config field names)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -148,40 +118,22 @@ func runExperiments(args []string) error {
 	}
 
 	opts := experiment.Options{
-		Runs:         *runs,
-		BaseSeed:     *seed,
-		Workers:      *workers,
-		Scale:        *scale,
-		VintageScale: *vintage,
+		Runs:     *runs,
+		BaseSeed: *seed,
+		Workers:  *workers,
+		Scale:    *scale,
 	}
-	if *load > 0 || *bursts > 0 {
-		opts.Demand = &workload.DemandConfig{
-			BaseShare:    *load,
-			BurstsPerDay: *bursts,
-			BurstShare:   *burstShare,
-			RackSkew:     *rackSkew,
+	if *scenario != "" {
+		data, err := os.ReadFile(*scenario)
+		if err != nil {
+			return err
 		}
-	}
-	if *throttle != "" {
-		opts.Throttle = &workload.ThrottleConfig{
-			Policy:    *throttle,
-			FloorMBps: *floor,
-			MaxMBps:   *maxRate,
+		// Reject a malformed file up front, not at the first data point
+		// (static tables never reach one).
+		if _, err := core.PatchConfig(core.Config{}, data); err != nil {
+			return fmt.Errorf("%s: %w", *scenario, err)
 		}
-	}
-	maint := core.MaintenanceConfig{
-		DrainEveryHours:      *drainEvery,
-		DrainDisks:           *drainDisks,
-		UpgradeEveryHours:    *upgradeEvery,
-		UpgradeDurationHours: *upgradeHours,
-		GrowEveryHours:       *growEvery,
-		GrowDisks:            *growDisks,
-		GrowAFRFactor:        *growAFR,
-		GrowCapacityFactor:   *growCap,
-		GrowBandwidthFactor:  *growBW,
-	}
-	if maint.Enabled() {
-		opts.Maintenance = &maint
+		opts.Scenario = data
 	}
 	if *verbose {
 		opts.Log = func(format string, a ...any) {

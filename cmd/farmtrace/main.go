@@ -13,51 +13,21 @@
 //
 // Flags:
 //
-//	-data N      user data in TB (default 50)
-//	-group N     redundancy group size in GB (default 10)
-//	-scheme m/n  redundancy scheme (default 1/2)
-//	-spare       use the traditional spare-disk engine instead of FARM
-//	-latency S   failure-detection latency in seconds (default 30)
-//	-smart A     S.M.A.R.T. prediction accuracy 0..1 (default 0)
-//	-replace F   replacement batch trigger fraction (default 0 = off)
+//	-scenario F  JSON patch over the base system (see below)
 //	-seed N      random seed (default 1)
 //	-summary     suppress the JSONL stream; print only the summary
 //
-// Network fault-domain flags (all off by default; leaving them off keeps
-// the flat-network seed behaviour byte-identical):
+// The base system is core.DefaultConfig (the paper's Table 2) with 50 TB
+// of user data and a 24 h S.M.A.R.T. lead time. A scenario file is one
+// JSON object whose keys are core.Config field names; omitted keys keep
+// the base, and nested structs merge field by field. Unknown keys are an
+// error, and an incoherent combination fails Validate. For example:
 //
-//	-racks N       racks in the fabric (0 = flat network, the default)
-//	-rackaware     spread each group across distinct racks
-//	-uplink M      ToR uplink bandwidth in MB/s (0 = unconstrained)
-//	-oversub R     spine oversubscription ratio (default 1)
-//	-falsedead H   hours before an unreachable rack is written off (0 = never)
-//	-switchfails R ToR switch failures per year (rack dark until written off)
-//	-powerfails R  rack power events per year (self-restoring)
-//	-partitions R  transient network partitions per year (self-healing)
+//	{"TotalDataBytes": 109951162777600, "SmartAccuracy": 0.3,
+//	 "Demand": {"BaseShare": 0.3, "BurstsPerDay": 1},
+//	 "Throttle": {"Policy": "aimd", "FloorMBps": 8, "MaxMBps": 16}}
 //
-// Living-fleet flags (all off by default; leaving them off keeps the
-// seed behaviour byte-identical):
-//
-//	-load F        mean user share of disk bandwidth 0..1 (0 = idle fleet)
-//	-bursts F      demand burst episodes per day (flash crowds, batch jobs)
-//	-burstshare F  mean extra user share during a burst episode
-//	-rackskew F    per-rack demand skew 0..1 (needs -racks)
-//	-throttle P    recovery throttle policy: fixed, idle, aimd, or deadline
-//	               (empty = the paper's fixed reservation; aimd and
-//	               deadline need -load; idle follows the diurnal
-//	               idle-time schedule)
-//	-floor M       throttle floor in MB/s (default 16)
-//	-maxrate M     adaptive throttle ceiling in MB/s (default 64)
-//	-vintage F     AFR scale of the starting drive vintage (default 1)
-//	-drainevery H  planned-drain period in hours (0 = off)
-//	-draindisks N  disks evacuated per drain window
-//	-upgradeevery H  rolling-upgrade period in hours (0 = off; needs -racks)
-//	-upgradehours H  upgrade window duration in hours
-//	-growevery H   batch-growth period in hours (0 = off)
-//	-growdisks N   disks added per growth batch
-//	-growafr F     AFR factor compounded per growth vintage
-//	-growcap F     capacity factor compounded per growth vintage
-//	-growbw F      bandwidth factor compounded per growth vintage
+// Sizes are in bytes (1 TB = 2^40). scenarios/ holds checked-in examples.
 //
 // Flight-recorder flags (all off by default; attaching them never
 // changes the simulation — the trace gains only the two span-lifecycle
@@ -88,13 +58,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/faults"
 	"repro/internal/forensics"
 	"repro/internal/obs"
-	"repro/internal/redundancy"
-	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // writeFile writes one JSONL artifact through a buffered writer.
@@ -122,41 +88,19 @@ func main() {
 	}
 }
 
+// baseConfig is the system a scenario patches: the paper's base with
+// 50 TB of user data and a 24 h S.M.A.R.T. lead time.
+func baseConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.TotalDataBytes = 50 * disk.TB
+	cfg.SmartLeadHours = 24
+	return cfg
+}
+
 func run() error {
-	dataTB := flag.Int64("data", 50, "user data in TB")
-	groupGB := flag.Int64("group", 10, "group size in GB")
-	schemeStr := flag.String("scheme", "1/2", "redundancy scheme m/n")
-	spare := flag.Bool("spare", false, "use the traditional spare-disk engine")
-	latency := flag.Float64("latency", 30, "detection latency in seconds")
-	smartAcc := flag.Float64("smart", 0, "S.M.A.R.T. prediction accuracy")
-	replaceTrig := flag.Float64("replace", 0, "replacement batch trigger fraction")
+	scenario := flag.String("scenario", "", "JSON patch over the base config (keys are core.Config field names)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	summaryOnly := flag.Bool("summary", false, "print only the summary")
-	racks := flag.Int("racks", 0, "racks in the fabric (0 = flat network)")
-	rackAware := flag.Bool("rackaware", false, "spread each group across distinct racks")
-	uplink := flag.Float64("uplink", 0, "ToR uplink bandwidth in MB/s (0 = unconstrained)")
-	oversub := flag.Float64("oversub", 1, "spine oversubscription ratio")
-	falseDead := flag.Float64("falsedead", 0, "hours before an unreachable rack is written off (0 = never)")
-	switchFails := flag.Float64("switchfails", 0, "ToR switch failures per year")
-	powerFails := flag.Float64("powerfails", 0, "rack power events per year (8 h mean restore)")
-	partitions := flag.Float64("partitions", 0, "transient partitions per year (12 h mean heal)")
-	load := flag.Float64("load", 0, "mean user share of disk bandwidth 0..1 (0 = idle fleet)")
-	bursts := flag.Float64("bursts", 0, "demand burst episodes per day")
-	burstShare := flag.Float64("burstshare", 0, "mean extra user share during a burst episode")
-	rackSkew := flag.Float64("rackskew", 0, "per-rack demand skew 0..1")
-	throttle := flag.String("throttle", "", "recovery throttle policy: fixed, idle, aimd, or deadline (aimd and deadline need -load)")
-	floor := flag.Float64("floor", 0, "throttle floor in MB/s (0 = policy default)")
-	maxRate := flag.Float64("maxrate", 0, "adaptive throttle ceiling in MB/s (0 = policy default)")
-	vintage := flag.Float64("vintage", 1, "AFR scale of the starting drive vintage")
-	drainEvery := flag.Float64("drainevery", 0, "planned-drain period in hours (0 = off)")
-	drainDisks := flag.Int("draindisks", 0, "disks evacuated per drain window")
-	upgradeEvery := flag.Float64("upgradeevery", 0, "rolling-upgrade period in hours (0 = off)")
-	upgradeHours := flag.Float64("upgradehours", 0, "upgrade window duration in hours")
-	growEvery := flag.Float64("growevery", 0, "batch-growth period in hours (0 = off)")
-	growDisks := flag.Int("growdisks", 0, "disks added per growth batch")
-	growAFR := flag.Float64("growafr", 0, "AFR factor compounded per growth vintage")
-	growCap := flag.Float64("growcap", 0, "capacity factor compounded per growth vintage")
-	growBW := flag.Float64("growbw", 0, "bandwidth factor compounded per growth vintage")
 	spansPath := flag.String("spans", "", "write rebuild-lifecycle spans (JSONL) to this file")
 	seriesPath := flag.String("series", "", "write system-state samples (JSONL) to this file")
 	sampleHours := flag.Float64("sample", 24, "sampling cadence in simulated hours")
@@ -165,62 +109,15 @@ func run() error {
 	telemetry := flag.String("telemetry", "", "serve live telemetry on this HTTP address (empty = off)")
 	flag.Parse()
 
-	scheme, err := redundancy.Parse(*schemeStr)
-	if err != nil {
-		return err
-	}
-	cfg := core.DefaultConfig()
-	cfg.TotalDataBytes = *dataTB * disk.TB
-	cfg.GroupBytes = *groupGB * disk.GB
-	cfg.Scheme = scheme
-	cfg.UseFARM = !*spare
-	cfg.DetectionLatencyHours = *latency / 3600
-	cfg.SmartAccuracy = *smartAcc
-	cfg.SmartLeadHours = 24
-	cfg.ReplaceTrigger = *replaceTrig
-	if *racks > 0 {
-		cfg.Topology = topology.Config{
-			Racks:                 *racks,
-			RackAware:             *rackAware,
-			UplinkMBps:            *uplink,
-			OversubscriptionRatio: *oversub,
-			FalseDeadHours:        *falseDead,
+	cfg := baseConfig()
+	if *scenario != "" {
+		data, err := os.ReadFile(*scenario)
+		if err != nil {
+			return err
 		}
-		cfg.Faults.Network = faults.NetworkFaultConfig{
-			SwitchFailsPerYear:    *switchFails,
-			PowerEventsPerYear:    *powerFails,
-			PowerRestoreMeanHours: 8,
-			PartitionsPerYear:     *partitions,
-			PartitionMeanHours:    12,
+		if cfg, err = core.PatchConfig(cfg, data); err != nil {
+			return fmt.Errorf("%s: %w", *scenario, err)
 		}
-	}
-
-	cfg.VintageScale = *vintage
-	if *load > 0 || *bursts > 0 {
-		cfg.Demand = workload.DemandConfig{
-			BaseShare:    *load,
-			BurstsPerDay: *bursts,
-			BurstShare:   *burstShare,
-			RackSkew:     *rackSkew,
-		}
-	}
-	if *throttle != "" {
-		cfg.Throttle = workload.ThrottleConfig{
-			Policy:    *throttle,
-			FloorMBps: *floor,
-			MaxMBps:   *maxRate,
-		}
-	}
-	cfg.Maintenance = core.MaintenanceConfig{
-		DrainEveryHours:      *drainEvery,
-		DrainDisks:           *drainDisks,
-		UpgradeEveryHours:    *upgradeEvery,
-		UpgradeDurationHours: *upgradeHours,
-		GrowEveryHours:       *growEvery,
-		GrowDisks:            *growDisks,
-		GrowAFRFactor:        *growAFR,
-		GrowCapacityFactor:   *growCap,
-		GrowBandwidthFactor:  *growBW,
 	}
 
 	rec := trace.NewRecorder()

@@ -123,15 +123,16 @@ type Config struct {
 	// time (requires Topology), and scheduled capacity growth with
 	// heterogeneous drive vintages. The zero value schedules nothing.
 	Maintenance MaintenanceConfig
-	// Seed drives all randomness of the run.
-	Seed uint64 //farm:anyvalue every uint64 is a valid seed; runs differ, none misbehave
+	// Seed drives all randomness of the run. Run and MonteCarlo set it,
+	// so it is not part of a scenario (PatchConfig).
+	Seed uint64 `json:"-"` //farm:anyvalue every uint64 is a valid seed; runs differ, none misbehave
 	// CollectUtilization records per-disk used bytes at build time and
 	// at the horizon (Figure 6 / Table 3); costs two []int64 copies.
 	CollectUtilization bool
 	// Hook, when non-nil, receives every simulator event (failures,
 	// detections, rebuilds, losses, warnings, batches) as it happens.
 	// Used by cmd/farmtrace; nil costs nothing.
-	Hook func(trace.Event)
+	Hook func(trace.Event) `json:"-"`
 	// Obs, when non-nil, attaches the flight recorder: a metrics
 	// Registry receiving every run outcome at the horizon, a SpanLog
 	// recording one lifecycle span per block rebuild, and a Series of
@@ -139,7 +140,7 @@ type Config struct {
 	// observers — an attached recorder leaves the run's RunResult (and,
 	// modulo the two span-lifecycle trace kinds, its transcript)
 	// byte-identical. Nil costs nothing.
-	Obs *obs.RunObserver
+	Obs *obs.RunObserver `json:"-"`
 }
 
 // DefaultConfig returns the paper's Table 2 base system.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // Options tunes an experiment run.
@@ -41,40 +40,22 @@ type Options struct {
 	// a telemetry hub bypass the in-process memoization cache so their
 	// progress counters stay truthful; results remain byte-identical.
 	Telemetry *obs.Campaign
-	// Demand, when non-nil, replaces the foreground demand model of
-	// every data point (cmd/farmsim's -load/-bursts/-burstshare/-rackskew
-	// flags): any paper figure can be re-run under user load. Nil leaves
-	// each experiment's own configuration untouched.
-	Demand *workload.DemandConfig
-	// Throttle, when non-nil, replaces the recovery throttle policy of
-	// every data point. The aimd and deadline policies need a demand
-	// model — the experiment's own or a Demand override.
-	Throttle *workload.ThrottleConfig
-	// Maintenance, when non-nil, replaces the maintenance schedule
-	// (drains, rolling upgrades, batch growth) of every data point.
-	Maintenance *core.MaintenanceConfig
-	// VintageScale, when positive, replaces the starting-vintage AFR
-	// scale of every data point.
-	VintageScale float64
+	// Scenario, when non-empty, is a JSON patch (core.PatchConfig)
+	// applied to every data point's config: cmd/farmsim's -scenario
+	// file, so any paper figure can be re-run under user load, a
+	// throttle policy or a maintenance schedule. Only the keys written
+	// change; the experiment's other settings stay.
+	Scenario []byte
 }
 
-// applyOverrides layers the CLI-level fleet overrides onto one data
-// point's config. Called before the memoization key is computed, so
-// cached results are keyed by what actually ran.
-func (o Options) applyOverrides(cfg core.Config) core.Config {
-	if o.Demand != nil {
-		cfg.Demand = *o.Demand
+// patch applies o.Scenario to one data point's config. Called before
+// the memoization key is computed, so cached results are keyed by what
+// actually ran.
+func (o Options) patch(cfg core.Config) (core.Config, error) {
+	if len(o.Scenario) == 0 {
+		return cfg, nil
 	}
-	if o.Throttle != nil {
-		cfg.Throttle = *o.Throttle
-	}
-	if o.Maintenance != nil {
-		cfg.Maintenance = *o.Maintenance
-	}
-	if o.VintageScale > 0 {
-		cfg.VintageScale = o.VintageScale
-	}
-	return cfg
+	return core.PatchConfig(cfg, o.Scenario)
 }
 
 // withDefaults fills zero fields.
@@ -117,7 +98,10 @@ var mcCache sync.Map // string -> core.Result
 func (o Options) monteCarlo(cfg core.Config) (core.Result, error) {
 	cfg.Hook = nil // hooks are never set on experiment configs; be safe
 	cfg.Obs = nil  // per-run observers cannot span a campaign
-	cfg = o.applyOverrides(cfg)
+	cfg, err := o.patch(cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
 	key := fmt.Sprintf("%+v|runs=%d|seed=%d", cfg, o.Runs, o.BaseSeed)
 	if o.Telemetry == nil {
 		if v, ok := mcCache.Load(key); ok {

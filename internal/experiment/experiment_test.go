@@ -3,9 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // tinyOpts shrinks every experiment to seconds for the test suite.
@@ -196,8 +193,9 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestLivingFleetOverrides pins the farmsim -load/-throttle/-drainevery
-// plumbing: Options overrides must reach every data point's config.
+// TestLivingFleetOverrides pins the farmsim -scenario plumbing:
+// Options.Scenario must reach every data point's config, and patch only
+// the keys it writes.
 func TestLivingFleetOverrides(t *testing.T) {
 	opts := tinyOpts().withDefaults()
 	cfg := opts.baseConfig()
@@ -206,23 +204,41 @@ func TestLivingFleetOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := opts
-	loaded.Demand = &workload.DemandConfig{BaseShare: 0.5}
+	loaded.Scenario = []byte(`{"Demand":{"BaseShare":0.5}}`)
 	res, err := loaded.monteCarlo(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.WindowHours.Mean() <= plain.WindowHours.Mean() {
-		t.Errorf("demand override did not stretch windows: %.3f h loaded vs %.3f h idle",
+		t.Errorf("demand scenario did not stretch windows: %.3f h loaded vs %.3f h idle",
 			res.WindowHours.Mean(), plain.WindowHours.Mean())
 	}
 	maint := opts
-	maint.Maintenance = &core.MaintenanceConfig{DrainEveryHours: 720, DrainDisks: 2}
+	maint.Scenario = []byte(`{"Maintenance":{"DrainEveryHours":720,"DrainDisks":2}}`)
 	mres, err := maint.monteCarlo(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.PlannedDrains.Mean() == 0 {
-		t.Error("maintenance override never planned a drain")
+		t.Error("maintenance scenario never planned a drain")
+	}
+
+	// A patch merges into the experiment's own sub-config rather than
+	// replacing it.
+	diurnal := cfg
+	diurnal.Demand = quietDemand()
+	patched, err := loaded.patch(diurnal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patched.Demand.BaseShare != 0.5 || patched.Demand.DiurnalAmplitude != diurnal.Demand.DiurnalAmplitude {
+		t.Errorf("patch replaced the sub-config: got %+v from %+v", patched.Demand, diurnal.Demand)
+	}
+
+	bad := opts
+	bad.Scenario = []byte(`{"Demand":{"BaseShre":0.5}}`)
+	if _, err := bad.monteCarlo(cfg); err == nil {
+		t.Error("a scenario with an unknown key ran")
 	}
 }
 

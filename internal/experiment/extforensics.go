@@ -99,7 +99,10 @@ func runExtForensics(opts Options) ([]*report.Table, error) {
 		// Forensic campaigns bypass opts.monteCarlo: the memoization
 		// cache keys Results, not aggregates, and a cached Result would
 		// leave the postmortems empty.
-		cfg := opts.applyOverrides(forensicStorm(opts, engines[i].farm))
+		cfg, err := opts.patch(forensicStorm(opts, engines[i].farm))
+		if err != nil {
+			return nil, err
+		}
 		agg := forensics.NewAggregate()
 		if _, err := core.MonteCarlo(cfg, core.MonteCarloOptions{
 			Runs:      opts.Runs,

@@ -53,7 +53,10 @@ func fig6Config(opts Options, groupBytes int64) core.Config {
 // fig6Run simulates one trajectory per group size and returns the
 // utilization snapshots.
 func fig6Run(opts Options, groupBytes int64) (core.RunResult, error) {
-	cfg := fig6Config(opts, groupBytes)
+	cfg, err := opts.patch(fig6Config(opts, groupBytes))
+	if err != nil {
+		return core.RunResult{}, err
+	}
 	s, err := core.NewSimulator(cfg)
 	if err != nil {
 		return core.RunResult{}, err
