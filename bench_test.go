@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/cluster"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/erasure"
 	"repro/internal/experiment"
+	"repro/internal/forensics"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -160,6 +162,36 @@ func BenchmarkSingleRunFARMObs(b *testing.B) {
 	if cfg.Obs.Registry.Counter(obs.MetricDiskFailures).Value() == 0 {
 		b.Fatal("registry recorded nothing")
 	}
+}
+
+// BenchmarkForensicCampaign is the forensic campaign's cost: the CI
+// forensics smoke scenario on farmtrace's base system (Table 2 at 50 TB,
+// 24 h S.M.A.R.T. lead), two trajectories on one worker with a
+// postmortem aggregate. Its B/op and allocs/op are CI-gated: they are
+// dominated by the per-run trace recorder and span log.
+func BenchmarkForensicCampaign(b *testing.B) {
+	data, err := os.ReadFile("scenarios/forensics-smoke.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.TotalDataBytes = 50 * disk.TB
+	cfg.SmartLeadHours = 24
+	if cfg, err = core.PatchConfig(cfg, data); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	posts := 0
+	for i := 0; i < b.N; i++ {
+		agg := forensics.NewAggregate()
+		if _, err := core.MonteCarlo(cfg, core.MonteCarloOptions{
+			Runs: 2, Workers: 1, BaseSeed: 1, Forensics: agg,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		posts = agg.Posts
+	}
+	b.ReportMetric(float64(posts), "posts")
 }
 
 // --- Ablation benches (DESIGN.md §6) -------------------------------------

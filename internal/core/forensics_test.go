@@ -119,6 +119,72 @@ func TestForensicsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestForensicsFilteredTap: a forensic campaign records only the kinds
+// forensics.Reads admits, and its aggregate must be byte-identical — JSON
+// and registry — to folding Analyze over every run's full trace and span
+// log from Simulator.Run, on both engines.
+func TestForensicsFilteredTap(t *testing.T) {
+	const runs, base = 4, 5
+	farm := forensicsStormConfig()
+	farm.UseFARM = true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"spare-storm", forensicsStormConfig()}, {"farm-storm", farm}} {
+		ctx := forensics.Context{
+			OversubscriptionRatio: c.cfg.Topology.OversubscriptionRatio,
+			MaxResourcings:        c.cfg.Faults.MaxResourcings,
+		}
+		full := forensics.NewAggregate()
+		for i := uint64(0); i < runs; i++ {
+			run := c.cfg
+			rec := trace.NewRecorder()
+			run.Hook = rec.Record
+			spans := obs.NewSpanLog()
+			run.Obs = &obs.RunObserver{Spans: spans}
+			s, err := NewSimulator(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(base + i); err != nil {
+				t.Fatal(err)
+			}
+			full.AddRun(forensics.Analyze(rec.Events(), spans.Spans(), ctx))
+		}
+		tapped := forensics.NewAggregate()
+		if _, err := MonteCarlo(c.cfg, MonteCarloOptions{
+			Runs: runs, BaseSeed: base, Workers: 2, Forensics: tapped,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if full.Posts == 0 {
+			t.Fatalf("%s: no postmortems; the gate is vacuous", c.name)
+		}
+		wantJSON, wantReg := aggregateBytes(t, full)
+		gotJSON, gotReg := aggregateBytes(t, tapped)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: campaign aggregate JSON differs from the full-stream fold:\n%s\nvs\n%s",
+				c.name, gotJSON, wantJSON)
+		}
+		if !bytes.Equal(gotReg, wantReg) {
+			t.Errorf("%s: campaign registry differs from the full-stream fold", c.name)
+		}
+	}
+}
+
+// aggregateBytes renders an aggregate's JSON and its registry's JSONL.
+func aggregateBytes(t *testing.T, a *forensics.Aggregate) (js, reg []byte) {
+	t.Helper()
+	var jb, rb bytes.Buffer
+	if err := a.WriteJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Registry().WriteJSONL(&rb); err != nil {
+		t.Fatal(err)
+	}
+	return jb.Bytes(), rb.Bytes()
+}
+
 // TestForensicsStormCoverage is the completeness gate: in the
 // everything-on storm, every data-loss and every dropped-rebuild event
 // gets exactly one postmortem, every postmortem carries a classified

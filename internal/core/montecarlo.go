@@ -117,9 +117,11 @@ type MonteCarloOptions struct {
 	Telemetry *obs.Campaign
 	// Forensics, when non-nil, receives a causal postmortem for every
 	// data-loss and dropped-rebuild event of the campaign. Each run
-	// executes with a private trace recorder and span log (the
-	// simulation itself is untouched — tracing and spans are read-only
-	// taps), forensics.Analyze runs off the hot path after the run
+	// executes with a private span log and a private trace recorder that
+	// keeps only the kinds forensics.Reads admits (the simulation itself
+	// is untouched — tracing and spans are read-only taps, and Analyze
+	// ignores every other kind, so the report is the one the full stream
+	// gives), forensics.Analyze runs off the hot path after the run
 	// finishes, and the per-run reports are folded into the aggregate in
 	// strict run-index order alongside the Result, so the aggregate —
 	// counts, blame sums, registry bytes — is identical regardless of
@@ -239,10 +241,15 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 			var spans *obs.SpanLog
 			if fore != nil {
 				// Private per-run trace + span taps for the postmortem
-				// analysis; Analyze runs after the run, off the hot path.
+				// analysis; Analyze runs after the run, off the hot path,
+				// and is the recorder's only reader.
 				rec = trace.NewRecorder()
 				spans = obs.NewSpanLog()
-				runCfg.Hook = rec.Record
+				runCfg.Hook = func(e trace.Event) {
+					if forensics.Reads(e.Kind) {
+						rec.Record(e)
+					}
+				}
 			}
 			if reg != nil || spans != nil {
 				runCfg.Obs = &obs.RunObserver{Registry: reg, Spans: spans}

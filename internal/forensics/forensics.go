@@ -20,6 +20,35 @@ import (
 	"repro/internal/trace"
 )
 
+// reads is the set of kinds Analyze reads, indexed by Kind: exactly the
+// kinds its switch has a case for (TestReadsMatchesAnalyze checks the
+// two agree). Every other kind is skipped before the switch, so a stream
+// with only these kinds analyses exactly like the full one.
+var reads = [...]bool{
+	trace.KindDiskFail:          true,
+	trace.KindRackUnreachable:   true,
+	trace.KindPartitionHeal:     true,
+	trace.KindFalseDead:         true,
+	trace.KindFailSlowOnset:     true,
+	trace.KindFailSlowRecover:   true,
+	trace.KindThrottle:          true,
+	trace.KindBurst:             true,
+	trace.KindSpareQueued:       true,
+	trace.KindLSEDetect:         true,
+	trace.KindScrubRepair:       true,
+	trace.KindResourceCrossRack: true,
+	trace.KindRebuildTimeout:    true,
+	trace.KindHedge:             true,
+	trace.KindRebuildParked:     true,
+	trace.KindRebuildResumed:    true,
+	trace.KindDataLoss:          true,
+	trace.KindDropped:           true,
+}
+
+// Reads reports whether Analyze reads events of kind k. A tap that
+// feeds only Analyze may drop every event for which Reads is false.
+func Reads(k trace.Kind) bool { return int(k) < len(reads) && reads[k] }
+
 // Context carries the configuration facts blame attribution needs —
 // the knobs that shaped the run but are invisible in the event stream.
 type Context struct {
@@ -142,7 +171,8 @@ type analyzer struct {
 // postmortem per data-loss and per dropped event, in trace order. A nil
 // span slice degrades gracefully: windows without span evidence come
 // back Instant and drop classification falls to ClassUnattributed.
-// Events must be time-sorted (the recorder's natural order).
+// Events must be time-sorted (the recorder's natural order); events of
+// kinds outside Reads are ignored.
 func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 	a := &analyzer{
 		ctx:             ctx,
@@ -164,6 +194,9 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 	}
 	rep := &Report{}
 	for _, e := range events {
+		if !Reads(e.Kind) {
+			continue
+		}
 		switch e.Kind {
 		case trace.KindDiskFail:
 			a.diskFailAt[e.Disk] = e.Time

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Span outcomes.
@@ -76,10 +77,18 @@ func (s *Span) Window() float64 {
 // DetectWait returns the detection-latency phase of the span.
 func (s *Span) DetectWait() float64 { return s.DetectedAt - s.FailedAt }
 
-// SpanLog collects rebuild-lifecycle spans in start order. Not safe for
-// concurrent use — one run, one SpanLog.
+// spanPage is how many spans one SpanLog page holds.
+const spanPage = 256
+
+// SpanLog collects rebuild-lifecycle spans in start order. Spans live in
+// fixed-size pages that are never reallocated, so a pointer Start
+// returns stays valid for the log's lifetime. Not safe for concurrent
+// use — one run, one SpanLog.
 type SpanLog struct {
 	spans []*Span
+	// page is the page being filled; a full page is left to the
+	// pointers in spans and a fresh one is allocated.
+	page []Span
 }
 
 // NewSpanLog returns an empty span log.
@@ -88,12 +97,19 @@ func NewSpanLog() *SpanLog { return &SpanLog{} }
 // Start opens a span for block rebuild id at queue time and returns it
 // for in-place phase accounting.
 func (l *SpanLog) Start(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) *Span {
-	sp := &Span{
+	if len(l.page) == cap(l.page) {
+		l.page = make([]Span, 0, spanPage)
+		if cap(l.spans)-len(l.spans) < spanPage {
+			l.spans = slices.Grow(l.spans, max(len(l.spans), spanPage))
+		}
+	}
+	l.page = append(l.page, Span{
 		Rebuild: id, Group: group, Rep: rep,
 		FailedAt: failedAt, DetectedAt: detectedAt, QueuedAt: queuedAt,
 		StartAt: -1, DoneAt: -1,
 		Outcome: OutcomeUnfinished,
-	}
+	})
+	sp := &l.page[len(l.page)-1]
 	l.spans = append(l.spans, sp)
 	return sp
 }

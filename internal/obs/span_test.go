@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -69,6 +71,74 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"outcome":"unfinished"`) {
 		t.Fatalf("unfinished span missing from JSONL:\n%s", sb.String())
+	}
+}
+
+// TestSpanLogPages: spans handed out from pages across several page
+// boundaries are distinct, stay where Start put them while later spans
+// are opened, come back from Spans in start order, and serialize to the
+// bytes the same spans built one by one do.
+func TestSpanLogPages(t *testing.T) {
+	const n = 1000
+	l := NewSpanLog()
+	got := make([]*Span, n)
+	seen := make(map[*Span]bool, n)
+	for i := range got {
+		sp := l.Start(int32(i), i, i%3, float64(i), float64(i)+0.5, float64(i)+1)
+		if seen[sp] {
+			t.Fatalf("Start %d returned a pointer already handed out", i)
+		}
+		seen[sp] = true
+		got[i] = sp
+		if i > 0 {
+			// Mutate the previous span through its pointer after a later
+			// Start; the write must land in the log.
+			got[i-1].Attempts = i - 1
+			got[i-1].Outcome = OutcomeDone
+		}
+	}
+	spans := l.Spans()
+	if len(spans) != n || l.Len() != n {
+		t.Fatalf("log holds %d spans (Len %d), want %d", len(spans), l.Len(), n)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for i, sp := range spans {
+		if sp != got[i] || sp.Rebuild != int32(i) {
+			t.Fatalf("Spans()[%d] is rebuild %d, not the span Start %d returned", i, sp.Rebuild, i)
+		}
+		if i < n-1 && (sp.Attempts != i || sp.Outcome != OutcomeDone) {
+			t.Fatalf("span %d lost a write made through its pointer: %+v", i, *sp)
+		}
+		ref := &Span{
+			Rebuild: int32(i), Group: i, Rep: i % 3,
+			FailedAt: float64(i), DetectedAt: float64(i) + 0.5, QueuedAt: float64(i) + 1,
+			StartAt: -1, DoneAt: -1, Attempts: sp.Attempts, Outcome: sp.Outcome,
+		}
+		if err := enc.Encode(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if err := l.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatal("paged spans serialize differently from spans built one by one")
+	}
+}
+
+// TestSpanLogStartAllocs: a page's worth of spans costs the page and
+// the pointer slice's growth, not one allocation per span.
+func TestSpanLogStartAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		l := NewSpanLog()
+		for i := 0; i < spanPage; i++ {
+			l.Start(int32(i), i, 0, 0, 0, 0)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("%d Starts allocated %.0f times, want ≤ 3", spanPage, allocs)
 	}
 }
 

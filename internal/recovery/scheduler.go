@@ -94,7 +94,9 @@ type queued struct {
 
 // fifo is one disk's wait queue. Entries before head are consumed; the
 // queue rewinds to the start of its backing array whenever it empties,
-// so a steady stream of appends reuses the same storage.
+// and enqueue slides the unconsumed entries to the front when the array
+// is full, so a steady stream of appends reuses the same storage even
+// on a queue that never empties.
 type fifo struct {
 	items []queued
 	head  int
@@ -230,6 +232,14 @@ func (s *Scheduler) dispatch(t *Task) {
 func (s *Scheduler) enqueue(t *Task, d int) {
 	t.queuedOn = d
 	q := &s.waiting[d]
+	if len(q.items) == cap(q.items) && q.head > 0 {
+		// A queue that never empties is never rewound by drain: slide
+		// the unconsumed entries (stale ones too) to the front instead
+		// of growing the array behind a consumed prefix.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, queued{t: t, gen: t.gen})
 }
 

@@ -248,3 +248,43 @@ func TestSchedulerStaleEntryAfterResubmit(t *testing.T) {
 		t.Fatalf("started %d transfers, disk 1 queue %d; want 3 and 0", s.Started, s.QueueLen(1))
 	}
 }
+
+// TestFIFOCompactsBusyQueue: a disk that stays busy with a short queue
+// for many transfers never empties its FIFO, so drain never rewinds it;
+// enqueue must reclaim the consumed prefix instead of growing the array
+// behind it.
+func TestFIFOCompactsBusyQueue(t *testing.T) {
+	const k, cycles = 4, 10000
+	eng := sim.New()
+	s := NewScheduler(eng, k+1)
+	done := 0
+	var order []int
+	s.OnDone = func(_ sim.Time, task *Task) {
+		done++
+		order = append(order, task.Group)
+		if done+k > cycles {
+			return
+		}
+		// Resubmit once this completion's drain has started the next
+		// waiter, so the task joins the tail of disk 0's queue.
+		eng.After(0, "resubmit", func(sim.Time) { s.Submit(task) })
+	}
+	for i := 0; i < k; i++ {
+		s.Submit(&Task{Group: i, Source: i + 1, Target: 0, Duration: 1})
+	}
+	maxCap := 0
+	for eng.Step() {
+		maxCap = max(maxCap, cap(s.waiting[0].items))
+	}
+	if done != cycles {
+		t.Fatalf("completed %d transfers, want %d", done, cycles)
+	}
+	if maxCap > 2*k {
+		t.Fatalf("disk 0 queue grew to cap %d with at most %d live entries", maxCap, k)
+	}
+	for i, g := range order {
+		if g != i%k {
+			t.Fatalf("completion %d is task %d, want %d (FIFO order lost)", i, g, i%k)
+		}
+	}
+}

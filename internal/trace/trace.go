@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -259,8 +260,15 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Record appends one event.
-func (r *Recorder) Record(e Event) { r.events = append(r.events, e) }
+// Record appends one event. The buffer doubles when full: a storm run
+// records hundreds of thousands of events, and append's gentler growth
+// for large slices would allocate several times the final stream.
+func (r *Recorder) Record(e Event) {
+	if len(r.events) == cap(r.events) {
+		r.events = slices.Grow(r.events, max(len(r.events), 1024))
+	}
+	r.events = append(r.events, e)
+}
 
 // Events returns the recorded stream (caller must not mutate).
 func (r *Recorder) Events() []Event { return r.events }
