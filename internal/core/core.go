@@ -383,9 +383,17 @@ func runOnce(cfg Config) (RunResult, error) {
 		return RunResult{}, err
 	}
 
+	throttle, err := cfg.ThrottlePolicy()
+	if err != nil {
+		return RunResult{}, err
+	}
+	demand, err := workload.NewDemand(cfg.Demand, cfg.SimHours, cfg.Topology.Racks, cfg.Seed)
+	if err != nil {
+		return RunResult{}, err
+	}
+
 	eng := sim.New()
 	sched := recovery.NewScheduler(eng, cl.NumDisks())
-	random := rng.New(cfg.Seed)
 
 	var res RunResult
 	res.Disks = cl.NumDisks()
@@ -398,101 +406,97 @@ func runOnce(cfg Config) (RunResult, error) {
 		cl:      cl,
 		eng:     eng,
 		sched:   sched,
-		random:  random,
+		random:  rng.New(cfg.Seed),
 		res:     &res,
 		monitor: smart.Monitor{Accuracy: cfg.SmartAccuracy, LeadHours: cfg.SmartLeadHours},
+		net:     net,
+		demand:  demand,
+		// Replacement batches trigger on failures of the original
+		// population fraction.
+		originalDisks: cl.NumDisks(),
 	}
 
-	spawn := func(now sim.Time) int {
-		ids := cl.AddDisks(1, float64(now))
-		st.engine.Grow(cl.NumDisks())
-		st.scheduleFailure(ids[0])
-		st.armLSE(ids[0])
-		st.armFailSlow(ids[0])
-		return ids[0]
+	env := recovery.Env{
+		Cluster:   cl,
+		Sim:       eng,
+		Sched:     sched,
+		Throttle:  throttle,
+		Tally:     &res.Tally,
+		Straggler: cfg.Straggler,
+		Net:       net,
+		Obs:       cfg.Obs,
+		Observer:  cfg.Hook,
 	}
-	throttle, err := cfg.ThrottlePolicy()
-	if err != nil {
-		return RunResult{}, err
-	}
-	if cfg.UseFARM {
-		st.engine = recovery.NewFARM(cl, eng, sched, throttle, &res.Tally)
-	} else {
-		st.engine = recovery.NewSpareDisk(cl, eng, sched, throttle, spawn, &res.Tally)
-	}
-	if net != nil {
-		st.net = net
-		st.engine.SetTopology(net)
-	}
-	demand, derr := workload.NewDemand(cfg.Demand, cfg.SimHours, cfg.Topology.Racks, cfg.Seed)
-	if derr != nil {
-		return RunResult{}, derr
+	if cfg.Straggler.Enabled {
+		env.Evict = st.onSlowEvicted
 	}
 	if demand != nil {
-		st.demand = demand
 		// Cross-rack reconstruction pays the oversubscribed spine: the
 		// degraded-read stretch is the oversubscription ratio itself.
 		cross := 1.0
 		if cfg.Topology.Enabled() && cfg.Topology.OversubscriptionRatio > 1 {
 			cross = cfg.Topology.OversubscriptionRatio
 		}
-		st.engine.SetForeground(&workload.Foreground{
+		env.Foreground = &workload.Foreground{
 			Demand:          demand,
 			Reads:           rng.New(cfg.Seed ^ degradedReadSalt),
 			DiskMBps:        cfg.DiskBandwidthMBps,
 			KFactor:         float64(cfg.Scheme.M),
 			CrossRackFactor: cross,
 			MTTFHours:       fleetMTTFHours(cfg.VintageScale, cl.NumDisks()),
-		})
+		}
+	}
+	// Fault injection rides on its own stream split off the run seed, so
+	// the zero config leaves the base simulation untouched.
+	if cfg.Faults.Enabled() {
+		inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^faultSeedSalt)
+		if err != nil {
+			return RunResult{}, err
+		}
+		inj.SetDiscoveryHandler(st.onLatentDiscovered)
+		st.inj = inj
+		env.Faults = inj
+	}
+	if cfg.UseFARM {
+		st.engine = recovery.NewFARM(env)
+	} else {
+		var pool int
+		var replenish float64
+		if st.inj != nil {
+			eff := st.inj.Config()
+			pool, replenish = eff.SparePoolSize, eff.SpareReplenishHours
+		}
+		st.engine = recovery.NewSpareDisk(env, func(now sim.Time) int {
+			ids := cl.AddDisks(1, float64(now))
+			st.joined(ids)
+			return ids[0]
+		}, pool, replenish)
+	}
+
+	if demand != nil {
 		st.scheduleDemandBurst(0)
 	}
 	if cfg.Maintenance.Enabled() {
 		st.scheduleMaintenance()
 	}
-	if cfg.Obs != nil {
-		st.engine.SetObservability(cfg.Obs)
-	}
-	if cfg.Straggler.Enabled {
-		st.engine.SetStraggler(cfg.Straggler, st.onSlowEvicted)
-	}
-	st.engine.SetObserver(cfg.Hook)
-
-	// Replacement bookkeeping: batches trigger on failures of the
-	// original population fraction.
-	st.originalDisks = cl.NumDisks()
-
 	// Seed the failure process for the initial population.
 	for id := 0; id < cl.NumDisks(); id++ {
 		st.scheduleFailure(id)
 	}
-
-	// Fault injection rides on its own stream split off the run seed, so
-	// the zero config leaves the base simulation untouched.
-	if cfg.Faults.Enabled() {
-		inj, ierr := faults.NewInjector(cfg.Faults, cfg.Seed^faultSeedSalt)
-		if ierr != nil {
-			return RunResult{}, ierr
-		}
-		st.inj = inj
-		inj.SetDiscoveryHandler(st.onLatentDiscovered)
-		st.engine.SetFaultModel(inj)
-		if sp, ok := st.engine.(*recovery.SpareDisk); ok && cfg.Faults.SparePoolSize > 0 {
-			eff := inj.Config()
-			sp.ConfigureSparePool(eff.SparePoolSize, eff.SpareReplenishHours)
-		}
+	if st.inj != nil {
 		if cfg.Faults.LSERatePerDiskHour > 0 {
 			for id := 0; id < cl.NumDisks(); id++ {
 				st.scheduleLSE(id)
 			}
 			if cfg.Faults.ScrubIntervalHours > 0 {
-				st.scheduleScrub()
+				st.every("scrub", func() float64 { return st.cfg.Faults.ScrubIntervalHours }, st.scrub)
 			}
 		}
-		st.scheduleBurst()
-		if st.net != nil && cfg.Faults.Network.Enabled() {
-			st.scheduleSwitchFail()
-			st.schedulePowerEvent()
-			st.schedulePartition()
+		st.every("burst", st.inj.NextBurstGap, st.burst)
+		if net != nil && cfg.Faults.Network.Enabled() {
+			st.every("switch-fail", st.inj.NextSwitchFailGap, st.switchFail)
+			st.every("rack-power", st.inj.NextPowerEventGap, st.powerEvent)
+			st.every("partition", st.inj.NextPartitionGap, st.partition)
 		}
 		if cfg.Faults.FailSlow.Enabled() {
 			if cfg.Faults.FailSlow.OnsetRatePerDiskHour > 0 {
@@ -500,14 +504,13 @@ func runOnce(cfg Config) (RunResult, error) {
 					st.scheduleSlowOnset(id)
 				}
 			}
-			st.scheduleSlowBurst()
+			st.every("slow-burst", st.inj.NextSlowBurstGap, st.slowBurst)
 		}
 	}
-
 	if cfg.Obs != nil && cfg.Obs.Series != nil {
 		// Baseline sample at t=0, then one per cadence until the horizon.
 		st.takeSample(0)
-		st.scheduleSample()
+		st.every("obs-sample", func() float64 { return st.cfg.Obs.SampleEveryHours }, st.takeSample)
 	}
 
 	eng.RunUntil(sim.Time(cfg.SimHours))
@@ -576,24 +579,46 @@ type runState struct {
 	rebalance replace.Rebalancer
 }
 
-// scheduleSample arms the next read-only system-state snapshot. The
-// sampler rides the regular event queue, so an enabled sampler shifts
-// engine sequence numbers uniformly but never reorders, adds, or removes
-// simulation work — RunResult stays byte-identical.
-func (st *runState) scheduleSample() {
-	at := st.eng.Now() + sim.Time(st.cfg.Obs.SampleEveryHours)
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "obs-sample", func(now sim.Time) {
-		st.takeSample(float64(now))
-		st.scheduleSample()
-	})
+// process is one recurring fleet-wide event chain (see every).
+type process struct {
+	st    *runState
+	label string
+	gap   func() float64
+	fire  func(now sim.Time)
+	// tick is the arrival callback, bound once so re-arming allocates
+	// nothing.
+	tick func(now sim.Time)
 }
 
-// takeSample appends one snapshot to the configured series.
-func (st *runState) takeSample(now float64) {
-	st.cfg.Obs.Series.Add(st.snapshot(now))
+// every starts a recurring fleet-wide process: it draws the gap to the
+// first arrival now, queues the arrival under label unless it falls past
+// the horizon (which also covers a disabled, +Inf gap), and after each
+// fire draws the next gap and re-arms the same way.
+func (st *runState) every(label string, gap func() float64, fire func(now sim.Time)) {
+	p := &process{st: st, label: label, gap: gap, fire: fire}
+	p.tick = func(now sim.Time) {
+		p.fire(now)
+		p.arm()
+	}
+	p.arm()
+}
+
+// arm draws the gap to the process's next arrival and queues it.
+func (p *process) arm() {
+	at := p.st.eng.Now() + sim.Time(p.gap())
+	if float64(at) > p.st.cfg.SimHours {
+		return
+	}
+	p.st.eng.Schedule(at, p.label, p.tick)
+}
+
+// takeSample appends one read-only system-state snapshot to the
+// configured series (the "obs-sample" process). The sampler rides the
+// regular event queue, so an enabled sampler shifts engine sequence
+// numbers uniformly but never reorders, adds, or removes simulation
+// work — RunResult stays byte-identical.
+func (st *runState) takeSample(now sim.Time) {
+	st.cfg.Obs.Series.Add(st.snapshot(float64(now)))
 }
 
 // snapshot assembles one Sample from cluster, scheduler, and engine
@@ -768,25 +793,29 @@ func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 	st.maybeReplace(now)
 }
 
-// armLSE starts the latent-error arrival process on a (new) drive when
-// injection is configured; a no-op otherwise.
-func (st *runState) armLSE(id int) {
-	if st.inj != nil && st.cfg.Faults.LSERatePerDiskHour > 0 {
-		st.scheduleLSE(id)
-	}
-}
-
-// armFailSlow starts the fail-slow onset process on a (new) drive when
-// gray-failure injection is configured; a no-op otherwise.
-func (st *runState) armFailSlow(id int) {
-	if st.inj != nil && st.cfg.Faults.FailSlow.OnsetRatePerDiskHour > 0 {
-		st.scheduleSlowOnset(id)
+// joined starts the drives ids, just added to the cluster: the engine's
+// per-disk tables grow to cover them, then each drive's failure process
+// and, when injection configures them, its latent-error and fail-slow
+// onset processes start. Every drive that joins after the start of the
+// run (spare, replacement batch, growth batch) starts here.
+func (st *runState) joined(ids []int) {
+	st.engine.Grow(st.cl.NumDisks())
+	for _, id := range ids {
+		st.scheduleFailure(id)
+		if st.inj != nil && st.cfg.Faults.LSERatePerDiskHour > 0 {
+			st.scheduleLSE(id)
+		}
+		if st.inj != nil && st.cfg.Faults.FailSlow.OnsetRatePerDiskHour > 0 {
+			st.scheduleSlowOnset(id)
+		}
 	}
 }
 
 // scheduleSlowOnset samples the drive's next fail-slow onset and queues
-// it; on firing, the drive degrades and the process re-arms while the
-// drive lives (a degraded drive can degrade again after recovering).
+// it; on firing, the drive degrades (a degraded drive can degrade again
+// after recovering) and the process re-arms. It re-arms whatever the
+// drive's state, so a dead or retired drive keeps drawing onsets, each a
+// no-op, until the horizon.
 func (st *runState) scheduleSlowOnset(id int) {
 	at := st.eng.Now() + sim.Time(st.inj.NextSlowOnsetGap())
 	if float64(at) > st.cfg.SimHours {
@@ -824,39 +853,36 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 	}
 }
 
-// scheduleSlowBurst samples the next correlated slow-burst (a batch
-// gray-failure event: firmware rollout, thermal excursion, a bad rack)
-// and queues it; on firing, the drawn victims degrade spread across the
-// burst window, and the process re-arms.
-func (st *runState) scheduleSlowBurst() {
-	at := st.eng.Now() + sim.Time(st.inj.NextSlowBurstGap())
-	if float64(at) > st.cfg.SimHours {
-		return // also covers the disabled (+Inf) case
+// slowBurst plays one correlated slow-burst (a batch gray-failure
+// event: firmware rollout, thermal excursion, a bad rack; the
+// "slow-burst" process): the drawn victims degrade spread across the
+// burst window.
+func (st *runState) slowBurst(now sim.Time) {
+	victims := st.aliveVictims(st.inj.SlowBurstSize(), st.inj.SampleSlowVictims)
+	for _, victim := range victims {
+		st.eng.Schedule(now+sim.Time(st.inj.SlowBurstDelay()), "slow-burst-hit", func(bnow sim.Time) {
+			st.applySlowOnset(bnow, victim)
+		})
 	}
-	st.eng.Schedule(at, "slow-burst", func(now sim.Time) {
-		k := st.inj.SlowBurstSize()
-		alive := make([]int, 0, st.cl.AliveDisks())
-		for id := range st.cl.Disks {
-			if st.cl.Disks[id].State == disk.Alive {
-				alive = append(alive, id)
-			}
+	st.res.SlowBursts++
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindSlowBurst,
+		N: int32(len(victims))})
+}
+
+// aliveVictims draws min(k, alive) distinct live drives with sample, the
+// injector's draw of k indexes out of n, and returns their ids.
+func (st *runState) aliveVictims(k int, sample func(n, k int) []int) []int {
+	alive := make([]int, 0, st.cl.AliveDisks())
+	for id := range st.cl.Disks {
+		if st.cl.Disks[id].State == disk.Alive {
+			alive = append(alive, id)
 		}
-		if k > len(alive) {
-			k = len(alive)
-		}
-		hits := 0
-		for _, idx := range st.inj.SampleSlowVictims(len(alive), k) {
-			victim := alive[idx]
-			st.eng.Schedule(now+sim.Time(st.inj.SlowBurstDelay()), "slow-burst-hit", func(bnow sim.Time) {
-				st.applySlowOnset(bnow, victim)
-			})
-			hits++
-		}
-		st.res.SlowBursts++
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSlowBurst,
-			N: int32(hits)})
-		st.scheduleSlowBurst()
-	})
+	}
+	victims := sample(len(alive), min(k, len(alive)))
+	for i, idx := range victims {
+		victims[i] = alive[idx]
+	}
+	return victims
 }
 
 // onSlowEvicted fires when the straggler detector condemns a drive: the
@@ -918,124 +944,75 @@ func (st *runState) onLatentDiscovered(now sim.Time, diskID, group, rep int) {
 	st.engine.HandleBlockLoss(now, now, diskID, group, rep)
 }
 
-// scheduleScrub runs the periodic scrubber: every interval it discovers
-// all accumulated latent errors and queues each damaged replica for
-// proactive repair.
-func (st *runState) scheduleScrub() {
-	at := st.eng.Now() + sim.Time(st.cfg.Faults.ScrubIntervalHours)
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "scrub", func(now sim.Time) {
-		found := 0
-		for _, e := range st.inj.TakeLatent() {
-			if st.cl.GroupDiskOf(e.Group, e.Rep) != int32(e.Disk) {
-				continue // block moved since the error arrived; stale
-			}
-			found++
-			st.res.ScrubFound++
-			_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(e.Group), Rep: int32(e.Rep)})
-			st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrubRepair,
-				Disk: int32(e.Disk), Group: int32(e.Group), Rep: int32(e.Rep)})
-			if newlyDead {
-				st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: int32(e.Disk),
-					N: 1})
-				continue
-			}
-			st.engine.HandleBlockLoss(now, now, e.Disk, e.Group, e.Rep)
+// scrub runs one pass of the periodic scrubber (the "scrub" process):
+// it discovers all accumulated latent errors and queues each damaged
+// replica for proactive repair.
+func (st *runState) scrub(now sim.Time) {
+	found := 0
+	for _, e := range st.inj.TakeLatent() {
+		if st.cl.GroupDiskOf(e.Group, e.Rep) != int32(e.Disk) {
+			continue // block moved since the error arrived; stale
 		}
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrub,
-			N: int32(found)})
-		st.scheduleScrub()
-	})
+		found++
+		st.res.ScrubFound++
+		_, newlyDead := st.cl.CorruptBlock(cluster.BlockRef{Group: int32(e.Group), Rep: int32(e.Rep)})
+		st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrubRepair,
+			Disk: int32(e.Disk), Group: int32(e.Group), Rep: int32(e.Rep)})
+		if newlyDead {
+			st.emit(trace.Event{Time: float64(now), Kind: trace.KindDataLoss, Disk: int32(e.Disk),
+				N: 1})
+			continue
+		}
+		st.engine.HandleBlockLoss(now, now, e.Disk, e.Group, e.Rep)
+	}
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindScrub,
+		N: int32(found)})
 }
 
-// scheduleBurst samples the next correlated-failure burst and queues it;
-// on firing, the drawn victims die spread across the burst window, and
-// the process re-arms. Victims that die naturally first are no-ops
-// (onDiskFailure is defensive).
-func (st *runState) scheduleBurst() {
-	at := st.eng.Now() + sim.Time(st.inj.NextBurstGap())
-	if float64(at) > st.cfg.SimHours {
-		return // also covers the disabled (+Inf) case
+// burst plays one correlated-failure burst (the "burst" process): the
+// drawn victims die spread across the burst window. Victims that die
+// naturally first are no-ops (onDiskFailure is defensive).
+func (st *runState) burst(now sim.Time) {
+	victims := st.aliveVictims(st.inj.BurstSize(), st.inj.SampleVictims)
+	for _, victim := range victims {
+		st.eng.Schedule(now+sim.Time(st.inj.BurstDelay()), "burst-kill", func(bnow sim.Time) {
+			st.onDiskFailure(bnow, victim)
+		})
 	}
-	st.eng.Schedule(at, "burst", func(now sim.Time) {
-		k := st.inj.BurstSize()
-		alive := make([]int, 0, st.cl.AliveDisks())
-		for id := range st.cl.Disks {
-			if st.cl.Disks[id].State == disk.Alive {
-				alive = append(alive, id)
-			}
-		}
-		if k > len(alive) {
-			k = len(alive)
-		}
-		kills := 0
-		for _, idx := range st.inj.SampleVictims(len(alive), k) {
-			victim := alive[idx]
-			st.eng.Schedule(now+sim.Time(st.inj.BurstDelay()), "burst-kill", func(bnow sim.Time) {
-				st.onDiskFailure(bnow, victim)
-			})
-			kills++
-		}
-		st.res.Bursts++
-		st.res.BurstKills += kills
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindBurst,
-			N: int32(kills)})
-		st.scheduleBurst()
-	})
+	st.res.Bursts++
+	st.res.BurstKills += len(victims)
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindBurst,
+		N: int32(len(victims))})
 }
 
-// scheduleSwitchFail samples the next ToR-switch failure and queues it;
-// on firing, the struck rack goes dark with no scheduled heal (a dead
-// switch needs a human; only the false-dead timer ends the outage), and
-// the process re-arms.
-func (st *runState) scheduleSwitchFail() {
-	at := st.eng.Now() + sim.Time(st.inj.NextSwitchFailGap())
-	if float64(at) > st.cfg.SimHours {
-		return // also covers the disabled (+Inf) case
-	}
-	st.eng.Schedule(at, "switch-fail", func(now sim.Time) {
-		rack := st.inj.PickRack(st.net.Racks())
-		st.res.SwitchFails++
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindSwitchFail, Rack: int32(rack)})
-		st.rackDown(now, rack, trace.CauseSwitchFail, 0)
-		st.scheduleSwitchFail()
-	})
+// switchFail plays one ToR-switch failure (the "switch-fail" process):
+// the struck rack goes dark with no scheduled heal (a dead switch needs
+// a human; only the false-dead timer ends the outage).
+func (st *runState) switchFail(now sim.Time) {
+	rack := st.inj.PickRack(st.net.Racks())
+	st.res.SwitchFails++
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindSwitchFail, Rack: int32(rack)})
+	st.rackDown(now, rack, trace.CauseSwitchFail, 0)
 }
 
-// schedulePowerEvent samples the next rack power event and queues it; on
-// firing, the struck rack goes dark until power is restored (drives
-// return with their data), and the process re-arms.
-func (st *runState) schedulePowerEvent() {
-	at := st.eng.Now() + sim.Time(st.inj.NextPowerEventGap())
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "rack-power", func(now sim.Time) {
-		rack := st.inj.PickRack(st.net.Racks())
-		restore := st.inj.DrawPowerRestore()
-		st.res.RackPowerEvents++
-		st.rackDown(now, rack, trace.CausePower, restore)
-		st.schedulePowerEvent()
-	})
+// powerEvent plays one rack power event (the "rack-power" process): the
+// struck rack goes dark until power is restored (drives return with
+// their data).
+func (st *runState) powerEvent(now sim.Time) {
+	rack := st.inj.PickRack(st.net.Racks())
+	restore := st.inj.DrawPowerRestore()
+	st.res.RackPowerEvents++
+	st.rackDown(now, rack, trace.CausePower, restore)
 }
 
-// schedulePartition samples the next transient network partition and
-// queues it; on firing, the struck rack is unreachable (drives healthy,
-// data intact) until the partition heals, and the process re-arms.
-func (st *runState) schedulePartition() {
-	at := st.eng.Now() + sim.Time(st.inj.NextPartitionGap())
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "partition", func(now sim.Time) {
-		rack := st.inj.PickRack(st.net.Racks())
-		heal := st.inj.DrawPartitionHeal()
-		st.res.Partitions++
-		st.rackDown(now, rack, trace.CausePartition, heal)
-		st.schedulePartition()
-	})
+// partition plays one transient network partition (the "partition"
+// process): the struck rack is unreachable (drives healthy, data intact)
+// until the partition heals.
+func (st *runState) partition(now sim.Time) {
+	rack := st.inj.PickRack(st.net.Racks())
+	heal := st.inj.DrawPartitionHeal()
+	st.res.Partitions++
+	st.rackDown(now, rack, trace.CausePartition, heal)
 }
 
 // rackDown takes a rack off the fabric: the engine parks or re-sources
@@ -1128,12 +1105,7 @@ func (st *runState) maybeReplace(now sim.Time) {
 	count := st.failedSinceBatch
 	st.failedSinceBatch = 0
 	ids := st.cl.AddDisks(count, float64(now))
-	st.engine.Grow(st.cl.NumDisks())
-	for _, nid := range ids {
-		st.scheduleFailure(nid)
-		st.armLSE(nid)
-		st.armFailSlow(nid)
-	}
+	st.joined(ids)
 	st.res.BatchesAdded++
 	st.res.DisksAdded += count
 	st.res.MigratedBytes += st.rebalance.Onto(st.cl, ids)

@@ -166,39 +166,31 @@ func (st *runState) scheduleDemandBurst(i int) {
 	})
 }
 
-// scheduleMaintenance arms the configured maintenance processes.
+// scheduleMaintenance arms the configured maintenance processes. It
+// fills the zero knobs of st.cfg.Maintenance first, so the processes
+// read the effective values.
 func (st *runState) scheduleMaintenance() {
-	m := st.cfg.Maintenance.effective()
+	m := &st.cfg.Maintenance
+	*m = m.effective()
 	if m.DrainEveryHours > 0 {
-		st.scheduleDrainWindow(m)
+		st.every("drain-window", func() float64 { return m.DrainEveryHours }, st.planDrains)
 	}
 	if m.UpgradeEveryHours > 0 {
-		st.scheduleUpgrade(m)
+		st.every("upgrade-begin", func() float64 { return m.UpgradeEveryHours }, st.beginUpgrade)
 	}
 	if m.GrowEveryHours > 0 {
-		st.scheduleGrowth(m)
+		st.every("growth-batch", func() float64 { return m.GrowEveryHours }, st.growFleet)
 	}
 }
 
-// scheduleDrainWindow arms the next proactive drain window.
-func (st *runState) scheduleDrainWindow(m MaintenanceConfig) {
-	at := st.eng.Now() + sim.Time(m.DrainEveryHours)
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "drain-window", func(now sim.Time) {
-		st.planDrains(now, m.DrainDisks)
-		st.scheduleDrainWindow(m)
-	})
-}
-
-// planDrains sends the next count drives through the controlled
-// suspect/drain exit, round-robin by id so every drive eventually gets
-// its turn. Dead, already-suspect, and write-fenced drives are skipped
-// without consuming the window's budget.
-func (st *runState) planDrains(now sim.Time, count int) {
+// planDrains opens one proactive drain window (the "drain-window"
+// process): the next DrainDisks drives take the controlled suspect/drain
+// exit, round-robin by id so every drive eventually gets its turn. Dead,
+// already-suspect, and write-fenced drives are skipped without consuming
+// the window's budget.
+func (st *runState) planDrains(now sim.Time) {
 	n := st.cl.NumDisks()
-	for picked, scanned := 0, 0; picked < count && scanned < n; scanned++ {
+	for picked, scanned := 0, 0; picked < st.cfg.Maintenance.DrainDisks && scanned < n; scanned++ {
 		id := st.drainCursor % n
 		st.drainCursor++
 		if st.cl.Disks[id].State != disk.Alive || st.cl.IsSuspect(id) || st.cl.ReadOnly(id) {
@@ -216,25 +208,14 @@ func (st *runState) planDrains(now sim.Time, count int) {
 	}
 }
 
-// scheduleUpgrade arms the next rolling-upgrade window.
-func (st *runState) scheduleUpgrade(m MaintenanceConfig) {
-	at := st.eng.Now() + sim.Time(m.UpgradeEveryHours)
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "upgrade-begin", func(now sim.Time) {
-		st.beginUpgrade(now, m.UpgradeDurationHours)
-		st.scheduleUpgrade(m)
-	})
-}
-
-// beginUpgrade opens one rolling-upgrade window: the next rack (in rack
-// order) turns read-only — its live drives keep serving reads but
-// rebuild writes targeting them park — and a timer lifts the fences when
-// the window ends. Only the drives fenced at open are unfenced at close:
+// beginUpgrade opens one rolling-upgrade window (the "upgrade-begin"
+// process): the next rack (in rack order) turns read-only — its live
+// drives keep serving reads but rebuild writes targeting them park — and
+// a timer lifts the fences when the window ends. Only the drives fenced at open are unfenced at close:
 // drives that die mid-window stay dead, drives added mid-window were
 // never fenced.
-func (st *runState) beginUpgrade(now sim.Time, durHours float64) {
+func (st *runState) beginUpgrade(now sim.Time) {
+	durHours := st.cfg.Maintenance.UpgradeDurationHours
 	racks := st.net.Racks()
 	rack := st.upgradeCount % racks
 	st.upgradeCount++
@@ -259,24 +240,13 @@ func (st *runState) beginUpgrade(now sim.Time, durHours float64) {
 	})
 }
 
-// scheduleGrowth arms the next scheduled growth batch.
-func (st *runState) scheduleGrowth(m MaintenanceConfig) {
-	at := st.eng.Now() + sim.Time(m.GrowEveryHours)
-	if float64(at) > st.cfg.SimHours {
-		return
-	}
-	st.eng.Schedule(at, "growth-batch", func(now sim.Time) {
-		st.growFleet(now, m)
-		st.scheduleGrowth(m)
-	})
-}
-
-// growFleet injects one scheduled growth batch with its compounded
-// vintage: batch k's drives carry the configured capacity, bandwidth,
-// and failure-rate factors raised to the kth power over the original
-// model, then the fleet rebalances onto them exactly as replacement
-// batches do.
-func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
+// growFleet injects one scheduled growth batch (the "growth-batch"
+// process) with its compounded vintage: batch k's drives carry the
+// configured capacity, bandwidth, and failure-rate factors raised to the
+// kth power over the original model, then the fleet rebalances onto them
+// exactly as replacement batches do.
+func (st *runState) growFleet(now sim.Time) {
+	m := st.cfg.Maintenance
 	st.growthCount++
 	k := float64(st.growthCount)
 	scale := st.cfg.VintageScale * math.Pow(m.GrowAFRFactor, k)
@@ -290,12 +260,7 @@ func (st *runState) growFleet(now sim.Time, m MaintenanceConfig) {
 		Vintage:       v,
 	}
 	ids := st.cl.AddDisksModel(m.GrowDisks, float64(now), model)
-	st.engine.Grow(st.cl.NumDisks())
-	for _, nid := range ids {
-		st.scheduleFailure(nid)
-		st.armLSE(nid)
-		st.armFailSlow(nid)
-	}
+	st.joined(ids)
 	st.res.GrowthBatches++
 	st.res.GrowthDisksAdded += len(ids)
 	st.res.MigratedBytes += st.rebalance.Onto(st.cl, ids)

@@ -48,7 +48,8 @@ func newDrainScenario(t *testing.T) *runState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.engine = recovery.NewFARM(cl, eng, sched, throttle, &st.res.Tally)
+	st.engine = recovery.NewFARM(recovery.Env{Cluster: cl, Sim: eng, Sched: sched,
+		Throttle: throttle, Tally: &st.res.Tally})
 	return st
 }
 

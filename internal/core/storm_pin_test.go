@@ -8,50 +8,102 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// stormTranscriptSHA256 is the digest of the forensics storm's JSONL
-// transcript at seed 3. The transcript runs to megabytes, so a digest
-// stands in for a checked-in file.
-const stormTranscriptSHA256 = "768c30b17c1f02d5e3da25a9b5a998050e60507182f0f24e61af16fbf640027e"
+// stormPins are the pinned storms: each run at seed 3 with a recorder
+// and the full observer attached. The transcripts run to megabytes, so a
+// digest of each stands in for a checked-in file; the spare storm also
+// pins its Summary digest and Prometheus exposition as golden files.
+var stormPins = []struct {
+	name string
+	cfg  func() Config
+	// sha256 is the digest of the run's JSONL transcript.
+	sha256 string
+	// goldens marks the storm whose summary and exposition are pinned
+	// as testdata files.
+	goldens bool
+}{
+	{
+		name:    "spare",
+		cfg:     forensicsStormConfig,
+		sha256:  "768c30b17c1f02d5e3da25a9b5a998050e60507182f0f24e61af16fbf640027e",
+		goldens: true,
+	},
+	{
+		// The FARM engine under the same faults, with no spare pool,
+		// larger drain windows and scheduled growth.
+		name:   "farm-growth",
+		cfg:    farmGrowthStormConfig,
+		sha256: "c02d92fd3dde6df974fdfa0e006f0245e915ddcc222663db066b717e070e130c",
+	},
+}
+
+// farmGrowthStormConfig is the forensics storm on the FARM engine, with
+// two drives per drain window and a compounded growth batch every half
+// year.
+func farmGrowthStormConfig() Config {
+	cfg := forensicsStormConfig()
+	cfg.UseFARM = true
+	cfg.Faults.SparePoolSize = 0
+	cfg.Maintenance.DrainDisks = 2
+	cfg.Maintenance.GrowEveryHours = 4380
+	cfg.Maintenance.GrowDisks = 8
+	cfg.Maintenance.GrowCapacityFactor = 1.25
+	cfg.Maintenance.GrowBandwidthFactor = 1.1
+	cfg.Maintenance.GrowAFRFactor = 1.2
+	return cfg
+}
 
 // TestForensicsStormPinned pins the bytes every text encoding of one run
-// produces: the everything-on forensics storm at seed 3, with a recorder
-// and the full observer attached, rendered as the JSONL trace
-// transcript, the Summary digest, and the registry's Prometheus
+// produces: each storm of stormPins at seed 3, with a recorder and the
+// full observer attached, rendered as the JSONL trace transcript and,
+// for the spare storm, the Summary digest and the registry's Prometheus
 // exposition. How trace kinds and metric names are represented inside
 // the simulator may change; what they look like on the wire may not.
 // Regenerate the two files with
 // `go test ./internal/core -run TestForensicsStormPinned -update`, and
-// the digest by hand from the failure message, only when an intentional
+// the digests by hand from the failure message, only when an intentional
 // change to an encoding is made.
 func TestForensicsStormPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden storm runs are moderately expensive")
 	}
-	cfg := forensicsStormConfig()
-	rec := trace.NewRecorder()
-	cfg.Hook = rec.Record
-	ob := fullObserver()
-	cfg.Obs = ob
-	s, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(3); err != nil {
-		t.Fatal(err)
-	}
+	for _, pin := range stormPins {
+		t.Run(pin.name, func(t *testing.T) {
+			cfg := pin.cfg()
+			rec := trace.NewRecorder()
+			cfg.Hook = rec.Record
+			ob := fullObserver()
+			cfg.Obs = ob
+			s, err := NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(3); err != nil {
+				t.Fatal(err)
+			}
 
-	var transcript bytes.Buffer
-	if err := rec.WriteJSONL(&transcript); err != nil {
-		t.Fatal(err)
+			var transcript bytes.Buffer
+			if err := rec.WriteJSONL(&transcript); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(transcript.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
+				t.Errorf("transcript drift (%d bytes): sha256 %s, want %s", transcript.Len(), got, pin.sha256)
+			}
+			if pin.goldens {
+				checkStormGoldens(t, rec, ob)
+			}
+		})
 	}
-	sum := sha256.Sum256(transcript.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != stormTranscriptSHA256 {
-		t.Errorf("transcript drift (%d bytes): sha256 %s, want %s", transcript.Len(), got, stormTranscriptSHA256)
-	}
+}
 
+// checkStormGoldens compares the run's Summary digest and Prometheus
+// exposition against their testdata files.
+func checkStormGoldens(t *testing.T, rec *trace.Recorder, ob *obs.RunObserver) {
+	t.Helper()
 	var summary, prom bytes.Buffer
 	if err := trace.Summarize(rec.Events()).WriteSummary(&summary); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -17,7 +16,7 @@ import (
 // stream walk, and space reservation — must not touch the heap.
 func TestFARMPickTargetZeroAlloc(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 400)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 
 	// Put the engine into a realistic steady state: one failure with
 	// rebuilds in flight, so the group target lists and disk indexes are
@@ -82,7 +81,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 	}{
 		{"submit-complete", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
-			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			f := NewFARM(h.env())
 			return f, func() {
 				h.relose(f, ref)
 				h.eng.Run()
@@ -90,7 +89,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 		}},
 		{"redirect", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
-			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+			f := NewFARM(h.env())
 			return f, func() {
 				h.relose(f, ref)
 				r := f.groupTargets[ref.Group].rb
@@ -104,8 +103,9 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 		}},
 		{"transient-retry", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
-			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-			f.SetFaultModel(&flipFM{})
+			env := h.env()
+			env.Faults = &flipFM{}
+			f := NewFARM(env)
 			return f, func() {
 				h.relose(f, ref)
 				h.eng.Run()
@@ -113,13 +113,14 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 		}},
 		{"hedge-win", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
-			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-			f.SetStraggler(StragglerPolicy{
+			env := h.env()
+			env.Straggler = StragglerPolicy{
 				Enabled:             true,
 				HedgeAfterMultiple:  2,
 				TimeoutMultiple:     -1,
 				SlowFactorThreshold: -1,
-			}, nil)
+			}
+			f := NewFARM(env)
 			// The rebuild reads from the first intact buddy; make it
 			// crawl so the hedge, reading the other buddy, wins.
 			h.cl.Disks[h.cl.GroupDiskOf(int(ref.Group), 1)].Slowdown = 64
@@ -134,8 +135,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := newHarnessNet(t, mirror3, 200, net)
-			f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-			f.SetTopology(net)
+			f := NewFARM(h.env())
 			return f, func() {
 				h.relose(f, ref)
 				tgt := f.groupTargets[ref.Group].Target

@@ -53,6 +53,48 @@ type FaultModel interface {
 	MaxResourcings() int
 }
 
+// Env is everything a recovery engine works in and with, fixed for the
+// run: the constructors (NewFARM, NewSpareDisk) take it once, before the
+// first event. Cluster, Sim, Sched, Throttle and Tally are required; every
+// other field is an optional layer whose zero value leaves it dormant and
+// the engine's behaviour bit-for-bit that of a tree without it.
+type Env struct {
+	Cluster *cluster.Cluster
+	Sim     *sim.Engine
+	Sched   *Scheduler
+	// Throttle is the run's one recovery-rate decision: every rebuild
+	// asks it for its per-disk rate (the fixed policy at 16 MB/s is the
+	// paper's base model).
+	Throttle workload.ThrottlePolicy
+	// Tally receives the engine's event counters.
+	Tally *obs.Tally
+	// Faults is the fault-injection surface probed when transfers
+	// complete; nil disables probing.
+	Faults FaultModel
+	// Straggler is the straggler-mitigation policy (defaults filled at
+	// construction); the zero value is disabled. Evict, optional, is
+	// fired at most once per disk the peer-comparison detector condemns;
+	// the core simulator binds it to the S.M.A.R.T. suspect/drain path.
+	Straggler StragglerPolicy
+	Evict     func(now sim.Time, diskID int)
+	// Net is the run's network fabric: transfer durations become
+	// contention-shaped, unreachable endpoints park rebuilds, and
+	// re-sourcing prefers reachable racks. Nil keeps the flat model.
+	Net *topology.Network
+	// Foreground is the run's foreground-traffic bundle: rebuild
+	// transfers contend with user load, the throttle policy sees the
+	// fleet user share, and completed windows sample degraded-read
+	// latency. Nil keeps every fast path.
+	Foreground *workload.Foreground
+	// Obs supplies the flight-recorder surfaces: the per-rebuild
+	// histograms when Obs.Registry is set, the rebuild-lifecycle span log
+	// when Obs.Spans is set. Nil disables both.
+	Obs *obs.RunObserver
+	// Observer receives every event the engine emits, fully built; nil
+	// disables tracing.
+	Observer func(trace.Event)
+}
+
 // Engine is a recovery strategy. The core simulator calls HandleFailure at
 // the instant a disk dies (to fix up in-flight work) and HandleDetection
 // once the failure is noticed (to start rebuilding the lost blocks).
@@ -69,33 +111,11 @@ type Engine interface {
 	// a latent sector error discovered by a scrub or a rebuild read on
 	// disk diskID. The block has already been unlinked from the cluster.
 	HandleBlockLoss(now sim.Time, failedAt sim.Time, diskID, group, rep int)
-	// SetFaultModel installs the fault-injection surface consulted when
-	// transfers complete; nil (the default) disables probing.
-	SetFaultModel(fm FaultModel)
-	// SetStraggler installs the straggler-mitigation policy (defaults
-	// filled) and the eviction callback fired when the peer-comparison
-	// detector condemns a persistently slow disk. A disabled policy (the
-	// zero value) leaves every code path untouched.
-	SetStraggler(p StragglerPolicy, evict func(now sim.Time, diskID int))
 	// Stats returns the engine's distribution accumulators.
 	Stats() *Stats
-	// Name identifies the engine ("farm" or "spare").
-	Name() string
-	// SetObserver installs the optional trace observer, which receives
-	// every event the engine emits, fully built. Nil disables tracing.
-	SetObserver(fn func(trace.Event))
-	// SetObservability installs the flight-recorder surfaces of o: the
-	// per-rebuild histograms when o.Registry is set, the rebuild-lifecycle
-	// span log when o.Spans is set. Nil disables both.
-	SetObservability(o *obs.RunObserver)
 	// InFlight returns the number of tracked block rebuilds (read-only;
 	// feeds the state sampler).
 	InFlight() int
-	// SetTopology installs the run's network fabric: transfer durations
-	// become contention-shaped, unreachable endpoints park rebuilds, and
-	// re-sourcing prefers reachable racks. Nil (the default) keeps the
-	// flat model bit-for-bit.
-	SetTopology(net *topology.Network)
 	// HandleUnreachable reacts to diskID's rack going dark at now:
 	// rebuilds writing to it park, rebuilds reading from it re-source
 	// (or park when no reachable buddy exists).
@@ -103,11 +123,6 @@ type Engine interface {
 	// HandleReachable reacts to diskID's rack healing: rebuilds parked
 	// against the disk resubmit.
 	HandleReachable(now sim.Time, diskID int)
-	// SetForeground installs the run's foreground-traffic bundle: rebuild
-	// transfers contend with user load, the throttle policy sees the
-	// fleet user share, and completed windows sample degraded-read
-	// latency. Nil (the default) keeps every fast path bit-for-bit.
-	SetForeground(fg *workload.Foreground)
 	// GrantMBps returns the per-disk recovery rate of the throttle
 	// policy's last grant (zero before the first rebuild). Read-only: it
 	// never consults the policy, which may be stateful.
@@ -224,8 +239,8 @@ type base struct {
 	scratchSrc []*rebuild
 	scratchTgt []*rebuild
 	// policy/det/evict are the straggler-mitigation layer; det is nil
-	// (and every related code path dormant) until SetStraggler enables
-	// the policy.
+	// (and every related code path dormant) unless Env.Straggler is
+	// enabled.
 	policy StragglerPolicy
 	det    *stragglerDetector
 	evict  func(now sim.Time, diskID int)
@@ -239,10 +254,10 @@ type base struct {
 	spans *obs.SpanLog
 	// inFlight counts tracked rebuilds (read-only sampler feed).
 	inFlight int
-	// net, when non-nil, is the run's network fabric (SetTopology).
+	// net, when non-nil, is the run's network fabric (Env.Net).
 	net *topology.Network
 	// fg, when non-nil, is the run's foreground-traffic bundle
-	// (SetForeground): demand contention and degraded-read sampling.
+	// (Env.Foreground): demand contention and degraded-read sampling.
 	// activeTargets counts distinct disks with in-flight rebuild writes —
 	// the parallel-stream estimate the deadline policy's repair bound
 	// divides the backlog by. lastThrottle is the previous policy grant,
@@ -252,20 +267,27 @@ type base struct {
 	lastThrottle  float64
 }
 
-// init sets up the machinery in place (the scheduler's OnDone hook binds
-// b's final address) and claims the scheduler for this engine.
-func (b *base) init(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) {
+// init sets up the machinery in place from env (the scheduler's hooks
+// bind b's final address) and claims the scheduler for this engine.
+func (b *base) init(env Env) {
+	cl, sched := env.Cluster, env.Sched
 	n := cl.NumDisks()
 	*b = base{
 		cl:           cl,
-		eng:          eng,
+		eng:          env.Sim,
 		sched:        sched,
-		throttle:     throttle,
-		tally:        tally,
+		throttle:     env.Throttle,
+		tally:        env.Tally,
 		bySource:     seededLists(n),
 		byTarget:     seededLists(n),
 		groupTargets: make(map[int32]*Task),
 		hedgeByDisk:  make([][]*rebuild, n),
+		observer:     env.Observer,
+		fm:           env.Faults,
+		policy:       env.Straggler.withDefaults(),
+		evict:        env.Evict,
+		net:          env.Net,
+		fg:           env.Foreground,
 	}
 	b.stats.WindowP50 = metrics.NewP2(0.5)
 	b.stats.WindowP99 = metrics.NewP2(0.99)
@@ -273,6 +295,16 @@ func (b *base) init(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, thro
 	b.stats.DegradedP99 = metrics.NewP2(0.99)
 	b.stats.HealthyP99 = metrics.NewP2(0.99)
 	sched.OnDone = b.transferDone
+	if b.net != nil {
+		sched.Shape = b.shapeTransfer
+		sched.Release = b.releaseTransfer
+	}
+	if b.policy.Enabled {
+		b.det = newStragglerDetector(b.policy, n)
+	}
+	if env.Obs != nil {
+		b.initObs(env.Obs)
+	}
 }
 
 func (b *base) Stats() *Stats { return &b.stats }
@@ -301,27 +333,6 @@ func (b *base) Grow(numDisks int) {
 		b.bySource = append(b.bySource, nil)
 		b.byTarget = append(b.byTarget, nil)
 		b.hedgeByDisk = append(b.hedgeByDisk, nil)
-	}
-}
-
-// SetObserver implements Engine.
-func (b *base) SetObserver(fn func(trace.Event)) { b.observer = fn }
-
-// SetFaultModel implements Engine.
-func (b *base) SetFaultModel(fm FaultModel) { b.fm = fm }
-
-// SetStraggler implements Engine: it fills the policy defaults and, when
-// enabled, builds the peer-comparison detector. evict (optional) is
-// fired at most once per condemned disk; the core simulator binds it to
-// the S.M.A.R.T. suspect/drain path.
-func (b *base) SetStraggler(p StragglerPolicy, evict func(now sim.Time, diskID int)) {
-	p = p.withDefaults()
-	b.policy = p
-	b.evict = evict
-	if p.Enabled {
-		b.det = newStragglerDetector(p, b.cl.NumDisks())
-	} else {
-		b.det = nil
 	}
 }
 

@@ -18,6 +18,7 @@ type harness struct {
 	cl    *cluster.Cluster
 	eng   *sim.Engine
 	sched *Scheduler
+	net   *topology.Network
 }
 
 func newHarness(t *testing.T, scheme redundancy.Scheme, groups int) *harness {
@@ -46,7 +47,22 @@ func newHarnessNet(t *testing.T, scheme redundancy.Scheme, groups int, net *topo
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	return &harness{cl: cl, eng: eng, sched: NewScheduler(eng, cl.NumDisks())}
+	return &harness{cl: cl, eng: eng, sched: NewScheduler(eng, cl.NumDisks()), net: net}
+}
+
+// env returns the environment of an engine over the harness: its
+// cluster, kernel, scheduler and fabric, the paper's base rate (fixed
+// 16 MB/s), a fresh tally, and every other layer off. Tests switch a
+// layer on by setting its field before constructing the engine.
+func (h *harness) env() Env {
+	return Env{Cluster: h.cl, Sim: h.eng, Sched: h.sched, Throttle: fixedRate(16),
+		Tally: new(obs.Tally), Net: h.net}
+}
+
+// spawn is a DiskSpawner: it adds one drive to the harness's cluster
+// (the spare engine grows its own and the scheduler's tables).
+func (h *harness) spawn(now sim.Time) int {
+	return h.cl.AddDisks(1, float64(now))[0]
 }
 
 // fixedRate is the paper's base rate decision: every rebuild runs at
@@ -71,7 +87,7 @@ func (h *harness) failAndDetect(e Engine, id int) []cluster.BlockRef {
 
 func TestFARMRebuildsEverything(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
 		t.Fatal("disk 0 held no blocks")
@@ -100,7 +116,7 @@ func TestFARMRebuildsEverything(t *testing.T) {
 
 func TestFARMTargetsAreSpread(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 400)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	lost := h.failAndDetect(f, 1)
 	h.eng.Run()
 	// Count distinct target disks among the recovered replicas.
@@ -119,20 +135,16 @@ func TestFARMFasterThanSpare(t *testing.T) {
 	// than the serialized spare-disk rebuild.
 	mkTime := func(useFARM bool) sim.Time {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
+		env := h.env()
 		var e Engine
-		tl := new(obs.Tally)
 		if useFARM {
-			e = NewFARM(h.cl, h.eng, h.sched, fixedRate(16), tl)
+			e = NewFARM(env)
 		} else {
-			e = NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
-				ids := h.cl.AddDisks(1, float64(now))
-				h.sched.Grow(h.cl.NumDisks())
-				return ids[0]
-			}, tl)
+			e = NewSpareDisk(env, h.spawn, 0, 0)
 		}
 		h.failAndDetect(e, 0)
 		h.eng.Run()
-		if tl.BlocksRebuilt == 0 {
+		if env.Tally.BlocksRebuilt == 0 {
 			t.Fatal("no blocks rebuilt")
 		}
 		return sim.Time(e.Stats().Window.Max())
@@ -147,12 +159,10 @@ func TestFARMFasterThanSpare(t *testing.T) {
 func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
 	var spareID int
-	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
-		ids := h.cl.AddDisks(1, float64(now))
-		h.sched.Grow(h.cl.NumDisks())
-		spareID = ids[0]
-		return ids[0]
-	}, new(obs.Tally))
+	e := NewSpareDisk(h.env(), func(now sim.Time) int {
+		spareID = h.spawn(now)
+		return spareID
+	}, 0, 0)
 	lost := h.failAndDetect(e, 0)
 	h.eng.Run()
 	if e.tally.SparesUsed != 1 {
@@ -165,8 +175,8 @@ func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 			t.Fatalf("block %v recovered to %d, want spare %d", ref, got, spareID)
 		}
 	}
-	if e.SpareOf(0) != spareID {
-		t.Fatal("SpareOf mapping wrong")
+	if failed, ok := e.spareRole[spareID]; !ok || failed != 0 {
+		t.Fatal("spare role mapping wrong")
 	}
 	// Completion time == blocks × per-block duration (strict serialization).
 	want := sim.Time(float64(len(lost)) * disk.RebuildHours(h.cl.BlockBytes, 16))
@@ -177,10 +187,10 @@ func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 
 func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
+	e := NewSpareDisk(h.env(), func(now sim.Time) int {
 		t.Fatal("spawned a spare for an empty disk")
 		return -1
-	}, new(obs.Tally))
+	}, 0, 0)
 	// Find a disk with no blocks (tiny cluster has spare room); if all
 	// loaded, add one.
 	empty := -1
@@ -203,7 +213,7 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 
 func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
 		t.Fatal("no blocks lost")
@@ -238,7 +248,7 @@ func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 
 func TestFARMResourcingOnSourceFailure(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	h.failAndDetect(f, 0)
 	// Find an in-flight source and kill it. 3-way mirroring leaves an
 	// alternative replica, so the rebuild re-sources rather than dying.
@@ -272,7 +282,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 	// Two-way mirroring, both replica disks die before any rebuild: the
 	// shared groups are lost and the engine abandons their rebuilds.
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	now := h.eng.Now()
 	lost0, _ := h.cl.FailDisk(0, float64(now))
 	f.HandleFailure(now, 0)
@@ -310,7 +320,7 @@ func TestMirrorDataLossOnDoubleFailureBeforeRebuild(t *testing.T) {
 func TestErasureToleratesTwoFailures(t *testing.T) {
 	// 4/6 survives two overlapping failures with zero-latency detection.
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 150)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	h.failAndDetect(f, 0)
 	h.failAndDetect(f, 1)
 	h.eng.Run()
@@ -327,12 +337,11 @@ func TestErasureToleratesTwoFailures(t *testing.T) {
 func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 300)
 	spawned := []int{}
-	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
-		ids := h.cl.AddDisks(1, float64(now))
-		h.sched.Grow(h.cl.NumDisks())
-		spawned = append(spawned, ids[0])
-		return ids[0]
-	}, new(obs.Tally))
+	e := NewSpareDisk(h.env(), func(now sim.Time) int {
+		id := h.spawn(now)
+		spawned = append(spawned, id)
+		return id
+	}, 0, 0)
 	h.failAndDetect(e, 0)
 	if len(spawned) != 1 {
 		t.Fatal("no spare spawned")
@@ -358,20 +367,11 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 	}
 }
 
-func TestEngineNames(t *testing.T) {
-	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-	s := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), nil, new(obs.Tally))
-	if f.Name() != "farm" || s.Name() != "spare" {
-		t.Fatal("engine names wrong")
-	}
-}
-
 func TestWindowIncludesDetectionLatency(t *testing.T) {
 	// Submitting detection later than the failure lengthens the measured
 	// window by exactly the latency.
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 100)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	now := h.eng.Now()
 	lost, _ := h.cl.FailDisk(0, float64(now))
 	f.HandleFailure(now, 0)
@@ -397,7 +397,9 @@ func TestBlockDurationFollowsIdlePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFARM(h.cl, h.eng, h.sched, p, new(obs.Tally))
+	env := h.env()
+	env.Throttle = p
+	f := NewFARM(env)
 	if f.GrantMBps() != 0 {
 		t.Fatalf("grant %v before any rebuild, want 0", f.GrantMBps())
 	}

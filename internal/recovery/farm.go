@@ -3,9 +3,7 @@ package recovery
 import (
 	"repro/internal/cluster"
 	"repro/internal/disk"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // FARM is the paper's FAst Recovery Mechanism: declustered, parallel
@@ -19,17 +17,12 @@ type FARM struct {
 	base
 }
 
-// NewFARM returns a FARM engine over the given cluster. throttle decides
-// each rebuild's per-disk recovery rate (the fixed policy at 16 MB/s is
-// the paper's base model); tally receives the engine's event counters.
-func NewFARM(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, tally *obs.Tally) *FARM {
+// NewFARM returns a FARM engine working in env.
+func NewFARM(env Env) *FARM {
 	f := new(FARM)
-	f.init(cl, eng, sched, throttle, tally)
+	f.init(env)
 	return f
 }
-
-// Name implements Engine.
-func (f *FARM) Name() string { return "farm" }
 
 // HandleDetection schedules one parallel rebuild per lost block.
 func (f *FARM) HandleDetection(now sim.Time, diskID int, failedAt sim.Time, lost []cluster.BlockRef) {

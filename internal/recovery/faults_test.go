@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 )
@@ -54,14 +53,15 @@ func tracked(b *base) int {
 // counted.
 func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient, faults.ReadTransient},
 		backoff:        sim.Time(0.25),
 		maxRetries:     3,
 		maxResourcings: 8,
 	}
-	f.SetFaultModel(fm)
+	env := h.env()
+	env.Faults = fm
+	f := NewFARM(env)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
 	st := f.tally
@@ -89,7 +89,6 @@ func TestTransientFaultRetriesThenSucceeds(t *testing.T) {
 // spinning.
 func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		always:         faults.ReadTransient,
 		alwaysOn:       true,
@@ -97,7 +96,9 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 		maxRetries:     2,
 		maxResourcings: 1,
 	}
-	f.SetFaultModel(fm)
+	env := h.env()
+	env.Faults = fm
+	f := NewFARM(env)
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
 		t.Fatal("disk 0 held no blocks")
@@ -131,13 +132,14 @@ func TestRetryCapEscalatesToResourceThenDrops(t *testing.T) {
 // switch to a different buddy (counted as a re-sourcing) and still finish.
 func TestLatentOutcomeForcesResource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadLatent},
 		maxRetries:     3,
 		maxResourcings: 8,
 	}
-	f.SetFaultModel(fm)
+	env := h.env()
+	env.Faults = fm
+	f := NewFARM(env)
 	lost := h.failAndDetect(f, 0)
 	h.eng.Run()
 	st := f.tally
@@ -158,14 +160,15 @@ func TestLatentOutcomeForcesResource(t *testing.T) {
 // fire afterwards and resurrect the old task.
 func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 120)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	fm := &scriptFM{
 		outcomes:       []faults.Outcome{faults.ReadTransient},
 		backoff:        sim.Time(1000), // far beyond every other event
 		maxRetries:     3,
 		maxResourcings: 8,
 	}
-	f.SetFaultModel(fm)
+	env := h.env()
+	env.Faults = fm
+	f := NewFARM(env)
 	lost := h.failAndDetect(f, 0)
 	// Step until the scripted transient fires: one rebuild is now parked
 	// in its backoff window.
@@ -213,12 +216,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 // of dropped work.
 func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
-		ids := h.cl.AddDisks(1, float64(now))
-		h.sched.Grow(h.cl.NumDisks())
-		return ids[0]
-	}, new(obs.Tally))
-	e.ConfigureSparePool(1, 12)
+	e := NewSpareDisk(h.env(), h.spawn, 1, 12)
 	lost0 := h.failAndDetect(e, 0)
 	lost1 := h.failAndDetect(e, 1)
 	if len(lost0) == 0 || len(lost1) == 0 {
@@ -253,11 +251,7 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 // live drive is rewritten onto the same drive (sector remap semantics).
 func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 100)
-	e := NewSpareDisk(h.cl, h.eng, h.sched, fixedRate(16), func(now sim.Time) int {
-		ids := h.cl.AddDisks(1, float64(now))
-		h.sched.Grow(h.cl.NumDisks())
-		return ids[0]
-	}, new(obs.Tally))
+	e := NewSpareDisk(h.env(), h.spawn, 0, 0)
 	// Pick a resident block and corrupt it.
 	var group, rep, diskID int = -1, -1, -1
 	for id := 0; id < h.cl.NumDisks(); id++ {

@@ -11,11 +11,9 @@ import (
 // degraded-read latency sampling that prices each block's window of
 // vulnerability, and the write-fence park/resume machinery for rolling
 // upgrades. The demand-driven parts are dormant (fg == nil, no fences
-// raised) until SetForeground / HandleWriteFence wire them in, so a run
-// without foreground traffic is byte-identical to a tree without them.
-
-// SetForeground implements Engine.
-func (b *base) SetForeground(fg *workload.Foreground) { b.fg = fg }
+// raised) unless the Env.Foreground field supplies demand and
+// HandleWriteFence raises a fence, so a run without foreground traffic
+// is byte-identical to a tree without them.
 
 // GrantMBps implements Engine.
 func (b *base) GrantMBps() float64 { return b.lastThrottle }

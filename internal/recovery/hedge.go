@@ -10,9 +10,9 @@ import (
 // This file is the active half of the straggler-mitigation layer: the
 // per-rebuild hedge/timeout timers, the duplicate-transfer lifecycle,
 // and the detector feeding. Everything here is dormant (det == nil, no
-// timers armed, no allocations) until SetStraggler enables the policy,
-// so a disabled layer leaves the engines byte-identical to a tree
-// without it.
+// timers armed, no allocations) unless the Env.Straggler field enables
+// the policy, so a disabled layer leaves the engines byte-identical to a
+// tree without it.
 
 // submitTracked submits the rebuild's current primary task and arms the
 // straggler timers against its healthy-model deadline. Deadlines measure

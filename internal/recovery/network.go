@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -10,7 +9,7 @@ import (
 // transfer durations, cross-rack traffic accounting, and the
 // park/resume machinery for rebuilds whose endpoints sit behind a dark
 // switch. Everything here is dormant (net == nil, no Shape/Release
-// hooks installed) until SetTopology wires a fabric in, so a run
+// hooks installed) unless the Env.Net field supplies a fabric, so a run
 // without topology is byte-identical to a tree without this file.
 //
 // Parking model: a rebuild whose source or target becomes unreachable
@@ -21,21 +20,6 @@ import (
 // whatever path produces an attempt (initial submission, retry,
 // re-source, redirection, heal resume), an attempt touching a dark
 // rack parks there instead of entering the scheduler.
-
-// SetTopology implements Engine: it installs the run's network fabric
-// and arms the scheduler's Shape/Release hooks so every starting
-// transfer claims fair-share bandwidth on its path and returns it when
-// it ends. A nil fabric restores the flat model bit-for-bit.
-func (b *base) SetTopology(net *topology.Network) {
-	b.net = net
-	if net != nil {
-		b.sched.Shape = b.shapeTransfer
-		b.sched.Release = b.releaseTransfer
-	} else {
-		b.sched.Shape = nil
-		b.sched.Release = nil
-	}
-}
 
 // shapeTransfer maps a starting transfer's nominal duration to its
 // network-contended duration. Intra-rack transfers never touch the

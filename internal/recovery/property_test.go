@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/disk"
-	"repro/internal/obs"
 	"repro/internal/redundancy"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -78,7 +77,7 @@ func TestQuickSchedulerNeverOverlaps(t *testing.T) {
 func TestQuickFARMEndToEnd(t *testing.T) {
 	f := func(seed uint64, kills8 uint8) bool {
 		h := quickHarness(seed)
-		f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+		f := NewFARM(h.env())
 		kills := int(kills8%5) + 1
 		r := rng.New(seed)
 		for k := 0; k < kills; k++ {

@@ -9,8 +9,8 @@ import (
 // This file is the engines' span layer: rebuild-lifecycle bookkeeping
 // feeding the obs flight recorder. Everything here is strictly
 // observational — spans and histograms never influence a scheduling
-// decision — and everything is dormant unless SetObservability installs
-// a span log (per-rebuild span accounting) or a registry (the
+// decision — and everything is dormant unless the Env.Obs field
+// supplies a span log (per-rebuild span accounting) or a registry (the
 // per-rebuild histograms). Event counters are not recorded here: they
 // live in the run's obs.Tally and reach a registry at the horizon.
 //
@@ -31,16 +31,13 @@ type histograms struct {
 	window, queueWait, transfer, retryWait, hedgeOverlap, detectWait, degradedMs *obs.Histogram
 }
 
-// SetObservability implements Engine: it resolves the per-rebuild
-// histograms on o.Registry and installs the span log o.Spans (either
-// may be nil). With spans enabled the scheduler's OnStart hook is armed,
-// which also emits the transfer-start trace event — new event kinds
-// appear in the transcript only when spans are on, so existing
-// transcripts stay byte-identical.
-func (b *base) SetObservability(o *obs.RunObserver) {
-	b.hists, b.spans = histograms{}, nil
-	if o != nil && o.Registry != nil {
-		r := o.Registry
+// initObs resolves the per-rebuild histograms on o.Registry and installs
+// the span log o.Spans (either may be nil). With spans enabled the
+// scheduler's OnStart hook is armed, which also emits the transfer-start
+// trace event — new event kinds appear in the transcript only when spans
+// are on, so existing transcripts stay byte-identical.
+func (b *base) initObs(o *obs.RunObserver) {
+	if r := o.Registry; r != nil {
 		b.hists = histograms{
 			window:       r.Histogram(obs.MetricWindowHours, obs.PhaseBounds),
 			queueWait:    r.Histogram(obs.MetricQueueWaitHours, obs.PhaseBounds),
@@ -51,9 +48,7 @@ func (b *base) SetObservability(o *obs.RunObserver) {
 			degradedMs:   r.Histogram(obs.MetricDegradedLatency, obs.LatencyBounds),
 		}
 	}
-	if o != nil {
-		b.spans = o.Spans
-	}
+	b.spans = o.Spans
 	if b.spans != nil {
 		b.sched.OnStart = func(now sim.Time, t *Task) {
 			r := t.rb
@@ -62,8 +57,6 @@ func (b *base) SetObservability(o *obs.RunObserver) {
 			}
 			b.emitRebuild(now, trace.KindTransferStart, r.id, t.Group, t.Rep, t.Target)
 		}
-	} else {
-		b.sched.OnStart = nil
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // SpareDisk is the traditional RAID baseline the paper compares against:
@@ -17,16 +16,14 @@ import (
 // queue up at the single recovery target", §3.2).
 //
 // The paper assumes an inexhaustible supply of spares. With a finite
-// pool configured (ConfigureSparePool), activations beyond the pool do
+// pool configured (NewSpareDisk's pool), activations beyond the pool do
 // not fail: the work queues FIFO until a replenishment drive arrives,
 // degrading gracefully at the cost of longer windows of vulnerability.
 type SpareDisk struct {
 	base
 	spawn DiskSpawner
-	// spareFor maps a failed disk to the spare rebuilding it, and
-	// spareRole maps a spare back to its failed disk, so a spare failure
-	// can re-drive the remaining work onto a new spare.
-	spareFor  map[int]int
+	// spareRole maps an active spare to the failed disk it rebuilds, so
+	// a spare failure can re-drive the remaining work onto a new spare.
 	spareRole map[int]int
 	// pool is the number of spare drives available for immediate
 	// activation; -1 (the default) models the paper's unlimited supply.
@@ -55,35 +52,23 @@ type spareWork struct {
 	blocks []pendingBlock
 }
 
-// NewSpareDisk returns the traditional engine. spawn provisions fresh
-// spare drives on demand (the simulator schedules their failures).
-// throttle decides each rebuild's per-disk recovery rate (the fixed
-// policy at 16 MB/s is the paper's base model); tally receives the
-// engine's event counters.
-func NewSpareDisk(cl *cluster.Cluster, eng *sim.Engine, sched *Scheduler, throttle workload.ThrottlePolicy, spawn DiskSpawner, tally *obs.Tally) *SpareDisk {
+// NewSpareDisk returns the traditional engine working in env. spawn
+// provisions fresh spare drives on demand (the simulator schedules their
+// failures). pool bounds the spare supply: pool drives are on the shelf,
+// and each consumed spare is reordered with a lead time of
+// replenishHours; pool <= 0 is the paper's unlimited supply.
+func NewSpareDisk(env Env, spawn DiskSpawner, pool int, replenishHours float64) *SpareDisk {
 	s := &SpareDisk{
 		spawn:     spawn,
-		spareFor:  make(map[int]int),
 		spareRole: make(map[int]int),
 		pool:      -1,
 	}
-	s.init(cl, eng, sched, throttle, tally)
-	return s
-}
-
-// Name implements Engine.
-func (s *SpareDisk) Name() string { return "spare" }
-
-// ConfigureSparePool bounds the dedicated-spare supply: size drives are
-// on the shelf, and each consumed spare is reordered with the given
-// lead time. size <= 0 restores the unlimited model.
-func (s *SpareDisk) ConfigureSparePool(size int, replenishHours float64) {
-	if size <= 0 {
-		s.pool = -1
-		return
+	if pool > 0 {
+		s.pool = pool
+		s.replenish = sim.Time(replenishHours)
 	}
-	s.pool = size
-	s.replenish = sim.Time(replenishHours)
+	s.init(env)
+	return s
 }
 
 // SparePoolFree returns the spares available for immediate activation
@@ -161,7 +146,6 @@ func (s *SpareDisk) HandleDetection(now sim.Time, diskID int, failedAt sim.Time,
 func (s *SpareDisk) activateSpare(now sim.Time, failed int) int {
 	spare := s.spawn(now)
 	s.Grow(s.cl.NumDisks())
-	s.spareFor[failed] = spare
 	s.spareRole[spare] = failed
 	s.tally.SparesUsed++
 	return spare
@@ -248,7 +232,6 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 	s.dropHedgesOn(diskID)
 	if failed, ok := s.spareRole[diskID]; ok {
 		delete(s.spareRole, diskID)
-		delete(s.spareFor, failed)
 		asSource, asTarget := s.rebuildsTouching(diskID)
 		if len(asTarget) > 0 {
 			if s.takeSpare() {
@@ -316,12 +299,4 @@ func (s *SpareDisk) liftDeadTarget(now sim.Time, r *rebuild) bool {
 		r.span.Redirections++
 	}
 	return true
-}
-
-// SpareOf returns the active spare for a failed disk, or -1 (test hook).
-func (s *SpareDisk) SpareOf(failed int) int {
-	if sp, ok := s.spareFor[failed]; ok {
-		return sp
-	}
-	return -1
 }

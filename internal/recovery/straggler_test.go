@@ -166,13 +166,14 @@ func TestDetectorStreakResets(t *testing.T) {
 // finishes first. Every block still rebuilds and no index leaks.
 func TestHedgeWinsOverSlowSource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-	f.SetStraggler(StragglerPolicy{
+	env := h.env()
+	env.Straggler = StragglerPolicy{
 		Enabled:             true,
 		HedgeAfterMultiple:  2,
 		TimeoutMultiple:     -1, // isolate hedging
 		SlowFactorThreshold: -1, // no detection/eviction
-	}, nil)
+	}
+	f := NewFARM(env)
 	// Every disk but 0 and 1 crawls? No: make disk 1 the crawler so only
 	// rebuilds sourced from it are stuck.
 	h.cl.Disks[1].Slowdown = 64
@@ -208,13 +209,14 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 	run := func(timeouts float64) *FARM {
 		h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-		f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-		f.SetStraggler(StragglerPolicy{
+		env := h.env()
+		env.Straggler = StragglerPolicy{
 			Enabled:             true,
 			HedgeAfterMultiple:  -1,
 			TimeoutMultiple:     timeouts,
 			SlowFactorThreshold: -1,
-		}, nil)
+		}
+		f := NewFARM(env)
 		h.cl.Disks[1].Slowdown = 64
 		lost := h.failAndDetect(f, 0)
 		h.eng.Run()
@@ -251,13 +253,14 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 // resolves every block.
 func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-	f.SetStraggler(StragglerPolicy{
+	env := h.env()
+	env.Straggler = StragglerPolicy{
 		Enabled:             true,
 		HedgeAfterMultiple:  2,
 		TimeoutMultiple:     -1,
 		SlowFactorThreshold: -1,
-	}, nil)
+	}
+	f := NewFARM(env)
 	h.cl.Disks[1].Slowdown = 64
 	lost := h.failAndDetect(f, 0)
 	for f.tally.Hedges == 0 {
@@ -297,16 +300,18 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 // that disk.
 func TestEvictionCallbackFires(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 120)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
 	var evicted []int
-	f.SetStraggler(StragglerPolicy{
+	env := h.env()
+	env.Straggler = StragglerPolicy{
 		Enabled:            true,
 		HedgeAfterMultiple: -1,
 		TimeoutMultiple:    -1,
 		MinClusterSamples:  16,
 		MinDiskSamples:     3,
 		EvictAfterFlags:    2,
-	}, func(now sim.Time, id int) { evicted = append(evicted, id) })
+	}
+	env.Evict = func(now sim.Time, id int) { evicted = append(evicted, id) }
+	f := NewFARM(env)
 	h.cl.Disks[1].Slowdown = 16
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
@@ -325,27 +330,26 @@ func TestEvictionCallbackFires(t *testing.T) {
 	}
 }
 
-// TestDisabledPolicyIsInert: installing the zero policy changes nothing
-// against a run that never called SetStraggler — same accumulators and
-// same outcome counters, block for block.
+// TestDisabledPolicyIsInert: a tuned but disabled policy changes
+// nothing against the zero policy — same accumulators and same outcome
+// counters, block for block.
 func TestDisabledPolicyIsInert(t *testing.T) {
-	run := func(install bool) (Stats, obs.Tally) {
+	run := func(p StragglerPolicy) (Stats, obs.Tally) {
 		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-		f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
-		if install {
-			f.SetStraggler(StragglerPolicy{}, nil)
-		}
+		env := h.env()
+		env.Straggler = p
+		f := NewFARM(env)
 		h.failAndDetect(f, 0)
 		h.eng.Run()
 		return f.base.stats, *f.tally
 	}
-	sa, ta := run(false)
-	sb, tb := run(true)
+	sa, ta := run(StragglerPolicy{})
+	sb, tb := run(StragglerPolicy{Enabled: false, HedgeAfterMultiple: 2, TimeoutMultiple: 3})
 	if sa != sb {
-		t.Fatalf("zero policy perturbed the accumulators:\n%+v\n%+v", sa, sb)
+		t.Fatalf("disabled policy perturbed the accumulators:\n%+v\n%+v", sa, sb)
 	}
 	if ta != tb {
-		t.Fatalf("zero policy perturbed the counters:\n%+v\n%+v", ta, tb)
+		t.Fatalf("disabled policy perturbed the counters:\n%+v\n%+v", ta, tb)
 	}
 	if ta.BlocksRebuilt == 0 {
 		t.Fatal("no rebuild completed; the comparison checks nothing")
@@ -356,7 +360,7 @@ func TestDisabledPolicyIsInert(t *testing.T) {
 // effective duration must be the base duration bit for bit.
 func TestEffDurationHealthyIsExact(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	base := sim.Time(disk.RebuildHours(h.cl.BlockBytes, 16))
 	if got := f.effDuration(base, 2, 3); got != base {
 		t.Fatalf("healthy effDuration %v != base %v", got, base)
@@ -372,7 +376,7 @@ func TestEffDurationHealthyIsExact(t *testing.T) {
 // never speeds a disk up) leaves the base duration bit for bit.
 func TestEffDurationSubUnityIsHealthy(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	base := sim.Time(disk.RebuildHours(h.cl.BlockBytes, 16))
 	h.cl.Disks[3].Slowdown = 1
 	if got := f.effDuration(base, 2, 3); got != base {
@@ -392,7 +396,7 @@ func TestEffDurationSubUnityIsHealthy(t *testing.T) {
 // the base duration.
 func TestEffDurationUnsetSlowdown(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	base := sim.Time(disk.RebuildHours(h.cl.BlockBytes, 16))
 	if h.cl.Disks[9].Slowdown != 0 || h.cl.Disks[9].SlowFactor() != 1 {
 		t.Fatalf("unset drive reads factor %v, want 1", h.cl.Disks[9].SlowFactor())
@@ -406,7 +410,7 @@ func TestEffDurationUnsetSlowdown(t *testing.T) {
 // rate, so the duration scales by the larger of the two factors.
 func TestEffDurationWorseEndpoint(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 10)
-	f := NewFARM(h.cl, h.eng, h.sched, fixedRate(16), new(obs.Tally))
+	f := NewFARM(h.env())
 	base := sim.Time(disk.RebuildHours(h.cl.BlockBytes, 16))
 	h.cl.Disks[1].Slowdown = 4
 	h.cl.Disks[2].Slowdown = 16
