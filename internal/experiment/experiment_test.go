@@ -1,8 +1,13 @@
 package experiment
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // tinyOpts shrinks every experiment to seconds for the test suite.
@@ -99,38 +104,6 @@ func TestFig6AndTable3Tiny(t *testing.T) {
 	}
 }
 
-func TestFig7Tiny(t *testing.T) {
-	e, _ := Lookup("fig7")
-	tabs, err := e.Run(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || len(tabs[0].Rows) != 4 {
-		t.Fatal("fig7 shape wrong")
-	}
-}
-
-func TestFig3TinySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	opts := tinyOpts()
-	opts.Runs = 2
-	e, _ := Lookup("fig3")
-	tabs, err := e.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 2 {
-		t.Fatalf("fig3 should emit 2 panels, got %d", len(tabs))
-	}
-	for _, tab := range tabs {
-		if len(tab.Rows) != 6 {
-			t.Fatalf("fig3 panel has %d rows, want 6 schemes", len(tab.Rows))
-		}
-	}
-}
-
 func TestFig4bRatioColumn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -143,46 +116,12 @@ func TestFig4bRatioColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := tabs[0].Rows
-	if len(rows) != len(fig4GroupSizes)*len(fig4LatenciesMin) {
+	if len(rows) != len(fig4Groups.points)*len(fig4Latencies("%g").points) {
 		t.Fatalf("fig4b has %d rows", len(rows))
 	}
 	// Zero latency must give ratio 0.
 	if rows[0][2] != "0" {
 		t.Fatalf("first ratio = %q, want 0", rows[0][2])
-	}
-}
-
-func TestFig5Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	opts := tinyOpts()
-	opts.Runs = 2
-	e, _ := Lookup("fig5")
-	tabs, err := e.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs[0].Rows) != 4 {
-		t.Fatalf("fig5 has %d series, want 4", len(tabs[0].Rows))
-	}
-}
-
-func TestFig8Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	opts := tinyOpts()
-	opts.Runs = 2
-	for _, id := range []string{"fig8a", "fig8b"} {
-		e, _ := Lookup(id)
-		tabs, err := e.Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tabs[0].Rows) != 6 {
-			t.Fatalf("%s has %d rows, want 6 schemes", id, len(tabs[0].Rows))
-		}
 	}
 }
 
@@ -239,6 +178,58 @@ func TestLivingFleetOverrides(t *testing.T) {
 	bad.Scenario = []byte(`{"Demand":{"BaseShre":0.5}}`)
 	if _, err := bad.monteCarlo(cfg); err == nil {
 		t.Error("a scenario with an unknown key ran")
+	}
+}
+
+// TestDerivedColumnsReadPatchedConfig: under -scenario, a column derived
+// from the config must describe the config that ran, not the one the
+// experiment declared before the patch.
+func TestDerivedColumnsReadPatchedConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	idle, err := workload.NewThrottle(workload.ThrottleConfig{Policy: workload.PolicyIdle, FloorMBps: 4},
+		core.DefaultConfig().DiskBandwidthMBps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleMean := fmt.Sprintf("%.1f", workload.MeanRecoveryMBps(idle))
+	for _, tc := range []struct {
+		id, scenario string
+		table        int
+		row          []string // leading cells of the rows checked; nil checks every row
+		col          int
+		want         string
+	}{
+		// 1 min of detection over a 1 GB rebuild at 32 MB/s, not the base 16.
+		{"fig4b", `{"RecoveryMBps":32}`, 0, []string{"1 GB", "1"}, 2, "1.788"},
+		// Without a throttle policy recovery runs at the patched static rate.
+		{"ext-elastic", `{"RecoveryMBps":32}`, 1, []string{"static 16 (paper)"}, 1, "32"},
+		// Every row ran the patched idle policy.
+		{"ext-adaptive", `{"Throttle":{"Policy":"idle","FloorMBps":4}}`, 0, nil, 2, idleMean},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			opts := tinyOpts()
+			opts.Scenario = []byte(tc.scenario)
+			e, _ := Lookup(tc.id)
+			tabs, err := e.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			for _, row := range tabs[tc.table].Rows {
+				if !slices.Equal(row[:len(tc.row)], tc.row) {
+					continue
+				}
+				checked++
+				if row[tc.col] != tc.want {
+					t.Errorf("row %q: %s = %q, want %q", row, tabs[tc.table].Columns[tc.col], row[tc.col], tc.want)
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("no row starts with %q", tc.row)
+			}
+		})
 	}
 }
 

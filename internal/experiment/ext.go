@@ -3,19 +3,10 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-adaptive",
-		Title: "Extension: workload-adaptive recovery bandwidth (§2.4) vs " +
-			"the fixed 20% reservation",
-		Cost: "moderate",
-		Run:  runExtAdaptive,
-	})
-}
 
 // runExtAdaptive goes beyond the paper's figures: §2.4 observes that
 // recovery bandwidth "fluctuates with the intensity of user requests,
@@ -27,36 +18,25 @@ func init() {
 // to span load changes.
 func runExtAdaptive(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	t := report.NewTable("Extension: fixed vs workload-adaptive recovery bandwidth",
-		"engine", "bandwidth model", "mean MB/s", "P(data loss)", "mean window (h)")
-	for _, farm := range []bool{true, false} {
-		engine := "spare"
-		if farm {
-			engine = "FARM"
+	models := axis{"bandwidth model", []point{
+		{"fixed 16 MB/s", nil},
+		{"diurnal idle-time", func(c *core.Config) {
+			c.Throttle = workload.ThrottleConfig{Policy: workload.PolicyIdle, FloorMBps: c.RecoveryMBps}
+		}},
+	}}
+	meanMBps := column{"mean MB/s", func(cfg core.Config, _ core.Result) string {
+		policy, err := cfg.ThrottlePolicy()
+		if err != nil {
+			panic(err) // unreachable: every run of cfg built this policy
 		}
-		for _, adaptive := range []bool{false, true} {
-			cfg := opts.baseConfig()
-			cfg.GroupBytes = gb(5)
-			cfg.UseFARM = farm
-			name := "fixed 16 MB/s"
-			if adaptive {
-				cfg.Throttle = workload.ThrottleConfig{Policy: workload.PolicyIdle, FloorMBps: cfg.RecoveryMBps}
-				name = "diurnal idle-time"
-			}
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			policy, err := cfg.ThrottlePolicy()
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(engine, name,
-				fmt.Sprintf("%.1f", workload.MeanRecoveryMBps(policy)),
-				report.Pct(res.PLoss),
-				report.F(res.WindowHours.Mean()))
-			opts.logf("ext-adaptive farm=%v adaptive=%v ploss=%.3f", farm, adaptive, res.PLoss)
-		}
+		return fmt.Sprintf("%.1f", workload.MeanRecoveryMBps(policy))
+	}}
+	base := opts.baseConfig()
+	base.GroupBytes = gb(5)
+	t, err := opts.sweep("ext-adaptive", "Extension: fixed vs workload-adaptive recovery bandwidth",
+		base, []axis{engines, models}, meanMBps, pLoss, meanWindow)
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("5 GB groups, two-way mirroring; runs=%d, scale=%.3g", opts.Runs, opts.Scale)
 	t.AddNote("expected shape: adaptive bandwidth mainly helps the spare-disk engine,")

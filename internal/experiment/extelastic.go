@@ -2,20 +2,11 @@ package experiment
 
 import (
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-elastic",
-		Title: "Extension: foreground storms, degraded reads, recovery QoS, " +
-			"and maintenance windows",
-		Cost: "moderate",
-		Run:  runExtElastic,
-	})
-}
 
 // elasticTopo is the fabric every ext-elastic data point runs on: 12
 // racks, rack-aware placement, a 4:1 oversubscribed spine.
@@ -78,41 +69,21 @@ func elasticBase(opts Options) core.Config {
 //     convert into data loss.
 func runExtElastic(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
+	degradedP99 := mean("degraded p99 (ms)", func(r core.Result) metrics.Welford { return r.DegradedReadP99Ms })
 
-	t1 := report.NewTable("Extension: degraded reads under foreground load (FARM vs spare)",
-		"engine", "load", "P(data loss)", "degraded reads/run", "degraded p50 (ms)",
-		"degraded p99 (ms)", "healthy p99 (ms)", "mean window (h)")
-	for _, farm := range []bool{true, false} {
-		for _, storm := range []bool{false, true} {
-			cfg := elasticBase(opts)
-			cfg.UseFARM = farm
-			if storm {
-				cfg.Demand = stormDemand()
-			} else {
-				cfg.Demand = quietDemand()
-			}
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			engine, load := "spare", "quiet"
-			if farm {
-				engine = "FARM"
-			}
-			if storm {
-				load = "storm"
-			}
-			t1.AddRow(engine,
-				load,
-				report.Pct(res.PLoss),
-				report.F(res.DegradedReads.Mean()),
-				report.F(res.DegradedReadP50Ms.Mean()),
-				report.F(res.DegradedReadP99Ms.Mean()),
-				report.F(res.HealthyReadP99Ms.Mean()),
-				report.F(res.WindowHours.Mean()))
-			opts.logf("ext-elastic engine=%s load=%s degp99=%.1fms window=%.2fh",
-				engine, load, res.DegradedReadP99Ms.Mean(), res.WindowHours.Mean())
-		}
+	load := axis{"load", []point{
+		{"quiet", func(c *core.Config) { c.Demand = quietDemand() }},
+		{"storm", func(c *core.Config) { c.Demand = stormDemand() }},
+	}}
+	t1, err := opts.sweep("ext-elastic", "Extension: degraded reads under foreground load (FARM vs spare)",
+		elasticBase(opts), []axis{engines, load}, pLoss,
+		mean("degraded reads/run", func(r core.Result) metrics.Welford { return r.DegradedReads }),
+		mean("degraded p50 (ms)", func(r core.Result) metrics.Welford { return r.DegradedReadP50Ms }),
+		degradedP99,
+		mean("healthy p99 (ms)", func(r core.Result) metrics.Welford { return r.HealthyReadP99Ms }),
+		meanWindow)
+	if err != nil {
+		return nil, err
 	}
 	t1.AddNote("runs=%d, scale=%.3g; 12 racks, 4:1 oversubscription, vintage x2,", opts.Runs, opts.Scale)
 	t1.AddNote("storms add 1 burst episode/day (mean 2 h, +25%% share, rack skew 0.3)")
@@ -120,38 +91,31 @@ func runExtElastic(opts Options) ([]*report.Table, error) {
 	t1.AddNote("its blocks absorb more degraded reads at a worse tail; the gap widens")
 	t1.AddNote("from quiet to storm because contention stretches its windows further")
 
-	t2 := report.NewTable("Extension: the recovery QoS frontier under storms",
-		"policy", "recovery MB/s (mean)", "throttle steps/run", "mean window (h)",
-		"degraded p99 (ms)", "P(data loss)")
-	policies := []struct {
-		label string
-		cfg   workload.ThrottleConfig
-	}{
-		{"static 16 (paper)", workload.ThrottleConfig{}},
-		{"fixed floor 16", workload.ThrottleConfig{Policy: workload.PolicyFixed, FloorMBps: 16}},
-		{"aimd 8..16 (polite)", workload.ThrottleConfig{Policy: workload.PolicyAIMD, FloorMBps: 8, MaxMBps: 16}},
-		{"deadline 8..32", workload.ThrottleConfig{Policy: workload.PolicyDeadline, FloorMBps: 8, MaxMBps: 32}},
+	storm := elasticBase(opts)
+	storm.Demand = stormDemand()
+	throttle := func(tc workload.ThrottleConfig) func(*core.Config) {
+		return func(c *core.Config) { c.Throttle = tc }
 	}
-	for _, p := range policies {
-		cfg := elasticBase(opts)
-		cfg.Demand = stormDemand()
-		cfg.Throttle = p.cfg
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
+	policies := axis{"policy", []point{
+		{"static 16 (paper)", nil},
+		{"fixed floor 16", throttle(workload.ThrottleConfig{Policy: workload.PolicyFixed, FloorMBps: 16})},
+		{"aimd 8..16 (polite)", throttle(workload.ThrottleConfig{Policy: workload.PolicyAIMD, FloorMBps: 8, MaxMBps: 16})},
+		{"deadline 8..32", throttle(workload.ThrottleConfig{Policy: workload.PolicyDeadline, FloorMBps: 8, MaxMBps: 32})},
+	}}
+	// Without a throttle policy recovery runs at the config's static
+	// rate, which the throttle mean does not record.
+	mbps := column{"recovery MB/s (mean)", func(cfg core.Config, r core.Result) string {
+		if !cfg.Throttle.Enabled() {
+			return report.F(cfg.RecoveryMBps)
 		}
-		mbps := res.ThrottleMeanMBps.Mean()
-		if !p.cfg.Enabled() {
-			mbps = cfg.RecoveryMBps
-		}
-		t2.AddRow(p.label,
-			report.F(mbps),
-			report.F(res.ThrottleSteps.Mean()),
-			report.F(res.WindowHours.Mean()),
-			report.F(res.DegradedReadP99Ms.Mean()),
-			report.Pct(res.PLoss))
-		opts.logf("ext-elastic policy=%s mbps=%.1f degp99=%.1fms ploss=%.3f",
-			p.label, mbps, res.DegradedReadP99Ms.Mean(), res.PLoss)
+		return report.F(r.ThrottleMeanMBps.Mean())
+	}}
+	t2, err := opts.sweep("ext-elastic", "Extension: the recovery QoS frontier under storms",
+		storm, []axis{policies}, mbps,
+		mean("throttle steps/run", func(r core.Result) metrics.Welford { return r.ThrottleSteps }),
+		meanWindow, degradedP99, pLoss)
+	if err != nil {
+		return nil, err
 	}
 	t2.AddNote("FARM engine, storm demand; AIMD moves in 8..16 MB/s, deadline in 8..32,")
 	t2.AddNote("with AIMD hysteresis (decrease above 0.6 fleet share, increase below 0.3)")
@@ -160,42 +124,31 @@ func runExtElastic(opts Options) ([]*report.Table, error) {
 	t2.AddNote("(night-time surplus shortens windows); deadline refuses the back-off")
 	t2.AddNote("only when the backlog approaches the next expected failure")
 
-	t3 := report.NewTable("Extension: maintenance windows during storms",
-		"maintenance", "P(data loss)", "fenced parks/run", "planned drains/run",
-		"growth disks/run", "mean window (h)", "disk failures/run")
-	plans := []struct {
-		label string
-		cfg   core.MaintenanceConfig
-	}{
-		{"none", core.MaintenanceConfig{}},
-		{"monthly drains", core.MaintenanceConfig{DrainEveryHours: 720, DrainDisks: 2}},
-		{"rolling upgrades", core.MaintenanceConfig{UpgradeEveryHours: 168, UpgradeDurationHours: 12}},
-		{"semiannual growth", core.MaintenanceConfig{
+	maint := func(m core.MaintenanceConfig) func(*core.Config) {
+		return func(c *core.Config) { c.Maintenance = m }
+	}
+	plans := axis{"maintenance", []point{
+		{"none", nil},
+		{"monthly drains", maint(core.MaintenanceConfig{DrainEveryHours: 720, DrainDisks: 2})},
+		{"rolling upgrades", maint(core.MaintenanceConfig{UpgradeEveryHours: 168, UpgradeDurationHours: 12})},
+		{"semiannual growth", maint(core.MaintenanceConfig{
 			GrowEveryHours: 4380, GrowDisks: 8,
-			GrowCapacityFactor: 1.25, GrowBandwidthFactor: 1.1, GrowAFRFactor: 1.2}},
-		{"all", core.MaintenanceConfig{
+			GrowCapacityFactor: 1.25, GrowBandwidthFactor: 1.1, GrowAFRFactor: 1.2})},
+		{"all", maint(core.MaintenanceConfig{
 			DrainEveryHours: 720, DrainDisks: 2,
 			UpgradeEveryHours: 168, UpgradeDurationHours: 12,
 			GrowEveryHours: 4380, GrowDisks: 8,
-			GrowCapacityFactor: 1.25, GrowBandwidthFactor: 1.1, GrowAFRFactor: 1.2}},
-	}
-	for _, p := range plans {
-		cfg := elasticBase(opts)
-		cfg.Demand = stormDemand()
-		cfg.Maintenance = p.cfg
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t3.AddRow(p.label,
-			report.Pct(res.PLoss),
-			report.F(res.FencedParks.Mean()),
-			report.F(res.PlannedDrains.Mean()),
-			report.F(res.GrowthDisksAdded.Mean()),
-			report.F(res.WindowHours.Mean()),
-			report.F(res.DiskFailures.Mean()))
-		opts.logf("ext-elastic maint=%s ploss=%.3f fenced=%.1f", p.label,
-			res.PLoss, res.FencedParks.Mean())
+			GrowCapacityFactor: 1.25, GrowBandwidthFactor: 1.1, GrowAFRFactor: 1.2})},
+	}}
+	t3, err := opts.sweep("ext-elastic", "Extension: maintenance windows during storms",
+		storm, []axis{plans}, pLoss,
+		mean("fenced parks/run", func(r core.Result) metrics.Welford { return r.FencedParks }),
+		mean("planned drains/run", func(r core.Result) metrics.Welford { return r.PlannedDrains }),
+		mean("growth disks/run", func(r core.Result) metrics.Welford { return r.GrowthDisksAdded }),
+		meanWindow,
+		mean("disk failures/run", func(r core.Result) metrics.Welford { return r.DiskFailures }))
+	if err != nil {
+		return nil, err
 	}
 	t3.AddNote("FARM engine, storm demand; upgrades hold one rack read-only 12 h/week,")
 	t3.AddNote("growth batches compound capacity x1.25, bandwidth x1.1, AFR x1.2")

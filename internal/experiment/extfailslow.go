@@ -1,22 +1,12 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/report"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-failslow",
-		Title: "Extension: fail-slow (gray) disks, straggler detection, " +
-			"and hedged recovery",
-		Cost: "moderate",
-		Run:  runExtFailSlow,
-	})
-}
 
 // failSlowRegime returns the gray-failure configuration for one sweep
 // point: a per-disk onset hazard, a degradation ladder (×factor slow,
@@ -39,14 +29,6 @@ func failSlowRegime(onsetRate, factor float64) faults.Config {
 	}
 }
 
-// mitigationPolicy is the straggler layer under test: all defaults —
-// peer-comparison detection (flag at 3× under the cluster median,
-// evict after 4 consecutive flags), hedged duplicates at 3× the healthy
-// deadline, hard timeouts at 12×.
-func mitigationPolicy() recovery.StragglerPolicy {
-	return recovery.StragglerPolicy{Enabled: true}
-}
-
 // runExtFailSlow stresses recovery with gray failures the paper's
 // fail-stop model cannot express: drives that stay in service but
 // deliver a fraction of their bandwidth (Gunawi et al., FAST '18). Two
@@ -65,42 +47,40 @@ func mitigationPolicy() recovery.StragglerPolicy {
 //     single rebuild target is a choke point a gray disk can poison.
 func runExtFailSlow(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
+	base := func(onsetRate, factor float64) core.Config {
+		cfg := opts.baseConfig()
+		cfg.Faults = failSlowRegime(onsetRate, factor)
+		// Batch replacement keeps the fleet near size, so an eviction's
+		// capacity cost is paid back the way an operator would pay it —
+		// otherwise every drained straggler permanently shrinks the
+		// declustering pool.
+		cfg.ReplaceTrigger = 0.04
+		return cfg
+	}
+	// The straggler layer under test is all defaults: peer-comparison
+	// detection (flag at 3× under the cluster median, evict after 4
+	// consecutive flags), hedged duplicates at 3× the healthy deadline,
+	// hard timeouts at 12×.
+	mitigation := axis{"mitigation", []point{
+		{"off", nil},
+		{"on", func(c *core.Config) { c.Straggler = recovery.StragglerPolicy{Enabled: true} }},
+	}}
+	p99 := mean("window P99 (h)", func(r core.Result) metrics.Welford { return r.WindowP99Hours })
+	hedges := mean("hedges/run", func(r core.Result) metrics.Welford { return r.Hedges })
+	evicted := mean("evicted/run", func(r core.Result) metrics.Welford { return r.SlowEvicted })
 
-	t1 := report.NewTable("Extension: rebuild tail and loss under fail-slow disks (FARM)",
-		"onset (/disk/h)", "slow ×", "mitigation", "P(data loss)",
-		"window P50 (h)", "window P99 (h)", "onsets/run", "hedges/run", "evicted/run")
-	for _, rate := range []float64{1e-6, 1e-5} {
-		for _, factor := range []float64{4, 16} {
-			for _, mitigate := range []bool{false, true} {
-				cfg := opts.baseConfig()
-				cfg.Faults = failSlowRegime(rate, factor)
-				// Batch replacement keeps the fleet near size, so an
-				// eviction's capacity cost is paid back the way an
-				// operator would pay it — otherwise every drained
-				// straggler permanently shrinks the declustering pool.
-				cfg.ReplaceTrigger = 0.04
-				if mitigate {
-					cfg.Straggler = mitigationPolicy()
-				}
-				res, err := opts.monteCarlo(cfg)
-				if err != nil {
-					return nil, err
-				}
-				mLabel := "off"
-				if mitigate {
-					mLabel = "on"
-				}
-				t1.AddRow(fmt.Sprintf("%.0e", rate), fmt.Sprintf("%g", factor), mLabel,
-					report.Pct(res.PLoss),
-					report.F(res.WindowP50Hours.Mean()),
-					report.F(res.WindowP99Hours.Mean()),
-					report.F(res.FailSlowOnsets.Mean()),
-					report.F(res.Hedges.Mean()),
-					report.F(res.SlowEvicted.Mean()))
-				opts.logf("ext-failslow rate=%g x%g mit=%v ploss=%.3f p99=%.2f",
-					rate, factor, mitigate, res.PLoss, res.WindowP99Hours.Mean())
-			}
-		}
+	onsets := values("onset (/disk/h)", "%.0e", []float64{1e-6, 1e-5},
+		func(c *core.Config, rate float64) { c.Faults.FailSlow.OnsetRatePerDiskHour = rate })
+	factors := values("slow ×", "%g", []float64{4, 16},
+		func(c *core.Config, f float64) { c.Faults.FailSlow.SlowFactor = f })
+	t1, err := opts.sweep("ext-failslow", "Extension: rebuild tail and loss under fail-slow disks (FARM)",
+		base(0, 0), []axis{onsets, factors, mitigation}, pLoss,
+		mean("window P50 (h)", func(r core.Result) metrics.Welford { return r.WindowP50Hours }),
+		p99,
+		mean("onsets/run", func(r core.Result) metrics.Welford { return r.FailSlowOnsets }),
+		hedges, evicted)
+	if err != nil {
+		return nil, err
 	}
 	t1.AddNote("runs=%d, scale=%.3g; onset 1e-6/disk/h ≈ 1%%/drive/year (FAST '18);", opts.Runs, opts.Scale)
 	t1.AddNote("degradation is permanent until eviction; crawl (×factor²) probability 0.2;")
@@ -108,40 +88,13 @@ func runExtFailSlow(opts Options) ([]*report.Table, error) {
 	t1.AddNote("expected shape: P99 window scales with the slow factor when mitigation")
 	t1.AddNote("is off and recovers toward the healthy baseline when it is on")
 
-	t2 := report.NewTable("Extension: hedged recovery, FARM vs spare, under elevated gray failure",
-		"engine", "mitigation", "P(data loss)", "window P99 (h)",
-		"hedges/run", "hedge wins/run", "timeouts/run", "evicted/run")
-	for _, farm := range []bool{true, false} {
-		engine := "spare"
-		if farm {
-			engine = "FARM"
-		}
-		for _, mitigate := range []bool{false, true} {
-			cfg := opts.baseConfig()
-			cfg.UseFARM = farm
-			cfg.Faults = failSlowRegime(1e-5, 8)
-			cfg.ReplaceTrigger = 0.04 // see table 1
-			if mitigate {
-				cfg.Straggler = mitigationPolicy()
-			}
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			mLabel := "off"
-			if mitigate {
-				mLabel = "on"
-			}
-			t2.AddRow(engine, mLabel,
-				report.Pct(res.PLoss),
-				report.F(res.WindowP99Hours.Mean()),
-				report.F(res.Hedges.Mean()),
-				report.F(res.HedgeWins.Mean()),
-				report.F(res.RebuildTimeouts.Mean()),
-				report.F(res.SlowEvicted.Mean()))
-			opts.logf("ext-failslow engine=%s mit=%v ploss=%.3f p99=%.2f",
-				engine, mitigate, res.PLoss, res.WindowP99Hours.Mean())
-		}
+	t2, err := opts.sweep("ext-failslow", "Extension: hedged recovery, FARM vs spare, under elevated gray failure",
+		base(1e-5, 8), []axis{engines, mitigation}, pLoss, p99, hedges,
+		mean("hedge wins/run", func(r core.Result) metrics.Welford { return r.HedgeWins }),
+		mean("timeouts/run", func(r core.Result) metrics.Welford { return r.RebuildTimeouts }),
+		evicted)
+	if err != nil {
+		return nil, err
 	}
 	t2.AddNote("onset 1e-5/disk/h, slow ×8 (crawl ×64 at p=0.2), yearly slow-bursts;")
 	t2.AddNote("mitigation = peer-comparison detection + hedging at 3× + timeouts at 12×")

@@ -1,21 +1,11 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/report"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-faults",
-		Title: "Extension: latent sector errors, scrubbing, correlated bursts, " +
-			"and transient rebuild faults",
-		Cost: "moderate",
-		Run:  runExtFaults,
-	})
-}
 
 // runExtFaults stresses the paper's model with the fault modes its
 // evaluation abstracts away. Two tables:
@@ -23,7 +13,7 @@ func init() {
 //  1. LSE rate × scrub interval → P(data loss): latent sector errors
 //     silently consume redundancy between whole-disk failures; periodic
 //     scrubbing wins that window back. The paper's whole-disk-only model
-//     is the 0-rate column.
+//     is the 0-rate row.
 //  2. Graceful degradation, FARM vs the traditional engine, under the
 //     combined storm: LSEs, correlated failure bursts, transient
 //     rebuild-read faults, and (for the spare engine) a finite spare
@@ -32,70 +22,49 @@ func init() {
 func runExtFaults(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
 
-	t1 := report.NewTable("Extension: P(data loss) under latent sector errors × scrubbing",
-		"LSE rate (/disk/h)", "scrub interval", "P(data loss)", "LSEs/run", "scrub-found/run")
-	for _, rate := range []float64{0, 1e-5, 1e-4} {
-		for _, scrub := range []float64{0, 720, 168} {
-			if rate == 0 && scrub != 0 {
-				continue // nothing to scrub
-			}
-			cfg := opts.baseConfig()
-			cfg.Faults = faults.Config{
-				LSERatePerDiskHour: rate,
-				ScrubIntervalHours: scrub,
-			}
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			scrubLabel := "none"
-			if scrub > 0 {
-				scrubLabel = fmt.Sprintf("%.0f h", scrub)
-			}
-			rateLabel := "0 (paper)"
-			if rate > 0 {
-				rateLabel = fmt.Sprintf("%.0e", rate)
-			}
-			t1.AddRow(rateLabel, scrubLabel,
-				report.Pct(res.PLoss),
-				report.F(res.LSEInjected.Mean()),
-				report.F(res.ScrubFound.Mean()))
-			opts.logf("ext-faults lse=%g scrub=%g ploss=%.3f", rate, scrub, res.PLoss)
-		}
+	const title1 = "Extension: P(data loss) under latent sector errors × scrubbing"
+	rates := values("LSE rate (/disk/h)", "%.0e", []float64{1e-5, 1e-4},
+		func(c *core.Config, r float64) { c.Faults.LSERatePerDiskHour = r })
+	scrubs := axis{"scrub interval", []point{
+		{"none", nil},
+		{"720 h", func(c *core.Config) { c.Faults.ScrubIntervalHours = 720 }},
+		{"168 h", func(c *core.Config) { c.Faults.ScrubIntervalHours = 168 }},
+	}}
+	cols := []column{pLoss,
+		mean("LSEs/run", func(r core.Result) metrics.Welford { return r.LSEInjected }),
+		mean("scrub-found/run", func(r core.Result) metrics.Welford { return r.ScrubFound })}
+	// The paper's model has nothing to scrub, so it is one row, not three.
+	paper := []axis{{rates.name, []point{{"0 (paper)", nil}}}, {scrubs.name, scrubs.points[:1]}}
+	t1, err := opts.sweep("ext-faults", title1, opts.baseConfig(), paper, cols...)
+	if err != nil {
+		return nil, err
 	}
+	lse, err := opts.sweep("ext-faults", title1, opts.baseConfig(), []axis{rates, scrubs}, cols...)
+	if err != nil {
+		return nil, err
+	}
+	t1.Rows = append(t1.Rows, lse.Rows...)
 	t1.AddNote("runs=%d, scale=%.3g; the 0-rate row is the paper's whole-disk-only model", opts.Runs, opts.Scale)
 	t1.AddNote("expected shape: loss probability rises with the LSE rate and falls")
 	t1.AddNote("as scrubbing shortens the latent window")
 
-	t2 := report.NewTable("Extension: graceful degradation under the combined fault storm",
-		"engine", "P(data loss)", "retries/run", "re-sourcings/run", "bursts/run", "spare queue waits/run")
-	for _, farm := range []bool{true, false} {
-		engine := "spare"
-		if farm {
-			engine = "FARM"
-		}
-		cfg := opts.baseConfig()
-		cfg.UseFARM = farm
-		cfg.Faults = faults.Config{
-			LSERatePerDiskHour: 1e-5,
-			ScrubIntervalHours: 720,
-			BurstsPerYear:      1,
-			BurstMeanSize:      3,
-			TransientReadProb:  0.05,
-			SparePoolSize:      4,
-		}
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t2.AddRow(engine,
-			report.Pct(res.PLoss),
-			report.F(res.RebuildRetries.Mean()),
-			report.F(res.Resourcings.Mean()),
-			report.F(res.Bursts.Mean()),
-			report.F(res.QueuedSpareJobs.Mean()))
-		opts.logf("ext-faults storm farm=%v ploss=%.3f retries=%.1f", farm, res.PLoss,
-			res.RebuildRetries.Mean())
+	storm := opts.baseConfig()
+	storm.Faults = faults.Config{
+		LSERatePerDiskHour: 1e-5,
+		ScrubIntervalHours: 720,
+		BurstsPerYear:      1,
+		BurstMeanSize:      3,
+		TransientReadProb:  0.05,
+		SparePoolSize:      4,
+	}
+	t2, err := opts.sweep("ext-faults", "Extension: graceful degradation under the combined fault storm",
+		storm, []axis{engines}, pLoss,
+		mean("retries/run", func(r core.Result) metrics.Welford { return r.RebuildRetries }),
+		mean("re-sourcings/run", func(r core.Result) metrics.Welford { return r.Resourcings }),
+		mean("bursts/run", func(r core.Result) metrics.Welford { return r.Bursts }),
+		mean("spare queue waits/run", func(r core.Result) metrics.Welford { return r.QueuedSpareJobs }))
+	if err != nil {
+		return nil, err
 	}
 	t2.AddNote("LSEs 1e-5/disk/h, monthly scrub, 1 burst/year (mean 3 kills),")
 	t2.AddNote("5%% transient read faults, 4-spare pool with 24 h replenishment;")

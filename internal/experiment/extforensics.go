@@ -9,16 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID: "ext-forensics",
-		Title: "Extension: loss forensics — causal postmortems and " +
-			"window-of-vulnerability blame, FARM vs spare",
-		Cost: "moderate",
-		Run:  runExtForensics,
-	})
-}
-
 // forensicStorm is the everything-on scenario both engines are
 // autopsied under: a hot vintage on an oversubscribed 10-rack fabric
 // with switch failures, power events, and partitions; latent sector

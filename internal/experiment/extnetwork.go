@@ -1,23 +1,12 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/topology"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-network",
-		Title: "Extension: topology-aware recovery under rack/switch failures, " +
-			"partitions, and oversubscribed links",
-		Cost: "moderate",
-		Run:  runExtNetwork,
-	})
-}
 
 // netTopo is the fabric every ext-network data point runs on: 20 racks
 // behind ToR uplinks feeding a spine whose bisection bandwidth is the
@@ -59,81 +48,61 @@ func netBase(opts Options) core.Config {
 //     anyway); long patience keeps dark-but-intact data vulnerable.
 func runExtNetwork(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
+	crossRackGB := mean("cross-rack GB/run", func(r core.Result) metrics.Welford { return r.CrossRackGB })
+	falseDead := mean("false-dead disks/run", func(r core.Result) metrics.Welford { return r.FalseDeadDisks })
 
 	// Table 1 runs on the paper's default vintage: the only loss channel
 	// that differs between the rows is the rack write-off itself, so the
 	// placement signal is not drowned by background double failures.
-	t1 := report.NewTable("Extension: flat vs rack-aware placement under ToR-switch write-offs",
-		"placement", "P(data loss)", "lost groups/run", "false-dead disks/run", "cross-rack GB/run")
-	for _, aware := range []bool{false, true} {
-		cfg := opts.baseConfig()
-		cfg.Topology = netTopo(aware, 1250, 4, 24)
-		cfg.Faults.Network = faults.NetworkFaultConfig{SwitchFailsPerYear: 4}
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		label := "flat"
-		if aware {
-			label = "rack-aware"
-		}
-		t1.AddRow(label,
-			report.Pct(res.PLoss),
-			report.F(res.LostGroups.Mean()),
-			report.F(res.FalseDeadDisks.Mean()),
-			report.F(res.CrossRackGB.Mean()))
-		opts.logf("ext-network placement=%s ploss=%.3f lost=%.1f", label,
-			res.PLoss, res.LostGroups.Mean())
+	placement := axis{"placement", []point{
+		{"flat", func(c *core.Config) { c.Topology = netTopo(false, 1250, 4, 24) }},
+		{"rack-aware", func(c *core.Config) { c.Topology = netTopo(true, 1250, 4, 24) }},
+	}}
+	switches := opts.baseConfig()
+	switches.Faults.Network = faults.NetworkFaultConfig{SwitchFailsPerYear: 4}
+	t1, err := opts.sweep("ext-network", "Extension: flat vs rack-aware placement under ToR-switch write-offs",
+		switches, []axis{placement}, pLoss,
+		mean("lost groups/run", func(r core.Result) metrics.Welford { return r.LostGroups }),
+		falseDead, crossRackGB)
+	if err != nil {
+		return nil, err
 	}
 	t1.AddNote("runs=%d, scale=%.3g; 20 racks, 4 switch fails/year, 24 h false-dead patience", opts.Runs, opts.Scale)
 	t1.AddNote("expected shape: flat placement loses data whenever a written-off rack")
 	t1.AddNote("held both mirrors of a group; rack-aware spread caps the loss at one")
 	t1.AddNote("replica per group, so P(loss) falls to the double-failure baseline")
 
-	t2 := report.NewTable("Extension: rebuild windows under spine oversubscription",
-		"oversubscription", "mean window (h)", "p99 window (h)", "cross-rack GB/run", "P(data loss)")
-	for _, ratio := range []float64{1, 4, 16} {
-		cfg := netBase(opts)
-		cfg.Topology = netTopo(true, 100, ratio, 0)
-		cfg.Faults.BurstsPerYear = 4
-		cfg.Faults.BurstMeanSize = 8
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t2.AddRow(fmt.Sprintf("%g:1", ratio),
-			report.F(res.WindowHours.Mean()),
-			report.F(res.WindowP99Hours.Mean()),
-			report.F(res.CrossRackGB.Mean()),
-			report.Pct(res.PLoss))
-		opts.logf("ext-network oversub=%g window=%.3fh", ratio, res.WindowHours.Mean())
+	oversub := values("oversubscription", "%g:1", []float64{1, 4, 16},
+		func(c *core.Config, ratio float64) { c.Topology = netTopo(true, 100, ratio, 0) })
+	bursts := netBase(opts)
+	bursts.Faults.BurstsPerYear = 4
+	bursts.Faults.BurstMeanSize = 8
+	t2, err := opts.sweep("ext-network", "Extension: rebuild windows under spine oversubscription",
+		bursts, []axis{oversub}, meanWindow,
+		mean("p99 window (h)", func(r core.Result) metrics.Welford { return r.WindowP99Hours }),
+		crossRackGB, pLoss)
+	if err != nil {
+		return nil, err
 	}
 	t2.AddNote("100 MB/s uplinks, correlated bursts (4/year, mean 8 kills), rack-aware")
 	t2.AddNote("placement so every repair crosses the spine; expected shape: windows")
 	t2.AddNote("stretch as the bisection thins")
 
-	t3 := report.NewTable("Extension: the false-dead timeout trade-off",
-		"patience (h)", "false-dead disks/run", "parked/run", "max window (h)", "P(data loss)", "cross-rack GB/run")
-	for _, fd := range []float64{6, 24, 96} {
-		cfg := netBase(opts)
-		cfg.Topology = netTopo(true, 1250, 4, fd)
-		cfg.Faults.Network = faults.NetworkFaultConfig{
-			SwitchFailsPerYear: 2,
-			PartitionsPerYear:  12,
-			PartitionMeanHours: 12,
-		}
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t3.AddRow(fmt.Sprintf("%g", fd),
-			report.F(res.FalseDeadDisks.Mean()),
-			report.F(res.ParkedTransfers.Mean()),
-			report.F(res.MaxWindowHours.Mean()),
-			report.Pct(res.PLoss),
-			report.F(res.CrossRackGB.Mean()))
-		opts.logf("ext-network falsedead=%gh disks=%.1f maxwindow=%.1fh", fd,
-			res.FalseDeadDisks.Mean(), res.MaxWindowHours.Mean())
+	patience := values("patience (h)", "%g", []float64{6, 24, 96},
+		func(c *core.Config, fd float64) { c.Topology = netTopo(true, 1250, 4, fd) })
+	outages := netBase(opts)
+	outages.Faults.Network = faults.NetworkFaultConfig{
+		SwitchFailsPerYear: 2,
+		PartitionsPerYear:  12,
+		PartitionMeanHours: 12,
+	}
+	t3, err := opts.sweep("ext-network", "Extension: the false-dead timeout trade-off",
+		outages, []axis{patience}, falseDead,
+		mean("parked/run", func(r core.Result) metrics.Welford { return r.ParkedTransfers }),
+		mean("max window (h)", func(r core.Result) metrics.Welford { return r.MaxWindowHours }),
+		pLoss, crossRackGB)
+	if err != nil {
+		return nil, err
 	}
 	t3.AddNote("2 switch fails/year (permanent until written off) + 12 partitions/year")
 	t3.AddNote("(mean 12 h, self-healing); short patience re-replicates transient")

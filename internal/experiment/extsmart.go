@@ -1,20 +1,10 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/report"
 )
-
-func init() {
-	register(Experiment{
-		ID: "ext-smart",
-		Title: "Extension: S.M.A.R.T. failure prediction and proactive " +
-			"draining (§2.3) vs purely reactive recovery",
-		Cost: "moderate",
-		Run:  runExtSmart,
-	})
-}
 
 // runExtSmart extends the paper's §2.3 remark — that a S.M.A.R.T.-like
 // monitor lets the system avoid unreliable disks — into a quantified
@@ -23,24 +13,18 @@ func init() {
 // failures from the window-of-vulnerability budget entirely.
 func runExtSmart(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	t := report.NewTable("Extension: S.M.A.R.T. prediction accuracy vs reliability",
-		"prediction accuracy", "P(data loss)", "predicted/run", "drained blocks/run", "reactive rebuilds/run")
-	for _, acc := range []float64{0, 0.3, 0.6, 0.9} {
-		cfg := opts.baseConfig()
-		cfg.GroupBytes = gb(5)
-		cfg.SmartAccuracy = acc
-		cfg.SmartLeadHours = 24
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f%%", 100*acc),
-			report.Pct(res.PLoss),
-			report.F(res.Predicted.Mean()),
-			report.F(res.DrainedBlocks.Mean()),
-			report.F(res.BlocksRebuilt.Mean()))
-		opts.logf("ext-smart acc=%.1f ploss=%.3f drained=%.0f",
-			acc, res.PLoss, res.DrainedBlocks.Mean())
+	accuracy := values("prediction accuracy", "%g%%", []float64{0, 30, 60, 90},
+		func(c *core.Config, pct float64) { c.SmartAccuracy = pct / 100 })
+	base := opts.baseConfig()
+	base.GroupBytes = gb(5)
+	base.SmartLeadHours = 24
+	t, err := opts.sweep("ext-smart", "Extension: S.M.A.R.T. prediction accuracy vs reliability",
+		base, []axis{accuracy}, pLoss,
+		mean("predicted/run", func(r core.Result) metrics.Welford { return r.Predicted }),
+		mean("drained blocks/run", func(r core.Result) metrics.Welford { return r.DrainedBlocks }),
+		mean("reactive rebuilds/run", func(r core.Result) metrics.Welford { return r.BlocksRebuilt }))
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("5 GB groups, two-way mirroring + FARM, 24 h warning lead; runs=%d, scale=%.3g",
 		opts.Runs, opts.Scale)

@@ -1,55 +1,48 @@
 package experiment
 
 import (
+	"repro/internal/core"
 	"repro/internal/redundancy"
 	"repro/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig3",
-		Title: "Probability of data loss with and without FARM across " +
-			"redundancy schemes (group sizes 1 GB and 5 GB, zero detection latency)",
-		Cost: "heavy",
-		Run:  runFig3,
-	})
-}
+// schemes sweeps the six redundancy configurations of Figures 3 and 8.
+var schemes = values("scheme", "%v", redundancy.PaperSchemes(),
+	func(c *core.Config, s redundancy.Scheme) { c.Scheme = s })
 
 // runFig3 reproduces Figure 3: six redundancy configurations (1/2, 1/3,
 // 2/3, 4/5, 4/6, 8/10), each simulated with FARM and with the traditional
 // single-spare scheme, at redundancy group sizes 1 GB and 5 GB, with
-// failure detection latency assumed zero.
+// failure detection latency assumed zero. Its advantage column divides
+// two data points of one row, so it walks the schemes × engines points
+// itself rather than declaring a sweep.
 func runFig3(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
 	var tables []*report.Table
-	for _, groupBytes := range []int64{gb(1), gb(5)} {
-		t := report.NewTable(
-			"Figure 3("+map[int64]string{gb(1): "a", gb(5): "b"}[groupBytes]+
-				"): probability of data loss, group size "+fmtGB(groupBytes),
+	for i, groupBytes := range []int64{gb(1), gb(5)} {
+		panel := string(rune('a' + i))
+		t := report.NewTable("Figure 3("+panel+"): probability of data loss, group size "+fmtGB(groupBytes),
 			"scheme", "with FARM", "w/o FARM", "FARM advantage")
-		for _, scheme := range redundancy.PaperSchemes() {
-			var ploss [2]float64
-			for i, farm := range []bool{true, false} {
-				cfg := opts.baseConfig()
-				cfg.GroupBytes = groupBytes
-				cfg.Scheme = scheme
-				cfg.DetectionLatencyHours = 0
-				cfg.UseFARM = farm
-				res, err := opts.monteCarlo(cfg)
-				if err != nil {
-					return nil, err
+		cfg := opts.baseConfig()
+		cfg.GroupBytes = groupBytes
+		cfg.DetectionLatencyHours = 0
+		var ploss []float64 // FARM, then spare
+		err := opts.each("fig3"+panel, cfg, []axis{schemes, engines},
+			func(labels []string, _ core.Config, res core.Result) {
+				if ploss = append(ploss, res.PLoss); len(ploss) < 2 {
+					return
 				}
-				ploss[i] = res.PLoss
-				opts.logf("fig3 group=%s scheme=%s farm=%v ploss=%.3f",
-					fmtGB(groupBytes), scheme, farm, res.PLoss)
-			}
-			adv := "-"
-			if ploss[0] > 0 {
-				adv = report.F(ploss[1]/ploss[0]) + "x"
-			} else if ploss[1] > 0 {
-				adv = "inf"
-			}
-			t.AddRow(scheme.String(), report.Pct(ploss[0]), report.Pct(ploss[1]), adv)
+				adv := "-"
+				if ploss[0] > 0 {
+					adv = report.F(ploss[1]/ploss[0]) + "x"
+				} else if ploss[1] > 0 {
+					adv = "inf"
+				}
+				t.AddRow(labels[0], report.Pct(ploss[0]), report.Pct(ploss[1]), adv)
+				ploss = ploss[:0]
+			})
+		if err != nil {
+			return nil, err
 		}
 		t.AddNote("runs=%d per point, scale=%.3g, six simulated years", opts.Runs, opts.Scale)
 		tables = append(tables, t)

@@ -1,75 +1,30 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig4a",
-		Title: "Effect of failure-detection latency on probability of data " +
-			"loss (two-way mirroring + FARM, group sizes 1-100 GB)",
-		Cost: "heavy",
-		Run:  runFig4a,
-	})
-	register(Experiment{
-		ID: "fig4b",
-		Title: "Probability of data loss against the ratio of detection " +
-			"latency to recovery time",
-		Cost: "heavy",
-		Run:  runFig4b,
-	})
-}
+// fig4Groups are the six series of Figure 4.
+var fig4Groups = values("group size", "%d GB", []int64{1, 5, 10, 25, 50, 100},
+	func(c *core.Config, g int64) { c.GroupBytes = gb(g) })
 
-// fig4GroupSizes are the six series of Figure 4.
-var fig4GroupSizes = []int64{gb(1), gb(5), gb(10), gb(25), gb(50), gb(100)}
-
-// fig4LatenciesMin are the x-axis samples (minutes).
-var fig4LatenciesMin = []float64{0, 1, 5, 10, 30, 60}
-
-// fig4Sweep runs the shared sweep behind both panels of Figure 4.
-func fig4Sweep(opts Options) (map[int64][]float64, error) {
-	out := make(map[int64][]float64, len(fig4GroupSizes))
-	for _, groupBytes := range fig4GroupSizes {
-		series := make([]float64, 0, len(fig4LatenciesMin))
-		for _, latMin := range fig4LatenciesMin {
-			cfg := opts.baseConfig()
-			cfg.GroupBytes = groupBytes
-			cfg.DetectionLatencyHours = latMin / 60
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			series = append(series, res.PLoss)
-			opts.logf("fig4 group=%s latency=%.0fmin ploss=%.3f",
-				fmtGB(groupBytes), latMin, res.PLoss)
-		}
-		out[groupBytes] = series
-	}
-	return out, nil
+// fig4Latencies sweeps the x-axis samples (minutes), labelled with
+// format. Both panels sweep the same points, so the second one to run
+// reads them from mcCache.
+func fig4Latencies(format string) axis {
+	return values("latency (min)", format, []float64{0, 1, 5, 10, 30, 60},
+		func(c *core.Config, m float64) { c.DetectionLatencyHours = m / 60 })
 }
 
 // runFig4a plots P(loss) versus detection latency per group size.
 func runFig4a(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	sweep, err := fig4Sweep(opts)
+	t, err := opts.grid("fig4a", "Figure 4(a): P(data loss) vs detection latency",
+		opts.baseConfig(), fig4Groups, fig4Latencies("%gmin"), lossPct)
 	if err != nil {
 		return nil, err
-	}
-	cols := []string{"group size"}
-	for _, m := range fig4LatenciesMin {
-		cols = append(cols, fmt.Sprintf("%gmin", m))
-	}
-	t := report.NewTable("Figure 4(a): P(data loss) vs detection latency", cols...)
-	for _, groupBytes := range fig4GroupSizes {
-		row := []string{fmtGB(groupBytes)}
-		for _, p := range sweep[groupBytes] {
-			row = append(row, report.Pct(p))
-		}
-		t.AddRow(row...)
 	}
 	t.AddNote("two-way mirroring with FARM; runs=%d per point, scale=%.3g", opts.Runs, opts.Scale)
 	t.AddNote("expected shape: smaller groups are more latency-sensitive (§3.3)")
@@ -81,20 +36,13 @@ func runFig4a(opts Options) ([]*report.Table, error) {
 // rebuild one group at the recovery bandwidth.
 func runFig4b(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	sweep, err := fig4Sweep(opts)
+	ratio := column{"ratio", func(cfg core.Config, _ core.Result) string {
+		return report.F(cfg.DetectionLatencyHours / disk.RebuildHours(cfg.GroupBytes, cfg.RecoveryMBps))
+	}}
+	t, err := opts.sweep("fig4b", "Figure 4(b): P(data loss) vs latency/recovery-time ratio",
+		opts.baseConfig(), []axis{fig4Groups, fig4Latencies("%g")}, ratio, column{"P(loss)", lossPct})
 	if err != nil {
 		return nil, err
-	}
-	t := report.NewTable("Figure 4(b): P(data loss) vs latency/recovery-time ratio",
-		"group size", "latency (min)", "ratio", "P(loss)")
-	base := opts.baseConfig()
-	for _, groupBytes := range fig4GroupSizes {
-		recoveryHours := disk.RebuildHours(groupBytes, base.RecoveryMBps)
-		for i, latMin := range fig4LatenciesMin {
-			ratio := (latMin / 60) / recoveryHours
-			t.AddRow(fmtGB(groupBytes), fmt.Sprintf("%g", latMin),
-				report.F(ratio), report.Pct(sweep[groupBytes][i]))
-		}
 	}
 	t.AddNote("expected shape: points with equal ratio have similar P(loss) across group sizes")
 	t.AddNote("two-way mirroring with FARM; runs=%d per point, scale=%.3g", opts.Runs, opts.Scale)

@@ -1,60 +1,31 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
 	"repro/internal/report"
 )
-
-func init() {
-	register(Experiment{
-		ID: "fig5",
-		Title: "System reliability at various recovery bandwidths " +
-			"(1 GB and 5 GB groups, FARM vs traditional, 30 s detection latency)",
-		Cost: "heavy",
-		Run:  runFig5,
-	})
-}
-
-// fig5Bandwidths are the x-axis samples in MB/s (paper: 8-40).
-var fig5Bandwidths = []float64{8, 16, 24, 32, 40}
 
 // runFig5 reproduces Figure 5: probability of data loss as the disk
 // bandwidth devoted to recovery grows, for group sizes 1 GB and 5 GB,
 // with and without FARM, at the base 30-second detection latency.
 func runFig5(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	cols := []string{"series"}
-	for _, bw := range fig5Bandwidths {
-		cols = append(cols, fmt.Sprintf("%gMB/s", bw))
+	series := func(farm bool, groupBytes int64) func(*core.Config) {
+		return func(c *core.Config) { c.UseFARM, c.GroupBytes = farm, groupBytes }
 	}
-	t := report.NewTable("Figure 5: P(data loss) vs recovery bandwidth", cols...)
-	type series struct {
-		label      string
-		groupBytes int64
-		farm       bool
-	}
-	for _, s := range []series{
-		{"w/o FARM, 1GB", gb(1), false},
-		{"w/o FARM, 5GB", gb(5), false},
-		{"with FARM, 1GB", gb(1), true},
-		{"with FARM, 5GB", gb(5), true},
-	} {
-		row := []string{s.label}
-		for _, bw := range fig5Bandwidths {
-			cfg := opts.baseConfig()
-			cfg.GroupBytes = s.groupBytes
-			cfg.RecoveryMBps = bw
-			cfg.UseFARM = s.farm
-			cfg.DetectionLatencyHours = 30.0 / 3600
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.Pct(res.PLoss))
-			opts.logf("fig5 %s bw=%g ploss=%.3f", s.label, bw, res.PLoss)
-		}
-		t.AddRow(row...)
+	rows := axis{"series", []point{
+		{"w/o FARM, 1GB", series(false, gb(1))},
+		{"w/o FARM, 5GB", series(false, gb(5))},
+		{"with FARM, 1GB", series(true, gb(1))},
+		{"with FARM, 5GB", series(true, gb(5))},
+	}}
+	bandwidths := values("bandwidth", "%gMB/s", []float64{8, 16, 24, 32, 40},
+		func(c *core.Config, bw float64) { c.RecoveryMBps = bw })
+	base := opts.baseConfig()
+	base.DetectionLatencyHours = 30.0 / 3600
+	t, err := opts.grid("fig5", "Figure 5: P(data loss) vs recovery bandwidth", base, rows, bandwidths, lossPct)
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("two-way mirroring; runs=%d per point, scale=%.3g", opts.Runs, opts.Scale)
 	t.AddNote("expected shape: bandwidth helps the non-FARM system far more than FARM (§3.4)")

@@ -10,23 +10,6 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig6",
-		Title: "Disk utilization of ten randomly selected disks, initial vs " +
-			"after six years (group sizes 1, 10, 50 GB)",
-		Cost: "cheap",
-		Run:  runFig6,
-	})
-	register(Experiment{
-		ID: "table3",
-		Title: "Mean and standard deviation of disk utilization, initial vs " +
-			"after six years (group sizes 1, 10, 50 GB)",
-		Cost: "cheap",
-		Run:  runTable3,
-	})
-}
-
 // fig6GroupSizes are the three panels of Figure 6 / columns of Table 3.
 var fig6GroupSizes = []int64{gb(1), gb(10), gb(50)}
 
@@ -40,11 +23,8 @@ const fig6SampleSalt = 0x6f19
 // with FARM. That corresponds to 200 TB of user data.
 func fig6Config(opts Options, groupBytes int64) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.TotalDataBytes = int64(float64(200*disk.TB) * opts.Scale)
-	if cfg.TotalDataBytes < groupBytes {
-		cfg.TotalDataBytes = groupBytes
-	}
 	cfg.GroupBytes = groupBytes
+	opts.setData(&cfg, float64(200*disk.TB))
 	cfg.CollectUtilization = true
 	cfg.Seed = opts.BaseSeed
 	return cfg

@@ -1,48 +1,32 @@
 package experiment
 
 import (
-	"fmt"
-
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig7",
-		Title: "Effect of disk replacement timing on reliability, with 95% " +
-			"confidence intervals (batches at 2/4/6/8% of disks lost)",
-		Cost: "moderate",
-		Run:  runFig7,
-	})
-}
-
-// fig7Triggers are the replacement thresholds the paper examines: batches
-// fire after losing 2, 4, 6, or 8% of the drives. With ~10% of drives
-// failing over six years, the 2% batch fires about five times and the 8%
-// batch about once (§3.6).
-var fig7Triggers = []float64{0.02, 0.04, 0.06, 0.08}
-
 // runFig7 reproduces Figure 7: two-way mirroring with FARM and 10 GB
 // groups, injecting a batch of fresh drives each time the configured
-// fraction of the original population has failed. The paper finds no
-// visible cohort effect because only ~10% of drives fail in six years.
+// fraction of the original population has failed. The paper examines
+// batches after losing 2, 4, 6, or 8% of the drives; with ~10% of drives
+// failing over six years, the 2% batch fires about five times and the 8%
+// batch about once, so the paper finds no visible cohort effect (§3.6).
 func runFig7(opts Options) ([]*report.Table, error) {
 	opts = opts.withDefaults()
-	t := report.NewTable("Figure 7: P(data loss) vs replacement trigger",
-		"replacement percent", "P(loss) [95% CI]", "batches/run", "migrated GB/run")
-	for _, trig := range fig7Triggers {
-		cfg := opts.baseConfig()
-		cfg.ReplaceTrigger = trig
-		res, err := opts.monteCarlo(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f%%", 100*trig),
-			report.PctCI(res.PLoss, res.PLossLo, res.PLossHi),
-			report.F(res.BatchesAdded.Mean()),
-			report.F(res.MigratedBytes.Mean()/float64(1<<30)))
-		opts.logf("fig7 trigger=%.0f%% ploss=%.3f batches=%.2f",
-			100*trig, res.PLoss, res.BatchesAdded.Mean())
+	triggers := values("replacement percent", "%g%%", []float64{2, 4, 6, 8},
+		func(c *core.Config, pct float64) { c.ReplaceTrigger = pct / 100 })
+	t, err := opts.sweep("fig7", "Figure 7: P(data loss) vs replacement trigger",
+		opts.baseConfig(), []axis{triggers},
+		column{"P(loss) [95% CI]", func(_ core.Config, r core.Result) string {
+			return report.PctCI(r.PLoss, r.PLossLo, r.PLossHi)
+		}},
+		mean("batches/run", func(r core.Result) metrics.Welford { return r.BatchesAdded }),
+		column{"migrated GB/run", func(_ core.Config, r core.Result) string {
+			return report.F(r.MigratedBytes.Mean() / float64(1<<30))
+		}})
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("two-way mirroring + FARM, 10 GB groups; runs=%d, scale=%.3g", opts.Runs, opts.Scale)
 	t.AddNote("expected shape: overlapping intervals — no visible cohort effect (§3.6)")

@@ -3,66 +3,30 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/redundancy"
 	"repro/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig8a",
-		Title: "Probability of data loss vs total system capacity " +
-			"(0.1-5 PB, all schemes, FARM, 10 GB groups)",
-		Cost: "heavy",
-		Run:  func(o Options) ([]*report.Table, error) { return runFig8(o, 1) },
-	})
-	register(Experiment{
-		ID: "fig8b",
-		Title: "Probability of data loss vs total capacity with disk " +
-			"failure rates doubled",
-		Cost: "heavy",
-		Run:  func(o Options) ([]*report.Table, error) { return runFig8(o, 2) },
-	})
-}
-
-// fig8CapacitiesPB are the x-axis samples (petabytes of user data).
-var fig8CapacitiesPB = []float64{0.1, 0.5, 1, 2, 5}
-
 // runFig8 reproduces Figure 8: probability of data loss as the system
-// grows, for all six schemes under FARM, with the vintage factor applied
-// to the Table 1 failure rates (1 for panel (a), 2 for panel (b)).
+// grows from 0.1 to 5 PB of user data, for all six schemes under FARM,
+// with the vintage factor applied to the Table 1 failure rates (1 for
+// panel (a), 2 for panel (b)).
 func runFig8(opts Options, vintageScale float64) ([]*report.Table, error) {
 	opts = opts.withDefaults()
 	panel := "a"
 	if vintageScale != 1 {
 		panel = "b"
 	}
-	cols := []string{"scheme"}
-	for _, pb := range fig8CapacitiesPB {
-		cols = append(cols, fmt.Sprintf("%gPB", pb))
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Figure 8(%s): P(data loss) vs total capacity (failure rate x%g)",
-			panel, vintageScale), cols...)
-	for _, scheme := range redundancy.PaperSchemes() {
-		row := []string{scheme.String()}
-		for _, pb := range fig8CapacitiesPB {
-			cfg := opts.baseConfig()
-			cfg.TotalDataBytes = int64(pb * float64(disk.PB) * opts.Scale)
-			if cfg.TotalDataBytes < cfg.GroupBytes {
-				cfg.TotalDataBytes = cfg.GroupBytes
-			}
-			cfg.Scheme = scheme
-			cfg.VintageScale = vintageScale
-			res, err := opts.monteCarlo(cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.Pct(res.PLoss))
-			opts.logf("fig8%s scheme=%s capacity=%gPB ploss=%.3f",
-				panel, scheme, pb, res.PLoss)
-		}
-		t.AddRow(row...)
+	capacities := values("capacity", "%gPB", []float64{0.1, 0.5, 1, 2, 5},
+		func(c *core.Config, pb float64) { opts.setData(c, pb*float64(disk.PB)) })
+	base := opts.baseConfig()
+	base.VintageScale = vintageScale
+	t, err := opts.grid("fig8"+panel,
+		fmt.Sprintf("Figure 8(%s): P(data loss) vs total capacity (failure rate x%g)", panel, vintageScale),
+		base, schemes, capacities, lossPct)
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("FARM, 10 GB groups, 30 s detection; runs=%d, scale=%.3g", opts.Runs, opts.Scale)
 	t.AddNote("expected shape: ~linear growth with capacity; doubling failure rates more than doubles P(loss)")

@@ -7,21 +7,6 @@ import (
 	"repro/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "Disk failure rate per 1000 hours by age band (Elerath)",
-		Cost:  "static",
-		Run:   runTable1,
-	})
-	register(Experiment{
-		ID:    "table2",
-		Title: "Parameters for a petabyte-scale storage system",
-		Cost:  "static",
-		Run:   runTable2,
-	})
-}
-
 // runTable1 prints the hazard table the simulator uses and cross-checks
 // the implied six-year failure fraction.
 func runTable1(opts Options) ([]*report.Table, error) {
