@@ -54,7 +54,8 @@ type Config struct {
 	ExtraDisks int
 	// Net, when non-nil, is the run's network fabric: disks in dark
 	// racks stop being eligible sources/targets, and with RackAware set
-	// the initial build spreads each group over distinct racks. Nil
+	// every placement — the initial build and every later block move —
+	// spreads each group over distinct racks (see BuddyExcludes). Nil
 	// keeps the flat (topology-free) behaviour bit-for-bit.
 	Net *topology.Network
 }
@@ -124,15 +125,14 @@ type Cluster struct {
 	// lazily; nil until the first fence, so the zero-maintenance config
 	// costs nothing.
 	readOnly []uint64
-	// excl is the reusable epoch-stamped exclusion scratch handed to
-	// recovery-target selection; resetting it is O(1) and refilling it
-	// allocates nothing, so steady-state rebuild targeting produces no
+	// excl is the reusable epoch-stamped target-exclusion scratch
+	// BuddyExcludes fills; resetting it is O(1) and refilling it
+	// allocates nothing, so steady-state target choice produces no
 	// garbage (the former per-rebuild map[int]bool did).
-	excl placement.ExcludeSet
-	// rackExcl is the rack-indexed twin of excl for rack-aware target
-	// selection (rule: a target's rack must not already hold a block of
-	// the group).
-	rackExcl placement.ExcludeSet
+	excl placement.Excluder
+	// racks is the rack map of rack-aware placement (the fabric when
+	// Cfg.Net is rack-aware), nil under flat placement.
+	racks placement.Racker
 }
 
 // ErrBuild reports that initial placement could not complete.
@@ -152,7 +152,7 @@ func New(cfg Config) (*Cluster, error) {
 		// One backing array for the whole initial fleet instead of one
 		// heap object per drive; the per-run build stays O(1) drive
 		// allocations even at 100k disks.
-		Disks:      disk.NewFleet(numDisks, cfg.DiskModel, 0),
+		Disks:      disk.AppendFleet(make([]*disk.Drive, 0, numDisks), numDisks, cfg.DiskModel, 0),
 		hasher:     placement.NewHasher(cfg.PlacementSeed),
 		groupDisks: make([]int32, cfg.NumGroups*n),
 		stateIdx:   make([]int32, cfg.NumGroups),
@@ -162,6 +162,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := range c.stateIdx {
 		c.stateIdx[i] = -1
+	}
+	if cfg.Net != nil && cfg.Net.RackAware() {
+		c.racks = cfg.Net
 	}
 	// Pre-reserve every per-disk block index at the expected
 	// blocks-per-disk (with slack for placement jitter) so the build loop
@@ -176,15 +179,8 @@ func New(cfg Config) (*Cluster, error) {
 	// One reusable placement buffer for the whole build: with the flat
 	// group arena this makes the per-group loop allocation-free.
 	idsBuf := make([]int, 0, n)
-	rackAware := cfg.Net != nil && cfg.Net.RackAware()
 	for g := 0; g < cfg.NumGroups; g++ {
-		var ids []int
-		var err error
-		if rackAware {
-			ids, err = c.hasher.PlaceGroupSpreadInto(c, cfg.Net, uint64(g), n, c.BlockBytes, idsBuf)
-		} else {
-			ids, err = c.hasher.PlaceGroupInto(c, uint64(g), n, c.BlockBytes, idsBuf)
-		}
+		ids, err := c.hasher.PlaceGroupRacked(c, c.racks, uint64(g), n, c.BlockBytes, idsBuf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: group %d: %v", ErrBuild, g, err)
 		}
@@ -502,11 +498,17 @@ func (c *Cluster) SourceFor(group int, exclude int) int {
 	return -1
 }
 
-// AnySourceFor is SourceFor without the reachability requirement: it
-// reports whether an intact buddy *exists*, reachable or not. The
-// engines use it to distinguish "the group's data is gone" (abandon)
-// from "the data sits behind a dark switch" (park until heal).
-func (c *Cluster) AnySourceFor(group int, exclude int) int {
+// RebuildSourceFor returns the read source for a rebuild of group: a
+// reachable intact buddy other than exclude (SourceFor), else one that
+// sits behind a dark switch, else -1. The engines park a rebuild whose
+// source is unreachable until the rack heals instead of converting a
+// partition into data abandonment; -1 means the group's data is gone.
+// Without a topology every intact buddy is reachable, so this is
+// SourceFor.
+func (c *Cluster) RebuildSourceFor(group int, exclude int) int {
+	if src := c.SourceFor(group, exclude); src >= 0 {
+		return src
+	}
 	for _, d := range c.GroupDisks(group) {
 		if d >= 0 && int(d) != exclude && c.Disks[d].State == disk.Alive {
 			return int(d)
@@ -529,42 +531,26 @@ func (c *Cluster) SourceForExcluding(group, ex1, ex2 int) int {
 	return -1
 }
 
-// BuddyExcludes returns the cluster's reusable exclusion scratch reset
-// and filled with the disks holding intact blocks of group — the
-// exclusion set for recovery-target choice (rule (b): a target must not
-// already hold a block of the group). The returned set is owned by the
-// cluster and valid until the next BuddyExcludes call; callers may Add
-// further exclusions (e.g. in-flight rebuild targets) before use. The
-// call performs no allocation in steady state.
+// BuddyExcludes returns the cluster's reusable target-exclusion scratch
+// reset and filled for group — the one statement of where a block of
+// the group may move (rebuild, redirection, hedge, drain, rebalance).
+// It excludes the disks holding intact blocks of the group (rule (b): a
+// target must not already hold a block of the group) and, under
+// rack-aware placement, their racks (no two blocks of a group in one
+// rack). Callers may Add further exclusions (in-flight rebuild targets),
+// which under rack-aware placement exclude the target's rack too. The
+// returned set is owned by the cluster and valid until the next
+// BuddyExcludes call; the call performs no allocation in steady state.
 //
 //farm:hotpath exclusion scratch fill, gated by TestRecoveryTargetSelectionZeroAlloc
-func (c *Cluster) BuddyExcludes(group int) *placement.ExcludeSet {
-	c.excl.Reset(len(c.Disks))
+func (c *Cluster) BuddyExcludes(group int) *placement.Excluder {
+	c.excl.Reset(len(c.Disks), c.racks)
 	for _, d := range c.GroupDisks(group) {
 		if d >= 0 {
 			c.excl.Add(int(d))
 		}
 	}
 	return &c.excl
-}
-
-// BuddyRackExcludes returns the cluster's reusable rack-exclusion
-// scratch reset and filled with the racks holding intact blocks of
-// group — the rack-aware recovery-target rule (no two blocks of a group
-// in one rack, preserved through recovery re-placement). Requires a
-// configured topology. Owned by the cluster, valid until the next call;
-// callers may Add the racks of in-flight rebuild targets before use.
-//
-//farm:hotpath rack-exclusion scratch fill, gated by TestSingleRunAllocCeiling
-func (c *Cluster) BuddyRackExcludes(group int) *placement.ExcludeSet {
-	net := c.Cfg.Net
-	c.rackExcl.Reset(net.Racks())
-	for _, d := range c.GroupDisks(group) {
-		if d >= 0 {
-			c.rackExcl.Add(net.RackOf(int(d)))
-		}
-	}
-	return &c.rackExcl
 }
 
 // AddDisks appends fresh drives entering service at bornAt (a replacement
@@ -578,14 +564,13 @@ func (c *Cluster) AddDisks(count int, bornAt float64) []int {
 // a fleet of older drives. Failure sampling and placement consult each
 // drive's own model, so mixed-vintage fleets need no other plumbing.
 func (c *Cluster) AddDisksModel(count int, bornAt float64, model disk.Model) []int {
-	ids := make([]int, 0, count)
-	for i := 0; i < count; i++ {
-		id := len(c.Disks)
-		c.Disks = append(c.Disks, disk.NewDrive(id, model, bornAt))
+	ids := make([]int, count)
+	for i := range ids {
+		ids[i] = len(c.Disks) + i
 		c.byDisk = append(c.byDisk, nil)
-		c.aliveCount++
-		ids = append(ids, id)
 	}
+	c.Disks = disk.AppendFleet(c.Disks, count, model, bornAt)
+	c.aliveCount += count
 	return ids
 }
 
@@ -638,9 +623,11 @@ func (c *Cluster) UsedBytesAll() []int64 {
 }
 
 // CheckInvariants validates internal consistency (test hook): the byDisk
-// index and the placement arena agree, materialized availability counts
-// match the arena, dormant groups are at full health, the state pool's
-// bookkeeping is coherent, and byte accounting covers resident blocks.
+// index and the placement arena agree, no two intact blocks of a group
+// share a disk (rule (b)) or, under rack-aware placement, a rack,
+// materialized availability counts match the arena, dormant groups are
+// at full health, the state pool's bookkeeping is coherent, and byte
+// accounting covers resident blocks.
 func (c *Cluster) CheckInvariants() error {
 	n := c.Cfg.Scheme.N
 	counts := make([]int64, len(c.Disks))
@@ -655,13 +642,23 @@ func (c *Cluster) CheckInvariants() error {
 	lost := 0
 	for g := 0; g < c.Cfg.NumGroups; g++ {
 		avail := int32(0)
-		for rep, d := range c.GroupDisks(g) {
+		row := c.GroupDisks(g)
+		for rep, d := range row {
 			if d < 0 {
 				continue
 			}
 			avail++
 			if c.Disks[d].State != disk.Alive {
 				return fmt.Errorf("cluster: group %d rep %d on non-alive disk %d", g, rep, d)
+			}
+			for _, e := range row[:rep] {
+				if e == d {
+					return fmt.Errorf("cluster: group %d holds two blocks on disk %d", g, d)
+				}
+				if e >= 0 && c.racks != nil && c.racks.RackOf(int(e)) == c.racks.RackOf(int(d)) {
+					return fmt.Errorf("cluster: group %d holds blocks on disks %d and %d in rack %d",
+						g, e, d, c.racks.RackOf(int(d)))
+				}
 			}
 		}
 		si := c.stateIdx[g]

@@ -352,8 +352,7 @@ func (s *Simulator) Run(seed uint64) (RunResult, error) {
 // the import closure collide; see also degradedReadSalt (maintenance.go),
 // demandSeedSalt (workload), and netSeedSalt (faults).
 const (
-	// placementSeedSalt isolates rendezvous placement from the failure
-	// process.
+	// placementSeedSalt isolates placement from the failure process.
 	placementSeedSalt = 0xfa57_feed_c0de_f00d
 	// faultSeedSalt isolates fault injection, so the zero Faults config
 	// leaves the base simulation's draws untouched.
@@ -361,13 +360,23 @@ const (
 )
 
 func runOnce(cfg Config) (RunResult, error) {
-	model, err := cfg.diskModel()
+	st, err := build(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return st.play(), nil
+}
+
+// build constructs one run: the cluster, the recovery engine and every
+// process armed for its first event. Nothing has been simulated yet.
+func build(cfg Config) (*runState, error) {
+	model, err := cfg.diskModel()
+	if err != nil {
+		return nil, err
+	}
 	net, err := topology.NewNetwork(cfg.Topology)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	ccfg := cluster.Config{
 		Scheme:             cfg.Scheme,
@@ -380,23 +389,22 @@ func runOnce(cfg Config) (RunResult, error) {
 	}
 	cl, err := cluster.New(ccfg)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 
 	throttle, err := cfg.ThrottlePolicy()
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	demand, err := workload.NewDemand(cfg.Demand, cfg.SimHours, cfg.Topology.Racks, cfg.Seed)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 
 	eng := sim.New()
 	sched := recovery.NewScheduler(eng, cl.NumDisks())
 
-	var res RunResult
-	res.Disks = cl.NumDisks()
+	res := &RunResult{Disks: cl.NumDisks()}
 	if cfg.CollectUtilization {
 		res.InitialUsedBytes = cl.UsedBytesAll()
 	}
@@ -407,7 +415,7 @@ func runOnce(cfg Config) (RunResult, error) {
 		eng:     eng,
 		sched:   sched,
 		random:  rng.New(cfg.Seed),
-		res:     &res,
+		res:     res,
 		monitor: smart.Monitor{Accuracy: cfg.SmartAccuracy, LeadHours: cfg.SmartLeadHours},
 		net:     net,
 		demand:  demand,
@@ -451,7 +459,7 @@ func runOnce(cfg Config) (RunResult, error) {
 	if cfg.Faults.Enabled() {
 		inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^faultSeedSalt)
 		if err != nil {
-			return RunResult{}, err
+			return nil, err
 		}
 		inj.SetDiscoveryHandler(st.onLatentDiscovered)
 		st.inj = inj
@@ -513,7 +521,13 @@ func runOnce(cfg Config) (RunResult, error) {
 		st.every("obs-sample", func() float64 { return st.cfg.Obs.SampleEveryHours }, st.takeSample)
 	}
 
-	eng.RunUntil(sim.Time(cfg.SimHours))
+	return st, nil
+}
+
+// play simulates the built run to its horizon and returns its result.
+func (st *runState) play() RunResult {
+	cfg, cl, res := st.cfg, st.cl, st.res
+	st.eng.RunUntil(sim.Time(cfg.SimHours))
 
 	es := st.engine.Stats()
 	res.DataLoss = cl.LostGroups > 0
@@ -522,7 +536,7 @@ func runOnce(cfg Config) (RunResult, error) {
 	res.MaxWindowHours = es.Window.Max()
 	res.WindowP50Hours = es.WindowP50.Value()
 	res.WindowP99Hours = es.WindowP99.Value()
-	res.RecoveryDiskHours = sched.BusyHours
+	res.RecoveryDiskHours = st.sched.BusyHours
 	res.DegradedReadMeanMs = es.DegradedMs.Mean()
 	res.DegradedReadMaxMs = es.DegradedMs.Max()
 	res.DegradedReadP50Ms = es.DegradedP50.Value()
@@ -537,7 +551,7 @@ func runOnce(cfg Config) (RunResult, error) {
 	if cfg.CollectUtilization {
 		res.FinalUsedBytes = cl.UsedBytesAll()
 	}
-	return res, nil
+	return *res
 }
 
 // runState wires the event handlers of one run.
@@ -1095,10 +1109,7 @@ func (st *runState) maybeReplace(now sim.Time) {
 		return
 	}
 	st.failedSinceBatch++
-	threshold := int(st.cfg.ReplaceTrigger * float64(st.originalDisks))
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := replace.Policy{TriggerFraction: st.cfg.ReplaceTrigger}.Threshold(st.originalDisks)
 	if st.failedSinceBatch < threshold {
 		return
 	}

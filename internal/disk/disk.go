@@ -152,16 +152,15 @@ func NewDrive(id int, m Model, bornAt float64) *Drive {
 	return &Drive{ID: id, Model: m, State: Alive, BornAt: bornAt}
 }
 
-// NewFleet returns count alive drives (ids 0..count-1) entering service at
-// bornAt, all sharing one backing array: building a fleet costs two
-// allocations, not one per drive — the difference between 2k disks and
-// 100k disks per simulated run.
-func NewFleet(count int, m Model, bornAt float64) []*Drive {
+// AppendFleet appends count alive drives entering service at bornAt to
+// fleet, numbered on from len(fleet), all sharing one backing array:
+// the initial fleet and every later batch cost one allocation (plus
+// amortized growth of fleet), not one per drive.
+func AppendFleet(fleet []*Drive, count int, m Model, bornAt float64) []*Drive {
 	backing := make([]Drive, count)
-	fleet := make([]*Drive, count)
 	for i := range backing {
-		backing[i] = Drive{ID: i, Model: m, State: Alive, BornAt: bornAt}
-		fleet[i] = &backing[i]
+		backing[i] = Drive{ID: len(fleet), Model: m, State: Alive, BornAt: bornAt}
+		fleet = append(fleet, &backing[i])
 	}
 	return fleet
 }

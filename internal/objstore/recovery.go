@@ -91,14 +91,15 @@ type RecoverStats struct {
 func (s *Store) Recover() RecoverStats {
 	var stats RecoverStats
 	targets := map[int]bool{}
+	var exclude placement.Excluder
 	for _, col := range s.collections {
 		var missing []int
-		exclude := map[int]bool{}
+		exclude.Reset(len(s.disks), nil)
 		for rep, d := range col.disks {
 			if d < 0 {
 				missing = append(missing, rep)
 			} else {
-				exclude[d] = true
+				exclude.Add(d)
 			}
 		}
 		// Assemble survivors once, verifying every region checksum; a
@@ -152,14 +153,14 @@ func (s *Store) Recover() RecoverStats {
 		}
 		for _, rep := range missing {
 			target, _, err := s.hasher.RecoveryTarget(
-				storeView{s}, uint64(col.id), rep, int64(s.shardBytes), placement.MapExcluder(exclude), 0)
+				storeView{s}, uint64(col.id), rep, int64(s.shardBytes), &exclude, 0)
 			if err != nil {
 				stats.Unrecoverable++
 				continue
 			}
 			s.storeShard(target, shardKey{col.id, rep}, shards[rep])
 			col.disks[rep] = target
-			exclude[target] = true
+			exclude.Add(target)
 			targets[target] = true
 			stats.ShardsRebuilt++
 			s.sm.ShardsRebuilt.Inc()

@@ -169,8 +169,9 @@ func TestPlaceGroupFailsWhenImpossible(t *testing.T) {
 func TestRecoveryTargetRules(t *testing.T) {
 	h := NewHasher(23)
 	v := newFakeView(50, 100)
-	exclude := MapExcluder{}
-	id, trial, err := h.RecoveryTarget(v, 9, 1, 10, exclude, 0)
+	var exclude Excluder
+	exclude.Reset(50, nil)
+	id, trial, err := h.RecoveryTarget(v, 9, 1, 10, &exclude, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +179,8 @@ func TestRecoveryTargetRules(t *testing.T) {
 		t.Fatal("target not eligible")
 	}
 	// Excluding the found target must yield a different disk.
-	exclude[id] = true
-	id2, _, err := h.RecoveryTarget(v, 9, 1, 10, exclude, 0)
+	exclude.Add(id)
+	id2, _, err := h.RecoveryTarget(v, 9, 1, 10, &exclude, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestRecoveryTargetRules(t *testing.T) {
 	}
 	// Redirection: resuming past the first trial never returns to it
 	// unless it reappears later in the stream.
-	id3, _, err := h.RecoveryTarget(v, 9, 1, 10, MapExcluder{}, trial+1)
+	id3, _, err := h.RecoveryTarget(v, 9, 1, 10, nil, trial+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -329,11 +329,9 @@ func seededLists(n int) [][]*rebuild {
 // per-disk tables to numDisks.
 func (b *base) Grow(numDisks int) {
 	b.sched.Grow(numDisks)
-	for len(b.bySource) < numDisks {
-		b.bySource = append(b.bySource, nil)
-		b.byTarget = append(b.byTarget, nil)
-		b.hedgeByDisk = append(b.hedgeByDisk, nil)
-	}
+	b.bySource = growTo(b.bySource, numDisks)
+	b.byTarget = growTo(b.byTarget, numDisks)
+	b.hedgeByDisk = growTo(b.hedgeByDisk, numDisks)
 }
 
 // emit fires the observer, if installed, with one event.
@@ -594,22 +592,19 @@ func (b *base) resource(r *rebuild) {
 	// so the fallback changes nothing on those paths.
 	src := b.cl.SourceForExcluding(r.task.Group, r.task.Source, r.task.Target)
 	if src < 0 {
-		src = b.cl.SourceFor(r.task.Group, r.task.Target)
+		src = b.cl.RebuildSourceFor(r.task.Group, r.task.Target)
 	}
 	if src < 0 {
-		// No *reachable* intact block remains. Without topology that
-		// means no intact block at all (with Available < m the group is
+		// No intact block remains (with Available < m the group is
 		// already latched lost, so this is unreachable unless m == 0).
-		// With topology, an intact buddy may merely sit behind a dark
-		// switch — park the rebuild until the rack heals instead of
-		// converting a partition into data abandonment.
-		if b.net != nil {
-			if alt := b.cl.AnySourceFor(r.task.Group, r.task.Target); alt >= 0 {
-				b.parkOnSource(r, alt)
-				return
-			}
-		}
 		b.abandon(r)
+		return
+	}
+	if b.net != nil && b.net.DiskUnreachable(src) {
+		// Every intact buddy sits behind a dark switch: park the rebuild
+		// until the rack heals instead of converting a partition into
+		// data abandonment.
+		b.parkOnSource(r, src)
 		return
 	}
 	if b.net != nil && !b.net.SameRack(src, r.task.Source) {
@@ -700,17 +695,15 @@ func (b *base) setTask(t *Task, r *rebuild, group, rep, src, tgt int) {
 	}
 }
 
-// pickTarget applies the paper's target rules via the placement candidate
-// stream, additionally excluding targets already claimed by in-flight
+// pickTarget applies the cluster's target rule (BuddyExcludes) via the
+// placement candidate stream, additionally excluding targets — and,
+// under rack-aware placement, their racks — already claimed by in-flight
 // rebuilds of the same group. It reserves space on the chosen disk. The
 // exclusion set is the cluster's reusable epoch-stamped scratch, so the
 // steady-state path performs no allocation.
 //
 //farm:hotpath FARM redirection/targeting, gated by TestFARMPickTargetZeroAlloc
 func (b *base) pickTarget(group, rep, startTrial int) (target, trial int, ok bool) {
-	if b.net != nil && b.net.RackAware() {
-		return b.pickTargetSpread(group, rep, startTrial)
-	}
 	exclude := b.cl.BuddyExcludes(group)
 	for t := b.groupTargets[int32(group)]; t != nil; t = t.groupNext {
 		exclude.Add(t.Target)
@@ -725,35 +718,6 @@ func (b *base) pickTarget(group, rep, startTrial int) (target, trial int, ok boo
 		// Reserve; walk further down the stream.
 		t2, tr2, err2 := b.cl.Hasher().RecoveryTarget(
 			b.cl, uint64(group), rep, b.cl.BlockBytes, exclude, trial+1)
-		if err2 != nil || !b.cl.ReserveTarget(t2) {
-			return -1, 0, false
-		}
-		return t2, tr2, true
-	}
-	return target, trial, true
-}
-
-// pickTargetSpread is pickTarget under rack-aware placement: the
-// candidate's rack must hold neither an intact block of the group nor a
-// concurrent rebuild target's block, so a repaired group keeps the
-// one-block-per-rack invariant.
-//
-//farm:hotpath rack-aware redirection/targeting, gated by TestSingleRunAllocCeiling
-func (b *base) pickTargetSpread(group, rep, startTrial int) (target, trial int, ok bool) {
-	exclude := b.cl.BuddyExcludes(group)
-	rackEx := b.cl.BuddyRackExcludes(group)
-	for t := b.groupTargets[int32(group)]; t != nil; t = t.groupNext {
-		exclude.Add(t.Target)
-		rackEx.Add(b.net.RackOf(t.Target))
-	}
-	target, trial, err := b.cl.Hasher().RecoveryTargetSpread(
-		b.cl, b.net, uint64(group), rep, b.cl.BlockBytes, exclude, rackEx, startTrial)
-	if err != nil {
-		return -1, 0, false
-	}
-	if !b.cl.ReserveTarget(target) {
-		t2, tr2, err2 := b.cl.Hasher().RecoveryTargetSpread(
-			b.cl, b.net, uint64(group), rep, b.cl.BlockBytes, exclude, rackEx, trial+1)
 		if err2 != nil || !b.cl.ReserveTarget(t2) {
 			return -1, 0, false
 		}

@@ -40,12 +40,9 @@ func (f *FARM) startRebuild(failedAt sim.Time, group, rep int) {
 		f.tally.DroppedRebuilds++
 		return
 	}
-	src := f.cl.SourceFor(group, -1)
-	if src < 0 && f.net != nil {
-		// Every intact buddy is behind a dark switch; the rebuild will
-		// park against one (submitTracked's guard) instead of dropping.
-		src = f.cl.AnySourceFor(group, -1)
-	}
+	// A source behind a dark switch parks the rebuild (submitTracked's
+	// guard) instead of dropping it.
+	src := f.cl.RebuildSourceFor(group, -1)
 	if src < 0 {
 		f.tally.DroppedRebuilds++
 		return
@@ -107,10 +104,7 @@ func (f *FARM) redirect(now sim.Time, r *rebuild) {
 	}
 	src := r.task.Source
 	if f.cl.Disks[src].State != disk.Alive || src == target {
-		src = f.cl.SourceFor(r.task.Group, target)
-		if src < 0 && f.net != nil {
-			src = f.cl.AnySourceFor(r.task.Group, target)
-		}
+		src = f.cl.RebuildSourceFor(r.task.Group, target)
 		if src < 0 {
 			f.cl.ReleaseTarget(target)
 			f.drop(now, r, r.task.Group, r.task.Rep, r.task.Target)

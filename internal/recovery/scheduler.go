@@ -144,10 +144,27 @@ func NewScheduler(eng *sim.Engine, numDisks int) *Scheduler {
 
 // Grow extends the per-disk tables after disks are added to the cluster.
 func (s *Scheduler) Grow(numDisks int) {
-	for len(s.busy) < numDisks {
-		s.busy = append(s.busy, false)
-		s.waiting = append(s.waiting, fifo{})
+	s.busy = growTo(s.busy, numDisks)
+	s.waiting = growTo(s.waiting, numDisks)
+}
+
+// growTo extends a per-disk table s to n zero entries, at least doubling
+// its capacity when it must reallocate: a fleet that grows batch by
+// batch (replacements, spares) then copies its tables O(log n) times,
+// not at append's ~1.25× steps for large slices.
+func growTo[T any](s []T, n int) []T {
+	old := len(s)
+	if n <= old {
+		return s
 	}
+	if n > cap(s) {
+		t := make([]T, old, max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	s = s[:n]
+	clear(s[old:])
+	return s
 }
 
 // Busy reports whether disk id is mid-transfer.

@@ -162,10 +162,7 @@ func (s *SpareDisk) startRebuild(failedAt sim.Time, group, rep, spare int, id in
 	r.id, r.span = id, sp
 	src := -1
 	if !s.cl.GroupLost(group) {
-		src = s.cl.SourceFor(group, spare)
-		if src < 0 && s.net != nil {
-			src = s.cl.AnySourceFor(group, spare)
-		}
+		src = s.cl.RebuildSourceFor(group, spare)
 	}
 	// A spare cannot be full in the paper's regime (a fresh drive
 	// absorbing at most one failed drive's data); treat that as dropped
@@ -211,10 +208,7 @@ func (s *SpareDisk) blockLoss(now sim.Time, failedAt sim.Time, diskID, group, re
 		}
 		target = t
 	}
-	src := s.cl.SourceFor(group, target)
-	if src < 0 && s.net != nil {
-		src = s.cl.AnySourceFor(group, target)
-	}
+	src := s.cl.RebuildSourceFor(group, target)
 	if src < 0 {
 		s.cl.ReleaseTarget(target)
 		s.drop(now, r, group, rep, target)

@@ -70,8 +70,10 @@ func RebalanceOnto(cl *cluster.Cluster, newDisks []int) int64 {
 
 // Onto migrates blocks onto freshly added drives until each new drive
 // reaches the alive-population mean utilization, drawing from the drives
-// above the mean in disk-id order. A block never moves onto a drive that
-// already holds another block of its group. Returns the bytes migrated.
+// above the mean in disk-id order. A block moves only where the
+// cluster's target rule allows (Cluster.BuddyExcludes): never onto a
+// drive that already holds a block of its group, nor, under rack-aware
+// placement, into a rack that does. Returns the bytes migrated.
 //
 // The paper treats reorganization as instantaneous weight-based
 // remapping; what matters for reliability is the small migrated fraction
@@ -117,7 +119,7 @@ func (rb *Rebalancer) Onto(cl *cluster.Cluster, newDisks []int) int64 {
 				if cl.Disks[nd].UsedBytes >= mean || cl.Disks[donor].UsedBytes <= mean {
 					break
 				}
-				if groupHasBlockOn(cl, int(ref.Group), nd) {
+				if cl.BuddyExcludes(int(ref.Group)).Excluded(nd) {
 					continue
 				}
 				if cl.MoveBlock(ref, nd) {
@@ -132,15 +134,6 @@ func (rb *Rebalancer) Onto(cl *cluster.Cluster, newDisks []int) int64 {
 func contains(xs []int, v int) bool {
 	for _, x := range xs {
 		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func groupHasBlockOn(cl *cluster.Cluster, group, diskID int) bool {
-	for _, d := range cl.GroupDisks(group) {
-		if int(d) == diskID {
 			return true
 		}
 	}

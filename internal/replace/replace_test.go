@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/disk"
 	"repro/internal/redundancy"
+	"repro/internal/topology"
 )
 
 func buildCluster(t *testing.T, groups int) *cluster.Cluster {
@@ -97,6 +98,55 @@ func TestRebalancePreservesGroupInvariant(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// TestRebalanceKeepsRackSpread pins that rebalancing obeys the
+// cluster's whole target rule: on a rack-aware fleet whose failed disks
+// were repaired, moving blocks onto a fresh batch never puts two blocks
+// of a group in one rack (CheckInvariants' rack check).
+func TestRebalanceKeepsRackSpread(t *testing.T) {
+	net, err := topology.NewNetwork(topology.Config{Racks: 4, RackAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Scheme:             redundancy.Scheme{M: 1, N: 2},
+		GroupBytes:         10 * disk.GB,
+		NumGroups:          800,
+		DiskModel:          disk.DefaultModel(),
+		InitialUtilization: 0.4,
+		PlacementSeed:      3,
+		Net:                net,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 6; id++ {
+		lost, _ := cl.FailDisk(id, float64(id))
+		for _, ref := range lost {
+			g := int(ref.Group)
+			target, _, err := cl.Hasher().RecoveryTarget(
+				cl, uint64(g), int(ref.Rep), cl.BlockBytes, cl.BuddyExcludes(g), 0)
+			if err != nil {
+				t.Fatalf("no target for %v: %v", ref, err)
+			}
+			if !cl.ReserveTarget(target) {
+				t.Fatalf("reserve failed on %d", target)
+			}
+			cl.PlaceRecovered(g, int(ref.Rep), target)
+		}
+	}
+	if err := cl.CheckInvariants(); err != nil {
+		t.Fatalf("after repair: %v", err)
+	}
+	ids := cl.AddDisks(6, 1000)
+	var rb Rebalancer
+	if rb.Onto(cl, ids) == 0 {
+		t.Fatal("rebalance moved nothing")
+	}
+	if err := cl.CheckInvariants(); err != nil {
+		t.Fatalf("after rebalance: %v", err)
 	}
 }
 

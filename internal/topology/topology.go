@@ -36,8 +36,8 @@ type Config struct {
 	Racks int
 
 	// RackAware places the blocks of each group in distinct racks (and
-	// re-places them rack-disjointly during recovery), so a single
-	// domain fault costs at most one erasure per group. Requires
+	// keeps them rack-disjoint through rebuilds, drains and rebalances),
+	// so a single domain fault costs at most one erasure per group. Requires
 	// Racks >= the redundancy scheme's group size.
 	RackAware bool
 

@@ -3,10 +3,10 @@
 #
 # Three layers, in order:
 #   1. go vet        — the stock toolchain analyzers;
-#   2. farmlint      — the repo's own ten-analyzer suite (internal/lint)
+#   2. farmlint      — the repo's own seven-analyzer suite (internal/lint)
 #                      run through the `go vet -vettool` unitchecker
-#                      protocol, enforcing the determinism, hot-path,
-#                      validation, trace-vocabulary, and heap-tie-break
+#                      protocol, enforcing the determinism (nodeterm),
+#                      hot-path (hotpath) and heap-tie-break (seqtie)
 #                      contracts plus the cross-package fact-based checks
 #                      (rngsalt, unitcheck, configflow, kindflow). The
 #                      vettool path exercises .vetx fact files: facts
