@@ -215,9 +215,6 @@ func (c Config) Validate() error {
 	case c.SmartLeadHours < 0:
 		return errors.New("core: negative smart lead")
 	}
-	if err := c.Straggler.Validate(); err != nil {
-		return err
-	}
 	if err := c.Topology.Validate(); err != nil {
 		return err
 	}
@@ -235,6 +232,9 @@ func (c Config) Validate() error {
 	}
 	if c.Throttle.FloorMBps > c.DiskBandwidthMBps {
 		return errors.New("core: throttle floor exceeds disk bandwidth")
+	}
+	if c.Throttle.MaxMBps > c.DiskBandwidthMBps {
+		return errors.New("core: throttle ceiling exceeds disk bandwidth")
 	}
 	if c.Maintenance.UpgradeEveryHours > 0 && !c.Topology.Enabled() {
 		return errors.New("core: rolling upgrades need a topology (set Topology.Racks)")
@@ -468,17 +468,11 @@ func build(cfg Config) (*runState, error) {
 	if cfg.UseFARM {
 		st.engine = recovery.NewFARM(env)
 	} else {
-		var pool int
-		var replenish float64
-		if st.inj != nil {
-			eff := st.inj.Config()
-			pool, replenish = eff.SparePoolSize, eff.SpareReplenishHours
-		}
 		st.engine = recovery.NewSpareDisk(env, func(now sim.Time) int {
 			ids := cl.AddDisks(1, float64(now))
 			st.joined(ids)
 			return ids[0]
-		}, pool, replenish)
+		}, cfg.Faults.SparePoolSize)
 	}
 
 	if demand != nil {

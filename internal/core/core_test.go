@@ -72,7 +72,7 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 
 // TestConfigValidateThrottleInputs: validation follows the policy's
 // inputs. Only aimd and deadline read the fleet load, so only they need
-// a demand model; no policy may floor recovery above the drive.
+// a demand model; no policy may floor or cap recovery above the drive.
 func TestConfigValidateThrottleInputs(t *testing.T) {
 	demand := workload.DemandConfig{BaseShare: 0.3}
 	cases := []struct {
@@ -88,6 +88,8 @@ func TestConfigValidateThrottleInputs(t *testing.T) {
 		{"aimd-with-demand", workload.ThrottleConfig{Policy: workload.PolicyAIMD}, demand, true},
 		{"idle-floor-above-disk", workload.ThrottleConfig{Policy: workload.PolicyIdle, FloorMBps: 100}, workload.DemandConfig{}, false},
 		{"fixed-floor-at-disk", workload.ThrottleConfig{Policy: workload.PolicyFixed, FloorMBps: 80}, workload.DemandConfig{}, true},
+		{"aimd-ceiling-above-disk", workload.ThrottleConfig{Policy: workload.PolicyAIMD, MaxMBps: 100}, demand, false},
+		{"aimd-ceiling-at-disk", workload.ThrottleConfig{Policy: workload.PolicyAIMD, MaxMBps: 80}, demand, true},
 	}
 	for _, tc := range cases {
 		cfg := smallConfig()
@@ -96,6 +98,30 @@ func TestConfigValidateThrottleInputs(t *testing.T) {
 		if err := cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// TestThrottleCeilingWithinDrive: on a drive slower than the default
+// 64 MB/s ceiling, an AIMD throttle on a quiet fleet ramps to the
+// drive's bandwidth and no further.
+func TestThrottleCeilingWithinDrive(t *testing.T) {
+	cfg := smallConfig()
+	cfg.DiskBandwidthMBps = 40
+	cfg.Demand = workload.DemandConfig{BaseShare: 0.05}
+	cfg.Throttle = workload.ThrottleConfig{Policy: workload.PolicyAIMD, FloorMBps: 8}
+	simr, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simr.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ThrottleMeanMBps <= cfg.Throttle.FloorMBps {
+		t.Fatalf("mean grant %v MB/s never left the floor; the check is vacuous", res.ThrottleMeanMBps)
+	}
+	if res.ThrottleMeanMBps > cfg.DiskBandwidthMBps {
+		t.Fatalf("mean grant %v MB/s exceeds the %v MB/s drive", res.ThrottleMeanMBps, cfg.DiskBandwidthMBps)
 	}
 }
 

@@ -65,23 +65,6 @@ func TestCoreConfigValidateNonFinite(t *testing.T) {
 	}
 }
 
-// TestStragglerValidationPropagates: a bad straggler sub-config must
-// fail the top-level Config.Validate, like the faults sub-config does.
-func TestStragglerValidationPropagates(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Straggler.Enabled = true
-	cfg.Straggler.EWMAAlpha = math.NaN()
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("invalid straggler config accepted")
-	}
-	cfg = smallConfig()
-	cfg.Straggler.Enabled = true
-	cfg.Straggler.HedgeAfterMultiple = math.Inf(1)
-	if _, err := NewSimulator(cfg); err == nil {
-		t.Fatal("NewSimulator accepted invalid straggler config")
-	}
-}
-
 // TestFailSlowStormDeterministic: the full gray-failure storm (onsets,
 // recoveries, slow-bursts, hedges, timeouts, evictions) is reproducible
 // for a fixed seed and diverges for another.

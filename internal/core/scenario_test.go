@@ -20,6 +20,8 @@ var patchRejects = []struct {
 	{"nested typo", `{"Demand":{"BaseShre":0.3}}`, `unknown field "BaseShre"`},
 	{"seed", `{"Seed":7}`, `unknown field "Seed"`},
 	{"hook", `{"Hook":null}`, `unknown field "Hook"`},
+	{"retired straggler key", `{"Straggler":{"Enabled":true,"HedgeAfterMultiple":2}}`, `unknown field "HedgeAfterMultiple"`},
+	{"retired throttle key", `{"Throttle":{"Policy":"aimd","HighLoad":0.7}}`, `unknown field "HighLoad"`},
 	{"trailing object", `{}{}`, "trailing data"},
 	{"trailing junk", `{"UseFARM":false} }`, "trailing data"},
 	{"type mismatch", `{"GroupBytes":"10GB"}`, "cannot unmarshal"},

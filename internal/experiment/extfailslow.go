@@ -24,7 +24,6 @@ func failSlowRegime(onsetRate, factor float64) faults.Config {
 			CrawlProb:            0.2,
 			SlowBurstsPerYear:    1,
 			SlowBurstMeanSize:    4,
-			SlowBurstSpanHours:   1,
 		},
 	}
 }

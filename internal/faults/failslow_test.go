@@ -23,14 +23,12 @@ func TestFailSlowValidate(t *testing.T) {
 		{"nan-recovery", FailSlowConfig{RecoveryMeanHours: nan}, "FailSlow.RecoveryMeanHours is NaN"},
 		{"inf-burst-rate", FailSlowConfig{SlowBurstsPerYear: inf}, "FailSlow.SlowBurstsPerYear is infinite"},
 		{"nan-burst-size", FailSlowConfig{SlowBurstMeanSize: nan}, "FailSlow.SlowBurstMeanSize is NaN"},
-		{"nan-burst-span", FailSlowConfig{SlowBurstSpanHours: nan}, "FailSlow.SlowBurstSpanHours is NaN"},
 		{"neg-rate", FailSlowConfig{OnsetRatePerDiskHour: -1}, "negative fail-slow onset rate"},
 		{"factor-below-1", FailSlowConfig{SlowFactor: 0.5}, "factor must exceed 1"},
 		{"crawl-range", FailSlowConfig{CrawlProb: 1.5}, "crawl probability"},
 		{"neg-recovery", FailSlowConfig{RecoveryMeanHours: -2}, "negative fail-slow recovery mean"},
 		{"neg-burst-rate", FailSlowConfig{SlowBurstsPerYear: -1}, "negative slow-burst rate"},
 		{"neg-burst-size", FailSlowConfig{SlowBurstMeanSize: -1}, "negative slow-burst size"},
-		{"neg-burst-span", FailSlowConfig{SlowBurstSpanHours: -1}, "negative slow-burst span"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,11 +63,7 @@ func TestConfigValidateNonFinite(t *testing.T) {
 		{Config{ScrubIntervalHours: math.Inf(1)}, "faults: ScrubIntervalHours is infinite"},
 		{Config{BurstsPerYear: nan}, "faults: BurstsPerYear is NaN"},
 		{Config{BurstMeanSize: nan}, "faults: BurstMeanSize is NaN"},
-		{Config{BurstSpanHours: nan}, "faults: BurstSpanHours is NaN"},
 		{Config{TransientReadProb: nan}, "faults: TransientReadProb is NaN"},
-		{Config{BackoffBaseHours: nan}, "faults: BackoffBaseHours is NaN"},
-		{Config{BackoffCapHours: math.Inf(-1)}, "faults: BackoffCapHours is infinite"},
-		{Config{SpareReplenishHours: nan}, "faults: SpareReplenishHours is NaN"},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()
@@ -84,7 +78,7 @@ func TestConfigValidateNonFinite(t *testing.T) {
 func TestFailSlowDefaults(t *testing.T) {
 	c := Config{FailSlow: FailSlowConfig{OnsetRatePerDiskHour: 1e-6, SlowBurstsPerYear: 2}}.withDefaults()
 	fs := c.FailSlow
-	if fs.SlowFactor != 4 || fs.CrawlProb != 0.2 || fs.SlowBurstMeanSize != 8 || fs.SlowBurstSpanHours != 1 {
+	if fs.SlowFactor != 4 || fs.CrawlProb != 0.2 || fs.SlowBurstMeanSize != 8 {
 		t.Fatalf("defaults not filled: %+v", fs)
 	}
 	var zero FailSlowConfig
@@ -154,7 +148,6 @@ func TestFailSlowDrawsDeterministic(t *testing.T) {
 		RecoveryMeanHours:    50,
 		SlowBurstsPerYear:    3,
 		SlowBurstMeanSize:    6,
-		SlowBurstSpanHours:   2,
 	}}
 	draw := func(seed uint64) []float64 {
 		in, err := NewInjector(cfg, seed)

@@ -83,32 +83,23 @@ type Config struct {
 	BurstsPerYear float64
 	// BurstMeanSize is the mean number of drives killed per burst
 	// (at least 1 dies; the excess is Poisson-distributed). Defaults to
-	// 3 when bursts are enabled.
+	// 3 when bursts are enabled. The deaths spread uniformly over
+	// burstSpanHours.
 	BurstMeanSize float64
-	// BurstSpanHours spreads a burst's deaths uniformly over this window
-	// (defaults to 1 h when bursts are enabled).
-	BurstSpanHours float64
 	// TransientReadProb is the probability that a completed rebuild
 	// transfer discovers its source read failed transiently and must be
-	// retried. Zero disables transient faults.
+	// retried (up to maxRetries times per source, backing off as
+	// RetryBackoff says). Zero disables transient faults.
 	TransientReadProb float64
-	// MaxRetries caps transient-fault retries per rebuild source before
-	// the engine re-sources to another buddy (default 3).
-	MaxRetries int
-	// BackoffBaseHours is the first retry delay; subsequent retries
-	// double it up to BackoffCapHours, with deterministic ±25% jitter
-	// drawn from the injector's stream (defaults 0.05 h and 1 h).
-	BackoffBaseHours float64
-	BackoffCapHours  float64
 	// MaxResourcings caps how many times one rebuild may switch source
-	// before it is abandoned through the DroppedRebuilds path (default 8).
+	// before it is abandoned through the DroppedRebuilds path (default
+	// DefaultMaxResourcings).
 	MaxResourcings int
 	// SparePoolSize, when positive, bounds the traditional engine's
 	// dedicated-spare pool: activations beyond the pool queue until a
-	// replenishment drive arrives SpareReplenishHours later (default
-	// 24 h). Zero keeps the paper's unlimited spares.
-	SparePoolSize       int
-	SpareReplenishHours float64
+	// replenishment drive arrives (see recovery.NewSpareDisk). Zero
+	// keeps the paper's unlimited spares.
+	SparePoolSize int
 	// FailSlow configures gray-failure injection: drives that stay alive
 	// but deliver a fraction of their recovery bandwidth. The zero value
 	// disables it.
@@ -149,11 +140,9 @@ type FailSlowConfig struct {
 	// switch congestion, bad firmware push). Zero disables bursts.
 	SlowBurstsPerYear float64
 	// SlowBurstMeanSize is the mean number of drives degraded per burst
-	// (at least 1; the excess is Poisson). Default 8.
+	// (at least 1; the excess is Poisson). Default 8. The onsets spread
+	// uniformly over slowBurstSpanHours.
 	SlowBurstMeanSize float64
-	// SlowBurstSpanHours spreads a burst's onsets uniformly over this
-	// window. Default 1 h.
-	SlowBurstSpanHours float64
 }
 
 // Enabled reports whether any fail-slow process is configured.
@@ -175,7 +164,6 @@ func (c FailSlowConfig) Validate() error {
 		{"RecoveryMeanHours", c.RecoveryMeanHours},
 		{"SlowBurstsPerYear", c.SlowBurstsPerYear},
 		{"SlowBurstMeanSize", c.SlowBurstMeanSize},
-		{"SlowBurstSpanHours", c.SlowBurstSpanHours},
 	} {
 		if err := CheckFinite("faults: FailSlow."+f.name, f.v); err != nil {
 			return err
@@ -194,8 +182,6 @@ func (c FailSlowConfig) Validate() error {
 		return errors.New("faults: negative slow-burst rate")
 	case c.SlowBurstMeanSize < 0:
 		return errors.New("faults: negative slow-burst size")
-	case c.SlowBurstSpanHours < 0:
-		return errors.New("faults: negative slow-burst span")
 	}
 	return nil
 }
@@ -211,13 +197,8 @@ func (c FailSlowConfig) withDefaults() FailSlowConfig {
 	if c.CrawlProb == 0 {
 		c.CrawlProb = 0.2
 	}
-	if c.SlowBurstsPerYear > 0 {
-		if c.SlowBurstMeanSize == 0 {
-			c.SlowBurstMeanSize = 8
-		}
-		if c.SlowBurstSpanHours == 0 {
-			c.SlowBurstSpanHours = 1
-		}
+	if c.SlowBurstsPerYear > 0 && c.SlowBurstMeanSize == 0 {
+		c.SlowBurstMeanSize = 8
 	}
 	return c
 }
@@ -254,11 +235,7 @@ func (c Config) Validate() error {
 		{"ScrubIntervalHours", c.ScrubIntervalHours},
 		{"BurstsPerYear", c.BurstsPerYear},
 		{"BurstMeanSize", c.BurstMeanSize},
-		{"BurstSpanHours", c.BurstSpanHours},
 		{"TransientReadProb", c.TransientReadProb},
-		{"BackoffBaseHours", c.BackoffBaseHours},
-		{"BackoffCapHours", c.BackoffCapHours},
-		{"SpareReplenishHours", c.SpareReplenishHours},
 	} {
 		if err := CheckFinite("faults: "+f.name, f.v); err != nil {
 			return err
@@ -279,48 +256,43 @@ func (c Config) Validate() error {
 		return errors.New("faults: negative burst rate")
 	case c.BurstMeanSize < 0:
 		return errors.New("faults: negative burst size")
-	case c.BurstSpanHours < 0:
-		return errors.New("faults: negative burst span")
 	case c.TransientReadProb < 0 || c.TransientReadProb >= 1:
 		return errors.New("faults: transient read probability out of [0,1)")
-	case c.MaxRetries < 0:
-		return errors.New("faults: negative retry cap")
-	case c.BackoffBaseHours < 0 || c.BackoffCapHours < 0:
-		return errors.New("faults: negative backoff")
 	case c.MaxResourcings < 0:
 		return errors.New("faults: negative re-sourcing cap")
 	case c.SparePoolSize < 0:
 		return errors.New("faults: negative spare pool")
-	case c.SpareReplenishHours < 0:
-		return errors.New("faults: negative spare replenish delay")
 	}
 	return nil
 }
 
+// The injector's fixed retry ladder and burst window.
+const (
+	// maxRetries caps transient-fault retries per rebuild source before
+	// the engine re-sources to another buddy.
+	maxRetries = 3
+	// backoffBaseHours is the first retry delay; subsequent retries
+	// double it up to backoffCapHours (RetryBackoff).
+	backoffBaseHours = 0.05
+	backoffCapHours  = 1
+	// burstSpanHours and slowBurstSpanHours spread a correlated burst's
+	// deaths, and a slow-burst's onsets, uniformly over this window.
+	burstSpanHours     = 1
+	slowBurstSpanHours = 1
+)
+
+// DefaultMaxResourcings is the per-rebuild source-switch cap when
+// Config.MaxResourcings is zero. The recovery engines fall back to it
+// with no fault model installed, and loss forensics with no cap given.
+const DefaultMaxResourcings = 8
+
 // withDefaults fills the zero policy fields.
 func (c Config) withDefaults() Config {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBaseHours == 0 {
-		c.BackoffBaseHours = 0.05
-	}
-	if c.BackoffCapHours == 0 {
-		c.BackoffCapHours = 1
-	}
 	if c.MaxResourcings == 0 {
-		c.MaxResourcings = 8
+		c.MaxResourcings = DefaultMaxResourcings
 	}
-	if c.BurstsPerYear > 0 {
-		if c.BurstMeanSize == 0 {
-			c.BurstMeanSize = 3
-		}
-		if c.BurstSpanHours == 0 {
-			c.BurstSpanHours = 1
-		}
-	}
-	if c.SparePoolSize > 0 && c.SpareReplenishHours == 0 {
-		c.SpareReplenishHours = 24
+	if c.BurstsPerYear > 0 && c.BurstMeanSize == 0 {
+		c.BurstMeanSize = 3
 	}
 	c.FailSlow = c.FailSlow.withDefaults()
 	c.Network = c.Network.withDefaults()
@@ -388,9 +360,6 @@ func NewInjector(cfg Config, seed uint64) (*Injector, error) {
 		latent: make(map[lseKey]int32),
 	}, nil
 }
-
-// Config returns the effective (default-filled) configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // SetDiscoveryHandler installs the callback fired when a rebuild read
 // discovers a latent error.
@@ -503,15 +472,15 @@ func (in *Injector) RetryBackoff(attempt int) sim.Time {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := in.cfg.BackoffBaseHours * math.Pow(2, float64(attempt-1))
-	if d > in.cfg.BackoffCapHours {
-		d = in.cfg.BackoffCapHours
+	d := backoffBaseHours * math.Pow(2, float64(attempt-1))
+	if d > backoffCapHours {
+		d = backoffCapHours
 	}
 	return sim.Time(d * (0.75 + 0.5*in.rng.Float64()))
 }
 
 // MaxRetries returns the per-source transient retry cap.
-func (in *Injector) MaxRetries() int { return in.cfg.MaxRetries }
+func (in *Injector) MaxRetries() int { return maxRetries }
 
 // MaxResourcings returns the per-rebuild source-switch cap.
 func (in *Injector) MaxResourcings() int { return in.cfg.MaxResourcings }
@@ -538,7 +507,7 @@ func (in *Injector) BurstSize() int {
 
 // BurstDelay draws a death's offset within the burst window.
 func (in *Injector) BurstDelay() float64 {
-	return in.rng.Float64() * in.cfg.BurstSpanHours
+	return in.rng.Float64() * burstSpanHours
 }
 
 // SampleVictims draws k distinct indices in [0, n).
@@ -615,7 +584,7 @@ func (in *Injector) SlowBurstSize() int {
 
 // SlowBurstDelay draws an onset's offset within the slow-burst window.
 func (in *Injector) SlowBurstDelay() float64 {
-	return in.slow.Float64() * in.cfg.FailSlow.SlowBurstSpanHours
+	return in.slow.Float64() * slowBurstSpanHours
 }
 
 // SampleSlowVictims draws k distinct indices in [0, n) from the

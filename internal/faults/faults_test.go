@@ -44,15 +44,10 @@ func TestConfigValidate(t *testing.T) {
 		{ScrubIntervalHours: -1},
 		{BurstsPerYear: -1},
 		{BurstMeanSize: -1},
-		{BurstSpanHours: -0.5},
 		{TransientReadProb: -0.1},
 		{TransientReadProb: 1}, // must stay below 1: retries could never succeed
-		{MaxRetries: -1},
-		{BackoffBaseHours: -1},
-		{BackoffCapHours: -1},
 		{MaxResourcings: -1},
 		{SparePoolSize: -1},
-		{SpareReplenishHours: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -71,29 +66,22 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := in.Config()
-	if c.MaxRetries != 3 || c.MaxResourcings != 8 {
-		t.Errorf("retry caps = %d/%d, want 3/8", c.MaxRetries, c.MaxResourcings)
+	if in.MaxRetries() != 3 || in.MaxResourcings() != 8 {
+		t.Errorf("retry caps = %d/%d, want 3/8", in.MaxRetries(), in.MaxResourcings())
 	}
-	if c.BackoffBaseHours != 0.05 || c.BackoffCapHours != 1 {
-		t.Errorf("backoff = %g/%g, want 0.05/1", c.BackoffBaseHours, c.BackoffCapHours)
-	}
-	if c.BurstMeanSize != 3 || c.BurstSpanHours != 1 {
-		t.Errorf("burst defaults = %g/%g, want 3/1", c.BurstMeanSize, c.BurstSpanHours)
-	}
-	if c.SpareReplenishHours != 24 {
-		t.Errorf("spare replenish = %g, want 24", c.SpareReplenishHours)
+	if c := in.cfg; c.BurstMeanSize != 3 {
+		t.Errorf("burst mean size = %g, want 3", c.BurstMeanSize)
 	}
 
-	in2, err := NewInjector(Config{MaxRetries: 5, BackoffBaseHours: 0.2}, 1)
+	in2, err := NewInjector(Config{MaxResourcings: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2 := in2.Config(); c2.MaxRetries != 5 || c2.BackoffBaseHours != 0.2 {
-		t.Errorf("explicit values overridden: %+v", c2)
+	if in2.MaxResourcings() != 5 {
+		t.Errorf("explicit re-sourcing cap overridden: %d", in2.MaxResourcings())
 	}
 	// Bursts disabled: burst policy fields stay zero.
-	if c2 := in2.Config(); c2.BurstMeanSize != 0 || c2.BurstSpanHours != 0 {
+	if c2 := in2.cfg; c2.BurstMeanSize != 0 {
 		t.Errorf("burst defaults applied while bursts disabled: %+v", c2)
 	}
 }
@@ -204,11 +192,12 @@ func TestProbeReadTransientRate(t *testing.T) {
 }
 
 func TestRetryBackoffBounds(t *testing.T) {
-	in, _ := NewInjector(Config{BackoffBaseHours: 0.1, BackoffCapHours: 0.4}, 7)
+	in, _ := NewInjector(Config{}, 7)
 	for attempt := 0; attempt <= 8; attempt++ {
-		nominal := 0.1 * math.Pow(2, math.Max(0, float64(attempt-1)))
-		if nominal > 0.4 {
-			nominal = 0.4
+		// 0.05 h doubling per attempt, capped at 1 h.
+		nominal := 0.05 * math.Pow(2, math.Max(0, float64(attempt-1)))
+		if nominal > 1 {
+			nominal = 1
 		}
 		for i := 0; i < 50; i++ {
 			d := float64(in.RetryBackoff(attempt))
@@ -225,8 +214,8 @@ func TestBurstDraws(t *testing.T) {
 		if s := in.BurstSize(); s < 1 {
 			t.Fatalf("burst size %d < 1", s)
 		}
-		if d := in.BurstDelay(); d < 0 || d >= in.Config().BurstSpanHours {
-			t.Fatalf("burst delay %g outside [0, %g)", d, in.Config().BurstSpanHours)
+		if d := in.BurstDelay(); d < 0 || d >= burstSpanHours {
+			t.Fatalf("burst delay %g outside [0, %g)", d, float64(burstSpanHours))
 		}
 		if g := in.NextBurstGap(); g < 0 || math.IsInf(g, 1) {
 			t.Fatalf("burst gap %g", g)

@@ -74,7 +74,7 @@ func TestNetworkDefaultsAndEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := in.Config().Network
+	got := in.cfg.Network
 	if got.PowerRestoreMeanHours != 4 || got.PartitionMeanHours != 1 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}

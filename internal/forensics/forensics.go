@@ -16,6 +16,7 @@
 package forensics
 
 import (
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -57,25 +58,20 @@ type Context struct {
 	// stretch factor.
 	OversubscriptionRatio float64
 	// MaxResourcings is the per-rebuild source-switch cap
-	// (cfg.Faults.MaxResourcings); 0 means the fault model's default, 8.
+	// (cfg.Faults.MaxResourcings); 0 means the fault model's default,
+	// faults.DefaultMaxResourcings.
 	MaxResourcings int
-	// BurstAssocHours is how long after a correlated burst a loss is
-	// still blamed on it; 0 means the default, 24.
-	BurstAssocHours float64
 }
 
-func (c Context) burstWindow() float64 {
-	if c.BurstAssocHours > 0 {
-		return c.BurstAssocHours
-	}
-	return 24
-}
+// burstAssocHours is how long after a correlated burst a loss is still
+// blamed on it.
+const burstAssocHours = 24
 
 func (c Context) maxResourcings() int {
 	if c.MaxResourcings > 0 {
 		return c.MaxResourcings
 	}
-	return 8
+	return faults.DefaultMaxResourcings
 }
 
 // ChainLink is one hop of a postmortem's causal chain, in time order.

@@ -88,8 +88,8 @@ func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 		p.Chain = append(p.Chain,
 			ChainLink{h.t, trace.KindScrubRepair.String(), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
 		id = a.windowFromOpenSpan(&p, e, h.group)
-	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= a.ctx.burstWindow():
-		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= a.ctx.burstWindow() {
+	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= burstAssocHours:
+		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= burstAssocHours {
 			p.Class = ClassBurstSpare
 			p.Chain = append(p.Chain,
 				ChainLink{a.burst.Time, trace.KindBurst.String(), fmt.Sprintf("kills=%d", a.burst.N)},

@@ -114,12 +114,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 		{"hedge-win", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
 			env := h.env()
-			env.Straggler = StragglerPolicy{
-				Enabled:             true,
-				HedgeAfterMultiple:  2,
-				TimeoutMultiple:     -1,
-				SlowFactorThreshold: -1,
-			}
+			env.Straggler = StragglerPolicy{Enabled: true}
 			f := NewFARM(env)
 			// The rebuild reads from the first intact buddy; make it
 			// crawl so the hedge, reading the other buddy, wins.

@@ -71,10 +71,11 @@ type Env struct {
 	// Faults is the fault-injection surface probed when transfers
 	// complete; nil disables probing.
 	Faults FaultModel
-	// Straggler is the straggler-mitigation policy (defaults filled at
-	// construction); the zero value is disabled. Evict, optional, is
-	// fired at most once per disk the peer-comparison detector condemns;
-	// the core simulator binds it to the S.M.A.R.T. suspect/drain path.
+	// Straggler switches the straggler-mitigation layer on (its tuning
+	// is fixed, see straggler.go); the zero value is disabled. Evict,
+	// optional, is fired at most once per disk the peer-comparison
+	// detector condemns; the core simulator binds it to the S.M.A.R.T.
+	// suspect/drain path.
 	Straggler StragglerPolicy
 	Evict     func(now sim.Time, diskID int)
 	// Net is the run's network fabric: transfer durations become
@@ -173,12 +174,12 @@ type rebuild struct {
 	// submission uses it bit-for-bit unchanged.
 	baseDur sim.Time
 	// hedgeEv/timeoutEv are the pending straggler timers; hedgeTask is
-	// the in-flight duplicate transfer (&hedge, nil when none); hedges
-	// counts duplicates launched over the rebuild's lifetime (capped).
+	// the in-flight duplicate transfer (&hedge, nil when none); hedged
+	// records that the rebuild has launched its one duplicate.
 	hedgeEv   sim.Handle
 	timeoutEv sim.Handle
 	hedgeTask *Task
-	hedges    int
+	hedged    bool
 	// span is the rebuild's lifecycle span (nil when spans are
 	// disabled); spanDone latches the current attempt's phase accounting
 	// (see spanEndAttempt). retryArmedAt is when the pending backed-off
@@ -238,12 +239,10 @@ type base struct {
 	// lists are copied — into these, not fresh slices.
 	scratchSrc []*rebuild
 	scratchTgt []*rebuild
-	// policy/det/evict are the straggler-mitigation layer; det is nil
-	// (and every related code path dormant) unless Env.Straggler is
-	// enabled.
-	policy StragglerPolicy
-	det    *stragglerDetector
-	evict  func(now sim.Time, diskID int)
+	// det/evict are the straggler-mitigation layer; det is nil (and
+	// every related code path dormant) unless Env.Straggler is enabled.
+	det   *stragglerDetector
+	evict func(now sim.Time, diskID int)
 	// hedgeByDisk indexes in-flight hedge transfers by both endpoints so
 	// disk deaths can drop them (one list per disk id, like bySource).
 	hedgeByDisk [][]*rebuild
@@ -284,7 +283,6 @@ func (b *base) init(env Env) {
 		hedgeByDisk:  make([][]*rebuild, n),
 		observer:     env.Observer,
 		fm:           env.Faults,
-		policy:       env.Straggler.withDefaults(),
 		evict:        env.Evict,
 		net:          env.Net,
 		fg:           env.Foreground,
@@ -299,8 +297,8 @@ func (b *base) init(env Env) {
 		sched.Shape = b.shapeTransfer
 		sched.Release = b.releaseTransfer
 	}
-	if b.policy.Enabled {
-		b.det = newStragglerDetector(b.policy, n)
+	if env.Straggler.Enabled {
+		b.det = newStragglerDetector(n)
 	}
 	if env.Obs != nil {
 		b.initObs(env.Obs)

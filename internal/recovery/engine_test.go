@@ -140,7 +140,7 @@ func TestFARMFasterThanSpare(t *testing.T) {
 		if useFARM {
 			e = NewFARM(env)
 		} else {
-			e = NewSpareDisk(env, h.spawn, 0, 0)
+			e = NewSpareDisk(env, h.spawn, 0)
 		}
 		h.failAndDetect(e, 0)
 		h.eng.Run()
@@ -162,7 +162,7 @@ func TestSpareDiskSerializesOnOneTarget(t *testing.T) {
 	e := NewSpareDisk(h.env(), func(now sim.Time) int {
 		spareID = h.spawn(now)
 		return spareID
-	}, 0, 0)
+	}, 0)
 	lost := h.failAndDetect(e, 0)
 	h.eng.Run()
 	if e.tally.SparesUsed != 1 {
@@ -190,7 +190,7 @@ func TestSpareDiskEmptyFailureNoSpare(t *testing.T) {
 	e := NewSpareDisk(h.env(), func(now sim.Time) int {
 		t.Fatal("spawned a spare for an empty disk")
 		return -1
-	}, 0, 0)
+	}, 0)
 	// Find a disk with no blocks (tiny cluster has spare room); if all
 	// loaded, add one.
 	empty := -1
@@ -341,7 +341,7 @@ func TestSpareFailureMidRebuildRedirects(t *testing.T) {
 		id := h.spawn(now)
 		spawned = append(spawned, id)
 		return id
-	}, 0, 0)
+	}, 0)
 	h.failAndDetect(e, 0)
 	if len(spawned) != 1 {
 		t.Fatal("no spare spawned")

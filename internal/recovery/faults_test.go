@@ -216,7 +216,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 // of dropped work.
 func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
-	e := NewSpareDisk(h.env(), h.spawn, 1, 12)
+	e := NewSpareDisk(h.env(), h.spawn, 1)
 	lost0 := h.failAndDetect(e, 0)
 	lost1 := h.failAndDetect(e, 1)
 	if len(lost0) == 0 || len(lost1) == 0 {
@@ -251,7 +251,7 @@ func TestSparePoolQueuesWhenExhausted(t *testing.T) {
 // live drive is rewritten onto the same drive (sector remap semantics).
 func TestSpareHandleBlockLossRepairsInPlace(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 100)
-	e := NewSpareDisk(h.env(), h.spawn, 0, 0)
+	e := NewSpareDisk(h.env(), h.spawn, 0)
 	// Pick a resident block and corrupt it.
 	var group, rep, diskID int = -1, -1, -1
 	for id := 0; id < h.cl.NumDisks(); id++ {

@@ -47,6 +47,15 @@ func (b *base) throttleMBps(now float64) float64 {
 	return mbps
 }
 
+// The degraded-read model's fixed parameters: the user read rate
+// against one lost block per hour of its vulnerability window at full
+// user share (the arrival rate of degraded reads), and the uncontended
+// single-disk read service time in milliseconds.
+const (
+	readsPerBlockHour = 2.0
+	healthyLatencyMs  = 8.0
+)
+
 // sampleDegradedReads prices one just-closed window of vulnerability in
 // user-visible latency: user reads that landed on the lost block while
 // it was missing were served by k-way reconstruction, stretched by the
@@ -62,12 +71,8 @@ func (b *base) sampleDegradedReads(now sim.Time, r *rebuild, t *Task, windowHour
 	if fg == nil || windowHours <= 0 {
 		return
 	}
-	cfg := fg.Demand.Config()
-	if cfg.ReadsPerBlockHour <= 0 {
-		return
-	}
 	start := float64(r.failedAt)
-	mean := cfg.ReadsPerBlockHour * fg.Demand.Share(start+windowHours/2, t.Source) * windowHours
+	mean := readsPerBlockHour * fg.Demand.Share(start+windowHours/2, t.Source) * windowHours
 	n := workload.Poisson(fg.Reads, mean)
 	if n == 0 {
 		return
@@ -96,8 +101,8 @@ func (b *base) sampleDegradedReads(now sim.Time, r *rebuild, t *Task, windowHour
 	for i := 0; i < n; i++ {
 		at := start + fg.Reads.Float64()*windowHours
 		share := fg.Demand.Share(at, t.Source)
-		healthy := cfg.HealthyLatencyMs * workload.ContentionFactor(share)
-		lat := cfg.HealthyLatencyMs * fg.KFactor * slow * cross *
+		healthy := healthyLatencyMs * workload.ContentionFactor(share)
+		lat := healthyLatencyMs * fg.KFactor * slow * cross *
 			workload.ContentionFactor(share+recShare)
 		b.tally.DegradedReads++
 		b.stats.DegradedMs.Add(lat)

@@ -75,13 +75,12 @@ func (b *base) armStragglerTimers(r *rebuild) {
 		return
 	}
 	b.bind(r)
-	if b.policy.timeouts() && !r.timeoutEv.Valid() {
-		d := sim.Time(float64(r.baseDur) * b.policy.TimeoutMultiple)
+	if !r.timeoutEv.Valid() {
+		d := sim.Time(float64(r.baseDur) * timeoutMultiple)
 		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
 	}
-	if b.policy.hedging() && !r.hedgeEv.Valid() && r.hedgeTask == nil &&
-		r.hedges < b.policy.MaxHedgesPerRebuild {
-		d := sim.Time(float64(r.baseDur) * b.policy.HedgeAfterMultiple)
+	if !r.hedgeEv.Valid() && r.hedgeTask == nil && !r.hedged {
+		d := sim.Time(float64(r.baseDur) * hedgeAfterMultiple)
 		r.hedgeEv = b.eng.After(d, "rebuild-hedge", r.onHedge)
 	}
 }
@@ -103,7 +102,7 @@ func (b *base) armStragglerTimers(r *rebuild) {
 //     data loss.
 func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 	if r.hedgeTask != nil {
-		d := sim.Time(float64(r.baseDur) * b.policy.TimeoutMultiple)
+		d := sim.Time(float64(r.baseDur) * timeoutMultiple)
 		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
 		return
 	}
@@ -125,7 +124,7 @@ func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 // place in the group's in-flight target list so concurrent rebuilds of
 // the group cannot collide with it.
 func (b *base) maybeHedge(now sim.Time, r *rebuild) {
-	if r.hedgeTask != nil || r.hedges >= b.policy.MaxHedgesPerRebuild {
+	if r.hedgeTask != nil || r.hedged {
 		return
 	}
 	if b.cl.GroupLost(r.task.Group) {
@@ -149,7 +148,7 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 	ht := &r.hedge
 	b.setTask(ht, r, r.task.Group, r.task.Rep, src, target)
 	r.hedgeTask = ht
-	r.hedges++
+	r.hedged = true
 	r.hedgeAt = now
 	b.tally.Hedges++
 	if r.span != nil {
@@ -303,11 +302,11 @@ func (b *base) scoreDisk(now sim.Time, id int, mbps float64) {
 }
 
 // maxResourcings is the re-sourcing cap: the fault model's when one is
-// installed, a conservative default otherwise (the timeout path can
+// installed, the fault layer's default otherwise (the timeout path can
 // escalate rebuilds with no fault model configured).
 func (b *base) maxResourcings() int {
 	if b.fm != nil {
 		return b.fm.MaxResourcings()
 	}
-	return 8
+	return faults.DefaultMaxResourcings
 }

@@ -28,8 +28,6 @@ type SpareDisk struct {
 	// pool is the number of spare drives available for immediate
 	// activation; -1 (the default) models the paper's unlimited supply.
 	pool int
-	// replenish is the lead time for a consumed spare's replacement.
-	replenish sim.Time
 	// waiting queues recovery work that found the pool empty.
 	waiting []spareWork
 }
@@ -52,12 +50,16 @@ type spareWork struct {
 	blocks []pendingBlock
 }
 
+// spareReplenishHours is the lead time for a consumed spare's
+// replacement drive.
+const spareReplenishHours = 24
+
 // NewSpareDisk returns the traditional engine working in env. spawn
 // provisions fresh spare drives on demand (the simulator schedules their
 // failures). pool bounds the spare supply: pool drives are on the shelf,
 // and each consumed spare is reordered with a lead time of
-// replenishHours; pool <= 0 is the paper's unlimited supply.
-func NewSpareDisk(env Env, spawn DiskSpawner, pool int, replenishHours float64) *SpareDisk {
+// spareReplenishHours; pool <= 0 is the paper's unlimited supply.
+func NewSpareDisk(env Env, spawn DiskSpawner, pool int) *SpareDisk {
 	s := &SpareDisk{
 		spawn:     spawn,
 		spareRole: make(map[int]int),
@@ -65,7 +67,6 @@ func NewSpareDisk(env Env, spawn DiskSpawner, pool int, replenishHours float64) 
 	}
 	if pool > 0 {
 		s.pool = pool
-		s.replenish = sim.Time(replenishHours)
 	}
 	s.init(env)
 	return s
@@ -87,7 +88,7 @@ func (s *SpareDisk) takeSpare() bool {
 		return false
 	}
 	s.pool--
-	s.eng.After(s.replenish, "spare-replenish", func(at sim.Time) {
+	s.eng.After(spareReplenishHours, "spare-replenish", func(at sim.Time) {
 		s.pool++
 		s.drainSpareQueue(at)
 	})

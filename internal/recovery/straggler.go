@@ -1,25 +1,18 @@
 package recovery
 
-import (
-	"errors"
+import "repro/internal/metrics"
 
-	"repro/internal/faults"
-	"repro/internal/metrics"
-)
-
-// StragglerPolicy configures the straggler-mitigation layer of the
+// StragglerPolicy switches the straggler-mitigation layer of the
 // recovery engines: peer-comparison detection of fail-slow disks,
 // hedged duplicate transfers for rebuilds stuck behind a slow endpoint,
 // hard rebuild timeouts falling back to the retry/re-source/abandon
 // ladder, and eviction of persistent stragglers through the
-// S.M.A.R.T.-style suspect/drain path.
+// S.M.A.R.T.-style suspect/drain path. The layer's tuning is fixed by
+// the constants below; the layer runs whole or not at all.
 //
 // The zero value disables the whole layer and leaves every engine code
 // path byte-identical to a tree without it (no timers armed, no
-// detector state, no extra allocations). Policy fields left at zero
-// receive the documented defaults when Enabled is set; a *negative*
-// multiple/threshold disables that one mechanism while keeping the
-// rest.
+// detector state, no extra allocations).
 //
 // Everything here is deterministic: detection and hedging decisions are
 // pure functions of the simulated event history — no random draws — so
@@ -28,127 +21,49 @@ import (
 type StragglerPolicy struct {
 	// Enabled turns the layer on.
 	Enabled bool
-	// EWMAAlpha is the exponential-smoothing weight of the per-disk
-	// rebuild-throughput estimate (default 0.25): higher reacts faster,
-	// lower rides out attribution noise (a healthy disk is dinged once
-	// when paired with a slow peer).
-	EWMAAlpha float64
-	// SlowFactorThreshold flags a disk when the cluster-median transfer
-	// throughput exceeds the disk's estimate by this factor (default 3).
-	// It should sit safely below the injected slowdown factor and above
-	// the bandwidth spread natural transfers show.
-	SlowFactorThreshold float64
-	// MinDiskSamples is the number of transfers a disk must have touched
-	// before it can be scored (default 6).
-	MinDiskSamples int
-	// MinClusterSamples is the number of transfers the streaming median
-	// must have seen before anyone is scored (default 32).
-	MinClusterSamples int
-	// HedgeAfterMultiple launches a duplicate transfer — another buddy
+}
+
+// The straggler layer's tuning.
+const (
+	// ewmaAlpha is the exponential-smoothing weight of the per-disk
+	// rebuild-throughput estimate: higher reacts faster, lower rides out
+	// attribution noise (a healthy disk is dinged once when paired with
+	// a slow peer).
+	ewmaAlpha = 0.25
+	// slowFactorThreshold flags a disk when the cluster-median transfer
+	// throughput exceeds the disk's estimate by this factor. It sits
+	// safely below the injected slowdown factor and above the bandwidth
+	// spread natural transfers show.
+	slowFactorThreshold = 3
+	// minDiskSamples is the number of transfers a disk must have touched
+	// before it can be scored.
+	minDiskSamples = 6
+	// minClusterSamples is the number of transfers the streaming median
+	// must have seen before anyone is scored.
+	minClusterSamples = 32
+	// hedgeAfterMultiple launches one duplicate transfer — another buddy
 	// read onto a fresh declustered target, first finisher wins — once a
 	// rebuild has been outstanding this multiple of its healthy-model
-	// expected duration (default 3; negative disables hedging).
-	HedgeAfterMultiple float64
-	// MaxHedgesPerRebuild caps duplicate transfers per rebuild
-	// (default 1).
-	MaxHedgesPerRebuild int
-	// TimeoutMultiple hard-aborts a rebuild outstanding this multiple of
-	// its expected duration and pushes it through the PR-2
-	// retry/re-source/abandon ladder (default 12; negative disables).
-	// It should sit above HedgeAfterMultiple: hedge first, abort later.
-	TimeoutMultiple float64
-	// EvictAfterFlags evicts a disk — marks it suspect and drains it via
-	// the S.M.A.R.T. path — after this many *consecutive* slow scores
-	// (default 4; negative disables eviction).
-	EvictAfterFlags int //farm:anyvalue negative disables, zero takes the default, positive is the threshold
-}
-
-// Validate checks the policy, rejecting NaN/±Inf floats with
-// field-distinct messages before range checks.
-func (p StragglerPolicy) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"EWMAAlpha", p.EWMAAlpha},
-		{"SlowFactorThreshold", p.SlowFactorThreshold},
-		{"HedgeAfterMultiple", p.HedgeAfterMultiple},
-		{"TimeoutMultiple", p.TimeoutMultiple},
-	} {
-		if err := faults.CheckFinite("recovery: Straggler."+f.name, f.v); err != nil {
-			return err
-		}
-	}
-	if !p.Enabled {
-		return nil
-	}
-	switch {
-	case p.EWMAAlpha < 0 || p.EWMAAlpha > 1:
-		return errors.New("recovery: straggler EWMA alpha out of [0,1]")
-	case p.SlowFactorThreshold > 0 && p.SlowFactorThreshold <= 1:
-		return errors.New("recovery: straggler slow threshold must exceed 1")
-	case p.MinDiskSamples < 0:
-		return errors.New("recovery: negative straggler disk-sample floor")
-	case p.MinClusterSamples < 0:
-		return errors.New("recovery: negative straggler cluster-sample floor")
-	case p.HedgeAfterMultiple > 0 && p.HedgeAfterMultiple < 1:
-		return errors.New("recovery: hedge multiple below 1")
-	case p.MaxHedgesPerRebuild < 0:
-		return errors.New("recovery: negative hedge cap")
-	case p.TimeoutMultiple > 0 && p.TimeoutMultiple < 1:
-		return errors.New("recovery: timeout multiple below 1")
-	}
-	return nil
-}
-
-// withDefaults fills the zero policy fields (negative values mean
-// "mechanism disabled" and pass through).
-func (p StragglerPolicy) withDefaults() StragglerPolicy {
-	if !p.Enabled {
-		return p
-	}
-	if p.EWMAAlpha == 0 {
-		p.EWMAAlpha = 0.25
-	}
-	if p.SlowFactorThreshold == 0 {
-		p.SlowFactorThreshold = 3
-	}
-	if p.MinDiskSamples == 0 {
-		p.MinDiskSamples = 6
-	}
-	if p.MinClusterSamples == 0 {
-		p.MinClusterSamples = 32
-	}
-	if p.HedgeAfterMultiple == 0 {
-		p.HedgeAfterMultiple = 3
-	}
-	if p.MaxHedgesPerRebuild == 0 {
-		p.MaxHedgesPerRebuild = 1
-	}
-	if p.TimeoutMultiple == 0 {
-		p.TimeoutMultiple = 12
-	}
-	if p.EvictAfterFlags == 0 {
-		p.EvictAfterFlags = 4
-	}
-	return p
-}
-
-// hedging reports whether duplicate transfers are enabled.
-func (p StragglerPolicy) hedging() bool { return p.Enabled && p.HedgeAfterMultiple > 0 }
-
-// timeouts reports whether hard rebuild timeouts are enabled.
-func (p StragglerPolicy) timeouts() bool { return p.Enabled && p.TimeoutMultiple > 0 }
+	// expected duration. A rebuild hedges at most once.
+	hedgeAfterMultiple = 3
+	// timeoutMultiple hard-aborts a rebuild outstanding this multiple of
+	// its expected duration and pushes it through the
+	// retry/re-source/abandon ladder. It sits above hedgeAfterMultiple:
+	// hedge first, abort later.
+	timeoutMultiple = 12
+	// evictAfterFlags evicts a disk — marks it suspect and drains it via
+	// the S.M.A.R.T. path — after this many consecutive slow scores.
+	evictAfterFlags = 4
+)
 
 // stragglerDetector scores per-disk rebuild throughput against the
 // cluster median: every completed transfer contributes one sample to a
 // streaming P² median and to the EWMA estimates of both endpoints. A
-// disk whose estimate falls SlowFactorThreshold below the median is
-// flagged; EvictAfterFlags consecutive flags evict it. Purely
+// disk whose estimate falls slowFactorThreshold below the median is
+// flagged; evictAfterFlags consecutive flags evict it. Purely
 // observational — it never sees the injected Slowdown state, only
 // transfer durations — and fully deterministic.
 type stragglerDetector struct {
-	p      StragglerPolicy
 	median metrics.P2Quantile
 	est    []float64 // EWMA throughput per disk (MB/s)
 	cnt    []int32   // samples per disk
@@ -157,8 +72,8 @@ type stragglerDetector struct {
 }
 
 // newStragglerDetector sizes a detector for numDisks slots.
-func newStragglerDetector(p StragglerPolicy, numDisks int) *stragglerDetector {
-	d := &stragglerDetector{p: p, median: metrics.NewP2(0.5)}
+func newStragglerDetector(numDisks int) *stragglerDetector {
+	d := &stragglerDetector{median: metrics.NewP2(0.5)}
 	d.grow(numDisks)
 	return d
 }
@@ -197,17 +112,16 @@ func (d *stragglerDetector) score(id int, mbps float64) (flagged, evicted bool) 
 	if d.cnt[id] == 0 {
 		d.est[id] = mbps
 	} else {
-		d.est[id] = d.p.EWMAAlpha*mbps + (1-d.p.EWMAAlpha)*d.est[id]
+		d.est[id] = ewmaAlpha*mbps + (1-ewmaAlpha)*d.est[id]
 	}
 	d.cnt[id]++
-	if d.p.SlowFactorThreshold <= 0 || d.evict[id] ||
-		int(d.cnt[id]) < d.p.MinDiskSamples || d.median.N() < d.p.MinClusterSamples {
+	if d.evict[id] || d.cnt[id] < minDiskSamples || d.median.N() < minClusterSamples {
 		return false, false
 	}
-	if d.est[id]*d.p.SlowFactorThreshold < d.median.Value() {
+	if d.est[id]*slowFactorThreshold < d.median.Value() {
 		d.flags[id]++
 		flagged = d.flags[id] == 1
-		if d.p.EvictAfterFlags > 0 && d.flags[id] >= int32(d.p.EvictAfterFlags) {
+		if d.flags[id] >= evictAfterFlags {
 			d.evict[id] = true
 			evicted = true
 		}

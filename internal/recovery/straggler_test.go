@@ -1,12 +1,11 @@
 package recovery
 
 import (
-	"math"
-	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/disk"
-	"repro/internal/obs"
+	"repro/internal/faults"
 	"repro/internal/redundancy"
 	"repro/internal/sim"
 )
@@ -21,77 +20,34 @@ func hedgesTracked(b *base) int {
 	return n
 }
 
-// TestStragglerPolicyValidate is the table-driven NaN/Inf/range check.
-func TestStragglerPolicyValidate(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
-		name string
-		p    StragglerPolicy
-		want string // substring of the error, "" for valid
-	}{
-		{"zero-disabled", StragglerPolicy{}, ""},
-		{"enabled-defaults", StragglerPolicy{Enabled: true}, ""},
-		{"nan-alpha", StragglerPolicy{EWMAAlpha: nan}, "EWMAAlpha is NaN"},
-		{"inf-threshold", StragglerPolicy{SlowFactorThreshold: inf}, "SlowFactorThreshold is infinite"},
-		{"nan-hedge", StragglerPolicy{HedgeAfterMultiple: nan}, "HedgeAfterMultiple is NaN"},
-		{"inf-timeout", StragglerPolicy{TimeoutMultiple: inf}, "TimeoutMultiple is infinite"},
-		// NaN/Inf are rejected even on a disabled policy: a config
-		// carrying them is corrupt regardless.
-		{"nan-disabled", StragglerPolicy{Enabled: false, EWMAAlpha: nan}, "EWMAAlpha is NaN"},
-		{"alpha-range", StragglerPolicy{Enabled: true, EWMAAlpha: 1.5}, "alpha out of [0,1]"},
-		{"threshold-low", StragglerPolicy{Enabled: true, SlowFactorThreshold: 0.5}, "must exceed 1"},
-		{"threshold-negative-ok", StragglerPolicy{Enabled: true, SlowFactorThreshold: -1}, ""},
-		{"neg-disk-samples", StragglerPolicy{Enabled: true, MinDiskSamples: -1}, "disk-sample floor"},
-		{"neg-cluster-samples", StragglerPolicy{Enabled: true, MinClusterSamples: -2}, "cluster-sample floor"},
-		{"hedge-low", StragglerPolicy{Enabled: true, HedgeAfterMultiple: 0.5}, "hedge multiple below 1"},
-		{"hedge-negative-ok", StragglerPolicy{Enabled: true, HedgeAfterMultiple: -1}, ""},
-		{"neg-hedge-cap", StragglerPolicy{Enabled: true, MaxHedgesPerRebuild: -1}, "negative hedge cap"},
-		{"timeout-low", StragglerPolicy{Enabled: true, TimeoutMultiple: 0.25}, "timeout multiple below 1"},
-		{"timeout-negative-ok", StragglerPolicy{Enabled: true, TimeoutMultiple: -3}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.p.Validate()
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v does not contain %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestStragglerDefaults: zero fields receive the documented defaults,
-// negative fields pass through (mechanism disabled).
+// TestStragglerDefaults: an enabled layer arms each rebuild's hedge at
+// 3x and its timeout at 12x the healthy-model duration.
 func TestStragglerDefaults(t *testing.T) {
-	p := StragglerPolicy{Enabled: true, TimeoutMultiple: -1}.withDefaults()
-	if p.EWMAAlpha != 0.25 || p.SlowFactorThreshold != 3 || p.MinDiskSamples != 6 ||
-		p.MinClusterSamples != 32 || p.HedgeAfterMultiple != 3 || p.MaxHedgesPerRebuild != 1 ||
-		p.EvictAfterFlags != 4 {
-		t.Fatalf("defaults not filled: %+v", p)
-	}
-	if p.TimeoutMultiple != -1 {
-		t.Fatalf("negative timeout multiple overwritten: %v", p.TimeoutMultiple)
-	}
-	if !p.hedging() || p.timeouts() {
-		t.Fatalf("hedging/timeouts gates wrong: %v %v", p.hedging(), p.timeouts())
-	}
-	var off StragglerPolicy
-	if off.withDefaults() != off {
-		t.Fatal("disabled policy must pass through unchanged")
+	ref := cluster.BlockRef{Group: 5, Rep: 0}
+	h := newHarness(t, redundancy.Scheme{M: 1, N: 3}, 200)
+	env := h.env()
+	env.Straggler = StragglerPolicy{Enabled: true}
+	f := NewFARM(env)
+	h.relose(f, ref)
+	r := f.groupTargets[ref.Group].rb
+	now := h.eng.Now()
+	for _, tc := range []struct {
+		name     string
+		ev       sim.Handle
+		multiple float64
+	}{{"hedge", r.hedgeEv, 3}, {"timeout", r.timeoutEv, 12}} {
+		at, ok := h.eng.EventTime(tc.ev)
+		if want := now + sim.Time(float64(r.baseDur)*tc.multiple); !ok || at != want {
+			t.Errorf("%s armed at %v (pending %v), want %v", tc.name, at, ok, want)
+		}
 	}
 }
 
 // TestDetectorFlagsAndEvicts: a disk consistently far below the cluster
-// median is flagged once per streak and evicted after EvictAfterFlags
+// median is flagged once per streak and evicted after evictAfterFlags
 // consecutive slow scores; eviction is terminal.
 func TestDetectorFlagsAndEvicts(t *testing.T) {
-	p := StragglerPolicy{Enabled: true}.withDefaults()
-	d := newStragglerDetector(p, 8)
+	d := newStragglerDetector(8)
 	// Warm the cluster median and the healthy disks' estimates.
 	for i := 0; i < 10; i++ {
 		for id := 0; id < 8; id++ {
@@ -116,16 +72,16 @@ func TestDetectorFlagsAndEvicts(t *testing.T) {
 		}
 		if e {
 			evicts++
-			if i != firstFlagAt+p.EvictAfterFlags-1 {
-				t.Fatalf("evicted on sample %d, want %d", i, firstFlagAt+p.EvictAfterFlags-1)
+			if i != firstFlagAt+evictAfterFlags-1 {
+				t.Fatalf("evicted on sample %d, want %d", i, firstFlagAt+evictAfterFlags-1)
 			}
 		}
 	}
 	if flags != 1 {
 		t.Fatalf("flagged %d times, want once per streak", flags)
 	}
-	if firstFlagAt != p.MinDiskSamples {
-		t.Fatalf("first flag on sample %d, want the disk-sample floor %d", firstFlagAt, p.MinDiskSamples)
+	if firstFlagAt != minDiskSamples {
+		t.Fatalf("first flag on sample %d, want the disk-sample floor %d", firstFlagAt, minDiskSamples)
 	}
 	if evicts != 1 {
 		t.Fatalf("evicted %d times, want exactly once (terminal)", evicts)
@@ -138,18 +94,22 @@ func TestDetectorFlagsAndEvicts(t *testing.T) {
 // TestDetectorStreakResets: one healthy score breaks a slow streak, so
 // intermittent blips never accumulate to an eviction.
 func TestDetectorStreakResets(t *testing.T) {
-	p := StragglerPolicy{Enabled: true, EWMAAlpha: 1}.withDefaults() // alpha 1: estimate = last sample
-	d := newStragglerDetector(p, 8)
+	d := newStragglerDetector(8)
 	for i := 0; i < 10; i++ {
 		for id := 0; id < 8; id++ {
 			d.observe(id, 16)
 		}
 	}
 	evicted := false
+	streaks := 0
 	for cycle := 0; cycle < 10; cycle++ {
 		// Three slow scores (below the eviction threshold of 4)...
-		for i := 0; i < p.EvictAfterFlags-1; i++ {
-			if _, e := d.observe(3, 1); e {
+		for i := 0; i < evictAfterFlags-1; i++ {
+			f, e := d.observe(3, 1)
+			if f {
+				streaks++
+			}
+			if e {
 				evicted = true
 			}
 		}
@@ -159,6 +119,9 @@ func TestDetectorStreakResets(t *testing.T) {
 	if evicted {
 		t.Fatal("intermittent slow blips must not evict")
 	}
+	if streaks < 2 {
+		t.Fatalf("%d slow streaks began, want several; the test checks nothing", streaks)
+	}
 }
 
 // TestHedgeWinsOverSlowSource: rebuilds stuck reading from a crawling
@@ -167,15 +130,9 @@ func TestDetectorStreakResets(t *testing.T) {
 func TestHedgeWinsOverSlowSource(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
 	env := h.env()
-	env.Straggler = StragglerPolicy{
-		Enabled:             true,
-		HedgeAfterMultiple:  2,
-		TimeoutMultiple:     -1, // isolate hedging
-		SlowFactorThreshold: -1, // no detection/eviction
-	}
+	env.Straggler = StragglerPolicy{Enabled: true}
 	f := NewFARM(env)
-	// Every disk but 0 and 1 crawls? No: make disk 1 the crawler so only
-	// rebuilds sourced from it are stuck.
+	// Make disk 1 the crawler so only rebuilds sourced from it are stuck.
 	h.cl.Disks[1].Slowdown = 64
 	lost := h.failAndDetect(f, 0)
 	if len(lost) == 0 {
@@ -203,38 +160,59 @@ func TestHedgeWinsOverSlowSource(t *testing.T) {
 	}
 }
 
-// TestTimeoutReSourcesStuckRebuild: with hedging disabled, the hard
-// timeout aborts transfers stuck on the crawling source and the ladder
-// re-sources them to a healthy buddy.
+// firstReadFailsFM is a FaultModel whose first probed read of each
+// group from any disk but the crawler faults transiently; every later
+// read succeeds. A hedge launched against a primary stuck on the
+// crawler makes its group's first healthy read, so it loses its one
+// race and leaves the rebuild to the timeout.
+type firstReadFailsFM struct {
+	crawler int
+	seen    map[int]bool
+}
+
+func (f *firstReadFailsFM) ProbeRead(_ sim.Time, src, group int) faults.Outcome {
+	if src == f.crawler || f.seen[group] {
+		return faults.ReadOK
+	}
+	f.seen[group] = true
+	return faults.ReadTransient
+}
+func (f *firstReadFailsFM) RetryBackoff(int) sim.Time { return 0.01 }
+func (f *firstReadFailsFM) MaxRetries() int           { return 3 }
+func (f *firstReadFailsFM) MaxResourcings() int       { return 8 }
+
+// TestTimeoutReSourcesStuckRebuild: once a rebuild's hedge has lost its
+// race, the hard timeout aborts the transfer stuck on the crawling
+// source and the ladder re-sources it to a healthy buddy.
 func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
-	run := func(timeouts float64) *FARM {
+	run := func(mitigate bool) *FARM {
 		h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
 		env := h.env()
-		env.Straggler = StragglerPolicy{
-			Enabled:             true,
-			HedgeAfterMultiple:  -1,
-			TimeoutMultiple:     timeouts,
-			SlowFactorThreshold: -1,
-		}
+		env.Straggler = StragglerPolicy{Enabled: mitigate}
+		env.Faults = &firstReadFailsFM{crawler: 1, seen: make(map[int]bool)}
 		f := NewFARM(env)
 		h.cl.Disks[1].Slowdown = 64
 		lost := h.failAndDetect(f, 0)
 		h.eng.Run()
 		st := f.tally
 		if st.BlocksRebuilt != len(lost) {
-			t.Fatalf("rebuilt %d of %d (timeouts=%v)", st.BlocksRebuilt, len(lost), timeouts)
+			t.Fatalf("rebuilt %d of %d (mitigate=%v)", st.BlocksRebuilt, len(lost), mitigate)
 		}
-		if tracked(&f.base) != 0 {
-			t.Fatal("rebuilds leaked in the indexes")
+		if tracked(&f.base) != 0 || hedgesTracked(&f.base) != 0 {
+			t.Fatal("rebuilds or hedges leaked in the indexes")
 		}
 		if err := h.cl.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	off := run(-1).Stats()
-	f := run(3)
-	if tl := f.tally; tl.RebuildTimeouts == 0 || tl.Resourcings == 0 {
+	off := run(false).Stats()
+	f := run(true)
+	tl := f.tally
+	if tl.HedgeWins >= tl.Hedges {
+		t.Fatalf("hedges=%d wins=%d, want hedges that lose", tl.Hedges, tl.HedgeWins)
+	}
+	if tl.RebuildTimeouts == 0 || tl.Resourcings == 0 {
 		t.Fatalf("timeouts=%d resourcings=%d, want both > 0", tl.RebuildTimeouts, tl.Resourcings)
 	}
 	on := f.Stats()
@@ -254,12 +232,7 @@ func TestTimeoutReSourcesStuckRebuild(t *testing.T) {
 func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
 	env := h.env()
-	env.Straggler = StragglerPolicy{
-		Enabled:             true,
-		HedgeAfterMultiple:  2,
-		TimeoutMultiple:     -1,
-		SlowFactorThreshold: -1,
-	}
+	env.Straggler = StragglerPolicy{Enabled: true}
 	f := NewFARM(env)
 	h.cl.Disks[1].Slowdown = 64
 	lost := h.failAndDetect(f, 0)
@@ -297,62 +270,67 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 
 // TestEvictionCallbackFires: with detection enabled, sustained slow
 // transfers from one disk fire the eviction callback exactly once for
-// that disk.
+// that disk. The transfers are fed to the detector directly: in a live
+// run the hedges win the crawler's races before its own transfers end,
+// so it is never scored.
 func TestEvictionCallbackFires(t *testing.T) {
 	h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 120)
 	var evicted []int
 	env := h.env()
-	env.Straggler = StragglerPolicy{
-		Enabled:            true,
-		HedgeAfterMultiple: -1,
-		TimeoutMultiple:    -1,
-		MinClusterSamples:  16,
-		MinDiskSamples:     3,
-		EvictAfterFlags:    2,
-	}
+	env.Straggler = StragglerPolicy{Enabled: true}
 	env.Evict = func(now sim.Time, id int) { evicted = append(evicted, id) }
 	f := NewFARM(env)
-	h.cl.Disks[1].Slowdown = 16
-	lost := h.failAndDetect(f, 0)
-	if len(lost) == 0 {
-		t.Fatal("disk 0 held no blocks")
+	healthy := f.blockDuration()
+	n := h.cl.NumDisks()
+	// Warm the cluster median on transfers between the other disks.
+	for i := 0; i < 2*minClusterSamples; i++ {
+		src := 2 + i%(n-2)
+		tgt := 2 + (i+1)%(n-2)
+		f.noteTransfer(0, &Task{Source: src, Target: tgt, Duration: healthy})
 	}
-	h.eng.Run()
+	// Disk 1 crawls at 1/16 speed; its targets rotate, so each is dinged
+	// at most once.
+	for i := 0; i < 2*(minDiskSamples+evictAfterFlags); i++ {
+		tgt := 2 + i%(n-2)
+		f.noteTransfer(0, &Task{Source: 1, Target: tgt, Duration: 16 * healthy})
+	}
 	st := f.tally
-	if st.SlowFlagged == 0 {
-		t.Fatal("crawling disk never flagged")
+	if st.SlowFlagged != 1 {
+		t.Fatalf("flagged %d disks, want the crawler alone", st.SlowFlagged)
 	}
 	if st.SlowEvicted != 1 || len(evicted) != 1 || evicted[0] != 1 {
 		t.Fatalf("evictions=%d callback=%v, want exactly disk 1 once", st.SlowEvicted, evicted)
 	}
-	if err := h.cl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestDisabledPolicyIsInert: a tuned but disabled policy changes
-// nothing against the zero policy — same accumulators and same outcome
-// counters, block for block.
+// TestDisabledPolicyIsInert: with the layer off, the engine builds no
+// detector and a crawling disk draws no hedge, timeout, slow flag or
+// eviction. With the layer on, the same run does hedge, so the check is
+// not vacuous.
 func TestDisabledPolicyIsInert(t *testing.T) {
-	run := func(p StragglerPolicy) (Stats, obs.Tally) {
-		h := newHarness(t, redundancy.Scheme{M: 1, N: 2}, 200)
+	run := func(p StragglerPolicy) *FARM {
+		h := newHarness(t, redundancy.Scheme{M: 4, N: 6}, 60)
 		env := h.env()
 		env.Straggler = p
 		f := NewFARM(env)
+		h.cl.Disks[1].Slowdown = 64
 		h.failAndDetect(f, 0)
 		h.eng.Run()
-		return f.base.stats, *f.tally
+		return f
 	}
-	sa, ta := run(StragglerPolicy{})
-	sb, tb := run(StragglerPolicy{Enabled: false, HedgeAfterMultiple: 2, TimeoutMultiple: 3})
-	if sa != sb {
-		t.Fatalf("disabled policy perturbed the accumulators:\n%+v\n%+v", sa, sb)
+	off := run(StragglerPolicy{})
+	if off.det != nil {
+		t.Fatal("disabled layer built a detector")
 	}
-	if ta != tb {
-		t.Fatalf("disabled policy perturbed the counters:\n%+v\n%+v", ta, tb)
+	tl := *off.tally
+	if tl.Hedges != 0 || tl.RebuildTimeouts != 0 || tl.SlowFlagged != 0 || tl.SlowEvicted != 0 {
+		t.Fatalf("disabled layer acted: %+v", tl)
 	}
-	if ta.BlocksRebuilt == 0 {
+	if tl.BlocksRebuilt == 0 {
 		t.Fatal("no rebuild completed; the comparison checks nothing")
+	}
+	if on := run(StragglerPolicy{Enabled: true}); on.tally.Hedges == 0 {
+		t.Fatal("enabled layer never hedged the crawler; the comparison checks nothing")
 	}
 }
 

@@ -35,17 +35,13 @@ type DemandConfig struct {
 	// (0..1). Zero with zero BurstsPerDay disables the model.
 	BaseShare float64
 	// DiurnalAmplitude is the fraction of BaseShare swung by the day
-	// cycle: the share follows BaseShare·(1 + A·cos) peaking at PeakHour.
-	// Default 0.6.
+	// cycle: the share follows BaseShare·(1 + A·cos) peaking at
+	// peakHour. Default 0.6.
 	DiurnalAmplitude float64
-	// PeakHour is the busiest hour of day in [0,24). Default 14.
-	PeakHour float64
 	// BurstsPerDay is the Poisson rate of burst episodes (flash crowds,
-	// batch jobs). Zero disables bursts.
+	// batch jobs), each lasting an exponential time of mean
+	// burstMeanHours. Zero disables bursts.
 	BurstsPerDay float64
-	// BurstMeanHours is the mean episode duration (exponential).
-	// Default 2.
-	BurstMeanHours float64
 	// BurstShare is the mean additional user share during an episode;
 	// each episode draws its amplitude uniformly in [0.5, 1.5]× this.
 	// Default 0.25.
@@ -56,14 +52,14 @@ type DemandConfig struct {
 	// MaxShare caps the total user share so recovery always retains some
 	// headroom (0..1). Default 0.9.
 	MaxShare float64
-	// ReadsPerBlockHour is the user read rate against one lost block per
-	// hour of its vulnerability window at full user share — the arrival
-	// rate of degraded reads. Default 2.
-	ReadsPerBlockHour float64
-	// HealthyLatencyMs is the uncontended single-disk read service time
-	// in milliseconds. Default 8.
-	HealthyLatencyMs float64
 }
+
+// The demand shape's fixed parameters: the busiest hour of the day
+// cycle, and the mean duration of a burst episode (exponential).
+const (
+	peakHour       = 14.0
+	burstMeanHours = 2.0
+)
 
 // Enabled reports whether the config describes any foreground load.
 func (c DemandConfig) Enabled() bool { return c.BaseShare > 0 || c.BurstsPerDay > 0 }
@@ -76,14 +72,10 @@ func (c DemandConfig) Validate() error {
 	}{
 		{"BaseShare", c.BaseShare},
 		{"DiurnalAmplitude", c.DiurnalAmplitude},
-		{"PeakHour", c.PeakHour},
 		{"BurstsPerDay", c.BurstsPerDay},
-		{"BurstMeanHours", c.BurstMeanHours},
 		{"BurstShare", c.BurstShare},
 		{"RackSkew", c.RackSkew},
 		{"MaxShare", c.MaxShare},
-		{"ReadsPerBlockHour", c.ReadsPerBlockHour},
-		{"HealthyLatencyMs", c.HealthyLatencyMs},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return errors.New("workload: demand " + f.name + " is NaN or Inf")
@@ -94,22 +86,14 @@ func (c DemandConfig) Validate() error {
 		return errors.New("workload: demand base share out of [0,1]")
 	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude > 1:
 		return errors.New("workload: demand diurnal amplitude out of [0,1]")
-	case c.PeakHour < 0 || c.PeakHour >= 24:
-		return errors.New("workload: demand peak hour out of [0,24)")
 	case c.BurstsPerDay < 0:
 		return errors.New("workload: negative burst rate")
-	case c.BurstMeanHours < 0:
-		return errors.New("workload: negative burst duration")
 	case c.BurstShare < 0 || c.BurstShare > 1:
 		return errors.New("workload: burst share out of [0,1]")
 	case c.RackSkew < 0 || c.RackSkew > 1:
 		return errors.New("workload: rack skew out of [0,1]")
 	case c.MaxShare < 0 || c.MaxShare > 1:
 		return errors.New("workload: max share out of [0,1]")
-	case c.ReadsPerBlockHour < 0:
-		return errors.New("workload: negative degraded-read rate")
-	case c.HealthyLatencyMs < 0:
-		return errors.New("workload: negative healthy read latency")
 	}
 	return nil
 }
@@ -119,23 +103,11 @@ func (c DemandConfig) withDefaults() DemandConfig {
 	if c.DiurnalAmplitude == 0 {
 		c.DiurnalAmplitude = 0.6
 	}
-	if c.PeakHour == 0 {
-		c.PeakHour = 14
-	}
-	if c.BurstMeanHours == 0 {
-		c.BurstMeanHours = 2
-	}
 	if c.BurstShare == 0 {
 		c.BurstShare = 0.25
 	}
 	if c.MaxShare == 0 {
 		c.MaxShare = 0.9
-	}
-	if c.ReadsPerBlockHour == 0 {
-		c.ReadsPerBlockHour = 2
-	}
-	if c.HealthyLatencyMs == 0 {
-		c.HealthyLatencyMs = 8
 	}
 	return c
 }
@@ -183,7 +155,7 @@ func NewDemand(cfg DemandConfig, horizonHours float64, racks int, seed uint64) (
 	if cfg.BurstsPerDay > 0 {
 		rate := cfg.BurstsPerDay / 24
 		for t := r.Exp(rate); t < horizonHours; t += r.Exp(rate) {
-			dur := r.Exp(1 / cfg.BurstMeanHours)
+			dur := r.Exp(1 / burstMeanHours)
 			amp := cfg.BurstShare * (0.5 + r.Float64())
 			d.bursts = append(d.bursts, burst{start: t, end: t + dur, amp: amp})
 			d.starts = append(d.starts, t)
@@ -209,9 +181,6 @@ func NewDemand(cfg DemandConfig, horizonHours float64, racks int, seed uint64) (
 	return d, nil
 }
 
-// Config returns the effective (default-filled) config.
-func (d *Demand) Config() DemandConfig { return d.cfg }
-
 // Bursts returns the precomputed episode count.
 func (d *Demand) Bursts() int { return len(d.bursts) }
 
@@ -222,7 +191,7 @@ func (d *Demand) BurstAt(i int) (start, hours, amp float64) {
 }
 
 // diurnal is the base user share at nowHours: a raised cosine around
-// BaseShare swinging ±DiurnalAmplitude·BaseShare, peaking at PeakHour.
+// BaseShare swinging ±DiurnalAmplitude·BaseShare, peaking at peakHour.
 // It is the package's one day-cycle curve: Demand's base load and the
 // idle throttle policy's schedule both evaluate it.
 //
@@ -232,7 +201,7 @@ func (c DemandConfig) diurnal(nowHours float64) float64 {
 	if hourOfDay < 0 {
 		hourOfDay += 24
 	}
-	phase := (hourOfDay - c.PeakHour) * (2 * math.Pi / 24)
+	phase := (hourOfDay - peakHour) * (2 * math.Pi / 24)
 	return c.BaseShare * (1 + c.DiurnalAmplitude*math.Cos(phase))
 }
 

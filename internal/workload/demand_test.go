@@ -22,13 +22,12 @@ func TestDemandValidation(t *testing.T) {
 		{BaseShare: -0.1},
 		{BaseShare: 1.5},
 		{BaseShare: 0.3, DiurnalAmplitude: 2},
-		{BaseShare: 0.3, PeakHour: 24},
 		{BurstsPerDay: -1},
 		{BurstsPerDay: 2, BurstShare: 1.5},
 		{BaseShare: 0.3, RackSkew: 1.1},
 		{BaseShare: 0.3, MaxShare: -0.5},
 		{BaseShare: math.NaN()},
-		{BaseShare: 0.3, HealthyLatencyMs: math.Inf(1)},
+		{BaseShare: 0.3, BurstShare: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDemand(cfg, 100, 4, 1); err == nil {
@@ -73,7 +72,7 @@ func TestDemandShareBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := d.Config().MaxShare
+	max := d.cfg.MaxShare
 	for h := 0.0; h < 8760; h += 3.3 {
 		for id := 0; id < 48; id += 7 {
 			s := d.Share(h, id)
@@ -88,9 +87,9 @@ func TestDemandShareBounded(t *testing.T) {
 }
 
 func TestDemandDiurnalShape(t *testing.T) {
-	// No bursts, no skew: share must peak at PeakHour and trough twelve
+	// No bursts, no skew: share must peak at hour 14 and trough twelve
 	// hours away, every day.
-	d, err := NewDemand(DemandConfig{BaseShare: 0.4, PeakHour: 14}, 240, 1, 1)
+	d, err := NewDemand(DemandConfig{BaseShare: 0.4}, 240, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 //     bandwidth a diurnal user load (peak share 0.8 at hour 14) leaves,
 //     never less than the floor. It follows the clock, not Demand.
 //   - aimd: load-adaptive with hysteresis — multiplicative decrease when
-//     fleet user share crosses HighLoad, additive increase when it drops
-//     below LowLoad, hold in the deadband between (oscillation-free).
+//     fleet user share crosses highLoad, additive increase when it drops
+//     below lowLoad, hold in the deadband between (oscillation-free).
 //   - deadline: aimd, but floored at the Luby-style minimum repair rate
 //     needed to rebuild the current backlog within the fleet's expected
 //     time-to-next-failure — it refuses to be polite when politeness
@@ -51,21 +51,22 @@ type ThrottleConfig struct {
 	// at exactly this rate.
 	FloorMBps float64
 	// MaxMBps is the adaptive ceiling (default 64 — the night-time
-	// headroom of the paper's drive). Ignored by fixed and idle (idle's
-	// ceiling is the drive's own bandwidth).
+	// headroom of the paper's drive — or the drive's bandwidth if that
+	// is lower). Ignored by fixed and idle (idle's ceiling is the
+	// drive's own bandwidth).
 	MaxMBps float64
-	// IncreaseMBps is the additive-increase step per decision when the
-	// fleet is quiet (default 4).
-	IncreaseMBps float64
-	// DecreaseFactor multiplies the rate when the fleet is busy
-	// (0..1, default 0.5).
-	DecreaseFactor float64
-	// HighLoad is the fleet user share above which the rate decreases
-	// (default 0.6). LowLoad is the share below which it increases
-	// (default 0.3). The gap between them is the hysteresis deadband.
-	HighLoad float64
-	LowLoad  float64
 }
+
+// The aimd band: the rate steps up by increaseMBps per decision while
+// the fleet user share is below lowLoad, is multiplied by
+// decreaseFactor while it is above highLoad, and holds in the
+// hysteresis deadband between.
+const (
+	increaseMBps   = 4
+	decreaseFactor = 0.5
+	highLoad       = 0.6
+	lowLoad        = 0.3
+)
 
 // Enabled reports whether a throttle policy is configured.
 func (c ThrottleConfig) Enabled() bool { return c.Policy != "" }
@@ -77,7 +78,7 @@ func (c ThrottleConfig) ReactsToLoad() bool {
 	return c.Policy == PolicyAIMD || c.Policy == PolicyDeadline
 }
 
-// Validate rejects unknown policies, NaN/Inf, and inverted bands.
+// Validate rejects unknown policies, NaN/Inf, and inverted bounds.
 func (c ThrottleConfig) Validate() error {
 	switch c.Policy {
 	case "", PolicyFixed, PolicyIdle, PolicyAIMD, PolicyDeadline:
@@ -90,10 +91,6 @@ func (c ThrottleConfig) Validate() error {
 	}{
 		{"FloorMBps", c.FloorMBps},
 		{"MaxMBps", c.MaxMBps},
-		{"IncreaseMBps", c.IncreaseMBps},
-		{"DecreaseFactor", c.DecreaseFactor},
-		{"HighLoad", c.HighLoad},
-		{"LowLoad", c.LowLoad},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return errors.New("workload: throttle " + f.name + " is NaN or Inf")
@@ -106,37 +103,18 @@ func (c ThrottleConfig) Validate() error {
 		return errors.New("workload: negative throttle ceiling")
 	case c.MaxMBps > 0 && c.FloorMBps > c.MaxMBps:
 		return errors.New("workload: throttle floor exceeds ceiling")
-	case c.IncreaseMBps < 0:
-		return errors.New("workload: negative throttle increase step")
-	case c.DecreaseFactor < 0 || c.DecreaseFactor > 1:
-		return errors.New("workload: throttle decrease factor out of [0,1]")
-	case c.HighLoad < 0 || c.HighLoad > 1 || c.LowLoad < 0 || c.LowLoad > 1:
-		return errors.New("workload: throttle load band out of [0,1]")
-	case c.Enabled() && c.HighLoad > 0 && c.LowLoad > c.HighLoad:
-		return errors.New("workload: throttle low-load band above high-load band")
 	}
 	return nil
 }
 
-// withDefaults fills the zero knobs of an enabled config.
-func (c ThrottleConfig) withDefaults() ThrottleConfig {
+// withDefaults fills the zero knobs of an enabled config for a drive of
+// diskMBps: the default ceiling never exceeds the drive.
+func (c ThrottleConfig) withDefaults(diskMBps float64) ThrottleConfig {
 	if c.FloorMBps == 0 {
 		c.FloorMBps = 16
 	}
 	if c.MaxMBps == 0 {
-		c.MaxMBps = 64
-	}
-	if c.IncreaseMBps == 0 {
-		c.IncreaseMBps = 4
-	}
-	if c.DecreaseFactor == 0 {
-		c.DecreaseFactor = 0.5
-	}
-	if c.HighLoad == 0 {
-		c.HighLoad = 0.6
-	}
-	if c.LowLoad == 0 {
-		c.LowLoad = 0.3
+		c.MaxMBps = min(64, diskMBps)
 	}
 	return c
 }
@@ -164,8 +142,8 @@ type ThrottlePolicy interface {
 }
 
 // NewThrottle builds the configured policy, or nil when disabled.
-// diskMBps is the drive's sustainable bandwidth, the idle policy's
-// ceiling; the other policies ignore it.
+// diskMBps is the drive's sustainable bandwidth: the idle policy's
+// ceiling, and the cap on the adaptive policies' default ceiling.
 func NewThrottle(cfg ThrottleConfig, diskMBps float64) (ThrottlePolicy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -173,14 +151,14 @@ func NewThrottle(cfg ThrottleConfig, diskMBps float64) (ThrottlePolicy, error) {
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	cfg = cfg.withDefaults()
+	if diskMBps <= 0 {
+		return nil, errors.New("workload: throttle policy needs a positive disk bandwidth")
+	}
+	cfg = cfg.withDefaults(diskMBps)
 	switch cfg.Policy {
 	case PolicyFixed:
 		return &fixedFloor{cfg: cfg}, nil
 	case PolicyIdle:
-		if diskMBps <= 0 {
-			return nil, errors.New("workload: idle policy needs a positive disk bandwidth")
-		}
 		return &idle{floor: cfg.FloorMBps, diskMBps: diskMBps}, nil
 	case PolicyAIMD:
 		return &aimd{cfg: cfg, cur: cfg.FloorMBps}, nil
@@ -201,7 +179,7 @@ func (p *fixedFloor) Name() string { return PolicyFixed }
 // diurnal curve, a share of 0.8 at the busiest hour (14:00) falling to
 // zero twelve hours away, evaluated by the same function as Demand's
 // base load.
-var idleLoad = DemandConfig{BaseShare: 0.4, DiurnalAmplitude: 1, PeakHour: 14}
+var idleLoad = DemandConfig{BaseShare: 0.4, DiurnalAmplitude: 1}
 
 // idle exploits system idle time (§2.4): recovery receives whatever the
 // users leave of the drive, max(floor, diskMBps·(1 − share)). With the
@@ -221,7 +199,7 @@ func (p *idle) RecoveryMBps(nowHours float64, _ float64, _ Backlog) float64 {
 func (p *idle) Name() string { return PolicyIdle }
 
 // aimd adapts the rate to the fleet user share with hysteresis: decrease
-// multiplicatively above HighLoad, increase additively below LowLoad,
+// multiplicatively above highLoad, increase additively below lowLoad,
 // hold in between. The deadband plus the bounded step sizes make the
 // trajectory oscillation-free: the rate only moves when the load signal
 // has crossed out of the band, never chatters inside it.
@@ -233,13 +211,13 @@ type aimd struct {
 //farm:hotpath runs per transfer submission
 func (p *aimd) RecoveryMBps(_ float64, fleetShare float64, _ Backlog) float64 {
 	switch {
-	case fleetShare > p.cfg.HighLoad:
-		p.cur *= p.cfg.DecreaseFactor
+	case fleetShare > highLoad:
+		p.cur *= decreaseFactor
 		if p.cur < p.cfg.FloorMBps {
 			p.cur = p.cfg.FloorMBps
 		}
-	case fleetShare < p.cfg.LowLoad:
-		p.cur += p.cfg.IncreaseMBps
+	case fleetShare < lowLoad:
+		p.cur += increaseMBps
 		if p.cur > p.cfg.MaxMBps {
 			p.cur = p.cfg.MaxMBps
 		}

@@ -20,18 +20,43 @@ func TestThrottleValidation(t *testing.T) {
 		{Policy: "bogus"},
 		{Policy: PolicyAIMD, FloorMBps: -1},
 		{Policy: PolicyAIMD, FloorMBps: 100, MaxMBps: 50},
-		{Policy: PolicyAIMD, DecreaseFactor: 1.5},
-		{Policy: PolicyAIMD, HighLoad: 2},
-		{Policy: PolicyAIMD, HighLoad: 0.3, LowLoad: 0.6},
-		{Policy: PolicyAIMD, IncreaseMBps: math.NaN()},
+		{Policy: PolicyAIMD, MaxMBps: -1},
+		{Policy: PolicyAIMD, MaxMBps: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := NewThrottle(cfg, 80); err == nil {
 			t.Errorf("bad throttle config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewThrottle(ThrottleConfig{Policy: PolicyIdle}, 0); err == nil {
-		t.Error("idle policy built without a disk bandwidth")
+	for _, policy := range []string{PolicyFixed, PolicyIdle, PolicyAIMD, PolicyDeadline} {
+		if _, err := NewThrottle(ThrottleConfig{Policy: policy}, 0); err == nil {
+			t.Errorf("%s policy built without a disk bandwidth", policy)
+		}
+	}
+}
+
+// TestAIMDDefaultCeilingCappedAtDrive: the default ceiling is 64 MB/s
+// or the drive's bandwidth, whichever is lower; an explicit ceiling is
+// left alone.
+func TestAIMDDefaultCeilingCappedAtDrive(t *testing.T) {
+	for _, tc := range []struct {
+		max, disk, want float64
+	}{
+		{0, 80, 64},
+		{0, 40, 40},
+		{32, 40, 32},
+	} {
+		p, err := NewThrottle(ThrottleConfig{Policy: PolicyAIMD, FloorMBps: 8, MaxMBps: tc.max}, tc.disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got float64
+		for i := 0; i < 40; i++ {
+			got = p.RecoveryMBps(float64(i), 0, Backlog{})
+		}
+		if got != tc.want {
+			t.Errorf("MaxMBps %v on a %v MB/s drive: quiet-fleet rate %v, want %v", tc.max, tc.disk, got, tc.want)
+		}
 	}
 }
 

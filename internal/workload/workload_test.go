@@ -84,7 +84,7 @@ func TestDiurnalUserShareRange(t *testing.T) {
 // are one curve. A burst-free, unskewed, uncapped Demand with the idle
 // load's parameters reports exactly the share the idle policy yields to.
 func TestIdleSharesDemandCurve(t *testing.T) {
-	d, err := NewDemand(DemandConfig{BaseShare: 0.4, DiurnalAmplitude: 1, PeakHour: 14, MaxShare: 1}, 240, 1, 1)
+	d, err := NewDemand(DemandConfig{BaseShare: 0.4, DiurnalAmplitude: 1, MaxShare: 1}, 240, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
