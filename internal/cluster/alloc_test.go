@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/redundancy"
@@ -177,5 +178,181 @@ func TestTouchReleaseZeroAlloc(t *testing.T) {
 		c.releaseState(42)
 	}); n != 0 {
 		t.Fatalf("touch/release cycle allocates %v times per run, want 0", n)
+	}
+}
+
+// TestNewAllocsIndependentOfFleet gates the block-list arena: a build
+// makes the same small number of allocations at 250 disks as at 10 240,
+// because every disk's list is carved from one array.
+func TestNewAllocsIndependentOfFleet(t *testing.T) {
+	const ceiling = 16
+	allocs := func(disks int) (float64, int) {
+		// Size the data to fill about disks drives at 40 %.
+		cfg := testConfig(redundancy.Scheme{M: 1, N: 2}, 1)
+		perDisk := float64(cfg.DiskModel.CapacityBytes) * cfg.InitialUtilization
+		cfg.NumGroups = int(float64(disks) * perDisk / float64(cfg.Scheme.GroupRawBytes(cfg.GroupBytes)))
+		var got int
+		n := testing.AllocsPerRun(2, func() {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = c.NumDisks()
+		})
+		return n, got
+	}
+	small, smallDisks := allocs(250)
+	large, largeDisks := allocs(10240)
+	if smallDisks > 250 || smallDisks < 240 || largeDisks > 10240 || largeDisks < 10000 {
+		t.Fatalf("built %d and %d disks, want about 250 and 10240", smallDisks, largeDisks)
+	}
+	if small != large || large > ceiling {
+		t.Fatalf("New allocates %v times at 250 disks and %v at 10240, want equal and <= %d", small, large, ceiling)
+	}
+}
+
+// TestAddedDiskTakesEstWithoutAllocating: a drive from AddDisks comes
+// with a list reserving the fleet's blocks per disk plus slack, so
+// rebuilding a failed drive's blocks onto it (PlaceRecovered) and moving
+// blocks onto it (MoveBlock) up to that reservation never touches the
+// heap.
+func TestAddedDiskTakesEstWithoutAllocating(t *testing.T) {
+	c, err := New(testConfig(redundancy.Scheme{M: 1, N: 2}, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.AddDisks(2, 10)
+	warm, spare := ids[0], ids[1]
+	est := cap(c.BlocksOn(spare))
+	if want := listReserve(c.indexed, c.NumDisks()-2); est != want || est <= len(c.BlocksOn(0)) {
+		t.Fatalf("added drive reserves %d blocks, want %d, above disk 0's %d", est, want, len(c.BlocksOn(0)))
+	}
+	// Warm the group-state pool: rebuild the fullest drive onto the
+	// first new drive, so the measured failure below reuses records.
+	fullest := 0
+	for d := range c.Disks[:ids[0]] {
+		if len(c.BlocksOn(d)) > len(c.BlocksOn(fullest)) {
+			fullest = d
+		}
+	}
+	lost, _ := c.FailDisk(fullest, 1)
+	for _, ref := range lost {
+		if !c.ReserveTarget(warm) {
+			t.Fatalf("warm-up drive %d full", warm)
+		}
+		c.PlaceRecovered(int(ref.Group), int(ref.Rep), warm)
+	}
+	victim := 0
+	if victim == fullest {
+		victim = 1
+	}
+	lost, _ = c.FailDisk(victim, 2)
+	if len(lost) == 0 || len(lost) >= est {
+		t.Fatalf("disk %d lost %d blocks; the test needs 0 < lost < est=%d", victim, len(lost), est)
+	}
+	onSpare := map[int32]bool{}
+	for _, ref := range lost {
+		onSpare[ref.Group] = true
+	}
+	// Top-up blocks from groups the spare does not hold yet, picked
+	// before measuring.
+	var moves []BlockRef
+	for d := range c.Disks[:ids[0]] {
+		for _, ref := range c.BlocksOn(d) {
+			if len(lost)+len(moves) < est && !onSpare[ref.Group] {
+				onSpare[ref.Group] = true
+				moves = append(moves, ref)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ref := range lost {
+		if !c.ReserveTarget(spare) {
+			t.Fatalf("spare %d full", spare)
+		}
+		c.PlaceRecovered(int(ref.Group), int(ref.Rep), spare)
+	}
+	for _, ref := range moves {
+		if !c.MoveBlock(ref, spare) {
+			t.Fatalf("MoveBlock(%v, %d) refused", ref, spare)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := len(c.BlocksOn(spare)); got != est {
+		t.Fatalf("spare holds %d blocks, want est=%d", got, est)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("placing %d blocks on an added drive allocated %d times, want 0", est, n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOverflowingListsKeepNeighbours builds with a reservation far
+// below the blocks each disk receives, so every list outgrows its share
+// of the arena during the build. A list that wrote past its share would
+// overwrite its neighbour's blocks and break the index.
+func TestOverflowingListsKeepNeighbours(t *testing.T) {
+	cfg := testConfig(redundancy.Scheme{M: 1, N: 3}, 500)
+	const est = 2
+	c, err := build(cfg, cfg.DisksFor(), est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := 0
+	for d := range c.Disks {
+		if len(c.BlocksOn(d)) > est {
+			over++
+		}
+	}
+	if over < c.NumDisks()/2 {
+		t.Fatalf("only %d of %d lists outgrew est=%d; the check is vacuous", over, c.NumDisks(), est)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Growth after the build must respect the shares too: pile blocks
+	// onto disk 1, whose share sits between disks 0 and 2.
+	moved := 0
+	for d := 2; d < c.NumDisks() && moved < 4*est; d++ {
+		for _, ref := range append([]BlockRef(nil), c.BlocksOn(d)...) {
+			if !c.BuddyExcludes(int(ref.Group)).Excluded(1) && c.MoveBlock(ref, 1) {
+				moved++
+			}
+		}
+	}
+	if moved < 4*est {
+		t.Fatalf("moved only %d blocks onto disk 1", moved)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddedDiskReserveFollowsFleet: a batch reserves the blocks per
+// disk the fleet holds now, not the build's. A fleet that lost its
+// drives' data and replaced them with drives that stayed empty reserves
+// little for the next drive, so churning through drives does not pay
+// for lists that are never filled.
+func TestAddedDiskReserveFollowsFleet(t *testing.T) {
+	c, err := New(testConfig(redundancy.Scheme{M: 1, N: 2}, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := cap(c.BlocksOn(0))
+	failed := c.NumDisks() * 3 / 4
+	for d := 0; d < failed; d++ {
+		c.FailDisk(d, 1)
+	}
+	c.AddDisks(failed, 2)
+	id := c.AddDisks(1, 3)[0]
+	if got, want := cap(c.BlocksOn(id)), listReserve(c.indexed, c.AliveDisks()-1); got != want || got >= built/2 {
+		t.Fatalf("drive added to a mostly empty fleet reserves %d blocks, want %d (build reserved %d)", got, want, built)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,6 +18,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/placement"
@@ -109,8 +110,13 @@ type Cluster struct {
 	states     []groupState
 	stateOwner []int32
 	freeStates []int32
-	// byDisk[d] lists the blocks resident on disk d.
+	// byDisk[d] lists the blocks resident on disk d. The lists of the
+	// initial fleet, and of each batch AddDisksModel adds, are carved
+	// from one backing array per batch (carveLists).
 	byDisk [][]BlockRef
+	// indexed counts the blocks listed in byDisk, so a batch of new
+	// disks can reserve the fleet's current blocks per disk.
+	indexed int
 	// aliveCount tracks the alive drive population.
 	aliveCount int
 	// LostGroups counts groups that have lost data (latched).
@@ -145,6 +151,21 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	numDisks := cfg.DisksFor()
+	return build(cfg, numDisks, listReserve(cfg.NumGroups*cfg.Scheme.N, numDisks))
+}
+
+// listReserve is the block-list capacity to reserve per disk when
+// blocks are spread over disks: the mean plus slack for placement
+// jitter. Placement is near-balanced, so a list rarely outgrows it, and
+// one that does takes the ordinary append path.
+func listReserve(blocks, disks int) int {
+	est := blocks/max(disks, 1) + 1
+	return est + est/4 + 2
+}
+
+// build is New with the disk count and the per-disk block-list
+// reservation est given.
+func build(cfg Config, numDisks, est int) (*Cluster, error) {
 	n := cfg.Scheme.N
 	c := &Cluster{
 		Cfg:        cfg,
@@ -157,6 +178,7 @@ func New(cfg Config) (*Cluster, error) {
 		groupDisks: make([]int32, cfg.NumGroups*n),
 		stateIdx:   make([]int32, cfg.NumGroups),
 		byDisk:     make([][]BlockRef, numDisks),
+		indexed:    cfg.NumGroups * n,
 		aliveCount: numDisks,
 		suspect:    make([]uint64, (numDisks+63)/64),
 	}
@@ -166,16 +188,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Net != nil && cfg.Net.RackAware() {
 		c.racks = cfg.Net
 	}
-	// Pre-reserve every per-disk block index at the expected
-	// blocks-per-disk (with slack for placement jitter) so the build loop
-	// never regrows them; placement is near-balanced, so overflow past
-	// the slack is rare and handled by the ordinary append path.
-	totalBlocks := cfg.NumGroups * n
-	est := totalBlocks/numDisks + 1
-	est += est/4 + 2
-	for d := range c.byDisk {
-		c.byDisk[d] = make([]BlockRef, 0, est)
-	}
+	carveLists(c.byDisk, est)
 	// One reusable placement buffer for the whole build: with the flat
 	// group arena this makes the per-group loop allocation-free.
 	idsBuf := make([]int, 0, n)
@@ -194,6 +207,18 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// carveLists gives every list in lists an empty block list of capacity
+// est, all cut from one backing array: one allocation for a whole fleet
+// or batch instead of one per disk. Each list is capped at its own share
+// (a three-index slice), so a list that outgrows est reallocates alone
+// and never writes into its neighbour's share.
+func carveLists(lists [][]BlockRef, est int) {
+	arena := make([]BlockRef, len(lists)*est)
+	for d := range lists {
+		lists[d] = arena[d*est : d*est : (d+1)*est]
+	}
 }
 
 // Group-state accessors. Healthy groups answer from the arena alone.
@@ -385,6 +410,7 @@ func (c *Cluster) FailDisk(id int, now float64) (lost []BlockRef, newlyDead int)
 	c.aliveCount--
 	lost = c.byDisk[id]
 	c.byDisk[id] = nil
+	c.indexed -= len(lost)
 	d.UsedBytes = 0
 	n := c.Cfg.Scheme.N
 	for _, ref := range lost {
@@ -421,6 +447,7 @@ func (c *Cluster) CorruptBlock(ref BlockRef) (onDisk int, newlyDead bool) {
 		if r == ref {
 			list[i] = list[len(list)-1]
 			c.byDisk[d] = list[:len(list)-1]
+			c.indexed--
 			break
 		}
 	}
@@ -466,6 +493,7 @@ func (c *Cluster) PlaceRecovered(group, rep, target int) {
 		c.releaseState(int32(group))
 	}
 	c.byDisk[target] = append(c.byDisk[target], BlockRef{Group: int32(group), Rep: int32(rep)})
+	c.indexed++
 }
 
 // ReserveTarget books BlockBytes on a target drive ahead of a rebuild, so
@@ -563,12 +591,19 @@ func (c *Cluster) AddDisks(count int, bornAt float64) []int {
 // of a newer vintage (different capacity, bandwidth, or hazard) entering
 // a fleet of older drives. Failure sampling and placement consult each
 // drive's own model, so mixed-vintage fleets need no other plumbing.
+// The batch's block lists are carved from one array, each reserving the
+// blocks an alive drive holds now (listReserve), so rebuilds, moves and
+// rebalances onto the new drives do not regrow them block by block. The
+// reservation follows the fleet rather than the build: a fleet that has
+// lost most of its data does not reserve room it will never fill.
 func (c *Cluster) AddDisksModel(count int, bornAt float64, model disk.Model) []int {
 	ids := make([]int, count)
+	first := len(c.byDisk)
 	for i := range ids {
-		ids[i] = len(c.Disks) + i
-		c.byDisk = append(c.byDisk, nil)
+		ids[i] = first + i
 	}
+	c.byDisk = slices.Grow(c.byDisk, count)[:first+count]
+	carveLists(c.byDisk[first:], listReserve(c.indexed, c.aliveCount))
 	c.Disks = disk.AppendFleet(c.Disks, count, model, bornAt)
 	c.aliveCount += count
 	return ids
@@ -631,13 +666,18 @@ func (c *Cluster) UsedBytesAll() []int64 {
 func (c *Cluster) CheckInvariants() error {
 	n := c.Cfg.Scheme.N
 	counts := make([]int64, len(c.Disks))
+	indexed := 0
 	for d, list := range c.byDisk {
+		indexed += len(list)
 		for _, ref := range list {
 			if got := c.GroupDiskOf(int(ref.Group), int(ref.Rep)); got != int32(d) {
 				return fmt.Errorf("cluster: block %v indexed on disk %d but group says %d", ref, d, got)
 			}
 			counts[d] += c.BlockBytes
 		}
+	}
+	if indexed != c.indexed {
+		return fmt.Errorf("cluster: %d blocks indexed, count says %d", indexed, c.indexed)
 	}
 	lost := 0
 	for g := 0; g < c.Cfg.NumGroups; g++ {

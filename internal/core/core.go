@@ -423,6 +423,7 @@ func build(cfg Config) (*runState, error) {
 		// population fraction.
 		originalDisks: cl.NumDisks(),
 	}
+	st.bindHandlers()
 
 	env := recovery.Env{
 		Cluster:   cl,
@@ -585,6 +586,78 @@ type runState struct {
 	// rebalance keeps the replacement and growth batches' migration
 	// scratch across the run's batches.
 	rebalance replace.Rebalancer
+
+	// The per-disk event handlers, bound once per run as method values
+	// (bindHandlers). Each event carries its disk id as the
+	// sim.ScheduleArg argument, so arming one allocates nothing.
+	// demandFn is the demand-burst marker's, whose argument is the
+	// burst's index.
+	failFn, warnFn, detectFn, drainFn, lseFn, onsetFn, slowHitFn, demandFn func(now sim.Time, arg int)
+	// detects holds the failures awaiting detection and drains the
+	// drain-block transfers in flight, each oldest first. A detection
+	// fires DetectionLatencyHours after its failure and a transfer one
+	// block time after it starts, both constants of the run, and the
+	// kernel fires equal-time events in scheduling order, so each kind
+	// fires in the order of its queue. A queue rather than a per-disk
+	// record, because one drive may run two drain chains at once (a
+	// planned drain, then a S.M.A.R.T. warning).
+	detects fifo[pendingDetect]
+	drains  fifo[drainRecord]
+}
+
+// pendingDetect is one failure awaiting its detection event: the failed
+// drive and the blocks FailDisk unlinked from it.
+type pendingDetect struct {
+	id   int
+	lost []cluster.BlockRef
+}
+
+// drainRecord is one drain-block transfer in flight: block ref moving
+// off drive id onto target.
+type drainRecord struct {
+	id, target int
+	ref        cluster.BlockRef
+}
+
+// fifo is a queue of the records of events that fire in the order they
+// were scheduled. Its array is allocated on the first push and reused
+// from then on.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Slide the live records down instead of growing the array.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
+// bindHandlers binds the per-disk event handlers once per run.
+func (st *runState) bindHandlers() {
+	st.failFn = st.onDiskFailure
+	st.warnFn = st.onSmartWarning
+	st.detectFn = st.onDetect
+	st.drainFn = st.onDrainBlock
+	st.lseFn = st.onLSE
+	st.onsetFn = st.onSlowOnset
+	st.slowHitFn = st.applySlowOnset
+	st.demandFn = st.onDemandBurst
 }
 
 // process is one recurring fleet-wide event chain (see every).
@@ -692,20 +765,18 @@ func (st *runState) emit(e trace.Event) {
 // beyond the horizon are not scheduled (RunUntil would skip them anyway;
 // this keeps the queue small). With a S.M.A.R.T. monitor configured, a
 // predicted failure also queues a warning that starts a proactive drain.
+//
+//farm:hotpath armed once per drive that joins the fleet
 func (st *runState) scheduleFailure(id int) {
 	d := st.cl.Disks[id]
 	at := d.SampleFailureTime(st.random, float64(st.eng.Now()))
 	if at > st.cfg.SimHours {
 		return
 	}
-	st.eng.Schedule(sim.Time(at), "disk-fail", func(now sim.Time) {
-		st.onDiskFailure(now, id)
-	})
+	st.eng.ScheduleArg(sim.Time(at), "disk-fail", st.failFn, id)
 	if warnAt, ok := st.monitor.Predict(st.random, float64(st.eng.Now()), at); ok {
 		st.res.PredictedFailures++
-		st.eng.Schedule(sim.Time(warnAt), "smart-warning", func(now sim.Time) {
-			st.onSmartWarning(now, id)
-		})
+		st.eng.ScheduleArg(sim.Time(warnAt), "smart-warning", st.warnFn, id)
 	}
 }
 
@@ -722,6 +793,8 @@ func (st *runState) onSmartWarning(now sim.Time, id int) {
 }
 
 // drainStep moves the next block off a suspect drive, then re-arms.
+//
+//farm:hotpath one step per drained block
 func (st *runState) drainStep(now sim.Time, id int) {
 	if st.cl.Disks[id].State != disk.Alive {
 		return // the drive died mid-drain; normal recovery takes over
@@ -752,17 +825,26 @@ func (st *runState) drainStep(now sim.Time, id int) {
 		return // nowhere to drain to; leave the blocks for recovery
 	}
 	transfer := sim.Time(disk.RebuildHours(st.cl.BlockBytes, st.cfg.RecoveryMBps))
-	st.eng.Schedule(now+transfer, "drain-block", func(done sim.Time) {
-		if st.cl.Disks[id].State != disk.Alive {
-			return
-		}
-		// The block may have been lost meanwhile via a buddy failure
-		// marking this group dead; MoveBlock checks residency itself.
-		if st.cl.GroupDiskOf(group, int(ref.Rep)) == int32(id) && st.cl.MoveBlock(ref, target) {
-			st.res.DrainedBlocks++
-		}
-		st.drainStep(done, id)
-	})
+	st.drains.push(drainRecord{id: id, target: target, ref: ref})
+	st.eng.ScheduleArg(now+transfer, "drain-block", st.drainFn, id)
+}
+
+// onDrainBlock completes drive id's oldest drain-block transfer and
+// steps its drain on.
+func (st *runState) onDrainBlock(done sim.Time, id int) {
+	rec := st.drains.pop()
+	if rec.id != id {
+		panic(fmt.Sprintf("core: drain transfer of disk %d completed, but the oldest in flight is disk %d", id, rec.id))
+	}
+	if st.cl.Disks[id].State != disk.Alive {
+		return
+	}
+	// The block may have been lost meanwhile via a buddy failure
+	// marking this group dead; MoveBlock checks residency itself.
+	if st.cl.GroupDiskOf(int(rec.ref.Group), int(rec.ref.Rep)) == int32(id) && st.cl.MoveBlock(rec.ref, rec.target) {
+		st.res.DrainedBlocks++
+	}
+	st.drainStep(done, id)
 }
 
 // onDiskFailure plays one drive death: cluster bookkeeping, in-flight
@@ -775,6 +857,8 @@ func (st *runState) onDiskFailure(now sim.Time, id int) {
 // a false-dead declaration backdates failedAt to the instant the rack
 // went dark (that is when the data became unavailable), while the
 // handlers and detection delay run from now.
+//
+//farm:hotpath once per drive death
 func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 	if st.cl.Disks[id].State != disk.Alive {
 		return // already dead or retired (defensive)
@@ -793,12 +877,23 @@ func (st *runState) failDiskAt(now sim.Time, id int, failedAt sim.Time) {
 			N: int32(newlyDead)})
 	}
 	st.engine.HandleFailure(now, id)
-	blocks := lost
-	st.eng.Schedule(now+sim.Time(st.cfg.DetectionLatencyHours), "detect", func(dnow sim.Time) {
-		st.emit(trace.Event{Time: float64(dnow), Kind: trace.KindDetect, Disk: int32(id)})
-		st.engine.HandleDetection(dnow, id, failedAt, blocks)
-	})
+	st.detects.push(pendingDetect{id: id, lost: lost})
+	st.eng.ScheduleArg(now+sim.Time(st.cfg.DetectionLatencyHours), "detect", st.detectFn, id)
 	st.maybeReplace(now)
+}
+
+// onDetect is drive id's failure detection: it takes the oldest pending
+// detection, which must be id's, and hands its lost blocks to the
+// recovery engine with the failure time FailDisk recorded.
+//
+//farm:hotpath once per drive death
+func (st *runState) onDetect(now sim.Time, id int) {
+	p := st.detects.pop()
+	if p.id != id {
+		panic(fmt.Sprintf("core: detection of disk %d fired, but the oldest pending detection is disk %d", id, p.id))
+	}
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindDetect, Disk: int32(id)})
+	st.engine.HandleDetection(now, id, sim.Time(st.cl.Disks[id].FailedAt), p.lost)
 }
 
 // joined starts the drives ids, just added to the cluster: the engine's
@@ -824,15 +919,20 @@ func (st *runState) joined(ids []int) {
 // after recovering) and the process re-arms. It re-arms whatever the
 // drive's state, so a dead or retired drive keeps drawing onsets, each a
 // no-op, until the horizon.
+//
+//farm:hotpath re-armed once per onset per drive
 func (st *runState) scheduleSlowOnset(id int) {
 	at := st.eng.Now() + sim.Time(st.inj.NextSlowOnsetGap())
 	if float64(at) > st.cfg.SimHours {
 		return
 	}
-	st.eng.Schedule(at, "failslow-onset", func(now sim.Time) {
-		st.applySlowOnset(now, id)
-		st.scheduleSlowOnset(id)
-	})
+	st.eng.ScheduleArg(at, "failslow-onset", st.onsetFn, id)
+}
+
+// onSlowOnset fires drive id's fail-slow onset and re-arms the next.
+func (st *runState) onSlowOnset(now sim.Time, id int) {
+	st.applySlowOnset(now, id)
+	st.scheduleSlowOnset(id)
 }
 
 // applySlowOnset degrades one drive: healthy → ×k (slow) or ×k²
@@ -868,9 +968,7 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 func (st *runState) slowBurst(now sim.Time) {
 	victims := st.aliveVictims(st.inj.SlowBurstSize(), st.inj.SampleSlowVictims)
 	for _, victim := range victims {
-		st.eng.Schedule(now+sim.Time(st.inj.SlowBurstDelay()), "slow-burst-hit", func(bnow sim.Time) {
-			st.applySlowOnset(bnow, victim)
-		})
+		st.eng.ScheduleArg(now+sim.Time(st.inj.SlowBurstDelay()), "slow-burst-hit", st.slowHitFn, victim)
 	}
 	st.res.SlowBursts++
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindSlowBurst,
@@ -911,26 +1009,31 @@ func (st *runState) onSlowEvicted(now sim.Time, id int) {
 // scheduleLSE samples the drive's next latent-sector-error arrival and
 // queues it; on firing, one resident block (chosen uniformly) silently
 // becomes unreadable, and the process re-arms while the drive lives.
+//
+//farm:hotpath re-armed once per latent error per drive
 func (st *runState) scheduleLSE(id int) {
 	at := st.eng.Now() + sim.Time(st.inj.NextLSEGap())
 	if float64(at) > st.cfg.SimHours {
 		return
 	}
-	st.eng.Schedule(at, "lse", func(now sim.Time) {
-		if st.cl.Disks[id].State != disk.Alive {
-			return // died (or was retired) first; the arrival is moot
+	st.eng.ScheduleArg(at, "lse", st.lseFn, id)
+}
+
+// onLSE is one latent-sector-error arrival on drive id.
+func (st *runState) onLSE(now sim.Time, id int) {
+	if st.cl.Disks[id].State != disk.Alive {
+		return // died (or was retired) first; the arrival is moot
+	}
+	blocks := st.cl.BlocksOn(id)
+	if len(blocks) > 0 {
+		ref := blocks[st.inj.PickIndex(len(blocks))]
+		if st.inj.MarkLatent(id, int(ref.Group), int(ref.Rep)) {
+			st.res.LSEInjected++
+			st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSE,
+				Disk: int32(id), Group: ref.Group, Rep: ref.Rep})
 		}
-		blocks := st.cl.BlocksOn(id)
-		if len(blocks) > 0 {
-			ref := blocks[st.inj.PickIndex(len(blocks))]
-			if st.inj.MarkLatent(id, int(ref.Group), int(ref.Rep)) {
-				st.res.LSEInjected++
-				st.emit(trace.Event{Time: float64(now), Kind: trace.KindLSE,
-					Disk: int32(id), Group: ref.Group, Rep: ref.Rep})
-			}
-		}
-		st.scheduleLSE(id)
-	})
+	}
+	st.scheduleLSE(id)
 }
 
 // onLatentDiscovered fires when a rebuild read hits a latent error on
@@ -983,9 +1086,7 @@ func (st *runState) scrub(now sim.Time) {
 func (st *runState) burst(now sim.Time) {
 	victims := st.aliveVictims(st.inj.BurstSize(), st.inj.SampleVictims)
 	for _, victim := range victims {
-		st.eng.Schedule(now+sim.Time(st.inj.BurstDelay()), "burst-kill", func(bnow sim.Time) {
-			st.onDiskFailure(bnow, victim)
-		})
+		st.eng.ScheduleArg(now+sim.Time(st.inj.BurstDelay()), "burst-kill", st.failFn, victim)
 	}
 	st.res.Bursts++
 	st.res.BurstKills += len(victims)

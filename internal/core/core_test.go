@@ -125,6 +125,36 @@ func TestThrottleCeilingWithinDrive(t *testing.T) {
 	}
 }
 
+// TestThrottleDefaultFloorWithinSlowDrive: with FloorMBps left at zero
+// on a 10 MB/s drive, every grant of the fixed, idle and aimd policies
+// stays within the drive, under the heavy load that pins aimd to its
+// floor.
+func TestThrottleDefaultFloorWithinSlowDrive(t *testing.T) {
+	for _, policy := range []string{workload.PolicyFixed, workload.PolicyIdle, workload.PolicyAIMD} {
+		cfg := smallConfig()
+		cfg.DiskBandwidthMBps = 10
+		cfg.RecoveryMBps = 8
+		cfg.Demand = workload.DemandConfig{BaseShare: 0.8}
+		cfg.Throttle = workload.ThrottleConfig{Policy: policy}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := st.play()
+		grants := &st.engine.Stats().ThrottleMBps
+		if grants.N() == 0 {
+			t.Fatalf("%s: no throttle decision was made; the check is vacuous", policy)
+		}
+		if grants.Max() > cfg.DiskBandwidthMBps || res.ThrottleMeanMBps > cfg.DiskBandwidthMBps {
+			t.Errorf("%s: grants up to %v MB/s (mean %v) on the %v MB/s drive",
+				policy, grants.Max(), res.ThrottleMeanMBps, cfg.DiskBandwidthMBps)
+		}
+	}
+}
+
 func TestNumGroups(t *testing.T) {
 	cfg := DefaultConfig()
 	if got := cfg.NumGroups(); got != 209715 {
@@ -380,5 +410,46 @@ func TestFARMBeatsSpareOnLossProbability(t *testing.T) {
 	if fr.WindowHours.Mean() >= sr.WindowHours.Mean() {
 		t.Fatalf("FARM window %v >= spare window %v",
 			fr.WindowHours.Mean(), sr.WindowHours.Mean())
+	}
+}
+
+// TestFIFOOrderAcrossCompaction: the event-record queue pops in push
+// order while it slides its live records down to reuse its array, and
+// a queue that keeps a steady depth stops growing.
+func TestFIFOOrderAcrossCompaction(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 3; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < 2; i++ {
+			if got := q.pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for want < next {
+		if got := q.pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+		want++
+	}
+	if q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("drained queue left head %d, len %d", q.head, len(q.items))
+	}
+	// Steady depth: one push per pop at depth 10 stays in one array.
+	for i := 0; i < 10; i++ {
+		q.push(i)
+	}
+	capBefore := cap(q.items)
+	for i := 0; i < 1000; i++ {
+		q.push(i)
+		q.pop()
+	}
+	if cap(q.items) != capBefore {
+		t.Fatalf("steady-depth queue grew from %d to %d", capBefore, cap(q.items))
 	}
 }

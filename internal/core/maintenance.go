@@ -154,16 +154,20 @@ func (st *runState) scheduleDemandBurst(i int) {
 	if i >= st.demand.Bursts() {
 		return
 	}
-	start, hours, amp := st.demand.BurstAt(i)
+	start, _, _ := st.demand.BurstAt(i)
 	if start > st.cfg.SimHours {
 		return
 	}
-	st.eng.Schedule(sim.Time(start), "demand-burst", func(now sim.Time) {
-		st.res.DemandBursts++
-		st.emit(trace.Event{Time: float64(now), Kind: trace.KindDemandBurst,
-			X: hours, Y: amp})
-		st.scheduleDemandBurst(i + 1)
-	})
+	st.eng.ScheduleArg(sim.Time(start), "demand-burst", st.demandFn, i)
+}
+
+// onDemandBurst marks burst episode i and chains the next.
+func (st *runState) onDemandBurst(now sim.Time, i int) {
+	_, hours, amp := st.demand.BurstAt(i)
+	st.res.DemandBursts++
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindDemandBurst,
+		X: hours, Y: amp})
+	st.scheduleDemandBurst(i + 1)
 }
 
 // scheduleMaintenance arms the configured maintenance processes. It

@@ -44,6 +44,7 @@ func newDrainScenario(t *testing.T) *runState {
 		res:     &RunResult{},
 		monitor: smart.Monitor{},
 	}
+	st.bindHandlers()
 	throttle, err := cfg.ThrottlePolicy()
 	if err != nil {
 		t.Fatal(err)

@@ -195,10 +195,9 @@ type rebuild struct {
 	parked bool
 	// id is the rebuild's id (see open).
 	id int32
-	// onRetry, onHedge and onTimeout are the record's timer callbacks,
-	// bound the first time the record arms a timer (bind), so later
-	// timers allocate nothing.
-	onRetry, onHedge, onTimeout func(now sim.Time)
+	// rec is the record's index in the slab (base.record); its timer
+	// events carry it as their argument.
+	rec int32
 	// next links the record into the slab's free list.
 	next *rebuild
 }
@@ -226,8 +225,14 @@ type base struct {
 	// its list empties, so the map stays at the peak number of
 	// concurrently repairing groups.
 	groupTargets map[int32]*Task
-	// slabFree heads the free list of rebuild records (see newRebuild).
+	// slab holds the rebuild records in fixed-size chunks and slabFree
+	// heads their free list (see newRebuild).
+	slab     [][]rebuild
 	slabFree *rebuild
+	// onRetry, onHedge and onTimeout are the records' timer handlers,
+	// bound once the first time any record arms a timer (bindTimers);
+	// each timer event carries its record's index.
+	onRetry, onHedge, onTimeout func(now sim.Time, rec int)
 	// observer, when set, receives every traced engine event.
 	observer func(trace.Event)
 	// lastID is the id of the most recently opened rebuild.
@@ -655,8 +660,8 @@ func (b *base) retryOrResource(now sim.Time, r *rebuild) {
 	b.setTask(&r.task, r, r.task.Group, r.task.Rep, r.task.Source, r.task.Target)
 	r.retryArmedAt = now
 	b.emitRebuild(now, trace.KindRetry, r.id, r.task.Group, r.task.Rep, r.task.Source)
-	b.bind(r)
-	r.retryEv = b.eng.After(b.fm.RetryBackoff(r.retries), "rebuild-retry", r.onRetry)
+	b.bindTimers()
+	r.retryEv = b.eng.AfterArg(b.fm.RetryBackoff(r.retries), "rebuild-retry", b.onRetry, int(r.rec))
 }
 
 // retryFired resubmits a rebuild whose transient-fault backoff elapsed

@@ -74,14 +74,14 @@ func (b *base) armStragglerTimers(r *rebuild) {
 	if b.det == nil {
 		return
 	}
-	b.bind(r)
+	b.bindTimers()
 	if !r.timeoutEv.Valid() {
 		d := sim.Time(float64(r.baseDur) * timeoutMultiple)
-		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
+		r.timeoutEv = b.eng.AfterArg(d, "rebuild-timeout", b.onTimeout, int(r.rec))
 	}
 	if !r.hedgeEv.Valid() && r.hedgeTask == nil && !r.hedged {
 		d := sim.Time(float64(r.baseDur) * hedgeAfterMultiple)
-		r.hedgeEv = b.eng.After(d, "rebuild-hedge", r.onHedge)
+		r.hedgeEv = b.eng.AfterArg(d, "rebuild-hedge", b.onHedge, int(r.rec))
 	}
 }
 
@@ -103,7 +103,7 @@ func (b *base) armStragglerTimers(r *rebuild) {
 func (b *base) timeoutFired(now sim.Time, r *rebuild) {
 	if r.hedgeTask != nil {
 		d := sim.Time(float64(r.baseDur) * timeoutMultiple)
-		r.timeoutEv = b.eng.After(d, "rebuild-timeout", r.onTimeout)
+		r.timeoutEv = b.eng.AfterArg(d, "rebuild-timeout", b.onTimeout, int(r.rec))
 		return
 	}
 	if r.resourcings >= b.maxResourcings() {

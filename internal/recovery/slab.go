@@ -11,8 +11,8 @@ const slabChunk = 64
 // lost at failedAt whose transfers are timed from baseDur. The slab works
 // like the sim arena: records live in fixed-size chunks, so their
 // addresses never move, and finished records are recycled through a
-// free list (base.slabFree). Only chunk growth and the first use of a
-// record's callbacks allocate.
+// free list (base.slabFree). Only chunk growth and the first timer of a
+// run (bindTimers) allocate.
 //
 //farm:hotpath one record per block rebuild, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) newRebuild(failedAt, baseDur sim.Time) *rebuild {
@@ -36,12 +36,10 @@ func (b *base) newRebuild(failedAt, baseDur sim.Time) *rebuild {
 //farm:hotpath one record per block rebuild, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) free(r *rebuild) {
 	*r = rebuild{
-		task:      Task{gen: r.task.gen, fire: r.task.fire},
-		hedge:     Task{gen: r.hedge.gen, fire: r.hedge.fire},
-		onRetry:   r.onRetry,
-		onHedge:   r.onHedge,
-		onTimeout: r.onTimeout,
-		next:      b.slabFree,
+		task:  Task{gen: r.task.gen, fire: r.task.fire},
+		hedge: Task{gen: r.hedge.gen, fire: r.hedge.fire},
+		rec:   r.rec,
+		next:  b.slabFree,
 	}
 	b.slabFree = r
 }
@@ -49,27 +47,46 @@ func (b *base) free(r *rebuild) {
 // growSlab adds one chunk of records to the free list, in address order.
 func (b *base) growSlab() {
 	c := make([]rebuild, slabChunk)
+	first := len(b.slab) * slabChunk
+	b.slab = append(b.slab, c)
 	for i := len(c) - 1; i >= 0; i-- {
+		c[i].rec = int32(first + i)
 		c[i].next = b.slabFree
 		b.slabFree = &c[i]
 	}
 }
 
-// bind gives r its timer callbacks unless it already has them; they
-// last the record's lifetime. Binding waits for the first timer a
+// record returns the slab record with index rec.
+func (b *base) record(rec int) *rebuild {
+	return &b.slab[rec/slabChunk][rec%slabChunk]
+}
+
+// bindTimers binds the records' timer handlers unless they are bound;
+// they last the engine's lifetime. Binding waits for the first timer a
 // record arms, so runs without faults or straggler mitigation never pay
 // for it.
-func (b *base) bind(r *rebuild) {
-	if r.onRetry != nil {
+func (b *base) bindTimers() {
+	if b.onRetry != nil {
 		return
 	}
-	r.onRetry = func(now sim.Time) { b.retryFired(now, r) }
-	r.onHedge = func(now sim.Time) {
-		r.hedgeEv = sim.Handle{}
-		b.maybeHedge(now, r)
-	}
-	r.onTimeout = func(now sim.Time) {
-		r.timeoutEv = sim.Handle{}
-		b.timeoutFired(now, r)
-	}
+	b.onRetry = b.retryTimer
+	b.onHedge = b.hedgeTimer
+	b.onTimeout = b.timeoutTimer
+}
+
+// retryTimer is record rec's "rebuild-retry" event.
+func (b *base) retryTimer(now sim.Time, rec int) { b.retryFired(now, b.record(rec)) }
+
+// hedgeTimer is record rec's "rebuild-hedge" event.
+func (b *base) hedgeTimer(now sim.Time, rec int) {
+	r := b.record(rec)
+	r.hedgeEv = sim.Handle{}
+	b.maybeHedge(now, r)
+}
+
+// timeoutTimer is record rec's "rebuild-timeout" event.
+func (b *base) timeoutTimer(now sim.Time, rec int) {
+	r := b.record(rec)
+	r.timeoutEv = sim.Handle{}
+	b.timeoutFired(now, r)
 }

@@ -4,14 +4,17 @@ import (
 	"testing"
 )
 
-// FuzzEngine interprets a byte stream as a random schedule / cancel /
-// step / run-until program against the event kernel and checks the
-// invariants everything above the kernel depends on:
+// FuzzEngine interprets a byte stream as a random schedule / schedule-
+// with-argument / cancel / step / run-until program against the event
+// kernel and checks the invariants everything above the kernel depends
+// on:
 //
 //   - events fire in (time, seq) order: never back in time, and FIFO
 //     among events scheduled for the same instant;
 //   - the clock never runs backwards and matches each fired event's time;
 //   - cancelled events never fire, fired events fire exactly once;
+//   - an arg event's handler receives the argument it was scheduled
+//     with, and plain and arg events share one FIFO order;
 //   - Len agrees with the caller's own pending bookkeeping;
 //   - handle generations stay consistent (checked implicitly: under the
 //     random cancels and slot reuse, a generation bug would revive a
@@ -28,6 +31,10 @@ func FuzzEngine(f *testing.F) {
 	// Slot-reuse stress: cancel, reschedule into the freed slot, then
 	// cancel the stale handle again (must be a no-op on the new tenant).
 	f.Add([]byte{0, 10, 2, 0, 0, 10, 2, 0, 0, 10, 2, 1, 3, 255})
+	// Arg events: same-instant ties mixed with plain events, and an arg
+	// slot cancelled and reused by a plain event and vice versa.
+	f.Add([]byte{4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 3, 0})
+	f.Add([]byte{4, 10, 2, 0, 0, 10, 2, 1, 4, 10, 1, 3, 255})
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		eng := New()
@@ -44,43 +51,54 @@ func FuzzEngine(f *testing.F) {
 
 		lastAt := Time(-1)
 		lastSeq := -1
-		fire := func(tr *tracked) func(now Time) {
-			return func(now Time) {
-				if tr.fired {
-					t.Fatalf("event %d fired twice", tr.seq)
-				}
-				if tr.cancelled {
-					t.Fatalf("cancelled event %d fired", tr.seq)
-				}
-				tr.fired = true
-				pending--
-				if now != tr.at {
-					t.Fatalf("event %d fired at %v, scheduled for %v", tr.seq, now, tr.at)
-				}
-				if now != eng.Now() {
-					t.Fatalf("callback now %v != engine now %v", now, eng.Now())
-				}
-				if now < lastAt {
-					t.Fatalf("time ran backwards: %v after %v", now, lastAt)
-				}
-				if now == lastAt && tr.seq < lastSeq {
-					t.Fatalf("FIFO violated at t=%v: seq %d after %d", now, tr.seq, lastSeq)
-				}
-				lastAt, lastSeq = now, tr.seq
+		check := func(tr *tracked, now Time) {
+			if tr.fired {
+				t.Fatalf("event %d fired twice", tr.seq)
 			}
+			if tr.cancelled {
+				t.Fatalf("cancelled event %d fired", tr.seq)
+			}
+			tr.fired = true
+			pending--
+			if now != tr.at {
+				t.Fatalf("event %d fired at %v, scheduled for %v", tr.seq, now, tr.at)
+			}
+			if now != eng.Now() {
+				t.Fatalf("callback now %v != engine now %v", now, eng.Now())
+			}
+			if now < lastAt {
+				t.Fatalf("time ran backwards: %v after %v", now, lastAt)
+			}
+			if now == lastAt && tr.seq < lastSeq {
+				t.Fatalf("FIFO violated at t=%v: seq %d after %d", now, tr.seq, lastSeq)
+			}
+			lastAt, lastSeq = now, tr.seq
 		}
+		fire := func(tr *tracked) func(now Time) {
+			return func(now Time) { check(tr, now) }
+		}
+		// One handler for every arg event, bound once as the kernel's
+		// callers do: the argument alone names the tracked event.
+		fireArg := func(now Time, arg int) { check(all[arg], now) }
 
-		// Interpret the program: opcode byte + operand byte(s).
+		// Interpret the program: opcode byte + operand byte(s). Opcodes
+		// are taken mod 4; a schedule opcode with bit 2 set (4, 12, …)
+		// schedules through ScheduleArg, so every older corpus entry
+		// keeps its program shape.
 		for i := 0; i < len(program); i++ {
-			switch program[i] % 4 {
-			case 0: // schedule at now + delta
+			switch op := program[i]; op % 4 {
+			case 0: // schedule at now + delta; opcode bit 2 selects ScheduleArg
 				i++
 				if i >= len(program) {
 					break
 				}
 				delta := Time(program[i]) / 16
 				tr := &tracked{at: eng.Now() + delta, seq: len(all)}
-				tr.ev = eng.Schedule(tr.at, "fuzz", fire(tr))
+				if op&4 != 0 {
+					tr.ev = eng.ScheduleArg(tr.at, "fuzz-arg", fireArg, tr.seq)
+				} else {
+					tr.ev = eng.Schedule(tr.at, "fuzz", fire(tr))
+				}
 				all = append(all, tr)
 				pending++
 			case 1: // step

@@ -11,8 +11,10 @@
 // Internally the kernel is built for fleet scale. Events live in a chunked
 // free-list arena of intrusive slots — no per-event heap object, no
 // interface{} boxing — and are addressed by generation-stamped Handles, so
-// Cancel and Pending are O(1) generation comparisons. The priority queue is
-// a 4-ary implicit heap of 24-byte inline entries ordered by (time, seq);
+// Cancel and Pending are O(1) generation comparisons. An event may carry
+// one integer argument (ScheduleArg), so a handler bound once as a method
+// value serves every disk without a per-event closure. The priority queue
+// is a 4-ary implicit heap of 24-byte inline entries ordered by (time, seq);
 // cancellation uses lazy deletion (the slot is recycled immediately, the
 // stale heap entry is skipped on pop), so a cancel never reshapes the heap.
 package sim
@@ -37,22 +39,26 @@ type Handle struct {
 	gen uint32 // slot generation at scheduling time; 0 only in the zero Handle
 }
 
-// Valid reports whether the handle was issued by Schedule (as opposed to
-// the zero value). A valid handle may still refer to an event that has
-// already fired or been cancelled; use Engine.Pending for liveness.
+// Valid reports whether the handle was issued by Schedule or ScheduleArg
+// (as opposed to the zero value). A valid handle may still refer to an
+// event that has already fired or been cancelled; use Engine.Pending for
+// liveness.
 func (h Handle) Valid() bool { return h.gen != 0 }
 
 // slot is one arena cell. A slot alternates between queued (holding a live
 // event's callback) and free (linked into the free list); its generation
 // increments on every release, invalidating outstanding Handles and any
-// stale heap entry that still points at it. Slots are 24 bytes: the
-// scheduling label is deliberately not stored (it documents call sites;
-// at fleet scale a string header per slot would be a third of the arena).
+// stale heap entry that still points at it. A queued slot holds exactly
+// one of fn and fnArg; an fnArg event keeps its argument in next, which
+// is a free-list link only while the slot is free. Slots are 32 bytes:
+// the scheduling label is deliberately not stored (it documents call
+// sites; a 16-byte string header per slot would grow the arena by half).
 type slot struct {
-	at   Time
-	fn   func(now Time)
-	gen  uint32
-	next int32 // free-list link, meaningful only while free
+	at    Time
+	fn    func(now Time)
+	fnArg func(now Time, arg int)
+	gen   uint32
+	next  int32 // free-list link while free; the event argument while queued
 }
 
 // entry is one implicit-heap element: the (time, seq) ordering key plus the
@@ -120,6 +126,10 @@ func (e *Engine) Len() int { return e.pending }
 // ErrPast reports an attempt to schedule an event before the current time.
 var ErrPast = errors.New("sim: schedule in the past")
 
+// ErrArg reports a ScheduleArg argument outside the int32 range a slot
+// stores.
+var ErrArg = errors.New("sim: event argument out of int32 range")
+
 // slotOf returns the arena cell for slot index idx.
 //
 //farm:hotpath arena slot lookup on every schedule/cancel/step
@@ -169,6 +179,7 @@ func (e *Engine) release(idx int32, s *slot) {
 		s.gen = 1
 	}
 	s.fn = nil
+	s.fnArg = nil
 	s.next = e.free
 	e.free = idx
 }
@@ -255,24 +266,58 @@ func (e *Engine) peek() (entry, bool) {
 //
 //farm:hotpath event admission, called once per scheduled event
 func (e *Engine) Schedule(at Time, label string, fn func(now Time)) Handle {
+	_ = label // diagnostic only; not stored (see slot)
+	s, h := e.admit(at)
+	s.fn = fn
+	return h
+}
+
+// ScheduleArg is Schedule for a handler that takes one integer argument,
+// typically a disk id: fn(now, arg) runs at time at. Binding fn once (a
+// method value) and passing the id here arms a per-disk event without
+// allocating a closure. Arg events share the (time, seq) order, Handles,
+// Cancel and Pending with Schedule's. arg must fit in an int32.
+//
+//farm:hotpath event admission for id-carrying events
+func (e *Engine) ScheduleArg(at Time, label string, fn func(now Time, arg int), arg int) Handle {
+	if int(int32(arg)) != arg {
+		panic(ErrArg)
+	}
+	_ = label // diagnostic only; not stored (see slot)
+	s, h := e.admit(at)
+	s.fnArg = fn
+	s.next = int32(arg)
+	return h
+}
+
+// admit takes a slot for an event at time at, stamps its (time, seq)
+// heap entry and returns the slot for the caller to fill with its
+// callback.
+//
+//farm:hotpath shared admission path of Schedule and ScheduleArg
+func (e *Engine) admit(at Time) (*slot, Handle) {
 	if at < e.now {
 		panic(ErrPast)
 	}
 	idx := e.alloc()
 	s := e.slotOf(idx)
 	s.at = at
-	s.fn = fn
-	_ = label // diagnostic only; not stored (see slot)
 	seq := e.seq
 	e.seq++
 	e.push(entry{at: at, seq: seq, idx: idx, gen: s.gen})
 	e.pending++
-	return Handle{idx: idx, gen: s.gen}
+	return s, Handle{idx: idx, gen: s.gen}
 }
 
 // After enqueues fn to run delay after the current time.
 func (e *Engine) After(delay Time, label string, fn func(now Time)) Handle {
 	return e.Schedule(e.now+delay, label, fn)
+}
+
+// AfterArg enqueues fn(now, arg) to run delay after the current time
+// (see ScheduleArg).
+func (e *Engine) AfterArg(delay Time, label string, fn func(now Time, arg int), arg int) Handle {
+	return e.ScheduleArg(e.now+delay, label, fn, arg)
 }
 
 // Cancel removes a pending event in O(1): the slot is recycled and its
@@ -323,12 +368,16 @@ func (e *Engine) Step() bool {
 	e.now = en.at
 	e.fired++
 	e.pending--
-	fn := s.fn
+	fn, fnArg, arg := s.fn, s.fnArg, int(s.next)
 	// Recycle before firing: the callback may schedule into (and is
 	// allowed to reuse) this very slot — the generation bump keeps any
 	// stale Handle to the fired event inert.
 	e.release(en.idx, s)
-	fn(e.now)
+	if fnArg != nil {
+		fnArg(e.now, arg)
+	} else {
+		fn(e.now)
+	}
 	return true
 }
 

@@ -47,8 +47,8 @@ type ThrottleConfig struct {
 	// Policy is one of "", "fixed", "idle", "aimd", "deadline".
 	Policy string
 	// FloorMBps is the minimum recovery rate (default 16, the paper's
-	// guaranteed 20% of an 80 MB/s drive). The fixed policy always runs
-	// at exactly this rate.
+	// guaranteed 20% of an 80 MB/s drive, or the drive's bandwidth if
+	// that is lower). The fixed policy always runs at exactly this rate.
 	FloorMBps float64
 	// MaxMBps is the adaptive ceiling (default 64 — the night-time
 	// headroom of the paper's drive — or the drive's bandwidth if that
@@ -108,10 +108,11 @@ func (c ThrottleConfig) Validate() error {
 }
 
 // withDefaults fills the zero knobs of an enabled config for a drive of
-// diskMBps: the default ceiling never exceeds the drive.
+// diskMBps: neither the default floor nor the default ceiling exceeds
+// the drive.
 func (c ThrottleConfig) withDefaults(diskMBps float64) ThrottleConfig {
 	if c.FloorMBps == 0 {
-		c.FloorMBps = 16
+		c.FloorMBps = min(16, diskMBps)
 	}
 	if c.MaxMBps == 0 {
 		c.MaxMBps = min(64, diskMBps)

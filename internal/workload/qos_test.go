@@ -60,6 +60,26 @@ func TestAIMDDefaultCeilingCappedAtDrive(t *testing.T) {
 	}
 }
 
+// TestDefaultsWithinSlowDrive: on a 10 MB/s drive, below the 16 MB/s
+// default floor, no policy with default bounds grants more than the
+// drive has, whatever the load, clock or backlog.
+func TestDefaultsWithinSlowDrive(t *testing.T) {
+	const disk = 10
+	for _, policy := range []string{PolicyFixed, PolicyIdle, PolicyAIMD, PolicyDeadline} {
+		p, err := NewThrottle(ThrottleConfig{Policy: policy}, disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			share := float64(i%10) / 10
+			backlog := Backlog{PendingBytes: int64(i) << 30, Streams: 1, MTTFHours: 1}
+			if got := p.RecoveryMBps(float64(i), share, backlog); got > disk || got <= 0 {
+				t.Fatalf("%s: decision %d (share %v) granted %v MB/s on a %v MB/s drive", policy, i, share, got, disk)
+			}
+		}
+	}
+}
+
 func TestFixedFloorNeverMoves(t *testing.T) {
 	p, err := NewThrottle(ThrottleConfig{Policy: PolicyFixed}, 80)
 	if err != nil {
