@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/forensics"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -21,22 +22,27 @@ var stormPins = []struct {
 	cfg  func() Config
 	// sha256 is the digest of the run's JSONL transcript.
 	sha256 string
+	// postmortems is the digest of the run's forensic report, as
+	// Report.WriteJSONL writes it.
+	postmortems string
 	// goldens marks the storm whose summary and exposition are pinned
 	// as testdata files.
 	goldens bool
 }{
 	{
-		name:    "spare",
-		cfg:     forensicsStormConfig,
-		sha256:  "768c30b17c1f02d5e3da25a9b5a998050e60507182f0f24e61af16fbf640027e",
-		goldens: true,
+		name:        "spare",
+		cfg:         forensicsStormConfig,
+		sha256:      "768c30b17c1f02d5e3da25a9b5a998050e60507182f0f24e61af16fbf640027e",
+		postmortems: "56b7677a0e49b1dc6043fd1e8a90dc6649d54c09a55276f36c25c5cdca53cb86",
+		goldens:     true,
 	},
 	{
 		// The FARM engine under the same faults, with no spare pool,
 		// larger drain windows and scheduled growth.
-		name:   "farm-growth",
-		cfg:    farmGrowthStormConfig,
-		sha256: "c02d92fd3dde6df974fdfa0e006f0245e915ddcc222663db066b717e070e130c",
+		name:        "farm-growth",
+		cfg:         farmGrowthStormConfig,
+		sha256:      "c02d92fd3dde6df974fdfa0e006f0245e915ddcc222663db066b717e070e130c",
+		postmortems: "0b49f0690d6a2c27be2957d0e5f2bf74a4d78fe6251ffb193b69d35135b0427a",
 	},
 }
 
@@ -58,8 +64,9 @@ func farmGrowthStormConfig() Config {
 
 // TestForensicsStormPinned pins the bytes every text encoding of one run
 // produces: each storm of stormPins at seed 3, with a recorder and the
-// full observer attached, rendered as the JSONL trace transcript and,
-// for the spare storm, the Summary digest and the registry's Prometheus
+// full observer attached, rendered as the JSONL trace transcript, the
+// JSONL postmortems forensics.Analyze makes of it and, for the spare
+// storm, the Summary digest and the registry's Prometheus
 // exposition. How trace kinds and metric names are represented inside
 // the simulator may change; what they look like on the wire may not.
 // Regenerate the two files with
@@ -92,6 +99,18 @@ func TestForensicsStormPinned(t *testing.T) {
 			sum := sha256.Sum256(transcript.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
 				t.Errorf("transcript drift (%d bytes): sha256 %s, want %s", transcript.Len(), got, pin.sha256)
+			}
+			report := forensics.Analyze(rec.Events(), ob.Spans.Spans(), forensics.Context{
+				OversubscriptionRatio: cfg.Topology.OversubscriptionRatio,
+				MaxResourcings:        cfg.Faults.MaxResourcings,
+			})
+			var posts bytes.Buffer
+			if err := report.WriteJSONL(&posts); err != nil {
+				t.Fatal(err)
+			}
+			sum = sha256.Sum256(posts.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != pin.postmortems {
+				t.Errorf("postmortem drift (%d posts, %d bytes): sha256 %s, want %s", len(report.Posts), posts.Len(), got, pin.postmortems)
 			}
 			if pin.goldens {
 				checkStormGoldens(t, rec, ob)
