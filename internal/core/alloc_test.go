@@ -18,15 +18,18 @@ import (
 // format into detail strings, to 7379; pooled rebuild records with
 // callbacks bound once per record, generation-stamped disk queues and
 // dense per-disk indexes, to 657; one block-list arena per build and
-// disk events that carry the disk id instead of a closure, to 395 (the
-// benchmark's 359 plus 10 %; this test's steady-state measurement: 353,
-// 354 under -race). Any change that drifts allocations back above it
-// fails `go test`, not just a benchmark eyeball.
+// disk events that carry the disk id instead of a closure, to 395;
+// per-disk rebuild lists drawn from one pool, disk queues threaded
+// through the tasks and "rebuild-done" events that carry the source disk
+// instead of a closure, to 116 (the benchmark's 105 plus 10 %; this
+// test's steady-state measurement: 104, 105 under -race). Any change
+// that drifts allocations back above it fails `go test`, not just a
+// benchmark eyeball.
 func TestSingleRunAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const ceiling = 395 // SingleRunFARM allocs/op with id-carrying disk events
+	const ceiling = 116 // SingleRunFARM allocs/op with pooled lists and intrusive queues
 	cfg := DefaultConfig()
 	cfg.TotalDataBytes = 50 * disk.TB
 	cfg.GroupBytes = 10 * disk.GB
@@ -51,5 +54,39 @@ func TestSingleRunAllocCeiling(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, run); n > ceiling {
 		t.Fatalf("full single run allocates %.0f times, ceiling %d", n, ceiling)
+	}
+}
+
+// TestStormRunAllocCeiling gates the allocations of one everything-on
+// trajectory: the forensics storm (spare engine, network faults, bursts,
+// demand, throttle, maintenance, replacement) at seed 3, the pinned
+// storm's seed, rerun on one simulator. Pooled per-disk rebuild
+// indexes, disk queues threaded through the tasks, "rebuild-done" and
+// "upgrade-end" events that carry an argument instead of a closure, and
+// one fenced-id buffer per rack took it from 41 433 to 28 470 (28 486
+// under -race); the ceiling is that plus 10 %. Most of what is left is
+// the spare engine's fleet growth (AddDisksModel): it replaces every
+// dead drive twice.
+func TestStormRunAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const ceiling = 31300 // forensics storm, seed 3, one run
+	s, err := NewSimulator(forensicsStormConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := s.Run(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the simulator's reusable state (event arena, slab, list
+	// pool) past the first run's growth before measuring.
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(5, run); n > ceiling {
+		t.Fatalf("one storm run allocates %.0f times, ceiling %d", n, ceiling)
 	}
 }

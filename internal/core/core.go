@@ -578,6 +578,9 @@ type runState struct {
 	drainCursor  int
 	upgradeCount int
 	growthCount  int
+	// fenced holds, per rack, the drives its open upgrade window fenced
+	// (reused window to window); nil until the first window opens.
+	fenced [][]int
 	// plannedDrain marks drives sent through a maintenance drain window,
 	// whose eventual retirement counts toward the replacement batch (a
 	// planned drain is the front half of a drive swap). Nil until the
@@ -591,8 +594,9 @@ type runState struct {
 	// (bindHandlers). Each event carries its disk id as the
 	// sim.ScheduleArg argument, so arming one allocates nothing.
 	// demandFn is the demand-burst marker's, whose argument is the
-	// burst's index.
-	failFn, warnFn, detectFn, drainFn, lseFn, onsetFn, slowHitFn, demandFn func(now sim.Time, arg int)
+	// burst's index, and upgradeEndFn the upgrade-end timer's, whose
+	// argument is the rack.
+	failFn, warnFn, detectFn, drainFn, lseFn, onsetFn, slowHitFn, demandFn, upgradeEndFn func(now sim.Time, arg int)
 	// detects holds the failures awaiting detection and drains the
 	// drain-block transfers in flight, each oldest first. A detection
 	// fires DetectionLatencyHours after its failure and a transfer one
@@ -658,6 +662,7 @@ func (st *runState) bindHandlers() {
 	st.onsetFn = st.onSlowOnset
 	st.slowHitFn = st.applySlowOnset
 	st.demandFn = st.onDemandBurst
+	st.upgradeEndFn = st.endUpgrade
 }
 
 // process is one recurring fleet-wide event chain (see every).

@@ -215,9 +215,11 @@ func (st *runState) planDrains(now sim.Time) {
 // beginUpgrade opens one rolling-upgrade window (the "upgrade-begin"
 // process): the next rack (in rack order) turns read-only — its live
 // drives keep serving reads but rebuild writes targeting them park — and
-// a timer lifts the fences when the window ends. Only the drives fenced at open are unfenced at close:
-// drives that die mid-window stay dead, drives added mid-window were
-// never fenced.
+// a timer lifts the fences when the window ends. Only the drives fenced
+// at open are unfenced at close: drives that die mid-window stay dead,
+// drives added mid-window were never fenced. Validate keeps a window
+// shorter than the period, so a rack's window closes before its next
+// one opens, and each rack reuses one buffer of fenced ids.
 func (st *runState) beginUpgrade(now sim.Time) {
 	durHours := st.cfg.Maintenance.UpgradeDurationHours
 	racks := st.net.Racks()
@@ -226,7 +228,10 @@ func (st *runState) beginUpgrade(now sim.Time) {
 	st.res.UpgradeWindows++
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindUpgradeBegin, Rack: int32(rack),
 		X: durHours})
-	var fenced []int
+	if st.fenced == nil {
+		st.fenced = make([][]int, racks)
+	}
+	fenced := st.fenced[rack][:0]
 	for id := rack; id < st.cl.NumDisks(); id += racks {
 		if st.cl.Disks[id].State != disk.Alive || st.cl.ReadOnly(id) {
 			continue
@@ -235,13 +240,18 @@ func (st *runState) beginUpgrade(now sim.Time) {
 		st.engine.HandleWriteFence(now, id)
 		fenced = append(fenced, id)
 	}
-	st.eng.Schedule(now+sim.Time(durHours), "upgrade-end", func(enow sim.Time) {
-		for _, id := range fenced {
-			st.cl.MarkReadOnly(id, false)
-			st.engine.HandleWriteUnfence(enow, id)
-		}
-		st.emit(trace.Event{Time: float64(enow), Kind: trace.KindUpgradeEnd, Rack: int32(rack)})
-	})
+	st.fenced[rack] = fenced
+	st.eng.ScheduleArg(now+sim.Time(durHours), "upgrade-end", st.upgradeEndFn, rack)
+}
+
+// endUpgrade closes rack's rolling-upgrade window (its "upgrade-end"
+// event), lifting the fences beginUpgrade set.
+func (st *runState) endUpgrade(now sim.Time, rack int) {
+	for _, id := range st.fenced[rack] {
+		st.cl.MarkReadOnly(id, false)
+		st.engine.HandleWriteUnfence(now, id)
+	}
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindUpgradeEnd, Rack: int32(rack)})
 }
 
 // growFleet injects one scheduled growth batch (the "growth-batch"

@@ -117,8 +117,9 @@ type MonteCarloOptions struct {
 	Telemetry *obs.Campaign
 	// Forensics, when non-nil, receives a causal postmortem for every
 	// data-loss and dropped-rebuild event of the campaign. Each run
-	// executes with a private span log and a private trace recorder that
-	// keeps only the kinds forensics.Reads admits (the simulation itself
+	// executes with a private span log and a private trace recorder
+	// (each worker reuses one pair across its runs) that keeps only the
+	// kinds forensics.Reads admits (the simulation itself
 	// is untouched — tracing and spans are read-only taps, and Analyze
 	// ignores every other kind, so the report is the one the full stream
 	// gives), forensics.Analyze runs off the hot path after the run
@@ -224,6 +225,24 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 
 	worker := func(w int) {
 		defer wg.Done()
+		// Private trace and span taps for the postmortem analysis, one
+		// pair per worker, emptied before each run: Analyze runs after
+		// the run, off the hot path, is the recorder's only reader, and
+		// its report keeps nothing of either tap.
+		var (
+			rec   *trace.Recorder
+			spans *obs.SpanLog
+			hook  func(trace.Event)
+		)
+		if fore != nil {
+			rec = trace.NewRecorder()
+			spans = obs.NewSpanLog()
+			hook = func(e trace.Event) {
+				if forensics.Reads(e.Kind) {
+					rec.Record(e)
+				}
+			}
+		}
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= opts.Runs {
@@ -237,19 +256,10 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 				// fold below merges it into the campaign master.
 				reg = obs.NewRegistry()
 			}
-			var rec *trace.Recorder
-			var spans *obs.SpanLog
 			if fore != nil {
-				// Private per-run trace + span taps for the postmortem
-				// analysis; Analyze runs after the run, off the hot path,
-				// and is the recorder's only reader.
-				rec = trace.NewRecorder()
-				spans = obs.NewSpanLog()
-				runCfg.Hook = func(e trace.Event) {
-					if forensics.Reads(e.Kind) {
-						rec.Record(e)
-					}
-				}
+				rec.Reset()
+				spans.Reset()
+				runCfg.Hook = hook
 			}
 			if reg != nil || spans != nil {
 				runCfg.Obs = &obs.RunObserver{Registry: reg, Spans: spans}

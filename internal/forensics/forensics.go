@@ -130,6 +130,13 @@ type lseHit struct {
 
 type parkSpan struct{ from, to float64 }
 
+// parkLog is one rebuild's first parked intervals, at most four; later
+// ones are not shown in its chain.
+type parkLog struct {
+	n     int
+	spans [4]parkSpan
+}
+
 // analyzer is the single-forward-pass state machine over the trace.
 // All lookups are by concrete key — no map iteration — so the pass is
 // deterministic without sorting. Rebuild-scoped state is keyed by the
@@ -150,7 +157,7 @@ type analyzer struct {
 	timedOutAt      map[int32]float64
 	hedgeAt         map[int32]float64
 	parkFrom        map[int32]float64
-	parks           map[int32][]parkSpan
+	parks           map[int32]parkLog
 
 	falseDead struct {
 		t, since float64
@@ -160,6 +167,8 @@ type analyzer struct {
 	// The latest throttle step, correlated burst and spare-pool wait;
 	// each has a zero Kind until one occurs.
 	throttle, burst, spare trace.Event
+	// ch holds the report's chain links and their detail text.
+	ch chains
 }
 
 // Analyze runs the forensic pass over one run's event stream and
@@ -183,7 +192,7 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 		timedOutAt:      map[int32]float64{},
 		hedgeAt:         map[int32]float64{},
 		parkFrom:        map[int32]float64{},
-		parks:           map[int32][]parkSpan{},
+		parks:           map[int32]parkLog{},
 	}
 	for _, sp := range spans {
 		a.byID[sp.Rebuild] = sp
@@ -231,8 +240,10 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 		case trace.KindRebuildResumed:
 			id := e.Rebuild
 			if from, ok := a.parkFrom[id]; ok {
-				if len(a.parks[id]) < 4 {
-					a.parks[id] = append(a.parks[id], parkSpan{from, e.Time})
+				if pl := a.parks[id]; pl.n < len(pl.spans) {
+					pl.spans[pl.n] = parkSpan{from, e.Time}
+					pl.n++
+					a.parks[id] = pl
 				}
 				delete(a.parkFrom, id)
 			}
@@ -248,6 +259,7 @@ func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
 			rep.Drops++
 		}
 	}
+	a.ch.seal(rep.Posts)
 	return rep
 }
 

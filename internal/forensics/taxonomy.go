@@ -1,10 +1,6 @@
 package forensics
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Loss taxonomy. Classification is deterministic: the rules below are
 // tried in order and the first match wins, so the same trace always
@@ -70,41 +66,35 @@ func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 		// when the rack went dark, and the write-off ends the wait.
 		p.WindowHours = e.Time - a.falseDead.since
 		p.Blame = Blame{Stalled: 1}
-		p.Chain = append(p.Chain,
-			ChainLink{a.falseDead.since, trace.KindRackUnreachable.String(), fmt.Sprintf("rack=%d", a.falseDead.rack)},
-			ChainLink{a.falseDead.t, trace.KindFalseDead.String(), fmt.Sprintf("rack=%d", a.falseDead.rack)},
-			ChainLink{e.Time, trace.KindDiskFail.String(), fmt.Sprintf("disk=%d", e.Disk)})
+		a.ch.link(a.falseDead.since, trace.KindRackUnreachable.String()).num("rack", int64(a.falseDead.rack))
+		a.ch.link(a.falseDead.t, trace.KindFalseDead.String()).num("rack", int64(a.falseDead.rack))
+		a.ch.link(e.Time, trace.KindDiskFail.String()).num("disk", int64(e.Disk))
 	case hitAt(a.lastLSEDetect, e.Disk, e.Time):
 		h := a.lastLSEDetect[e.Disk]
 		p.Class = ClassLSERebuild
 		p.Group, p.Rep = h.group, h.rep
-		p.Chain = append(p.Chain,
-			ChainLink{h.t, trace.KindLSEDetect.String(), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
+		a.ch.link(h.t, trace.KindLSEDetect.String()).num("disk", int64(e.Disk)).num("group", int64(h.group))
 		id = a.windowFromOpenSpan(&p, e, h.group)
 	case hitAt(a.lastScrubRepair, e.Disk, e.Time):
 		h := a.lastScrubRepair[e.Disk]
 		p.Class = ClassLSEScrub
 		p.Group, p.Rep = h.group, h.rep
-		p.Chain = append(p.Chain,
-			ChainLink{h.t, trace.KindScrubRepair.String(), fmt.Sprintf("disk=%d group=%d", e.Disk, h.group)})
+		a.ch.link(h.t, trace.KindScrubRepair.String()).num("disk", int64(e.Disk)).num("group", int64(h.group))
 		id = a.windowFromOpenSpan(&p, e, h.group)
 	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= burstAssocHours:
 		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= burstAssocHours {
 			p.Class = ClassBurstSpare
-			p.Chain = append(p.Chain,
-				ChainLink{a.burst.Time, trace.KindBurst.String(), fmt.Sprintf("kills=%d", a.burst.N)},
-				ChainLink{a.spare.Time, trace.KindSpareQueued.String(), ""})
+			a.ch.link(a.burst.Time, trace.KindBurst.String()).num("kills", int64(a.burst.N))
+			a.ch.link(a.spare.Time, trace.KindSpareQueued.String())
 		} else {
 			p.Class = ClassBurst
-			p.Chain = append(p.Chain,
-				ChainLink{a.burst.Time, trace.KindBurst.String(), fmt.Sprintf("kills=%d", a.burst.N)})
+			a.ch.link(a.burst.Time, trace.KindBurst.String()).num("kills", int64(a.burst.N))
 		}
 		id = a.windowFromOpenSpan(&p, e, -1)
 	default:
 		p.Class = ClassIndependent
 		if t, ok := a.diskFailAt[e.Disk]; ok {
-			p.Chain = append(p.Chain,
-				ChainLink{t, trace.KindDiskFail.String(), fmt.Sprintf("disk=%d", e.Disk)})
+			a.ch.link(t, trace.KindDiskFail.String()).num("disk", int64(e.Disk))
 		}
 		id = a.windowFromOpenSpan(&p, e, -1)
 	}
@@ -138,8 +128,7 @@ func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) i
 	}
 	p.WindowHours = e.Time - sp.FailedAt
 	p.Blame = a.blameFromSpan(sp, e.Time, e.Disk)
-	p.Chain = append(p.Chain,
-		ChainLink{sp.FailedAt, "block-failed", fmt.Sprintf("group=%d rep=%d", sp.Group, sp.Rep)})
+	a.ch.link(sp.FailedAt, "block-failed").num("group", int64(sp.Group)).num("rep", int64(sp.Rep))
 	if sp.Group != p.Group || sp.Rep != p.Rep {
 		return 0
 	}
@@ -170,18 +159,16 @@ func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 	}
 	p.WindowHours = sp.DoneAt - sp.FailedAt
 	p.Blame = a.blameFromSpan(sp, sp.DoneAt, e.Disk)
-	p.Chain = append(p.Chain,
-		ChainLink{sp.FailedAt, "block-failed", fmt.Sprintf("group=%d rep=%d", sp.Group, sp.Rep)})
+	a.ch.link(sp.FailedAt, "block-failed").num("group", int64(sp.Group)).num("rep", int64(sp.Rep))
 	if sp.Retries > 0 || sp.Resourcings > 0 || sp.Redirections > 0 {
-		p.Chain = append(p.Chain, ChainLink{sp.QueuedAt, "retry-ladder",
-			fmt.Sprintf("retries=%d resourcings=%d redirections=%d",
-				sp.Retries, sp.Resourcings, sp.Redirections)})
+		a.ch.link(sp.QueuedAt, "retry-ladder").num("retries", int64(sp.Retries)).
+			num("resourcings", int64(sp.Resourcings)).num("redirections", int64(sp.Redirections))
 	}
 	if t, ok := a.timedOutAt[id]; ok {
-		p.Chain = append(p.Chain, ChainLink{t, trace.KindRebuildTimeout.String(), ""})
+		a.ch.link(t, trace.KindRebuildTimeout.String())
 	}
 	if t, ok := a.hedgeAt[id]; ok {
-		p.Chain = append(p.Chain, ChainLink{t, trace.KindHedge.String(), ""})
+		a.ch.link(t, trace.KindHedge.String())
 	}
 	a.finishChain(&p, e.Time, id)
 	return p
@@ -190,38 +177,29 @@ func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 // finishChain appends the chain links shared by every postmortem — the
 // parked intervals and cross-rack flight of rebuild id (0 for none), the
 // throttle step and fail-slow episode in effect at the loss — then
-// time-sorts (the links arrive near-sorted; a stable insertion keeps
-// ties in append order) and caps the chain.
+// time-sorts and caps the chain (chains.finish).
+//
+//farm:hotpath one call per postmortem
 func (a *analyzer) finishChain(p *Postmortem, t float64, id int32) {
 	if id > 0 {
-		for _, ps := range a.parks[id] {
-			p.Chain = append(p.Chain,
-				ChainLink{ps.from, trace.KindRebuildParked.String(), ""},
-				ChainLink{ps.to, trace.KindRebuildResumed.String(), ""})
+		pl := a.parks[id]
+		for _, ps := range pl.spans[:pl.n] {
+			a.ch.link(ps.from, trace.KindRebuildParked.String())
+			a.ch.link(ps.to, trace.KindRebuildResumed.String())
 		}
 		if from, ok := a.parkFrom[id]; ok {
-			p.Chain = append(p.Chain, ChainLink{from, trace.KindRebuildParked.String(), "unresumed"})
+			a.ch.link(from, trace.KindRebuildParked.String()).word("unresumed")
 		}
 		if ct, ok := a.crossRackAt[id]; ok {
-			p.Chain = append(p.Chain, ChainLink{ct, trace.KindResourceCrossRack.String(), ""})
+			a.ch.link(ct, trace.KindResourceCrossRack.String())
 		}
 	}
 	if a.throttle.Kind == trace.KindThrottle && a.throttle.Time <= t {
-		p.Chain = append(p.Chain, ChainLink{a.throttle.Time, trace.KindThrottle.String(),
-			fmt.Sprintf("mbps=%.2f share=%.3f", a.throttle.X, a.throttle.Y)})
+		a.ch.link(a.throttle.Time, trace.KindThrottle.String()).
+			fixed("mbps", a.throttle.X, 2).fixed("share", a.throttle.Y, 3)
 	}
 	if f, ok := a.slowFactor[int32(p.Disk)]; ok && f > 1 {
-		p.Chain = append(p.Chain, ChainLink{t, trace.KindFailSlowOnset.String(),
-			fmt.Sprintf("factor=%g", f)})
+		a.ch.link(t, trace.KindFailSlowOnset.String()).general("factor", f)
 	}
-	// Insertion sort: chains are tiny and near-sorted, and stability
-	// preserves append order on equal times.
-	for i := 1; i < len(p.Chain); i++ {
-		for j := i; j > 0 && p.Chain[j].T < p.Chain[j-1].T; j-- {
-			p.Chain[j], p.Chain[j-1] = p.Chain[j-1], p.Chain[j]
-		}
-	}
-	if len(p.Chain) > maxChain {
-		p.Chain = p.Chain[:maxChain]
-	}
+	a.ch.finish()
 }

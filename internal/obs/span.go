@@ -82,13 +82,15 @@ const spanPage = 256
 
 // SpanLog collects rebuild-lifecycle spans in start order. Spans live in
 // fixed-size pages that are never reallocated, so a pointer Start
-// returns stays valid for the log's lifetime. Not safe for concurrent
+// returns stays valid until the next Reset. Not safe for concurrent
 // use — one run, one SpanLog.
 type SpanLog struct {
 	spans []*Span
-	// page is the page being filled; a full page is left to the
-	// pointers in spans and a fresh one is allocated.
-	page []Span
+	// page is the page being filled; full holds the run's filled pages
+	// and spare the pages Reset freed, which later pages reuse.
+	page  []Span
+	full  [][]Span
+	spare [][]Span
 }
 
 // NewSpanLog returns an empty span log.
@@ -98,7 +100,7 @@ func NewSpanLog() *SpanLog { return &SpanLog{} }
 // for in-place phase accounting.
 func (l *SpanLog) Start(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) *Span {
 	if len(l.page) == cap(l.page) {
-		l.page = make([]Span, 0, spanPage)
+		l.nextPage()
 		if cap(l.spans)-len(l.spans) < spanPage {
 			l.spans = slices.Grow(l.spans, max(len(l.spans), spanPage))
 		}
@@ -112,6 +114,36 @@ func (l *SpanLog) Start(id int32, group, rep int, failedAt, detectedAt, queuedAt
 	sp := &l.page[len(l.page)-1]
 	l.spans = append(l.spans, sp)
 	return sp
+}
+
+// nextPage retires the page being filled and starts the next one, from
+// the spare pages when there are any.
+func (l *SpanLog) nextPage() {
+	if cap(l.page) > 0 {
+		l.full = append(l.full, l.page)
+	}
+	if n := len(l.spare); n > 0 {
+		l.page = l.spare[n-1][:0]
+		l.spare[n-1] = nil
+		l.spare = l.spare[:n-1]
+		return
+	}
+	l.page = make([]Span, 0, spanPage)
+}
+
+// Reset empties the log for the next run, keeping its pages and its
+// span index for reuse. Spans started before the Reset are overwritten
+// by later Starts, so no pointer from before it may be kept.
+func (l *SpanLog) Reset() {
+	clear(l.spans)
+	l.spans = l.spans[:0]
+	if cap(l.page) > 0 {
+		l.full = append(l.full, l.page)
+		l.page = nil
+	}
+	l.spare = append(l.spare, l.full...)
+	clear(l.full)
+	l.full = l.full[:0]
 }
 
 // Len returns the number of spans (finished or not).

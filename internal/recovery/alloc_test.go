@@ -65,12 +65,28 @@ func (h *harness) relose(e Engine, ref cluster.BlockRef) {
 	e.HandleBlockLoss(now, now, d, int(ref.Group), int(ref.Rep))
 }
 
+// growFenced adds n drives to the cluster and to e's tables through
+// Grow, then write-fences every drive that was there before, so each
+// rebuild from then on lands on a drive that joined mid-run. It returns
+// the new drives' ids.
+func (h *harness) growFenced(e Engine, n int) []int {
+	old := h.cl.NumDisks()
+	ids := h.cl.AddDisks(n, float64(h.eng.Now()))
+	e.Grow(h.cl.NumDisks())
+	for id := 0; id < old; id++ {
+		h.cl.MarkReadOnly(id, true)
+	}
+	return ids
+}
+
 // TestRebuildLifecycleZeroAlloc is the allocation gate for the rebuild
 // lifecycle. Each cycle loses one block and drives its rebuild to the
 // end through one path: submit → complete, redirection, a transient
-// retry, a hedge that wins, and park → resume behind a dark rack. Once
-// the slab, the disk indexes and the disk queues are warm, no cycle
-// touches the heap.
+// retry, a hedge that wins, and park → resume behind a dark rack. Two
+// more cycles run on drives that joined through Grow: a winning hedge
+// between two new drives, and two rebuilds onto one new drive, the
+// second waiting in its queue. Once the slab, the list pool and the
+// disk queues are warm, no cycle touches the heap.
 func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 	ref := cluster.BlockRef{Group: 5, Rep: 0}
 	mirror3 := redundancy.Scheme{M: 1, N: 3}
@@ -78,6 +94,8 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 		name string
 		// setup builds the engine and returns one lifecycle cycle.
 		setup func(t *testing.T) (f *FARM, cycle func())
+		// blocks is the number of blocks a cycle rebuilds (0 means 1).
+		blocks int
 	}{
 		{"submit-complete", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
@@ -86,7 +104,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				h.relose(f, ref)
 				h.eng.Run()
 			}
-		}},
+		}, 0},
 		{"redirect", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
 			f := NewFARM(h.env())
@@ -100,7 +118,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				f.cl.ReleaseTarget(old)
 				h.eng.Run()
 			}
-		}},
+		}, 0},
 		{"transient-retry", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
 			env := h.env()
@@ -110,7 +128,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				h.relose(f, ref)
 				h.eng.Run()
 			}
-		}},
+		}, 0},
 		{"hedge-win", func(t *testing.T) (*FARM, func()) {
 			h := newHarness(t, mirror3, 200)
 			env := h.env()
@@ -123,7 +141,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				h.relose(f, ref)
 				h.eng.Run()
 			}
-		}},
+		}, 0},
 		{"park-resume", func(t *testing.T) (*FARM, func()) {
 			net, err := topology.NewNetwork(topology.Config{Racks: 4})
 			if err != nil {
@@ -141,7 +159,37 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				f.HandleReachable(h.eng.Now(), tgt)
 				h.eng.Run()
 			}
-		}},
+		}, 0},
+		{"hedge-grown", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			env := h.env()
+			env.Straggler = StragglerPolicy{Enabled: true}
+			f := NewFARM(env)
+			grown := h.growFenced(f, 2)
+			h.cl.Disks[h.cl.GroupDiskOf(int(ref.Group), 1)].Slowdown = 64
+			return f, func() {
+				h.relose(f, ref)
+				h.eng.Run()
+				if d := int(h.cl.GroupDiskOf(int(ref.Group), int(ref.Rep))); d != grown[0] && d != grown[1] {
+					t.Fatalf("block rebuilt onto drive %d, want one of the grown %v", d, grown)
+				}
+			}
+		}, 0},
+		{"queued-grown", func(t *testing.T) (*FARM, func()) {
+			h := newHarness(t, mirror3, 200)
+			f := NewFARM(h.env())
+			grown := h.growFenced(f, 1)[0]
+			other := cluster.BlockRef{Group: 9, Rep: 0}
+			return f, func() {
+				h.relose(f, ref)
+				h.relose(f, other)
+				if !h.sched.Busy(grown) || h.sched.QueueLen(grown) != 1 {
+					t.Fatalf("grown drive %d: busy %v, queue %d; want busy with one waiting",
+						grown, h.sched.Busy(grown), h.sched.QueueLen(grown))
+				}
+				h.eng.Run()
+			}
+		}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,8 +202,8 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				t.Fatalf("rebuild lifecycle allocates %v times per cycle, want 0", n)
 			}
 			// AllocsPerRun runs the cycle once more as its own warm-up.
-			if got := f.tally.BlocksRebuilt - before; got != 51 {
-				t.Fatalf("rebuilt %d blocks over 51 cycles", got)
+			if got, want := f.tally.BlocksRebuilt-before, 51*max(tc.blocks, 1); got != want {
+				t.Fatalf("rebuilt %d blocks over 51 cycles, want %d", got, want)
 			}
 			if f.InFlight() != 0 || f.cl.GroupAvailable(int(ref.Group)) != 3 {
 				t.Fatalf("cycle left %d rebuilds in flight, group at %d blocks",
@@ -171,7 +219,7 @@ func TestRebuildLifecycleZeroAlloc(t *testing.T) {
 				if tl.RebuildRetries < 51 {
 					t.Fatalf("retries = %d, want one per cycle", tl.RebuildRetries)
 				}
-			case "hedge-win":
+			case "hedge-win", "hedge-grown":
 				if tl.HedgeWins < 51 {
 					t.Fatalf("hedge wins = %d, want one per cycle", tl.HedgeWins)
 				}

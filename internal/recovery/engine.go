@@ -150,9 +150,9 @@ type DiskSpawner func(now sim.Time) int
 // nothing.
 type rebuild struct {
 	// task is the primary transfer and hedge the duplicate one. Both are
-	// re-pointed in place for every attempt (setTask); the scheduler's
-	// attempt generation keeps a cancelled attempt's stale queue entry
-	// from aliasing the next one.
+	// re-pointed in place for every attempt (setTask), once the previous
+	// attempt is done or cancelled — and so out of the scheduler's
+	// queues.
 	task     Task
 	hedge    Task
 	failedAt sim.Time // when the block was lost
@@ -216,9 +216,11 @@ type base struct {
 	// written there, once per event.
 	tally *obs.Tally
 	// bySource and byTarget index live rebuilds by the disks they touch,
-	// one list per disk id (Grow extends them).
-	bySource [][]*rebuild
-	byTarget [][]*rebuild
+	// one list per disk id (Grow extends them); lists holds the backing
+	// arrays of these and hedgeByDisk.
+	bySource diskLists
+	byTarget diskLists
+	lists    listPool
 	// groupTargets heads, per group, the list of in-flight rebuild and
 	// hedge tasks (threaded through Task.groupNext) so two rebuilds of
 	// one group never pick the same disk. A group's key is deleted when
@@ -250,7 +252,7 @@ type base struct {
 	evict func(now sim.Time, diskID int)
 	// hedgeByDisk indexes in-flight hedge transfers by both endpoints so
 	// disk deaths can drop them (one list per disk id, like bySource).
-	hedgeByDisk [][]*rebuild
+	hedgeByDisk diskLists
 	// hists are the per-rebuild registry histograms (all nil when no
 	// registry is attached).
 	hists histograms
@@ -282,16 +284,16 @@ func (b *base) init(env Env) {
 		sched:        sched,
 		throttle:     env.Throttle,
 		tally:        env.Tally,
-		bySource:     seededLists(n),
-		byTarget:     seededLists(n),
 		groupTargets: make(map[int32]*Task),
-		hedgeByDisk:  make([][]*rebuild, n),
 		observer:     env.Observer,
 		fm:           env.Faults,
 		evict:        env.Evict,
 		net:          env.Net,
 		fg:           env.Foreground,
 	}
+	b.bySource = newDiskLists(n, &b.lists)
+	b.byTarget = newDiskLists(n, &b.lists)
+	b.hedgeByDisk = newDiskLists(n, &b.lists)
 	b.stats.WindowP50 = metrics.NewP2(0.5)
 	b.stats.WindowP99 = metrics.NewP2(0.99)
 	b.stats.DegradedP50 = metrics.NewP2(0.5)
@@ -312,29 +314,13 @@ func (b *base) init(env Env) {
 
 func (b *base) Stats() *Stats { return &b.stats }
 
-// listSeed is the capacity each initial disk's bySource and byTarget
-// lists start with. Most disks serve at most a couple of concurrent
-// rebuilds, so carving every list from one shared array saves a
-// first-use allocation per disk per run.
-const listSeed = 2
-
-// seededLists returns n empty per-disk lists of capacity listSeed.
-func seededLists(n int) [][]*rebuild {
-	lists := make([][]*rebuild, n)
-	backing := make([]*rebuild, n*listSeed)
-	for i := range lists {
-		lists[i] = backing[i*listSeed : i*listSeed : (i+1)*listSeed]
-	}
-	return lists
-}
-
 // Grow implements Engine: it extends the scheduler's and the engine's
 // per-disk tables to numDisks.
 func (b *base) Grow(numDisks int) {
 	b.sched.Grow(numDisks)
-	b.bySource = growTo(b.bySource, numDisks)
-	b.byTarget = growTo(b.byTarget, numDisks)
-	b.hedgeByDisk = growTo(b.hedgeByDisk, numDisks)
+	b.bySource.grow(numDisks)
+	b.byTarget.grow(numDisks)
+	b.hedgeByDisk.grow(numDisks)
 }
 
 // emit fires the observer, if installed, with one event.
@@ -421,11 +407,11 @@ func (b *base) effDuration(baseDur sim.Time, src, tgt int) sim.Time {
 //farm:hotpath in-flight index insert, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) track(r *rebuild) {
 	src, tgt := r.task.Source, r.task.Target
-	b.bySource[src] = append(b.bySource[src], r)
-	if len(b.byTarget[tgt]) == 0 {
+	b.bySource.add(src, r)
+	if len(b.byTarget.of(tgt)) == 0 {
 		b.activeTargets++
 	}
-	b.byTarget[tgt] = append(b.byTarget[tgt], r)
+	b.byTarget.add(tgt, r)
 	b.linkGroupTarget(&r.task)
 	b.inFlight++
 }
@@ -439,12 +425,10 @@ func (b *base) track(r *rebuild) {
 func (b *base) untrack(r *rebuild) {
 	b.cancelTimers(r)
 	src, tgt := r.task.Source, r.task.Target
-	b.bySource[src] = removeRebuild(b.bySource[src], r)
-	tl := removeRebuild(b.byTarget[tgt], r)
-	if len(tl) == 0 && len(b.byTarget[tgt]) > 0 {
+	b.bySource.remove(src, r)
+	if b.byTarget.remove(tgt, r) && len(b.byTarget.of(tgt)) == 0 {
 		b.activeTargets--
 	}
-	b.byTarget[tgt] = tl
 	b.unlinkGroupTarget(&r.task)
 	b.inFlight--
 }
@@ -509,16 +493,6 @@ func (b *base) cancelTimers(r *rebuild) {
 	if r.hedgeTask != nil {
 		b.cancelHedge(r)
 	}
-}
-
-func removeRebuild(list []*rebuild, r *rebuild) []*rebuild {
-	for i, x := range list {
-		if x == r {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
 }
 
 // complete finishes a rebuild: probe the source read for injected
@@ -680,9 +654,9 @@ func (b *base) retryFired(at sim.Time, r *rebuild) {
 
 // setTask re-points t, one of r's two task records, at a new attempt of
 // block (group, rep) from src to tgt, timed from r's base duration. The
-// task is idle until submitted. Its attempt generation, done callback
-// and group-list link carry over: the generation is what keeps a
-// cancelled attempt's stale queue entry from aliasing the new one.
+// task is idle until submitted; its group-list link carries over. The
+// task must not be waiting in a scheduler queue: every caller cancels
+// the previous attempt, or finds it done, first.
 func (b *base) setTask(t *Task, r *rebuild, group, rep, src, tgt int) {
 	*t = Task{
 		Group:     group,
@@ -690,9 +664,6 @@ func (b *base) setTask(t *Task, r *rebuild, group, rep, src, tgt int) {
 		Source:    src,
 		Target:    tgt,
 		Duration:  b.effDuration(r.baseDur, src, tgt),
-		gen:       t.gen,
-		queuedOn:  -1,
-		fire:      t.fire,
 		rb:        r,
 		groupNext: t.groupNext,
 	}
@@ -737,7 +708,7 @@ func (b *base) pickTarget(group, rep, startTrial int) (target, trial int, ok boo
 //
 //farm:hotpath failure fan-out scratch, reuses engine-owned buffers
 func (b *base) rebuildsTouching(diskID int) (asSource, asTarget []*rebuild) {
-	b.scratchSrc = append(b.scratchSrc[:0], b.bySource[diskID]...)
-	b.scratchTgt = append(b.scratchTgt[:0], b.byTarget[diskID]...)
+	b.scratchSrc = append(b.scratchSrc[:0], b.bySource.of(diskID)...)
+	b.scratchTgt = append(b.scratchTgt[:0], b.byTarget.of(diskID)...)
 	return b.scratchSrc, b.scratchTgt
 }

@@ -225,7 +225,7 @@ func TestFARMRedirectionOnTargetFailure(t *testing.T) {
 		if h.sched.Busy(id) && id != 0 {
 			// Busy disks include sources; pick one that is a target of
 			// some in-flight rebuild.
-			if len(f.byTarget[id]) > 0 {
+			if len(f.byTarget.of(id)) > 0 {
 				target = id
 				break
 			}
@@ -254,7 +254,7 @@ func TestFARMResourcingOnSourceFailure(t *testing.T) {
 	// alternative replica, so the rebuild re-sources rather than dying.
 	var src int = -1
 	for id := 0; id < h.cl.NumDisks(); id++ {
-		if len(f.bySource[id]) > 0 {
+		if len(f.bySource.of(id)) > 0 {
 			src = id
 			break
 		}

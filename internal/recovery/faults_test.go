@@ -42,7 +42,7 @@ func (s *scriptFM) MaxResourcings() int               { return s.maxResourcings 
 // tracked counts rebuilds still registered in the engine's disk indexes.
 func tracked(b *base) int {
 	n := 0
-	for _, l := range b.byTarget {
+	for _, l := range b.byTarget.lists {
 		n += len(l)
 	}
 	return n
@@ -179,7 +179,7 @@ func TestPendingRetryCancelledByTargetDeath(t *testing.T) {
 	}
 	// Find the parked rebuild and kill its target mid-backoff.
 	var victim int = -1
-	for target, list := range f.byTarget {
+	for target, list := range f.byTarget.lists {
 		for _, r := range list {
 			if r.retryEv.Valid() {
 				victim = target

@@ -132,7 +132,7 @@ func (b *base) HandleWriteFence(now sim.Time, diskID int) {
 	// after each cancellation rather than ranging over it.
 	for {
 		var victim *rebuild
-		for _, rs := range b.hedgeByDisk[diskID] {
+		for _, rs := range b.hedgeByDisk.of(diskID) {
 			if rs.hedgeTask != nil && rs.hedgeTask.Target == diskID {
 				victim = rs
 				break

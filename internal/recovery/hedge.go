@@ -163,8 +163,8 @@ func (b *base) maybeHedge(now sim.Time, r *rebuild) {
 // the per-group target list.
 func (b *base) trackHedge(r *rebuild) {
 	ht := r.hedgeTask
-	b.hedgeByDisk[ht.Source] = append(b.hedgeByDisk[ht.Source], r)
-	b.hedgeByDisk[ht.Target] = append(b.hedgeByDisk[ht.Target], r)
+	b.hedgeByDisk.add(ht.Source, r)
+	b.hedgeByDisk.add(ht.Target, r)
 	b.linkGroupTarget(ht)
 }
 
@@ -178,8 +178,8 @@ func (b *base) untrackHedge(r *rebuild) {
 		r.span.HedgeOverlap += float64(b.eng.Now() - r.hedgeAt)
 	}
 	ht := r.hedgeTask
-	b.hedgeByDisk[ht.Source] = removeRebuild(b.hedgeByDisk[ht.Source], r)
-	b.hedgeByDisk[ht.Target] = removeRebuild(b.hedgeByDisk[ht.Target], r)
+	b.hedgeByDisk.remove(ht.Source, r)
+	b.hedgeByDisk.remove(ht.Target, r)
 	b.unlinkGroupTarget(ht)
 	r.hedgeTask = nil
 }
@@ -200,8 +200,8 @@ func (b *base) cancelHedge(r *rebuild) {
 // best-effort duplicates: losing one never re-drives work, the primary
 // rebuild still stands (and is fixed up by the regular failure paths).
 func (b *base) dropHedgesOn(diskID int) {
-	for len(b.hedgeByDisk[diskID]) > 0 {
-		b.cancelHedge(b.hedgeByDisk[diskID][0])
+	for hs := b.hedgeByDisk.of(diskID); len(hs) > 0; hs = b.hedgeByDisk.of(diskID) {
+		b.cancelHedge(hs[0])
 	}
 }
 

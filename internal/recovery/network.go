@@ -150,9 +150,8 @@ func (b *base) HandleReachable(now sim.Time, diskID int) {
 // resumeParked re-drives one parked rebuild after an endpoint's rack
 // healed. The group may have died, the other endpoint may still be
 // dark, or the source may need re-picking; whatever survives those
-// checks resubmits its re-pointed task. The parked attempt may still sit
-// stale in a disk FIFO queue; the resubmission's new attempt generation
-// keeps that entry from aliasing it.
+// checks resubmits its re-pointed task. Parking cancelled the previous
+// attempt, which took it out of any disk queue.
 func (b *base) resumeParked(now sim.Time, r *rebuild) {
 	if !r.parked {
 		return

@@ -54,17 +54,11 @@ type Task struct {
 	StartedAt sim.Time
 
 	state taskState
-	// gen is the attempt generation, bumped by every Submit. Queue
-	// entries carry the generation they were filed under, so an entry
-	// left behind by a cancelled attempt stays stale after the task is
-	// resubmitted.
-	gen      uint32
-	event    sim.Handle
-	queuedOn int // disk queue currently holding the task, -1 if none
-	// fire is the "rebuild-done" callback, bound once at the task's
-	// first Submit (a Task belongs to the Scheduler that first ran it),
-	// so starting a transfer allocates nothing.
-	fire func(now sim.Time)
+	event sim.Handle
+	// queuedOn is the disk whose wait queue holds the task while it is
+	// pending; prev and next link it into that queue.
+	queuedOn   int
+	prev, next *Task
 	// shaped is the effective transfer time after the Shape hook
 	// (network contention) stretched Duration; equal to Duration when no
 	// hook is installed. Set at transfer start.
@@ -83,32 +77,27 @@ func (t *Task) Done() bool      { return t.state == taskDone }
 func (t *Task) Cancelled() bool { return t.state == taskCancelled }
 func (t *Task) Running() bool   { return t.state == taskRunning }
 
-// queued is one disk-queue entry: the task and the attempt generation it
-// was filed under. An entry whose generation no longer matches its task
-// is stale (the attempt was cancelled, and maybe resubmitted elsewhere)
-// and is skipped.
-type queued struct {
-	t   *Task
-	gen uint32
-}
-
-// fifo is one disk's wait queue. Entries before head are consumed; the
-// queue rewinds to the start of its backing array whenever it empties,
-// and enqueue slides the unconsumed entries to the front when the array
-// is full, so a steady stream of appends reuses the same storage even
-// on a queue that never empties.
-type fifo struct {
-	items []queued
-	head  int
+// diskQueue is one disk's wait queue: a FIFO threaded through the
+// pending tasks themselves (Task.prev/next), so queueing allocates
+// nothing and Cancel unlinks a task in O(1).
+type diskQueue struct {
+	head, tail *Task
 }
 
 // Scheduler serializes rebuild transfers per disk: each disk performs at
 // most one recovery transfer at a time. Tasks whose source or target is
 // busy wait in that disk's FIFO queue.
 type Scheduler struct {
-	eng     *sim.Engine
-	busy    []bool
-	waiting []fifo
+	eng *sim.Engine
+	// running holds, per disk, the transfer the disk is serving (nil
+	// when idle): a transfer occupies both its endpoints, and its
+	// "rebuild-done" event carries its source to find it again.
+	running []*Task
+	waiting []diskQueue
+	// queued counts the tasks in all wait queues.
+	queued int
+	// done is the "rebuild-done" handler, bound once.
+	done func(now sim.Time, src int)
 	// Started counts transfers begun; Completed counts finished.
 	Started   int
 	Completed int
@@ -135,16 +124,18 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler for numDisks disk slots.
 func NewScheduler(eng *sim.Engine, numDisks int) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		eng:     eng,
-		busy:    make([]bool, numDisks),
-		waiting: make([]fifo, numDisks),
+		running: make([]*Task, numDisks),
+		waiting: make([]diskQueue, numDisks),
 	}
+	s.done = s.finishOn
+	return s
 }
 
 // Grow extends the per-disk tables after disks are added to the cluster.
 func (s *Scheduler) Grow(numDisks int) {
-	s.busy = growTo(s.busy, numDisks)
+	s.running = growTo(s.running, numDisks)
 	s.waiting = growTo(s.waiting, numDisks)
 }
 
@@ -168,63 +159,45 @@ func growTo[T any](s []T, n int) []T {
 }
 
 // Busy reports whether disk id is mid-transfer.
-func (s *Scheduler) Busy(id int) bool { return s.busy[id] }
+func (s *Scheduler) Busy(id int) bool { return s.running[id] != nil }
 
-// QueueLen returns the number of entries waiting on disk id, stale ones
-// included.
+// QueueLen returns the number of tasks waiting on disk id.
 func (s *Scheduler) QueueLen(id int) int {
-	q := &s.waiting[id]
-	return len(q.items) - q.head
+	n := 0
+	for t := s.waiting[id].head; t != nil; t = t.next {
+		n++
+	}
+	return n
 }
 
 // BusyDisks counts disks currently mid-transfer (two per running
 // transfer). Read-only; used by the state sampler.
 func (s *Scheduler) BusyDisks() int {
 	n := 0
-	for _, b := range s.busy {
-		if b {
+	for _, t := range s.running {
+		if t != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// QueuedTransfers counts live tasks parked in the per-disk FIFO queues
-// (stale entries are lazily removed, so they are skipped here).
+// QueuedTransfers counts tasks parked in the per-disk FIFO queues.
 // Read-only; used by the state sampler.
-func (s *Scheduler) QueuedTransfers() int {
-	n := 0
-	for d := range s.waiting {
-		q := &s.waiting[d]
-		for _, e := range q.items[q.head:] {
-			if e.live(d) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// live reports whether a queue entry on disk d still names a pending
-// attempt filed there.
-func (e queued) live(d int) bool {
-	return e.gen == e.t.gen && e.t.state == taskPending && e.t.queuedOn == d
-}
+func (s *Scheduler) QueuedTransfers() int { return s.queued }
 
 // Submit starts a new attempt of t: it runs immediately if both disks
 // are idle and queues otherwise. OnDone fires at completion. A task may
-// be resubmitted once its previous attempt is done or cancelled, but
-// only to the Scheduler that first ran it.
+// be resubmitted once its previous attempt is done or cancelled; Submit
+// panics on a task still waiting in a queue.
 func (s *Scheduler) Submit(t *Task) {
 	if t.Source == t.Target {
 		panic(fmt.Sprintf("recovery: task %d/%d source == target %d", t.Group, t.Rep, t.Source))
 	}
-	if t.fire == nil {
-		t.fire = func(now sim.Time) { s.finish(now, t) }
+	if t.state == taskPending {
+		panic(fmt.Sprintf("recovery: task %d/%d submitted while queued on disk %d", t.Group, t.Rep, t.queuedOn))
 	}
-	t.gen++
 	t.state = taskPending
-	t.queuedOn = -1
 	t.SubmittedAt = s.eng.Now()
 	s.dispatch(t)
 }
@@ -234,40 +207,57 @@ func (s *Scheduler) Submit(t *Task) {
 //farm:hotpath every submission and every queue hand-off
 func (s *Scheduler) dispatch(t *Task) {
 	switch {
-	case !s.busy[t.Source] && !s.busy[t.Target]:
+	case s.running[t.Source] == nil && s.running[t.Target] == nil:
 		s.start(t)
-	case s.busy[t.Target]:
+	case s.running[t.Target] != nil:
 		s.enqueue(t, t.Target)
 	default:
 		s.enqueue(t, t.Source)
 	}
 }
 
-// enqueue files t's current attempt on disk d's queue.
+// enqueue links t at the tail of disk d's queue.
 //
-//farm:hotpath queue append, reusing the rewound backing array
+//farm:hotpath queue append, an intrusive link
 func (s *Scheduler) enqueue(t *Task, d int) {
-	t.queuedOn = d
 	q := &s.waiting[d]
-	if len(q.items) == cap(q.items) && q.head > 0 {
-		// A queue that never empties is never rewound by drain: slide
-		// the unconsumed entries (stale ones too) to the front instead
-		// of growing the array behind a consumed prefix.
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
+	t.queuedOn = d
+	t.prev, t.next = q.tail, nil
+	if q.tail == nil {
+		q.head = t
+	} else {
+		q.tail.next = t
 	}
-	q.items = append(q.items, queued{t: t, gen: t.gen})
+	q.tail = t
+	s.queued++
+}
+
+// unlink removes pending task t from its disk's queue.
+//
+//farm:hotpath queue removal on every hand-off and pending cancel
+func (s *Scheduler) unlink(t *Task) {
+	q := &s.waiting[t.queuedOn]
+	if t.prev == nil {
+		q.head = t.next
+	} else {
+		t.prev.next = t.next
+	}
+	if t.next == nil {
+		q.tail = t.prev
+	} else {
+		t.next.prev = t.prev
+	}
+	t.prev, t.next = nil, nil
+	s.queued--
 }
 
 // start begins t's transfer on both disks.
 //
 //farm:hotpath every transfer start
 func (s *Scheduler) start(t *Task) {
-	s.busy[t.Source] = true
-	s.busy[t.Target] = true
+	s.running[t.Source] = t
+	s.running[t.Target] = t
 	t.state = taskRunning
-	t.queuedOn = -1
 	t.StartedAt = s.eng.Now()
 	s.Started++
 	if s.OnStart != nil {
@@ -278,18 +268,19 @@ func (s *Scheduler) start(t *Task) {
 		dur = s.Shape(t.StartedAt, t)
 	}
 	t.shaped = dur
-	t.event = s.eng.After(dur, "rebuild-done", t.fire)
+	t.event = s.eng.AfterArg(dur, "rebuild-done", s.done, t.Source)
 }
 
-// finish completes t's running transfer (its "rebuild-done" event). The
-// endpoints are read before OnDone: the engine may re-point and
-// resubmit the same task from inside the hook.
-func (s *Scheduler) finish(now sim.Time, t *Task) {
-	src, tgt := t.Source, t.Target
+// finishOn completes the transfer running from disk src (its
+// "rebuild-done" event). The endpoints are read before OnDone: the
+// engine may re-point and resubmit the same task from inside the hook.
+func (s *Scheduler) finishOn(now sim.Time, src int) {
+	t := s.running[src]
+	tgt := t.Target
 	t.event = sim.Handle{}
 	t.state = taskDone
-	s.busy[src] = false
-	s.busy[tgt] = false
+	s.running[src] = nil
+	s.running[tgt] = nil
 	s.Completed++
 	if s.Release != nil {
 		s.Release(t)
@@ -307,25 +298,17 @@ func (s *Scheduler) finish(now sim.Time, t *Task) {
 //farm:hotpath queue hand-off after every transfer end
 func (s *Scheduler) drain(d int) {
 	q := &s.waiting[d]
-	for q.head < len(q.items) && !s.busy[d] {
-		e := q.items[q.head]
-		q.items[q.head] = queued{}
-		q.head++
-		if q.head == len(q.items) {
-			q.items, q.head = q.items[:0], 0
-		}
-		if !e.live(d) {
-			continue // cancelled, resubmitted or moved
-		}
-		e.t.queuedOn = -1
-		s.dispatch(e.t)
+	for q.head != nil && s.running[d] == nil {
+		t := q.head
+		s.unlink(t)
+		s.dispatch(t)
 	}
 }
 
 // Cancel aborts a task's current attempt. A running transfer releases
-// both disks (and wakes their queues); a waiting task's queue entry goes
-// stale and is skipped lazily. Returns false if the attempt already
-// completed. A task that was never submitted stays idle.
+// both disks (and wakes their queues); a waiting task leaves its queue.
+// Returns false if the attempt already completed. A task that was never
+// submitted stays idle.
 func (s *Scheduler) Cancel(t *Task) bool {
 	switch t.state {
 	case taskDone, taskCancelled:
@@ -338,8 +321,8 @@ func (s *Scheduler) Cancel(t *Task) bool {
 			t.event = sim.Handle{}
 		}
 		t.state = taskCancelled
-		s.busy[t.Source] = false
-		s.busy[t.Target] = false
+		s.running[t.Source] = nil
+		s.running[t.Target] = nil
 		if s.Release != nil {
 			s.Release(t)
 		}
@@ -347,6 +330,7 @@ func (s *Scheduler) Cancel(t *Task) bool {
 		s.drain(t.Target)
 		return true
 	default: // pending
+		s.unlink(t)
 		t.state = taskCancelled
 		return true
 	}

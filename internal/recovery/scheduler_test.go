@@ -250,9 +250,9 @@ func TestSchedulerStaleEntryAfterResubmit(t *testing.T) {
 }
 
 // TestFIFOCompactsBusyQueue: a disk that stays busy with a short queue
-// for many transfers never empties its FIFO, so drain never rewinds it;
-// enqueue must reclaim the consumed prefix instead of growing the array
-// behind it.
+// for many transfers never empties its FIFO. Its queue must hold only
+// the tasks waiting now — each hand-off unlinks the task it starts —
+// and keep serving them in submission order.
 func TestFIFOCompactsBusyQueue(t *testing.T) {
 	const k, cycles = 4, 10000
 	eng := sim.New()
@@ -272,19 +272,58 @@ func TestFIFOCompactsBusyQueue(t *testing.T) {
 	for i := 0; i < k; i++ {
 		s.Submit(&Task{Group: i, Source: i + 1, Target: 0, Duration: 1})
 	}
-	maxCap := 0
+	maxLen := 0
 	for eng.Step() {
-		maxCap = max(maxCap, cap(s.waiting[0].items))
+		maxLen = max(maxLen, s.QueueLen(0))
+		if s.QueuedTransfers() != s.QueueLen(0) {
+			t.Fatalf("QueuedTransfers %d, disk 0 queue %d", s.QueuedTransfers(), s.QueueLen(0))
+		}
 	}
 	if done != cycles {
 		t.Fatalf("completed %d transfers, want %d", done, cycles)
 	}
-	if maxCap > 2*k {
-		t.Fatalf("disk 0 queue grew to cap %d with at most %d live entries", maxCap, k)
+	if maxLen >= k {
+		t.Fatalf("disk 0 queue grew to %d entries with %d tasks, one of them running", maxLen, k)
 	}
 	for i, g := range order {
 		if g != i%k {
 			t.Fatalf("completion %d is task %d, want %d (FIFO order lost)", i, g, i%k)
 		}
+	}
+}
+
+// TestSchedulerCancelUnlinksAtOnce: cancelling a waiting task takes it
+// out of its disk's queue there and then, and submitting a task that is
+// still waiting panics.
+func TestSchedulerCancelUnlinksAtOnce(t *testing.T) {
+	eng := sim.New()
+	s := NewScheduler(eng, 5)
+	s.Submit(&Task{Group: 0, Source: 0, Target: 1, Duration: 10})
+	a := &Task{Group: 1, Source: 2, Target: 1, Duration: 1}
+	b := &Task{Group: 2, Source: 3, Target: 1, Duration: 1}
+	c := &Task{Group: 3, Source: 4, Target: 1, Duration: 1}
+	s.Submit(a)
+	s.Submit(b)
+	s.Submit(c)
+	if s.QueueLen(1) != 3 || s.QueuedTransfers() != 3 {
+		t.Fatalf("queue %d, queued %d; want 3 and 3", s.QueueLen(1), s.QueuedTransfers())
+	}
+	s.Cancel(b)
+	if s.QueueLen(1) != 2 || s.QueuedTransfers() != 2 {
+		t.Fatalf("after cancelling the middle task: queue %d, queued %d; want 2 and 2", s.QueueLen(1), s.QueuedTransfers())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("resubmitting a waiting task did not panic")
+			}
+		}()
+		s.Submit(c)
+	}()
+	var order []int
+	s.OnDone = func(_ sim.Time, tk *Task) { order = append(order, tk.Group) }
+	eng.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 3 {
+		t.Fatalf("completion order %v, want [0 1 3]", order)
 	}
 }

@@ -29,17 +29,14 @@ func (b *base) newRebuild(failedAt, baseDur sim.Time) *rebuild {
 // free returns r to the slab at its rebuild's terminal point (rebuilt,
 // hedge win or drop). Its timers must already be cancelled — untrack
 // does that — and its tasks must be done, cancelled or idle, so nothing
-// can fire into the recycled record. Stale queue entries of its tasks
-// are harmless: the attempt generation outlives the reset. The rest of
-// each task is set by setTask before its next use.
+// can fire into the recycled record and no queue still links its tasks.
+// Each task is set by setTask before its next use.
 //
 //farm:hotpath one record per block rebuild, gated by TestRebuildLifecycleZeroAlloc
 func (b *base) free(r *rebuild) {
 	*r = rebuild{
-		task:  Task{gen: r.task.gen, fire: r.task.fire},
-		hedge: Task{gen: r.hedge.gen, fire: r.hedge.fire},
-		rec:   r.rec,
-		next:  b.slabFree,
+		rec:  r.rec,
+		next: b.slabFree,
 	}
 	b.slabFree = r
 }

@@ -14,7 +14,7 @@ import (
 // once per endpoint).
 func hedgesTracked(b *base) int {
 	n := 0
-	for _, l := range b.hedgeByDisk {
+	for _, l := range b.hedgeByDisk.lists {
 		n += len(l)
 	}
 	return n
@@ -243,7 +243,7 @@ func TestHedgeDroppedWhenEndpointDies(t *testing.T) {
 	}
 	// Kill one hedge's target disk.
 	victim := -1
-	for id, l := range f.hedgeByDisk {
+	for id, l := range f.hedgeByDisk.lists {
 		for _, r := range l {
 			if r.hedgeTask != nil && r.hedgeTask.Target == id {
 				victim = id
