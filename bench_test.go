@@ -167,10 +167,10 @@ func BenchmarkSingleRunFARMObs(b *testing.B) {
 // BenchmarkForensicCampaign is the forensic campaign's cost: the CI
 // forensics smoke scenario on farmtrace's base system (Table 2 at 50 TB,
 // 24 h S.M.A.R.T. lead), two trajectories on one worker with a
-// postmortem aggregate. Its B/op and allocs/op are CI-gated (at 230.2 MB
-// and 295.6 k plus 10 %): the worker reuses one trace recorder and one
-// span log across both runs, and what remains is dominated by the spare
-// engine's fleet growth.
+// postmortem aggregate. Its B/op and allocs/op are CI-gated (at 191.1 MB
+// and 292.2 k plus 10 %): the worker folds both runs through one online
+// forensic analyzer, and what remains is dominated by the spare engine's
+// fleet growth.
 func BenchmarkForensicCampaign(b *testing.B) {
 	data, err := os.ReadFile("scenarios/forensics-smoke.json")
 	if err != nil {

@@ -129,10 +129,12 @@ func run() error {
 	if *metricsPath != "" || *telemetry != "" {
 		ob.Registry = obs.NewRegistry()
 	}
+	var spans *obs.SpanLog
 	if *spansPath != "" || *forensicsPath != "" {
 		// Forensics needs the span phase accounting for its window
 		// decomposition even when the spans themselves are not asked for.
-		ob.Spans = obs.NewSpanLog()
+		spans = obs.NewSpanLog()
+		ob.Spans = spans
 	}
 	if *seriesPath != "" {
 		ob.Series = obs.NewSeries()
@@ -168,10 +170,7 @@ func run() error {
 	}
 
 	if *forensicsPath != "" {
-		rep := forensics.Analyze(rec.Events(), ob.Spans.Spans(), forensics.Context{
-			OversubscriptionRatio: cfg.Topology.OversubscriptionRatio,
-			MaxResourcings:        cfg.Faults.MaxResourcings,
-		})
+		rep := forensics.Analyze(rec.Events(), spans.Spans(), cfg.ForensicContext())
 		if ob.Registry != nil {
 			// Join the postmortem counters and blame histograms to the
 			// run's registry before it is written below.
@@ -184,7 +183,7 @@ func run() error {
 			len(rep.Posts), rep.Losses, rep.Drops)
 	}
 	if *spansPath != "" {
-		if err := writeFile(*spansPath, func(w *bufio.Writer) error { return ob.Spans.WriteJSONL(w) }); err != nil {
+		if err := writeFile(*spansPath, func(w *bufio.Writer) error { return spans.WriteJSONL(w) }); err != nil {
 			return fmt.Errorf("spans: %w", err)
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/forensics"
 )
 
 // TestSingleRunAllocCeiling is the allocation-regression gate for the full
@@ -63,15 +65,17 @@ func TestSingleRunAllocCeiling(t *testing.T) {
 // storm's seed, rerun on one simulator. Pooled per-disk rebuild
 // indexes, disk queues threaded through the tasks, "rebuild-done" and
 // "upgrade-end" events that carry an argument instead of a closure, and
-// one fenced-id buffer per rack took it from 41 433 to 28 470 (28 486
-// under -race); the ceiling is that plus 10 %. Most of what is left is
-// the spare engine's fleet growth (AddDisksModel): it replaces every
-// dead drive twice.
+// one fenced-id buffer per rack took it from 41 433 to 28 470. Outage,
+// fail-slow recovery and spare-replenish timers that carry an argument,
+// and spare-pool waits that reuse their block lists, took it to 22 089
+// (22 140 under -race); the ceiling is that plus 10 %. Most of what is
+// left is the spare engine's fleet growth (AddDisksModel): it replaces
+// every dead drive twice.
 func TestStormRunAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const ceiling = 31300 // forensics storm, seed 3, one run
+	const ceiling = 24300 // forensics storm, seed 3, one run
 	s, err := NewSimulator(forensicsStormConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -88,5 +92,53 @@ func TestStormRunAllocCeiling(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, run); n > ceiling {
 		t.Fatalf("one storm run allocates %.0f times, ceiling %d", n, ceiling)
+	}
+}
+
+// TestForensicCampaignAllocCeiling gates the allocations of one forensic
+// campaign run: the FARM growth storm at seed 3 (the pinned storm's
+// seed) through MonteCarlo with one worker and a postmortem aggregate.
+// The worker folds the run through its online analyzer, so what the run
+// allocates follows its open rebuilds rather than its events. Recording
+// the trace and the spans and analysing them afterwards cost 3 073
+// allocations and 6.58 MB; the online fold costs 2 142 and 2.88 MB
+// (2 177 and 2.89 MB under -race). The ceilings are that plus 10 %. The
+// spare-engine storm would gate its fleet growth instead (§7 of
+// DESIGN.md), which dwarfs the forensic layer there.
+func TestForensicCampaignAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		allocCeiling = 2360
+		byteCeiling  = 3170000
+	)
+	cfg := farmGrowthStormConfig()
+	posts := 0
+	run := func() {
+		agg := forensics.NewAggregate()
+		if _, err := MonteCarlo(cfg, MonteCarloOptions{Runs: 1, Workers: 1, BaseSeed: 3, Forensics: agg}); err != nil {
+			t.Fatal(err)
+		}
+		posts = agg.Posts
+	}
+	// Warm the process-wide state a first run grows, then average.
+	run()
+	if posts == 0 {
+		t.Fatal("the campaign run wrote no postmortems; the gate is vacuous")
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	if allocs > allocCeiling {
+		t.Fatalf("one forensic campaign run allocates %d times, ceiling %d", allocs, allocCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Fatalf("one forensic campaign run allocates %d bytes, ceiling %d", bytes, byteCeiling)
 	}
 }

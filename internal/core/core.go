@@ -134,8 +134,8 @@ type Config struct {
 	// Used by cmd/farmtrace; nil costs nothing.
 	Hook func(trace.Event) `json:"-"`
 	// Obs, when non-nil, attaches the flight recorder: a metrics
-	// Registry receiving every run outcome at the horizon, a SpanLog
-	// recording one lifecycle span per block rebuild, and a Series of
+	// Registry receiving every run outcome at the horizon, a span sink
+	// receiving one lifecycle span per block rebuild, and a Series of
 	// periodic system-state samples. All instruments are read-only
 	// observers — an attached recorder leaves the run's RunResult (and,
 	// modulo the two span-lifecycle trace kinds, its transcript)
@@ -594,9 +594,12 @@ type runState struct {
 	// (bindHandlers). Each event carries its disk id as the
 	// sim.ScheduleArg argument, so arming one allocates nothing.
 	// demandFn is the demand-burst marker's, whose argument is the
-	// burst's index, and upgradeEndFn the upgrade-end timer's, whose
-	// argument is the rack.
-	failFn, warnFn, detectFn, drainFn, lseFn, onsetFn, slowHitFn, demandFn, upgradeEndFn func(now sim.Time, arg int)
+	// burst's index, upgradeEndFn the upgrade-end timer's, whose
+	// argument is the rack, and healFn and falseDeadFn the outage
+	// timers', whose argument is the rack and its outage epoch
+	// (outageArg).
+	failFn, warnFn, detectFn, drainFn, lseFn, onsetFn, slowHitFn, slowRecoverFn func(now sim.Time, arg int)
+	demandFn, upgradeEndFn, healFn, falseDeadFn                                 func(now sim.Time, arg int)
 	// detects holds the failures awaiting detection and drains the
 	// drain-block transfers in flight, each oldest first. A detection
 	// fires DetectionLatencyHours after its failure and a transfer one
@@ -663,6 +666,15 @@ func (st *runState) bindHandlers() {
 	st.slowHitFn = st.applySlowOnset
 	st.demandFn = st.onDemandBurst
 	st.upgradeEndFn = st.endUpgrade
+	// Timers that only fault injection or a fabric arms are bound only
+	// for runs that have them: each method value costs an allocation.
+	if st.cfg.Faults.Enabled() {
+		st.slowRecoverFn = st.onSlowRecover
+	}
+	if st.net != nil {
+		st.healFn = st.onRackHeal
+		st.falseDeadFn = st.onFalseDead
+	}
 }
 
 // process is one recurring fleet-wide event chain (see every).
@@ -955,15 +967,22 @@ func (st *runState) applySlowOnset(now sim.Time, id int) {
 	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowOnset, Disk: int32(id),
 		X: f})
 	if hours, ok := st.inj.DrawSlowRecovery(); ok {
-		st.eng.Schedule(now+sim.Time(hours), "failslow-recover", func(rnow sim.Time) {
-			if d.State != disk.Alive || d.Slowdown != f {
-				return // died first, or this episode was already cleared
-			}
-			d.Slowdown = 0
-			st.res.FailSlowRecoveries++
-			st.emit(trace.Event{Time: float64(rnow), Kind: trace.KindFailSlowRecover, Disk: int32(id)})
-		})
+		st.eng.ScheduleArg(now+sim.Time(hours), "failslow-recover", st.slowRecoverFn, id)
 	}
+}
+
+// onSlowRecover ends drive id's fail-slow episode. Only this timer ends
+// an episode, and applySlowOnset starts none while one lasts (every
+// severity exceeds 1), so a drive has at most one recovery pending and,
+// while alive, is still in the episode that armed it.
+func (st *runState) onSlowRecover(now sim.Time, id int) {
+	d := st.cl.Disks[id]
+	if d.State != disk.Alive || d.Slowdown <= 1 {
+		return // died first
+	}
+	d.Slowdown = 0
+	st.res.FailSlowRecoveries++
+	st.emit(trace.Event{Time: float64(now), Kind: trace.KindFailSlowRecover, Disk: int32(id)})
 }
 
 // slowBurst plays one correlated slow-burst (a batch gray-failure
@@ -1147,20 +1166,42 @@ func (st *runState) rackDown(now sim.Time, rack int, cause int32, healAfter floa
 	}
 	// Epoch-guarded timers: if the rack heals and darkens again, the new
 	// outage carries a new epoch and these become stale no-ops.
-	epoch := st.net.Epoch(rack)
+	arg := st.outageArg(rack)
 	if healAfter > 0 {
-		st.eng.Schedule(now+sim.Time(healAfter), "rack-heal", func(hnow sim.Time) {
-			if st.net.RackUnreachable(rack) && st.net.Epoch(rack) == epoch {
-				st.rackHeal(hnow, rack)
-			}
-		})
+		st.eng.ScheduleArg(now+sim.Time(healAfter), "rack-heal", st.healFn, arg)
 	}
 	if fd := st.net.FalseDeadHours(); fd > 0 {
-		st.eng.Schedule(now+sim.Time(fd), "false-dead", func(fnow sim.Time) {
-			if st.net.RackUnreachable(rack) && st.net.Epoch(rack) == epoch {
-				st.declareRackDead(fnow, rack)
-			}
-		})
+		st.eng.ScheduleArg(now+sim.Time(fd), "false-dead", st.falseDeadFn, arg)
+	}
+}
+
+// outageArg packs a rack and its current outage epoch into one timer
+// argument. The pair must travel with the timer: heal delays are drawn
+// per outage, so a rack's heal timers need not fire in the order they
+// were armed, and a stale one can fire while a later outage is live.
+func (st *runState) outageArg(rack int) int {
+	return int(st.net.Epoch(rack))*st.net.Racks() + rack
+}
+
+// liveOutage unpacks an outage timer's argument and reports whether its
+// outage is still the rack's current one.
+func (st *runState) liveOutage(arg int) (rack int, live bool) {
+	racks := st.net.Racks()
+	rack = arg % racks
+	return rack, st.net.RackUnreachable(rack) && int(st.net.Epoch(rack)) == arg/racks
+}
+
+// onRackHeal is an outage's heal timer (the "rack-heal" event).
+func (st *runState) onRackHeal(now sim.Time, arg int) {
+	if rack, live := st.liveOutage(arg); live {
+		st.rackHeal(now, rack)
+	}
+}
+
+// onFalseDead is an outage's false-dead timer (the "false-dead" event).
+func (st *runState) onFalseDead(now sim.Time, arg int) {
+	if rack, live := st.liveOutage(arg); live {
+		st.declareRackDead(now, rack)
 	}
 }
 

@@ -119,56 +119,68 @@ func TestForensicsWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestForensicsFilteredTap: a forensic campaign records only the kinds
-// forensics.Reads admits, and its aggregate must be byte-identical — JSON
-// and registry — to folding Analyze over every run's full trace and span
-// log from Simulator.Run, on both engines.
+// TestForensicsFilteredTap: a forensic campaign folds each run online
+// through the worker's analyzer, fed only by the run's trace hook and
+// span sink, and its aggregate must be byte-identical — JSON and
+// registry — to folding Analyze over every run's full recorded trace and
+// span log from Simulator.Run, on both engines, over seeds 1–8. The
+// zero-lag variants (no detection latency, no false-dead patience) close
+// every loss's candidate set at once, so the online analyzer settles
+// each loss the moment the clock moves past it.
 func TestForensicsFilteredTap(t *testing.T) {
-	const runs, base = 4, 5
-	farm := forensicsStormConfig()
+	const runs, base = 8, 1
+	spare := forensicsStormConfig()
+	farm := spare
 	farm.UseFARM = true
+	zeroLag := func(cfg Config) Config {
+		cfg.DetectionLatencyHours = 0
+		cfg.Topology.FalseDeadHours = 0
+		return cfg
+	}
 	for _, c := range []struct {
 		name string
 		cfg  Config
-	}{{"spare-storm", forensicsStormConfig()}, {"farm-storm", farm}} {
-		ctx := forensics.Context{
-			OversubscriptionRatio: c.cfg.Topology.OversubscriptionRatio,
-			MaxResourcings:        c.cfg.Faults.MaxResourcings,
-		}
-		full := forensics.NewAggregate()
-		for i := uint64(0); i < runs; i++ {
-			run := c.cfg
-			rec := trace.NewRecorder()
-			run.Hook = rec.Record
-			spans := obs.NewSpanLog()
-			run.Obs = &obs.RunObserver{Spans: spans}
-			s, err := NewSimulator(run)
-			if err != nil {
+	}{
+		{"spare-storm", spare},
+		{"farm-storm", farm},
+		{"spare-storm-zero-lag", zeroLag(spare)},
+		{"farm-storm-zero-lag", zeroLag(farm)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			full := forensics.NewAggregate()
+			for i := uint64(0); i < runs; i++ {
+				run := c.cfg
+				rec := trace.NewRecorder()
+				run.Hook = rec.Record
+				spans := obs.NewSpanLog()
+				run.Obs = &obs.RunObserver{Spans: spans}
+				s, err := NewSimulator(run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(base + i); err != nil {
+					t.Fatal(err)
+				}
+				full.AddRun(forensics.Analyze(rec.Events(), spans.Spans(), c.cfg.ForensicContext()))
+			}
+			tapped := forensics.NewAggregate()
+			if _, err := MonteCarlo(c.cfg, MonteCarloOptions{
+				Runs: runs, BaseSeed: base, Workers: 2, Forensics: tapped,
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Run(base + i); err != nil {
-				t.Fatal(err)
+			if full.Losses == 0 || full.Drops == 0 {
+				t.Fatalf("%d losses and %d drops; the gate is vacuous", full.Losses, full.Drops)
 			}
-			full.AddRun(forensics.Analyze(rec.Events(), spans.Spans(), ctx))
-		}
-		tapped := forensics.NewAggregate()
-		if _, err := MonteCarlo(c.cfg, MonteCarloOptions{
-			Runs: runs, BaseSeed: base, Workers: 2, Forensics: tapped,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if full.Posts == 0 {
-			t.Fatalf("%s: no postmortems; the gate is vacuous", c.name)
-		}
-		wantJSON, wantReg := aggregateBytes(t, full)
-		gotJSON, gotReg := aggregateBytes(t, tapped)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s: campaign aggregate JSON differs from the full-stream fold:\n%s\nvs\n%s",
-				c.name, gotJSON, wantJSON)
-		}
-		if !bytes.Equal(gotReg, wantReg) {
-			t.Errorf("%s: campaign registry differs from the full-stream fold", c.name)
-		}
+			wantJSON, wantReg := aggregateBytes(t, full)
+			gotJSON, gotReg := aggregateBytes(t, tapped)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("campaign aggregate JSON differs from the full-stream fold:\n%s\nvs\n%s", gotJSON, wantJSON)
+			}
+			if !bytes.Equal(gotReg, wantReg) {
+				t.Error("campaign registry differs from the full-stream fold")
+			}
+		})
 	}
 }
 

@@ -116,18 +116,19 @@ type MonteCarloOptions struct {
 	// (obs.StartTelemetry).
 	Telemetry *obs.Campaign
 	// Forensics, when non-nil, receives a causal postmortem for every
-	// data-loss and dropped-rebuild event of the campaign. Each run
-	// executes with a private span log and a private trace recorder
-	// (each worker reuses one pair across its runs) that keeps only the
-	// kinds forensics.Reads admits (the simulation itself
-	// is untouched — tracing and spans are read-only taps, and Analyze
-	// ignores every other kind, so the report is the one the full stream
-	// gives), forensics.Analyze runs off the hot path after the run
-	// finishes, and the per-run reports are folded into the aggregate in
-	// strict run-index order alongside the Result, so the aggregate —
-	// counts, blame sums, registry bytes — is identical regardless of
-	// worker count. Incompatible with a caller-supplied Config.Hook: one
-	// hook cannot soundly observe many concurrent runs.
+	// data-loss and dropped-rebuild event of the campaign. Each worker
+	// folds its runs online through one forensics.Analyzer, installed as
+	// the run's trace hook and span sink and Reset before each run: the
+	// run records neither its trace nor its spans, and the analyzer's
+	// memory follows the run's open rebuilds, not its events. The
+	// simulation itself is untouched (the hook and the sink are
+	// read-only taps). The analyzer's report for a run equals what
+	// forensics.Analyze makes of the run's full recorded streams. The
+	// per-run reports are folded into the aggregate in strict run-index
+	// order alongside the Result, so the aggregate — counts, blame sums,
+	// registry bytes — is identical regardless of worker count.
+	// Incompatible with a caller-supplied Config.Hook: one hook cannot
+	// soundly observe many concurrent runs.
 	Forensics *forensics.Aggregate
 }
 
@@ -143,7 +144,17 @@ var ErrSharedObs = errors.New("core: Config.Obs is per-run; use MonteCarloOption
 // ErrSharedHook rejects a Config.Hook on a forensic campaign: forensics
 // needs a private per-run event stream, and a shared hook across
 // parallel runs would race and interleave runs meaninglessly.
-var ErrSharedHook = errors.New("core: Config.Hook is per-run; MonteCarloOptions.Forensics records its own traces")
+var ErrSharedHook = errors.New("core: Config.Hook is per-run; MonteCarloOptions.Forensics taps its own traces")
+
+// ForensicContext returns the configuration facts the forensic analyzer
+// needs to explain a run of c.
+func (c Config) ForensicContext() forensics.Context {
+	return forensics.Context{
+		OversubscriptionRatio: c.Topology.OversubscriptionRatio,
+		MaxResourcings:        c.Faults.MaxResourcings,
+		OpenLagHours:          c.DetectionLatencyHours + c.Topology.FalseDeadHours,
+	}
+}
 
 // MonteCarlo executes opts.Runs independent trajectories of cfg in
 // parallel and aggregates them streamingly. Each run gets its own seeded
@@ -183,7 +194,7 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 	}
 	fore := opts.Forensics
 	if fore != nil && cfg.Hook != nil {
-		// Forensics installs its own per-run recorder as the hook; a
+		// Forensics installs its own analyzer as the hook; a
 		// caller-supplied hook would additionally race across workers.
 		return Result{}, ErrSharedHook
 	}
@@ -195,6 +206,7 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 		workers = opts.Runs
 	}
 
+	ctx := cfg.ForensicContext()
 	tele := opts.Telemetry
 	if tele != nil {
 		tele.Begin(opts.Runs, workers)
@@ -225,23 +237,14 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 
 	worker := func(w int) {
 		defer wg.Done()
-		// Private trace and span taps for the postmortem analysis, one
-		// pair per worker, emptied before each run: Analyze runs after
-		// the run, off the hot path, is the recorder's only reader, and
-		// its report keeps nothing of either tap.
+		// The worker's forensic analyzer, fed online by each of its runs.
 		var (
-			rec   *trace.Recorder
-			spans *obs.SpanLog
-			hook  func(trace.Event)
+			an   *forensics.Analyzer
+			hook func(trace.Event)
 		)
 		if fore != nil {
-			rec = trace.NewRecorder()
-			spans = obs.NewSpanLog()
-			hook = func(e trace.Event) {
-				if forensics.Reads(e.Kind) {
-					rec.Record(e)
-				}
-			}
+			an = forensics.NewAnalyzer()
+			hook = an.Observe
 		}
 		for {
 			i := int(next.Add(1)) - 1
@@ -256,24 +259,22 @@ func MonteCarlo(cfg Config, opts MonteCarloOptions) (Result, error) {
 				// fold below merges it into the campaign master.
 				reg = obs.NewRegistry()
 			}
-			if fore != nil {
-				rec.Reset()
-				spans.Reset()
+			var sink obs.SpanSink
+			if an != nil {
+				an.Reset(ctx)
 				runCfg.Hook = hook
+				sink = an
 			}
-			if reg != nil || spans != nil {
-				runCfg.Obs = &obs.RunObserver{Registry: reg, Spans: spans}
+			if reg != nil || sink != nil {
+				runCfg.Obs = &obs.RunObserver{Registry: reg, Spans: sink}
 			}
 			res, err := runOnce(runCfg)
 			if tele != nil {
 				tele.WorkerRunDone(w)
 			}
 			var post *forensics.Report
-			if fore != nil && err == nil {
-				post = forensics.Analyze(rec.Events(), spans.Spans(), forensics.Context{
-					OversubscriptionRatio: cfg.Topology.OversubscriptionRatio,
-					MaxResourcings:        cfg.Faults.MaxResourcings,
-				})
+			if an != nil && err == nil {
+				post = an.Report()
 			}
 
 			mu.Lock()

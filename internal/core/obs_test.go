@@ -106,7 +106,7 @@ func TestObsByteIdentity(t *testing.T) {
 			}
 		}
 		done := 0
-		for _, sp := range ob.Spans.Spans() {
+		for _, sp := range ob.Spans.(*obs.SpanLog).Spans() {
 			if sp.Outcome == obs.OutcomeDone {
 				done++
 			}

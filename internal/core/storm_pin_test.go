@@ -100,7 +100,7 @@ func TestForensicsStormPinned(t *testing.T) {
 			if got := hex.EncodeToString(sum[:]); got != pin.sha256 {
 				t.Errorf("transcript drift (%d bytes): sha256 %s, want %s", transcript.Len(), got, pin.sha256)
 			}
-			report := forensics.Analyze(rec.Events(), ob.Spans.Spans(), forensics.Context{
+			report := forensics.Analyze(rec.Events(), ob.Spans.(*obs.SpanLog).Spans(), forensics.Context{
 				OversubscriptionRatio: cfg.Topology.OversubscriptionRatio,
 				MaxResourcings:        cfg.Faults.MaxResourcings,
 			})

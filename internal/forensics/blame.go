@@ -74,7 +74,8 @@ func (b *Blame) scale(f float64) {
 }
 
 // blameFromSpan decomposes a rebuild span's window ending (or cut) at t
-// into the blame vector.
+// into the blame vector, under the fleet state at the postmortem's event
+// and the rebuild's latest cross-rack re-sourcing by then.
 //
 // Additive split: the window W = t − FailedAt is detect wait + queue
 // wait + retry backoff + transfer + a residual. Hedge overlap is carved
@@ -96,7 +97,7 @@ func (b *Blame) scale(f float64) {
 //
 // The vector is finally normalized by its own sum, so the fractions sum
 // to 1 to within a few ulps whatever the float path here did.
-func (a *analyzer) blameFromSpan(sp *obs.Span, t float64, disk int32) Blame {
+func (a *Analyzer) blameFromSpan(sp *obs.Span, t float64, at instant, crossRack stamp) Blame {
 	w := t - sp.FailedAt
 	if w <= 0 {
 		return Blame{Instant: 1}
@@ -118,16 +119,16 @@ func (a *analyzer) blameFromSpan(sp *obs.Span, t float64, disk int32) Blame {
 
 	// Stretch factors in effect for this rebuild.
 	fFail := 1.0
-	if f, ok := a.slowFactor[disk]; ok && f > 1 {
-		fFail = f
+	if at.slow > 1 {
+		fFail = at.slow
 	}
 	fCont := 1.0
-	if share := a.throttle.Y; share > 0 {
+	if share := at.throttle.Y; share > 0 {
 		fCont = workload.ContentionFactor(share)
 	}
 	fNet := 1.0
 	if a.ctx.OversubscriptionRatio > 1 {
-		if ct, ok := a.crossRackAt[sp.Rebuild]; ok && ct >= sp.QueuedAt && ct <= t {
+		if ct := crossRack.t; crossRack.ok && ct >= sp.QueuedAt && ct <= t {
 			fNet = a.ctx.OversubscriptionRatio
 		}
 	}

@@ -70,15 +70,28 @@ type extent struct{ lo, hi int32 }
 // array, and every detail string from one string. Links are appended to
 // links, a postmortem's chain is the run of links appended while it was
 // built, and seal hands the runs out once the array stops growing.
+// Postmortems may be built in any order; each run is filed under its
+// postmortem's slot.
 type chains struct {
 	links []ChainLink
 	// detail[i] is where links[i]'s detail lies in text.
 	detail []extent
 	text   details
-	// runs holds each postmortem's run of links, in report order.
+	// runs holds each postmortem's run of links, by report slot.
 	runs []extent
 	// from is where the chain being built begins in links.
 	from int
+}
+
+// reset starts the chains of a new report. The link array is the
+// report's own, so it is made anew (with room for hint links); the
+// rest is scratch and is reused.
+func (c *chains) reset(hint int) {
+	c.links = make([]ChainLink, 0, hint)
+	c.detail = c.detail[:0]
+	c.text.b, c.text.start = c.text.b[:0], 0
+	c.runs = c.runs[:0]
+	c.from = 0
 }
 
 // link appends a link at time t of the given kind to the chain being
@@ -102,13 +115,13 @@ func (c *chains) closeDetail() {
 	}
 }
 
-// finish ends the chain being built: it time-sorts its links (they
-// arrive near-sorted, so an insertion sort is cheap, and being stable it
-// keeps ties in append order), caps them at maxChain and records the
-// run for seal.
+// finish ends the chain being built for the postmortem in slot seq: it
+// time-sorts its links (they arrive near-sorted, so an insertion sort is
+// cheap, and being stable it keeps ties in append order), caps them at
+// maxChain and records the run for seal.
 //
 //farm:hotpath one call per postmortem
-func (c *chains) finish() {
+func (c *chains) finish(seq int) {
 	c.closeDetail()
 	links, detail := c.links[c.from:], c.detail[c.from:]
 	for i := 1; i < len(links); i++ {
@@ -119,12 +132,13 @@ func (c *chains) finish() {
 	}
 	end := c.from + min(len(links), maxChain)
 	c.links, c.detail = c.links[:end], c.detail[:end]
-	c.runs = append(c.runs, extent{int32(c.from), int32(end)})
+	c.runs = grow(c.runs, seq)
+	c.runs[seq] = extent{int32(c.from), int32(end)}
 	c.from = end
 }
 
 // seal sets every link's detail from one string and gives each
-// postmortem its chain, in report order: posts[i] gets the ith run.
+// postmortem its chain: posts[i] gets the run filed under slot i.
 func (c *chains) seal(posts []Postmortem) {
 	text := string(c.text.b)
 	for i, s := range c.detail {

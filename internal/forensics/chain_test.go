@@ -54,18 +54,20 @@ func TestDetailsMatchSprintf(t *testing.T) {
 
 // TestChainsSortCapSeal: a chain's links are time-sorted with ties in
 // append order, each keeping its own detail through the sort, capped at
-// maxChain, and every postmortem gets its own run of the shared array.
+// maxChain, and every postmortem gets its own run of the shared array,
+// whatever order the postmortems were built in.
 func TestChainsSortCapSeal(t *testing.T) {
 	var c chains
 	// Postmortem 0: 20 links, times descending in pairs of equal time.
 	for i := 0; i < 20; i++ {
 		c.link(float64(10-i/2), "k").num("i", int64(i))
 	}
-	c.finish()
-	// Postmortem 1: no links. Postmortem 2: one link without detail.
-	c.finish()
+	c.finish(0)
+	// Postmortem 2, built before 1: one link without detail. Postmortem
+	// 1: no links.
 	c.link(3, "solo")
-	c.finish()
+	c.finish(2)
+	c.finish(1)
 	posts := make([]Postmortem, 3)
 	c.seal(posts)
 

@@ -1,5 +1,5 @@
 // Package forensics is the simulator's root-cause layer: a
-// deterministic, read-only pass over one run's trace and span streams
+// deterministic, read-only fold over one run's trace and span streams
 // that explains every loss. For each traced `data-loss` and `dropped`
 // event it produces a Postmortem — the causal chain that led there, a
 // deterministic taxonomy class, and a blame vector decomposing the
@@ -12,19 +12,23 @@
 //
 // The layer consumes only what the flight recorder already emits; it
 // never touches the simulation, so forensics-on is byte-identical to
-// forensics-off for all simulation outputs.
+// forensics-off for all simulation outputs. One Analyzer does the work,
+// fed online by a running simulation (Monte Carlo campaigns) or by
+// Analyze replaying recorded streams (farmtrace, the pinned storms).
 package forensics
 
 import (
+	"math"
+
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// reads is the set of kinds Analyze reads, indexed by Kind: exactly the
-// kinds its switch has a case for (TestReadsMatchesAnalyze checks the
-// two agree). Every other kind is skipped before the switch, so a stream
-// with only these kinds analyses exactly like the full one.
+// reads is the set of kinds the analyzer reads, indexed by Kind: exactly
+// the kinds Observe's switch has a case for (TestReadsMatchesAnalyze
+// checks the two agree). Every other kind is skipped before the switch,
+// so a stream with only these kinds analyses exactly like the full one.
 var reads = [...]bool{
 	trace.KindDiskFail:          true,
 	trace.KindRackUnreachable:   true,
@@ -46,8 +50,8 @@ var reads = [...]bool{
 	trace.KindDropped:           true,
 }
 
-// Reads reports whether Analyze reads events of kind k. A tap that
-// feeds only Analyze may drop every event for which Reads is false.
+// Reads reports whether the analyzer reads events of kind k. A tap that
+// feeds only the analyzer may drop every event for which Reads is false.
 func Reads(k trace.Kind) bool { return int(k) < len(reads) && reads[k] }
 
 // Context carries the configuration facts blame attribution needs —
@@ -61,6 +65,15 @@ type Context struct {
 	// (cfg.Faults.MaxResourcings); 0 means the fault model's default,
 	// faults.DefaultMaxResourcings.
 	MaxResourcings int
+	// OpenLagHours bounds how long after its block failed a rebuild can
+	// open: the detection latency plus the false-dead patience, which a
+	// write-off backdates its failures by (cfg.DetectionLatencyHours +
+	// cfg.Topology.FalseDeadHours). A loss's window can be anchored on a
+	// rebuild that opens after the loss, so the online analyzer keeps a
+	// loss's candidate set open for this long; a rebuild that opens
+	// later than this after its block failed panics. Analyze widens it
+	// to what its spans show.
+	OpenLagHours float64
 }
 
 // burstAssocHours is how long after a correlated burst a loss is still
@@ -123,9 +136,18 @@ type Report struct {
 // always fit, deep retry ladders are summarized instead of enumerated.
 const maxChain = 16
 
+// stamp is the time of a fact the trace stated; ok is false until it
+// has.
+type stamp struct {
+	t  float64
+	ok bool
+}
+
+// lseHit is a disk's latest latent-error discovery.
 type lseHit struct {
 	t          float64
-	group, rep int
+	group, rep int32
+	ok         bool
 }
 
 type parkSpan struct{ from, to float64 }
@@ -137,28 +159,46 @@ type parkLog struct {
 	spans [4]parkSpan
 }
 
-// analyzer is the single-forward-pass state machine over the trace.
-// All lookups are by concrete key — no map iteration — so the pass is
-// deterministic without sorting. Rebuild-scoped state is keyed by the
-// rebuild id events and spans share, so one rebuild's history never
-// leaks into a later rebuild of the same block.
-type analyzer struct {
-	ctx   Context
-	spans []*obs.Span
-	// byID indexes the spans by rebuild id.
-	byID map[int32]*obs.Span
+// instant is the fleet state a postmortem reads at its event: the
+// throttle step in effect and the fail-slow factor of the event's disk.
+type instant struct {
+	throttle trace.Event
+	slow     float64
+}
 
-	diskFailAt      map[int32]float64
-	darkSince       map[int32]float64
-	lastLSEDetect   map[int32]lseHit
-	lastScrubRepair map[int32]lseHit
-	slowFactor      map[int32]float64
-	crossRackAt     map[int32]float64
-	timedOutAt      map[int32]float64
-	hedgeAt         map[int32]float64
-	parkFrom        map[int32]float64
-	parks           map[int32]parkLog
+// Analyzer is the forensic pass: one forward fold over a run's trace
+// events and rebuild spans that writes a postmortem for every data-loss
+// and dropped event. It is fed online — Observe as the run's trace hook
+// and the analyzer itself as the run's span sink (obs.SpanSink), so a
+// forensic run records neither stream — or by Analyze, which replays
+// recorded streams through it.
+//
+// Its memory follows the run's open rebuilds, not its events. Disk and
+// rack state are dense tables; a rebuild's state (its span and what its
+// events said) lives in a pooled record that is recycled once the span
+// has finished and no pending postmortem reads it. Every lookup is by
+// concrete key or in open order, so the fold is deterministic. An
+// Analyzer is reused run after run (Reset) and is not safe for
+// concurrent use.
+type Analyzer struct {
+	ctx Context
+	// lag is ctx.OpenLagHours plus a rounding slack.
+	lag float64
+	// clock is the latest time the analyzer has seen.
+	clock float64
+	rep   *Report
 
+	// Disk and rack state, one dense table per fact indexed by disk or
+	// rack id, each grown when the trace first states its fact about a
+	// disk or rack beyond it: each disk's latest disk-fail, lse-detect
+	// and scrub-repair, its fail-slow factor while degraded (else 0), and
+	// each rack's outage start while it is unreachable (else 0).
+	failed     []stamp
+	lse, scrub []lseHit
+	slow       []float64
+	dark       []float64
+	// falseDead is the latest false-dead write-off and the outage it
+	// ended.
 	falseDead struct {
 		t, since float64
 		rack     int32
@@ -167,120 +207,219 @@ type analyzer struct {
 	// The latest throttle step, correlated burst and spare-pool wait;
 	// each has a zero Kind until one occurs.
 	throttle, burst, spare trace.Event
+
+	spans spanTable
+	// open holds the loss postmortems whose candidate set is still open,
+	// oldest first; waiting those whose candidate is settled but whose
+	// span has not finished.
+	open, waiting []*pendingLoss
+	freeLoss      []*pendingLoss
 	// ch holds the report's chain links and their detail text.
 	ch chains
 }
 
-// Analyze runs the forensic pass over one run's event stream and
-// (optionally) its rebuild-lifecycle spans, producing exactly one
-// postmortem per data-loss and per dropped event, in trace order. A nil
-// span slice degrades gracefully: windows without span evidence come
-// back Instant and drop classification falls to ClassUnattributed.
-// Events must be time-sorted (the recorder's natural order); events of
-// kinds outside Reads are ignored.
-func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
-	a := &analyzer{
-		ctx:             ctx,
-		spans:           spans,
-		byID:            make(map[int32]*obs.Span, len(spans)),
-		diskFailAt:      map[int32]float64{},
-		darkSince:       map[int32]float64{},
-		lastLSEDetect:   map[int32]lseHit{},
-		lastScrubRepair: map[int32]lseHit{},
-		slowFactor:      map[int32]float64{},
-		crossRackAt:     map[int32]float64{},
-		timedOutAt:      map[int32]float64{},
-		hedgeAt:         map[int32]float64{},
-		parkFrom:        map[int32]float64{},
-		parks:           map[int32]parkLog{},
-	}
-	for _, sp := range spans {
-		a.byID[sp.Rebuild] = sp
-	}
-	rep := &Report{}
-	for _, e := range events {
-		if !Reads(e.Kind) {
-			continue
-		}
-		switch e.Kind {
-		case trace.KindDiskFail:
-			a.diskFailAt[e.Disk] = e.Time
-		case trace.KindRackUnreachable:
-			a.darkSince[e.Rack] = e.Time
-		case trace.KindPartitionHeal:
-			delete(a.darkSince, e.Rack)
-		case trace.KindFalseDead:
-			a.falseDead.t = e.Time
-			a.falseDead.rack = e.Rack
-			a.falseDead.since = a.darkSince[e.Rack]
-			a.falseDead.ok = true
-			delete(a.darkSince, e.Rack)
-		case trace.KindFailSlowOnset:
-			a.slowFactor[e.Disk] = max(e.X, 1)
-		case trace.KindFailSlowRecover:
-			delete(a.slowFactor, e.Disk)
-		case trace.KindThrottle:
-			a.throttle = e
-		case trace.KindBurst:
-			a.burst = e
-		case trace.KindSpareQueued:
-			a.spare = e
-		case trace.KindLSEDetect:
-			a.lastLSEDetect[e.Disk] = lseHit{e.Time, int(e.Group), int(e.Rep)}
-		case trace.KindScrubRepair:
-			a.lastScrubRepair[e.Disk] = lseHit{e.Time, int(e.Group), int(e.Rep)}
-		case trace.KindResourceCrossRack:
-			a.crossRackAt[e.Rebuild] = e.Time
-		case trace.KindRebuildTimeout:
-			a.timedOutAt[e.Rebuild] = e.Time
-		case trace.KindHedge:
-			a.hedgeAt[e.Rebuild] = e.Time
-		case trace.KindRebuildParked:
-			a.parkFrom[e.Rebuild] = e.Time
-		case trace.KindRebuildResumed:
-			id := e.Rebuild
-			if from, ok := a.parkFrom[id]; ok {
-				if pl := a.parks[id]; pl.n < len(pl.spans) {
-					pl.spans[pl.n] = parkSpan{from, e.Time}
-					pl.n++
-					a.parks[id] = pl
-				}
-				delete(a.parkFrom, id)
-			}
-		case trace.KindDataLoss:
-			p := a.lossPostmortem(e)
-			p.Seq = len(rep.Posts)
-			rep.Posts = append(rep.Posts, p)
-			rep.Losses++
-		case trace.KindDropped:
-			p := a.dropPostmortem(e)
-			p.Seq = len(rep.Posts)
-			rep.Posts = append(rep.Posts, p)
-			rep.Drops++
-		}
-	}
-	a.ch.seal(rep.Posts)
-	return rep
+// NewAnalyzer returns an analyzer ready for a run with a zero Context;
+// call Reset to set one.
+func NewAnalyzer() *Analyzer {
+	a := &Analyzer{}
+	a.Reset(Context{})
+	return a
 }
 
-// openSpanOn returns the earliest-failed span open at time t, optionally
-// restricted to one group (group < 0 matches any). A span is open at t
-// when its block was already lost and its rebuild had not yet resolved.
-func (a *analyzer) openSpanOn(t float64, group int) *obs.Span {
-	var best *obs.Span
-	for _, sp := range a.spans {
-		if group >= 0 && sp.Group != group {
-			continue
-		}
-		if sp.FailedAt > t {
-			continue
-		}
-		if sp.DoneAt >= 0 && sp.DoneAt < t {
-			continue
-		}
-		if best == nil || sp.FailedAt < best.FailedAt {
-			best = sp
-		}
+// lagSlack absorbs float rounding in the open-lag bound: a detection
+// scheduled at failure + latency can land an ulp past it.
+const lagSlack = 1e-6
+
+// Reset readies the analyzer for a new run under ctx. The report of the
+// previous run stays valid; everything else is reused.
+func (a *Analyzer) Reset(ctx Context) {
+	linksHint := len(a.ch.links)
+	postsHint := 0
+	if a.rep != nil {
+		postsHint = len(a.rep.Posts)
 	}
-	return best
+	a.ctx, a.lag, a.clock = ctx, ctx.OpenLagHours+lagSlack, 0
+	a.rep = &Report{Posts: make([]Postmortem, 0, postsHint)}
+	a.failed, a.lse, a.scrub = a.failed[:0], a.lse[:0], a.scrub[:0]
+	a.slow, a.dark = a.slow[:0], a.dark[:0]
+	a.falseDead.ok = false
+	a.throttle, a.burst, a.spare = trace.Event{}, trace.Event{}, trace.Event{}
+	a.spans.reset()
+	a.freeLoss = append(append(a.freeLoss, a.open...), a.waiting...)
+	clear(a.open)
+	clear(a.waiting)
+	a.open, a.waiting = a.open[:0], a.waiting[:0]
+	a.ch.reset(linksHint)
+}
+
+// put sets s[i] to v, growing s to hold index i: new entries are zero,
+// and the capacity at least doubles, so a table that follows a growing
+// fleet costs a few allocations, not one per disk. A negative i names
+// no disk or rack and is dropped, as at reads it back as zero.
+func put[T any](s []T, i int32, v T) []T {
+	if i < 0 {
+		return s
+	}
+	s = grow(s, int(i))
+	s[i] = v
+	return s
+}
+
+// grow returns s extended with zero values to hold index i.
+func grow[T any](s []T, i int) []T {
+	n := len(s)
+	if i < n {
+		return s
+	}
+	if i >= cap(s) {
+		t := make([]T, n, max(2*cap(s), i+1))
+		copy(t, s)
+		s = t
+	}
+	s = s[:i+1]
+	clear(s[n:])
+	return s
+}
+
+// at returns s[i], the zero value when the table does not reach i (or
+// i < 0: no disk).
+func at[T any](s []T, i int32) T {
+	if i < 0 || int(i) >= len(s) {
+		var zero T
+		return zero
+	}
+	return s[i]
+}
+
+// instantAt is the fleet state a postmortem of an event on disk reads.
+func (a *Analyzer) instantAt(disk int32) instant {
+	return instant{throttle: a.throttle, slow: at(a.slow, disk)}
+}
+
+// Observe folds one trace event; it is the run's trace hook. Events
+// must arrive in time order, as the simulator emits them; kinds outside
+// Reads are ignored.
+func (a *Analyzer) Observe(e trace.Event) {
+	if !Reads(e.Kind) {
+		return
+	}
+	a.advance(e.Time)
+	switch e.Kind {
+	case trace.KindDiskFail:
+		a.failed = put(a.failed, e.Disk, stamp{e.Time, true})
+	case trace.KindRackUnreachable:
+		a.dark = put(a.dark, e.Rack, e.Time)
+	case trace.KindPartitionHeal:
+		a.dark = put(a.dark, e.Rack, 0)
+	case trace.KindFalseDead:
+		a.falseDead.t = e.Time
+		a.falseDead.rack = e.Rack
+		a.falseDead.since = at(a.dark, e.Rack)
+		a.falseDead.ok = true
+		a.dark = put(a.dark, e.Rack, 0)
+	case trace.KindFailSlowOnset:
+		a.slow = put(a.slow, e.Disk, max(e.X, 1))
+	case trace.KindFailSlowRecover:
+		a.slow = put(a.slow, e.Disk, 0)
+	case trace.KindThrottle:
+		a.throttle = e
+	case trace.KindBurst:
+		a.burst = e
+	case trace.KindSpareQueued:
+		a.spare = e
+	case trace.KindLSEDetect:
+		a.lse = put(a.lse, e.Disk, lseHit{e.Time, e.Group, e.Rep, true})
+	case trace.KindScrubRepair:
+		a.scrub = put(a.scrub, e.Disk, lseHit{e.Time, e.Group, e.Rep, true})
+	case trace.KindResourceCrossRack:
+		if l := a.spans.byID(e.Rebuild); l != nil {
+			l.hist.crossRack = stamp{e.Time, true}
+		}
+	case trace.KindRebuildTimeout:
+		if l := a.spans.byID(e.Rebuild); l != nil {
+			l.hist.timedOut = stamp{e.Time, true}
+		}
+	case trace.KindHedge:
+		if l := a.spans.byID(e.Rebuild); l != nil {
+			l.hist.hedge = stamp{e.Time, true}
+		}
+	case trace.KindRebuildParked:
+		if l := a.spans.byID(e.Rebuild); l != nil {
+			l.hist.parkFrom = stamp{e.Time, true}
+		}
+	case trace.KindRebuildResumed:
+		if l := a.spans.byID(e.Rebuild); l != nil && l.hist.parkFrom.ok {
+			if pl := &l.hist.parks; pl.n < len(pl.spans) {
+				pl.spans[pl.n] = parkSpan{l.hist.parkFrom.t, e.Time}
+				pl.n++
+			}
+			l.hist.parkFrom = stamp{}
+		}
+	case trace.KindDataLoss:
+		a.rep.Losses++
+		a.lossPostmortem(e, a.reserve())
+	case trace.KindDropped:
+		a.rep.Drops++
+		a.dropPostmortem(e, a.reserve())
+	}
+}
+
+// reserve appends the next postmortem's slot to the report and returns
+// its index; the postmortem is written there when it is complete.
+func (a *Analyzer) reserve() int {
+	seq := len(a.rep.Posts)
+	a.rep.Posts = append(a.rep.Posts, Postmortem{Seq: seq})
+	return seq
+}
+
+// Report completes every pending postmortem against the spans as they
+// stand — the run's horizon — and returns the run's report. The
+// analyzer must be Reset before it is fed again.
+func (a *Analyzer) Report() *Report {
+	for _, pl := range a.open {
+		a.completeLoss(pl)
+	}
+	for _, pl := range a.waiting {
+		a.completeLoss(pl)
+	}
+	clear(a.open)
+	clear(a.waiting)
+	a.open, a.waiting = a.open[:0], a.waiting[:0]
+	a.ch.seal(a.rep.Posts)
+	return a.rep
+}
+
+// Analyze runs the forensic pass over one run's recorded event stream
+// and (optionally) its rebuild-lifecycle spans, producing exactly one
+// postmortem per data-loss and per dropped event, in trace order. It
+// replays both streams through an Analyzer: each span opens at its
+// QueuedAt, before the events of that instant. Spans must be in start
+// order, as SpanLog.Spans returns them. A nil span slice degrades
+// gracefully: windows without span evidence come back Instant and drop
+// classification falls to ClassUnattributed. Events must be
+// time-sorted (the recorder's natural order); events of kinds outside
+// Reads are ignored.
+func Analyze(events []trace.Event, spans []*obs.Span, ctx Context) *Report {
+	// A recorded run shows every span's open lag; widen the bound to
+	// cover them, so a Context that leaves OpenLagHours unset still
+	// analyses the stream exactly.
+	opened := math.Inf(-1)
+	for _, sp := range spans {
+		opened = max(opened, sp.QueuedAt)
+		ctx.OpenLagHours = max(ctx.OpenLagHours, opened-sp.FailedAt)
+	}
+	a := &Analyzer{}
+	a.Reset(ctx)
+	next := 0
+	for _, e := range events {
+		for next < len(spans) && spans[next].QueuedAt <= e.Time {
+			a.track(spans[next])
+			next++
+		}
+		a.Observe(e)
+	}
+	for _, sp := range spans[next:] {
+		a.track(sp)
+	}
+	return a.Report()
 }

@@ -126,8 +126,8 @@ func TestAnalyzeIgnoresUnreadKinds(t *testing.T) {
 	}
 }
 
-// TestReadsMatchesAnalyze: the reads table lists exactly the kinds
-// Analyze's switch has a case for, read off the source. A case missing
+// TestReadsMatchesAnalyze: the reads table lists exactly the kinds the
+// analyzer's switch (in Observe) has a case for, read off the source. A case missing
 // from the table would be dead behind the skip; a table entry without a
 // case would make the tap keep events the pass ignores.
 func TestReadsMatchesAnalyze(t *testing.T) {
@@ -149,7 +149,7 @@ func TestReadsMatchesAnalyze(t *testing.T) {
 				}
 			}
 		case *ast.FuncDecl:
-			if d.Name.Name != "Analyze" {
+			if d.Name.Name != "Observe" {
 				continue
 			}
 			ast.Inspect(d.Body, func(n ast.Node) bool {
@@ -173,12 +173,12 @@ func TestReadsMatchesAnalyze(t *testing.T) {
 	}
 	for k := range table {
 		if !cases[k] {
-			t.Errorf("reads lists %s, but Analyze has no case for it", k)
+			t.Errorf("reads lists %s, but Observe has no case for it", k)
 		}
 	}
 	for k := range cases {
 		if !table[k] {
-			t.Errorf("Analyze has a case for %s, but reads does not list it", k)
+			t.Errorf("Observe has a case for %s, but reads does not list it", k)
 		}
 	}
 }

@@ -50,17 +50,17 @@ var Classes = []string{
 	ClassUnattributed,
 }
 
-// lossPostmortem builds the postmortem for one data-loss event.
-func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
-	p := Postmortem{
-		T: e.Time, Kind: trace.KindDataLoss,
+// lossPostmortem starts the postmortem for data-loss event e in slot
+// seq. A false-dead write-off needs no rebuild and is written at once;
+// any other loss snapshots what it reads at e and waits, as a pending
+// loss, for its window's rebuild (see live.go).
+func (a *Analyzer) lossPostmortem(e trace.Event, seq int) {
+	p := &a.rep.Posts[seq]
+	*p = Postmortem{
+		Seq: seq, T: e.Time, Kind: trace.KindDataLoss,
 		Disk: int(e.Disk), Group: -1, Rep: -1, Groups: max(int(e.N), 1),
 	}
-	// id is the rebuild whose history the chain shows: the open span's,
-	// when that span is the postmortem's block.
-	var id int32
-	switch {
-	case a.falseDead.ok && a.falseDead.t == e.Time:
+	if a.falseDead.ok && a.falseDead.t == e.Time {
 		p.Class = ClassFalseDead
 		// The window is the whole outage: the data became unavailable
 		// when the rack went dark, and the write-off ends the wait.
@@ -69,86 +69,109 @@ func (a *analyzer) lossPostmortem(e trace.Event) Postmortem {
 		a.ch.link(a.falseDead.since, trace.KindRackUnreachable.String()).num("rack", int64(a.falseDead.rack))
 		a.ch.link(a.falseDead.t, trace.KindFalseDead.String()).num("rack", int64(a.falseDead.rack))
 		a.ch.link(e.Time, trace.KindDiskFail.String()).num("disk", int64(e.Disk))
-	case hitAt(a.lastLSEDetect, e.Disk, e.Time):
-		h := a.lastLSEDetect[e.Disk]
-		p.Class = ClassLSERebuild
-		p.Group, p.Rep = h.group, h.rep
-		a.ch.link(h.t, trace.KindLSEDetect.String()).num("disk", int64(e.Disk)).num("group", int64(h.group))
-		id = a.windowFromOpenSpan(&p, e, h.group)
-	case hitAt(a.lastScrubRepair, e.Disk, e.Time):
-		h := a.lastScrubRepair[e.Disk]
-		p.Class = ClassLSEScrub
-		p.Group, p.Rep = h.group, h.rep
-		a.ch.link(h.t, trace.KindScrubRepair.String()).num("disk", int64(e.Disk)).num("group", int64(h.group))
-		id = a.windowFromOpenSpan(&p, e, h.group)
-	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= burstAssocHours:
-		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= burstAssocHours {
-			p.Class = ClassBurstSpare
-			a.ch.link(a.burst.Time, trace.KindBurst.String()).num("kills", int64(a.burst.N))
-			a.ch.link(a.spare.Time, trace.KindSpareQueued.String())
-		} else {
-			p.Class = ClassBurst
-			a.ch.link(a.burst.Time, trace.KindBurst.String()).num("kills", int64(a.burst.N))
-		}
-		id = a.windowFromOpenSpan(&p, e, -1)
-	default:
-		p.Class = ClassIndependent
-		if t, ok := a.diskFailAt[e.Disk]; ok {
-			a.ch.link(t, trace.KindDiskFail.String()).num("disk", int64(e.Disk))
-		}
-		id = a.windowFromOpenSpan(&p, e, -1)
+		a.finishChain(p, e.Time, a.instantAt(e.Disk), nil)
+		a.ch.finish(seq)
+		return
 	}
-	a.finishChain(&p, e.Time, id)
-	return p
+	pl := a.newLoss()
+	pl.seq, pl.e, pl.at, pl.group = seq, e, a.instantAt(e.Disk), -1
+	lse, scrub := at(a.lse, e.Disk), at(a.scrub, e.Disk)
+	switch {
+	case lse.ok && lse.t == e.Time:
+		p.Class, pl.hit = ClassLSERebuild, lse
+	case scrub.ok && scrub.t == e.Time:
+		p.Class, pl.hit = ClassLSEScrub, scrub
+	case a.burst.Kind == trace.KindBurst && e.Time-a.burst.Time <= burstAssocHours:
+		p.Class, pl.burst = ClassBurst, a.burst
+		if a.spare.Kind == trace.KindSpareQueued && e.Time-a.spare.Time <= burstAssocHours {
+			p.Class, pl.spare = ClassBurstSpare, a.spare
+		}
+	default:
+		p.Class, pl.failed = ClassIndependent, at(a.failed, e.Disk)
+	}
+	if pl.hit.ok {
+		// A latent error anchors the window on the struck group.
+		p.Group, p.Rep = int(pl.hit.group), int(pl.hit.rep)
+		pl.group = p.Group
+	}
+	if l := a.spans.best(e.Time, pl.group); l != nil {
+		pl.take(l)
+	}
+	a.open = append(a.open, pl)
 }
 
-// hitAt reports whether the map holds a hit for the disk at exactly t
-// (the presence check guards the zero lseHit from aliasing a hit at 0).
-func hitAt(m map[int32]lseHit, disk int32, t float64) bool {
-	h, ok := m[disk]
-	return ok && h.t == t
+// completeLoss writes a pending loss's postmortem: its class anchors,
+// the window on its rebuild, and the chain links every postmortem
+// shares. It returns pl to the pool.
+func (a *Analyzer) completeLoss(pl *pendingLoss) {
+	p, e := &a.rep.Posts[pl.seq], pl.e
+	switch p.Class {
+	case ClassLSERebuild:
+		a.ch.link(pl.hit.t, trace.KindLSEDetect.String()).num("disk", int64(e.Disk)).num("group", int64(pl.hit.group))
+	case ClassLSEScrub:
+		a.ch.link(pl.hit.t, trace.KindScrubRepair.String()).num("disk", int64(e.Disk)).num("group", int64(pl.hit.group))
+	case ClassBurstSpare:
+		a.ch.link(pl.burst.Time, trace.KindBurst.String()).num("kills", int64(pl.burst.N))
+		a.ch.link(pl.spare.Time, trace.KindSpareQueued.String())
+	case ClassBurst:
+		a.ch.link(pl.burst.Time, trace.KindBurst.String()).num("kills", int64(pl.burst.N))
+	default:
+		if pl.failed.ok {
+			a.ch.link(pl.failed.t, trace.KindDiskFail.String()).num("disk", int64(e.Disk))
+		}
+	}
+	a.finishChain(p, e.Time, pl.at, a.window(p, pl))
+	a.ch.finish(pl.seq)
+	if pl.cand != nil {
+		pl.cand.pins--
+	}
+	a.freeLoss = append(a.freeLoss, pl)
 }
 
-// windowFromOpenSpan anchors a loss postmortem's window on the
-// earliest-failed rebuild still open at the loss instant — for an
-// LSE-class loss, open on the struck group; for burst/independent
-// losses, the longest-exposed rebuild anywhere (the fleet's deepest
-// exposure when the music stopped). Without span evidence the loss is
-// Instant: no reconstruction was in flight, or spans were off. Returns
-// the span's rebuild id when the span is the postmortem's block, else 0.
-func (a *analyzer) windowFromOpenSpan(p *Postmortem, e trace.Event, group int) int32 {
-	sp := a.openSpanOn(e.Time, group)
-	if sp == nil {
+// window anchors a loss postmortem's window on its rebuild — for an
+// LSE-class loss, the earliest-failed one open on the struck group; for
+// burst/independent losses, the longest-exposed one anywhere (the
+// fleet's deepest exposure when the music stopped). Without one the
+// loss is Instant: no reconstruction was in flight, or spans were off.
+// It returns the rebuild's history at the loss when the rebuild is the
+// postmortem's block, else nil.
+func (a *Analyzer) window(p *Postmortem, pl *pendingLoss) *history {
+	if pl.cand == nil {
 		p.WindowHours = 0
 		p.Blame = Blame{Instant: 1}
-		return 0
+		return nil
 	}
+	sp := pl.cand.sp
 	if p.Group < 0 {
 		p.Group, p.Rep = sp.Group, sp.Rep
 	}
-	p.WindowHours = e.Time - sp.FailedAt
-	p.Blame = a.blameFromSpan(sp, e.Time, e.Disk)
+	p.WindowHours = p.T - sp.FailedAt
+	p.Blame = a.blameFromSpan(sp, p.T, pl.at, pl.hist.crossRack)
 	a.ch.link(sp.FailedAt, "block-failed").num("group", int64(sp.Group)).num("rep", int64(sp.Rep))
-	if sp.Group != p.Group || sp.Rep != p.Rep {
-		return 0
+	if sp.Rebuild <= 0 || sp.Group != p.Group || sp.Rep != p.Rep {
+		return nil
 	}
-	return sp.Rebuild
+	return &pl.hist
 }
 
-// dropPostmortem builds the postmortem for one dropped-rebuild event.
-func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
-	id := e.Rebuild
-	p := Postmortem{
-		T: e.Time, Kind: trace.KindDropped,
+// dropPostmortem writes the postmortem for dropped event e in slot seq.
+// The drop follows its span's finish, so the span is final.
+func (a *Analyzer) dropPostmortem(e trace.Event, seq int) {
+	p := &a.rep.Posts[seq]
+	*p = Postmortem{
+		Seq: seq, T: e.Time, Kind: trace.KindDropped,
 		Disk: int(e.Disk), Group: int(e.Group), Rep: int(e.Rep),
 	}
-	sp := a.byID[id]
-	if sp == nil {
+	at := a.instantAt(e.Disk)
+	l := a.spans.byID(e.Rebuild)
+	if l == nil {
 		p.Class = ClassUnattributed
 		p.Blame = Blame{Instant: 1}
-		a.finishChain(&p, e.Time, id)
-		return p
+		a.finishChain(p, e.Time, at, nil)
+		a.ch.finish(seq)
+		return
 	}
+	sp := l.sp
 	switch {
 	case sp.Resourcings > a.ctx.maxResourcings():
 		p.Class = ClassSourceExhaustion
@@ -158,48 +181,51 @@ func (a *analyzer) dropPostmortem(e trace.Event) Postmortem {
 		p.Class = ClassGroupLost
 	}
 	p.WindowHours = sp.DoneAt - sp.FailedAt
-	p.Blame = a.blameFromSpan(sp, sp.DoneAt, e.Disk)
+	p.Blame = a.blameFromSpan(sp, sp.DoneAt, at, l.hist.crossRack)
 	a.ch.link(sp.FailedAt, "block-failed").num("group", int64(sp.Group)).num("rep", int64(sp.Rep))
 	if sp.Retries > 0 || sp.Resourcings > 0 || sp.Redirections > 0 {
 		a.ch.link(sp.QueuedAt, "retry-ladder").num("retries", int64(sp.Retries)).
 			num("resourcings", int64(sp.Resourcings)).num("redirections", int64(sp.Redirections))
 	}
-	if t, ok := a.timedOutAt[id]; ok {
-		a.ch.link(t, trace.KindRebuildTimeout.String())
+	if l.hist.timedOut.ok {
+		a.ch.link(l.hist.timedOut.t, trace.KindRebuildTimeout.String())
 	}
-	if t, ok := a.hedgeAt[id]; ok {
-		a.ch.link(t, trace.KindHedge.String())
+	if l.hist.hedge.ok {
+		a.ch.link(l.hist.hedge.t, trace.KindHedge.String())
 	}
-	a.finishChain(&p, e.Time, id)
-	return p
+	var h *history
+	if e.Rebuild > 0 {
+		h = &l.hist
+	}
+	a.finishChain(p, e.Time, at, h)
+	a.ch.finish(seq)
 }
 
 // finishChain appends the chain links shared by every postmortem — the
-// parked intervals and cross-rack flight of rebuild id (0 for none), the
-// throttle step and fail-slow episode in effect at the loss — then
-// time-sorts and caps the chain (chains.finish).
+// parked intervals and cross-rack flight in h, the history of the
+// postmortem's rebuild (nil for none), and the throttle step and
+// fail-slow episode in effect at the loss — before the chain is
+// time-sorted and capped (chains.finish).
 //
 //farm:hotpath one call per postmortem
-func (a *analyzer) finishChain(p *Postmortem, t float64, id int32) {
-	if id > 0 {
-		pl := a.parks[id]
-		for _, ps := range pl.spans[:pl.n] {
+func (a *Analyzer) finishChain(p *Postmortem, t float64, at instant, h *history) {
+	if h != nil {
+		for _, ps := range h.parks.spans[:h.parks.n] {
 			a.ch.link(ps.from, trace.KindRebuildParked.String())
 			a.ch.link(ps.to, trace.KindRebuildResumed.String())
 		}
-		if from, ok := a.parkFrom[id]; ok {
-			a.ch.link(from, trace.KindRebuildParked.String()).word("unresumed")
+		if h.parkFrom.ok {
+			a.ch.link(h.parkFrom.t, trace.KindRebuildParked.String()).word("unresumed")
 		}
-		if ct, ok := a.crossRackAt[id]; ok {
-			a.ch.link(ct, trace.KindResourceCrossRack.String())
+		if h.crossRack.ok {
+			a.ch.link(h.crossRack.t, trace.KindResourceCrossRack.String())
 		}
 	}
-	if a.throttle.Kind == trace.KindThrottle && a.throttle.Time <= t {
-		a.ch.link(a.throttle.Time, trace.KindThrottle.String()).
-			fixed("mbps", a.throttle.X, 2).fixed("share", a.throttle.Y, 3)
+	if at.throttle.Kind == trace.KindThrottle && at.throttle.Time <= t {
+		a.ch.link(at.throttle.Time, trace.KindThrottle.String()).
+			fixed("mbps", at.throttle.X, 2).fixed("share", at.throttle.Y, 3)
 	}
-	if f, ok := a.slowFactor[int32(p.Disk)]; ok && f > 1 {
-		a.ch.link(t, trace.KindFailSlowOnset.String()).general("factor", f)
+	if at.slow > 1 {
+		a.ch.link(t, trace.KindFailSlowOnset.String()).general("factor", at.slow)
 	}
-	a.ch.finish()
 }

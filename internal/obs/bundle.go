@@ -35,9 +35,10 @@ type RunObserver struct {
 	// are added and the gauges latched once, at the horizon. Counters
 	// accumulate across runs that reuse the observer.
 	Registry *Registry
-	// Spans, when non-nil, records a rebuild-lifecycle span per block
-	// rebuild.
-	Spans *SpanLog
+	// Spans, when non-nil, receives a rebuild-lifecycle span per block
+	// rebuild: a SpanLog keeps them all, the forensic analyzer only the
+	// open ones.
+	Spans SpanSink
 	// Series, when non-nil together with a positive SampleEveryHours,
 	// receives periodic system-state samples.
 	Series *Series

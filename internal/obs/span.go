@@ -74,23 +74,43 @@ func (s *Span) Window() float64 {
 	return s.DoneAt - s.FailedAt
 }
 
+// Open sets s to the span of block rebuild id as it opens: failed,
+// detected and queued at the given times, with no transfer started and
+// no outcome yet.
+func (s *Span) Open(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) {
+	*s = Span{
+		Rebuild: id, Group: group, Rep: rep,
+		FailedAt: failedAt, DetectedAt: detectedAt, QueuedAt: queuedAt,
+		StartAt: -1, DoneAt: -1,
+		Outcome: OutcomeUnfinished,
+	}
+}
+
 // DetectWait returns the detection-latency phase of the span.
 func (s *Span) DetectWait() float64 { return s.DetectedAt - s.FailedAt }
+
+// SpanSink receives one run's rebuild-lifecycle spans from the
+// recovery engine. Start opens the span of rebuild id and returns it for
+// in-place phase accounting; Finish is called once the span's terminal
+// outcome is latched, after which the engine never touches it again.
+// SpanLog keeps every span; the forensic analyzer keeps only the open
+// ones and recycles the rest.
+type SpanSink interface {
+	Start(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) *Span
+	Finish(sp *Span)
+}
 
 // spanPage is how many spans one SpanLog page holds.
 const spanPage = 256
 
 // SpanLog collects rebuild-lifecycle spans in start order. Spans live in
 // fixed-size pages that are never reallocated, so a pointer Start
-// returns stays valid until the next Reset. Not safe for concurrent
+// returns stays valid for the log's lifetime. Not safe for concurrent
 // use — one run, one SpanLog.
 type SpanLog struct {
 	spans []*Span
-	// page is the page being filled; full holds the run's filled pages
-	// and spare the pages Reset freed, which later pages reuse.
-	page  []Span
-	full  [][]Span
-	spare [][]Span
+	// page is the page being filled.
+	page []Span
 }
 
 // NewSpanLog returns an empty span log.
@@ -100,51 +120,20 @@ func NewSpanLog() *SpanLog { return &SpanLog{} }
 // for in-place phase accounting.
 func (l *SpanLog) Start(id int32, group, rep int, failedAt, detectedAt, queuedAt float64) *Span {
 	if len(l.page) == cap(l.page) {
-		l.nextPage()
+		l.page = make([]Span, 0, spanPage)
 		if cap(l.spans)-len(l.spans) < spanPage {
 			l.spans = slices.Grow(l.spans, max(len(l.spans), spanPage))
 		}
 	}
-	l.page = append(l.page, Span{
-		Rebuild: id, Group: group, Rep: rep,
-		FailedAt: failedAt, DetectedAt: detectedAt, QueuedAt: queuedAt,
-		StartAt: -1, DoneAt: -1,
-		Outcome: OutcomeUnfinished,
-	})
+	l.page = l.page[:len(l.page)+1]
 	sp := &l.page[len(l.page)-1]
+	sp.Open(id, group, rep, failedAt, detectedAt, queuedAt)
 	l.spans = append(l.spans, sp)
 	return sp
 }
 
-// nextPage retires the page being filled and starts the next one, from
-// the spare pages when there are any.
-func (l *SpanLog) nextPage() {
-	if cap(l.page) > 0 {
-		l.full = append(l.full, l.page)
-	}
-	if n := len(l.spare); n > 0 {
-		l.page = l.spare[n-1][:0]
-		l.spare[n-1] = nil
-		l.spare = l.spare[:n-1]
-		return
-	}
-	l.page = make([]Span, 0, spanPage)
-}
-
-// Reset empties the log for the next run, keeping its pages and its
-// span index for reuse. Spans started before the Reset are overwritten
-// by later Starts, so no pointer from before it may be kept.
-func (l *SpanLog) Reset() {
-	clear(l.spans)
-	l.spans = l.spans[:0]
-	if cap(l.page) > 0 {
-		l.full = append(l.full, l.page)
-		l.page = nil
-	}
-	l.spare = append(l.spare, l.full...)
-	clear(l.full)
-	l.full = l.full[:0]
-}
+// Finish implements SpanSink: the log keeps every span, finished or not.
+func (l *SpanLog) Finish(*Span) {}
 
 // Len returns the number of spans (finished or not).
 func (l *SpanLog) Len() int { return len(l.spans) }

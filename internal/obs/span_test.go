@@ -142,41 +142,6 @@ func TestSpanLogStartAllocs(t *testing.T) {
 	}
 }
 
-// TestSpanLogResetReusesPages: after a Reset the log starts empty, hands
-// out fresh spans in start order, and refills the pages and index it
-// already has without allocating.
-func TestSpanLogResetReusesPages(t *testing.T) {
-	const n = 3*spanPage + 5
-	l := NewSpanLog()
-	fill := func(base int32) {
-		for i := int32(0); i < n; i++ {
-			sp := l.Start(base+i, int(i), 0, 0, 0, 0)
-			sp.Outcome = OutcomeDone
-		}
-	}
-	fill(0)
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", l.Len())
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		l.Reset()
-		fill(1000)
-	})
-	if allocs != 0 {
-		t.Fatalf("a refill after Reset allocated %.0f times, want 0", allocs)
-	}
-	for i, sp := range l.Spans() {
-		if sp.Rebuild != 1000+int32(i) || sp.Group != i {
-			t.Fatalf("span %d = id %d group %d after Reset", i, sp.Rebuild, sp.Group)
-		}
-	}
-	l.Reset()
-	if sp := l.Start(7, 1, 2, 3, 4, 5); sp.Outcome != OutcomeUnfinished || sp.DoneAt != -1 {
-		t.Fatalf("reused span not reinitialized: %+v", *sp)
-	}
-}
-
 func TestReadSpanJSONLBad(t *testing.T) {
 	if _, err := ReadSpanJSONL(strings.NewReader("{not json")); err == nil {
 		t.Fatalf("bad input did not error")

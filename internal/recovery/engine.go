@@ -88,7 +88,7 @@ type Env struct {
 	// latency. Nil keeps every fast path.
 	Foreground *workload.Foreground
 	// Obs supplies the flight-recorder surfaces: the per-rebuild
-	// histograms when Obs.Registry is set, the rebuild-lifecycle span log
+	// histograms when Obs.Registry is set, the rebuild-lifecycle span sink
 	// when Obs.Spans is set. Nil disables both.
 	Obs *obs.RunObserver
 	// Observer receives every event the engine emits, fully built; nil
@@ -257,7 +257,7 @@ type base struct {
 	// registry is attached).
 	hists histograms
 	// spans, when non-nil, receives one lifecycle span per block rebuild.
-	spans *obs.SpanLog
+	spans obs.SpanSink
 	// inFlight counts tracked rebuilds (read-only sampler feed).
 	inFlight int
 	// net, when non-nil, is the run's network fabric (Env.Net).

@@ -10,7 +10,7 @@ import (
 // feeding the obs flight recorder. Everything here is strictly
 // observational — spans and histograms never influence a scheduling
 // decision — and everything is dormant unless the Env.Obs field
-// supplies a span log (per-rebuild span accounting) or a registry (the
+// supplies a span sink (per-rebuild span accounting) or a registry (the
 // per-rebuild histograms). Event counters are not recorded here: they
 // live in the run's obs.Tally and reach a registry at the horizon.
 //
@@ -32,7 +32,7 @@ type histograms struct {
 }
 
 // initObs resolves the per-rebuild histograms on o.Registry and installs
-// the span log o.Spans (either may be nil). With spans enabled the
+// the span sink o.Spans (either may be nil). With spans enabled the
 // scheduler's OnStart hook is armed, which also emits the transfer-start
 // trace event — new event kinds appear in the transcript only when spans
 // are on, so existing transcripts stay byte-identical.
@@ -89,9 +89,9 @@ func (b *base) spanEndAttempt(r *rebuild, now sim.Time) {
 	}
 }
 
-// spanFinish latches the span's terminal outcome at now and feeds the
-// per-run phase histograms (when a registry is attached). Safe on a nil
-// span.
+// spanFinish latches the span's terminal outcome at now, feeds the
+// per-run phase histograms (when a registry is attached) and hands the
+// span back to its sink. Safe on a nil span.
 func (b *base) spanFinish(sp *obs.Span, now sim.Time, outcome string) {
 	if sp == nil {
 		return
@@ -105,4 +105,5 @@ func (b *base) spanFinish(sp *obs.Span, now sim.Time, outcome string) {
 		h.hedgeOverlap.Observe(sp.HedgeOverlap)
 		h.detectWait.Observe(sp.DetectWait())
 	}
+	b.spans.Finish(sp)
 }

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/disk"
 	"repro/internal/obs"
@@ -30,6 +32,11 @@ type SpareDisk struct {
 	pool int
 	// waiting queues recovery work that found the pool empty.
 	waiting []spareWork
+	// freeBlocks holds the block lists of drained waits, for the next
+	// wait to reuse.
+	freeBlocks [][]pendingBlock
+	// replenishFn is the "spare-replenish" handler, bound once.
+	replenishFn func(now sim.Time)
 }
 
 // pendingBlock is one block rebuild awaiting a spare.
@@ -68,6 +75,7 @@ func NewSpareDisk(env Env, spawn DiskSpawner, pool int) *SpareDisk {
 	if pool > 0 {
 		s.pool = pool
 	}
+	s.replenishFn = s.replenish
 	s.init(env)
 	return s
 }
@@ -88,11 +96,26 @@ func (s *SpareDisk) takeSpare() bool {
 		return false
 	}
 	s.pool--
-	s.eng.After(spareReplenishHours, "spare-replenish", func(at sim.Time) {
-		s.pool++
-		s.drainSpareQueue(at)
-	})
+	s.eng.After(spareReplenishHours, "spare-replenish", s.replenishFn)
 	return true
+}
+
+// replenish shelves one reordered spare and hands it to queued work.
+func (s *SpareDisk) replenish(now sim.Time) {
+	s.pool++
+	s.drainSpareQueue(now)
+}
+
+// blockList returns an empty list of pending blocks with room for n,
+// reusing a drained wait's list when one is free.
+func (s *SpareDisk) blockList(n int) []pendingBlock {
+	if k := len(s.freeBlocks); k > 0 {
+		b := s.freeBlocks[k-1]
+		s.freeBlocks[k-1] = nil
+		s.freeBlocks = s.freeBlocks[:k-1]
+		return slices.Grow(b, n)
+	}
+	return make([]pendingBlock, 0, n)
 }
 
 // queueSpareWork parks recovery work until a spare arrives.
@@ -117,6 +140,8 @@ func (s *SpareDisk) drainSpareQueue(now sim.Time) {
 			// startRebuild drops blocks whose group died while waiting.
 			s.startRebuild(pb.failedAt, pb.group, pb.rep, spare, pb.id, pb.span)
 		}
+		clear(w.blocks)
+		s.freeBlocks = append(s.freeBlocks, w.blocks[:0])
 	}
 }
 
@@ -127,11 +152,11 @@ func (s *SpareDisk) HandleDetection(now sim.Time, diskID int, failedAt sim.Time,
 		return // nothing resided on the drive; no spare needed
 	}
 	if !s.takeSpare() {
-		blocks := make([]pendingBlock, len(lost))
-		for i, ref := range lost {
-			pb := &blocks[i]
-			pb.group, pb.rep, pb.failedAt, pb.parkedAt = int(ref.Group), int(ref.Rep), failedAt, now
+		blocks := s.blockList(len(lost))
+		for _, ref := range lost {
+			pb := pendingBlock{group: int(ref.Group), rep: int(ref.Rep), failedAt: failedAt, parkedAt: now}
 			pb.id, pb.span = s.open(pb.group, pb.rep, failedAt)
+			blocks = append(blocks, pb)
 		}
 		s.queueSpareWork(now, diskID, blocks)
 		return
@@ -239,7 +264,7 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 				}
 			} else {
 				// Pool exhausted mid-recovery: park the remaining work.
-				blocks := make([]pendingBlock, 0, len(asTarget))
+				blocks := s.blockList(len(asTarget))
 				for _, r := range asTarget {
 					if s.liftDeadTarget(now, r) {
 						blocks = append(blocks, pendingBlock{
@@ -250,6 +275,8 @@ func (s *SpareDisk) HandleFailure(now sim.Time, diskID int) {
 				}
 				if len(blocks) > 0 {
 					s.queueSpareWork(now, failed, blocks)
+				} else {
+					s.freeBlocks = append(s.freeBlocks, blocks)
 				}
 			}
 		}

@@ -270,11 +270,6 @@ func (r *Recorder) Record(e Event) {
 	r.events = append(r.events, e)
 }
 
-// Reset empties the recorder for the next run, keeping its capacity.
-// A slice Events returned before the Reset is overwritten by later
-// Records.
-func (r *Recorder) Reset() { r.events = r.events[:0] }
-
 // Events returns the recorded stream (caller must not mutate).
 func (r *Recorder) Events() []Event { return r.events }
 

@@ -15,31 +15,6 @@ import (
 	. "repro/internal/trace"
 )
 
-// TestRecorderResetKeepsCapacity: a Reset recorder is empty and records
-// the next run into the array it already has.
-func TestRecorderResetKeepsCapacity(t *testing.T) {
-	rec := NewRecorder()
-	for i := 0; i < 3000; i++ {
-		rec.Record(Event{Time: float64(i), Kind: KindDiskFail, Disk: int32(i)})
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		rec.Reset()
-		for i := 0; i < 3000; i++ {
-			rec.Record(Event{Time: float64(i), Kind: KindDetect, Disk: int32(i)})
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("recording after Reset allocated %.0f times, want 0", allocs)
-	}
-	if ev := rec.Events(); len(ev) != 3000 || ev[0].Kind != KindDetect || ev[2999].Disk != 2999 {
-		t.Fatalf("after Reset: %d events, first %+v", len(ev), ev[0])
-	}
-	rec.Reset()
-	if rec.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", rec.Len())
-	}
-}
-
 func TestRecorderRoundTrip(t *testing.T) {
 	rec := NewRecorder()
 	events := []Event{

@@ -3,8 +3,10 @@
 #
 # Runs the named benchmarks that gate the simulator's performance
 # trajectory, each with -benchmem -count=5, plus the 100k-disk fleet
-# benchmark once (-benchtime=1x: one iteration is six simulated years of
-# a 100,000-drive system; repetition buys nothing but minutes), and
+# benchmark and the forensic campaign benchmark once each
+# (-benchtime=1x: one iteration is six simulated years of a
+# 100,000-drive system, or two forensic storm trajectories; repetition
+# buys nothing but minutes), and
 # writes the given output file (paths are relative to the repository
 # root) mapping benchmark name -> {ns/op, B/op, allocs/op}. For each metric the minimum over the
 # repetitions is kept: minima are the standard noise-robust summary for
@@ -37,8 +39,8 @@ trap 'rm -f "$raw"' EXIT
 echo "running hot-path benchmarks (count=$count)..." >&2
 go test -run '^$' -bench "$pattern" -benchmem -count="$count" . | tee "$raw" >&2
 
-echo "running the 100k-disk fleet benchmark (single iteration)..." >&2
-go test -run '^$' -bench '^BenchmarkSingleRunFARM100k$' -benchmem \
+echo "running the 100k-disk fleet and forensic campaign benchmarks (single iteration)..." >&2
+go test -run '^$' -bench '^(BenchmarkSingleRunFARM100k|BenchmarkForensicCampaign)$' -benchmem \
     -benchtime=1x -count=1 -timeout=30m . | tee -a "$raw" >&2
 
 # Parse `go test -bench` output lines, e.g.
