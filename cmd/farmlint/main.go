@@ -1,14 +1,12 @@
 // Command farmlint runs the repo's determinism/hot-path/validation
-// analyzer suite (internal/lint). It speaks two protocols:
+// analyzer suite (internal/lint) over package patterns:
 //
-//	farmlint ./...                      standalone: load, analyze, report
-//	go vet -vettool=$(pwd)/bin/farmlint ./...   unit-checker protocol
+//	go run ./cmd/farmlint [-format=text|github] [packages]   (default ./...)
 //
-// Standalone mode exits 1 when findings exist; vettool mode follows the
-// vet convention (exit 2). Standalone output is selected with -format:
+// It exits 0 when the packages are clean and 1 on findings or errors.
+// Output is selected with -format:
 //
 //	-format=text    file:line:col: analyzer: message   (default)
-//	-format=json    one JSON object per line: {file,line,col,analyzer,message}
 //	-format=github  GitHub Actions ::error workflow commands, so findings
 //	                surface as inline PR annotations
 //
@@ -17,7 +15,6 @@
 //	nodeterm    no wall clocks, global randomness, or order-dependent
 //	            map walks in simulator packages
 //	hotpath     //farm:hotpath functions stay structurally alloc-free
-//	seqtie      heap comparators tie-break on a sequence number
 //	rngsalt     XOR stream salts are named *Salt/*Seed constants, unique
 //	            across the import closure (cross-package facts)
 //	unitcheck   unit-suffixed quantities (*Hours/*Ms/*MBps/*Bytes/*Ratio/
@@ -30,8 +27,9 @@
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,78 +37,58 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	var patterns []string
-	format := "text"
-	for _, arg := range args {
-		switch {
-		case arg == "-V=full" || arg == "-V":
-			lint.PrintVersion(os.Stdout)
-			return 0
-		case arg == "-flags":
-			lint.PrintFlags(os.Stdout)
-			return 0
-		case lint.IsVetConfig(arg):
-			// go vet unit-checker protocol: one package unit per
-			// invocation, config written by the go command.
-			return lint.RunVetUnit(arg, os.Stderr)
-		case strings.HasPrefix(arg, "-format="):
-			format = strings.TrimPrefix(arg, "-format=")
-			if format != "text" && format != "json" && format != "github" {
-				fmt.Fprintf(os.Stderr, "farmlint: unknown -format %q (want text, json, or github)\n", format)
-				return 1
-			}
-		case strings.HasPrefix(arg, "-"):
-			// Ignore analyzer enable/disable flags the go command may
-			// forward; the suite always runs in full.
-		default:
-			patterns = append(patterns, arg)
-		}
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "farmlint: %v\n", err)
+		os.Exit(1)
+	}
+	os.Exit(run(wd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the patterns in args, resolved from dir, and returns the
+// exit code.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("farmlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	format := fs.String("format", "text", "output format: text or github")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 1
 	}
-	diags, err := lint.Run(wd, patterns...)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(stderr, "farmlint: unknown -format %q (want text or github)\n", *format)
+		return 1
+	}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	diags, err := lint.Run(dir, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "farmlint: %v\n", err)
+		fmt.Fprintf(stderr, "farmlint: %v\n", err)
 		return 1
 	}
 	for _, d := range diags {
-		switch format {
-		case "json":
-			// One object per line so CI tooling can stream-parse the
-			// findings without buffering the whole report.
-			enc, _ := json.Marshal(struct {
-				File     string `json:"file"`
-				Line     int    `json:"line"`
-				Col      int    `json:"col"`
-				Analyzer string `json:"analyzer"`
-				Message  string `json:"message"`
-			}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-			fmt.Println(string(enc))
-		case "github":
-			// GitHub Actions workflow command; the runner turns these
-			// into inline annotations on the PR diff. Newlines and the
-			// command delimiters must be percent-escaped.
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=farmlint/%s::%s\n",
-				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, githubEscape(d.Message))
-		default:
-			fmt.Println(d)
-		}
+		writeDiagnostic(stdout, *format, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "farmlint: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "farmlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
+}
+
+// writeDiagnostic prints one finding in the given format.
+func writeDiagnostic(w io.Writer, format string, d lint.Diagnostic) {
+	if format == "github" {
+		// GitHub Actions workflow command; the runner turns these into
+		// inline annotations on the PR diff.
+		fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=farmlint/%s::%s\n",
+			d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, githubEscape(d.Message))
+		return
+	}
+	fmt.Fprintln(w, d)
 }
 
 // githubEscape encodes the characters GitHub's workflow-command parser

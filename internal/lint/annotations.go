@@ -103,15 +103,12 @@ func cutDirective(text, name string) (string, bool) {
 	return strings.TrimSpace(rest), true
 }
 
-// packageHasDirective reports whether any non-test file of the package
-// carries the named directive anywhere (used for package-scoped markers
-// like //farm:factsink).
+// packageHasDirective reports whether any file of the package carries
+// the named directive anywhere (used for package-scoped markers like
+// //farm:factsink).
 func (p *Pass) packageHasDirective(name string) bool {
 	a := p.annotationsOf()
-	for file, lines := range a.byLine { //farm:orderinvariant existence check only; no order-dependent effects
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
+	for _, lines := range a.byLine { //farm:orderinvariant existence check only; no order-dependent effects
 		for _, text := range lines { //farm:orderinvariant existence check only; no order-dependent effects
 			if _, ok := cutDirective(text, name); ok {
 				return true

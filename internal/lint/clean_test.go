@@ -6,13 +6,12 @@ import (
 )
 
 // TestRepoClean is the meta-test behind scripts/lint.sh: the full farmlint
-// suite — all seven analyzers, facts threaded across packages — must run
+// suite — all six analyzers, facts threaded across packages — must run
 // clean over every package of the module. Any new wall-clock read,
 // global-randomness import, order-dependent map walk, allocating
-// hot-path construct, unvalidated config float or integer,
-// tie-break-free heap, inline or colliding RNG salt, cross-unit
-// arithmetic, dead config knob, or dead/uncovered trace kind anywhere
-// in the repo fails this test.
+// hot-path construct, unvalidated config float or integer, inline or
+// colliding RNG salt, cross-unit arithmetic, dead config knob, or
+// dead/uncovered trace kind anywhere in the repo fails this test.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint loads and type-checks every package; skipped in -short")

@@ -83,9 +83,6 @@ func runConfigFlow(pass *Pass) error {
 	writes := make(map[ast.Expr]bool)
 	inValidate := make(map[ast.Node]bool) // Validate/validate function bodies
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -110,9 +107,6 @@ func runConfigFlow(pass *Pass) error {
 	validatedBy := make(map[*types.Var]bool) // references inside Validate (any selection)
 	foreignReads := make(map[string]configFieldRef)
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -153,7 +147,7 @@ func runConfigFlow(pass *Pass) error {
 				if !configFlowPkgs[pkgPathBase(field.Pkg().Path())] {
 					return true
 				}
-				ref := configFieldRef{Pkg: cleanPkgPath(field.Pkg().Path()), Struct: structName, Field: field.Name()}
+				ref := configFieldRef{Pkg: field.Pkg().Path(), Struct: structName, Field: field.Name()}
 				foreignReads[ref.key()] = ref
 				return true
 			})
@@ -172,9 +166,6 @@ func runConfigFlow(pass *Pass) error {
 	if watched {
 		sawValidate := len(inValidate) > 0
 		for _, file := range pass.Files {
-			if pass.InTestFile(file.Pos()) {
-				continue
-			}
 			for _, decl := range file.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok {
@@ -318,7 +309,7 @@ func (p *Pass) reportDeadKnobs(own configFlowFact) {
 			}{pkg, d})
 		}
 	}
-	consume(cleanPkgPath(p.Pkg.Path()), own)
+	consume(p.Pkg.Path(), own)
 	for _, dep := range p.FactProviders() {
 		var fact configFlowFact
 		if p.ImportFact(dep, &fact) {

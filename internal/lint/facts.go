@@ -1,26 +1,17 @@
 package lint
 
-// Facts are how farmlint sees across package boundaries. PR 4's six
-// analyzers were package-local: every invariant they enforce can be
-// decided from one type-checked package. The v2 analyzers cannot —
-// whether two packages salt their RNG streams with the same constant,
-// whether a config knob declared in internal/topology is ever read by
-// the engine, whether a trace kind is emitted anywhere at all — so each
-// analyzer may now export one *package fact*: a small JSON-marshalable
-// summary of the package (its salt constants, its config fields, the
-// kinds it emits) that flows to every package importing it.
+// Facts are how farmlint sees across package boundaries. Some
+// invariants cannot be decided from one type-checked package — whether
+// two packages salt their RNG streams with the same constant, whether a
+// config knob declared in internal/topology is ever read by the engine,
+// whether a trace kind is emitted anywhere at all — so each analyzer may
+// export one *package fact*: a small JSON-marshalable summary of the
+// package (its salt constants, its config fields, the kinds it emits)
+// that flows to every package importing it.
 //
-// The transport mirrors golang.org/x/tools/go/analysis facts in spirit
-// but rides the repo's stdlib-only drivers:
-//
-//   - under `go vet -vettool`, facts travel in the .vetx files the go
-//     command already threads between package units (PackageVetx in,
-//     VetxOutput out). Each unit's .vetx holds the merged facts of the
-//     unit and its whole import closure, so transitive visibility
-//     survives even when the driver only hands us direct dependencies;
-//   - under the standalone driver (lint.Run, TestRepoClean), packages
-//     are analyzed in dependency order and facts are threaded in
-//     memory.
+// The driver (lint.Run, and the fixture harness the same way) analyzes
+// packages in dependency order and threads facts in memory: each
+// package sees the facts of its whole in-module import closure.
 //
 // Fact flow follows import edges only: an analyzer that needs a
 // whole-program view (configflow's dead-knob check, kindflow's dead-kind
@@ -31,45 +22,12 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 )
 
 // FactSet maps analyzer name -> that analyzer's JSON-encoded package
 // fact, for one package.
 type FactSet map[string]json.RawMessage
-
-// vetxPayload is the on-disk .vetx format: the facts of one package unit
-// merged with the facts of its entire import closure, keyed by import
-// path. Versioned so a toolchain cache serving a stale schema is ignored
-// rather than misdecoded (the go command already keys its action cache on
-// the -V=full handshake, so this is a second line of defense).
-type vetxPayload struct {
-	Farmlint string             `json:"farmlint"`
-	Packages map[string]FactSet `json:"packages,omitempty"`
-}
-
-// encodeFacts serializes the merged fact map of a unit's import closure
-// (plus the unit itself) for its VetxOutput file.
-func encodeFacts(packages map[string]FactSet) ([]byte, error) {
-	return json.Marshal(vetxPayload{Farmlint: Version, Packages: packages})
-}
-
-// decodeFactsFile reads one dependency's .vetx. Empty files (the PR 4
-// fact-free format) and version mismatches decode to no facts rather
-// than an error: a missing fact degrades a cross-package check to a
-// local one, which is the correct failure direction for a linter.
-func decodeFactsFile(path string) map[string]FactSet {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		return nil
-	}
-	var p vetxPayload
-	if err := json.Unmarshal(data, &p); err != nil || p.Farmlint != Version {
-		return nil
-	}
-	return p.Packages
-}
 
 // ExportFact records v as this package's fact for the running analyzer.
 // At most one fact per (package, analyzer); the last export wins.

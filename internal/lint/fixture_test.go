@@ -32,7 +32,6 @@ import (
 
 func TestNoDetermFixtures(t *testing.T)   { testAnalyzerFixtures(t, NoDeterm) }
 func TestHotPathFixtures(t *testing.T)    { testAnalyzerFixtures(t, HotPath) }
-func TestSeqTieFixtures(t *testing.T)     { testAnalyzerFixtures(t, SeqTie) }
 func TestRngSaltFixtures(t *testing.T)    { testAnalyzerFixtures(t, RngSalt) }
 func TestUnitCheckFixtures(t *testing.T)  { testAnalyzerFixtures(t, UnitCheck) }
 func TestConfigFlowFixtures(t *testing.T) { testAnalyzerFixtures(t, ConfigFlow) }

@@ -37,9 +37,6 @@ var HotPath = &Analyzer{
 
 func runHotPath(pass *Pass) error {
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		hot := false
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -235,4 +232,9 @@ func (p *Pass) isMapOrChan(t types.Type) bool {
 		return true
 	}
 	return false
+}
+
+func isEmptyInterface(t types.Type) bool {
+	i, ok := t.Underlying().(*types.Interface)
+	return ok && i.NumMethods() == 0
 }

@@ -85,9 +85,6 @@ func (p *Pass) auditKindDecls() []kindDecl {
 	// The set of Kind constants CheckCausality references.
 	causality := make(map[*types.Const]bool)
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Name.Name != "CheckCausality" || fd.Body == nil {
@@ -108,9 +105,6 @@ func (p *Pass) auditKindDecls() []kindDecl {
 
 	var out []kindDecl
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -145,9 +139,6 @@ func (p *Pass) auditKindDecls() []kindDecl {
 func (p *Pass) collectKindUses() []string {
 	used := make(map[string]bool)
 	for _, file := range p.Files {
-		if p.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {

@@ -1,10 +1,10 @@
 // Package lint is farmlint: a repo-specific static-analysis suite that
 // mechanically enforces the simulator's determinism, hot-path, and
 // validation invariants. Every result of the paper's evaluation rests on
-// the Monte Carlo being a pure function of its seed; earlier PRs defend
-// that property dynamically (golden transcripts, byte-identity tests,
-// AllocsPerRun gates). farmlint turns the same contracts into law the
-// compiler toolchain checks on every build:
+// the Monte Carlo being a pure function of its seed; the golden
+// transcripts, byte-identity tests and AllocsPerRun gates defend that
+// property dynamically, and farmlint checks the same contracts
+// statically on every change:
 //
 //   - nodeterm: no wall-clock reads, no global randomness, no
 //     order-dependent map iteration in simulator packages
@@ -12,12 +12,9 @@
 //     //farm:wallclock);
 //   - hotpath: functions annotated //farm:hotpath must stay structurally
 //     allocation-free (no fmt/errors calls, closures, map/chan makes,
-//     non-self appends, defers);
-//   - seqtie: every container/heap element ordering must tie-break on an
-//     explicit sequence number, so simultaneous events pop in a
-//     deterministic order.
+//     non-self appends, defers).
 //
-// The v2 analyzers are cross-package: each package exports *facts*
+// The other analyzers are cross-package: each package exports *facts*
 // (see facts.go) that flow along import edges, so contracts spanning
 // the whole module are checked mechanically:
 //
@@ -43,12 +40,16 @@
 // compile as a kind or a metric name, and unit tests over the two tables
 // check that the names are unique (and, for metrics, snake_case).
 //
+// Test files are outside every contract (benchmarks legitimately read
+// the wall clock; table tests walk maps). That needs no check: the
+// loader analyzes a package's GoFiles, which never include a _test.go
+// file.
+//
 // The suite is framework-compatible in spirit with
 // golang.org/x/tools/go/analysis but deliberately depends only on the
 // standard library (go/ast, go/types, go/importer), so the repo builds
-// offline with no module downloads. cmd/farmlint is the driver: it runs
-// standalone over package patterns and also speaks the `go vet -vettool`
-// unitchecker protocol.
+// offline with no module downloads. Run is the one driver; cmd/farmlint
+// wraps it as a command.
 package lint
 
 import (
@@ -115,20 +116,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos lies in a *_test.go file. The
-// determinism and hot-path contracts bind the simulator binary, not its
-// tests (benchmarks legitimately read the wall clock; table tests walk
-// maps), so every analyzer skips test files.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // Analyzers returns the full farmlint suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoDeterm,
 		HotPath,
-		SeqTie,
 		RngSalt,
 		UnitCheck,
 		ConfigFlow,
@@ -204,14 +196,6 @@ func pkgPathBase(path string) string {
 	}
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
 		path = path[i+1:]
-	}
-	return path
-}
-
-// cleanPkgPath strips the " [test-variant]" suffix from an import path.
-func cleanPkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
 	}
 	return path
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 )
 
@@ -24,7 +25,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// Deps lists the package's transitive dependencies (import paths),
-	// used by the standalone driver to thread facts in dependency order.
+	// used by Run to thread facts in dependency order.
 	Deps []string
 }
 
@@ -153,14 +154,11 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// typecheckFiles parses and type-checks one package unit.
+// typecheckFiles parses and type-checks one package from its directory.
 func typecheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
-		fn := name
-		if dir != "" {
-			fn = dir + string(os.PathSeparator) + name
-		}
+		fn := filepath.Join(dir, name)
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", fn, err)
@@ -182,7 +180,7 @@ func typecheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, g
 			firstErr = err
 		}
 	}
-	tpkg, err := conf.Check(cleanPkgPath(path), fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -215,7 +213,7 @@ func Run(dir string, patterns ...string) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, err
 		}
-		facts[cleanPkgPath(pkg.Path)] = exported
+		facts[pkg.Path] = exported
 		out = append(out, ds...)
 	}
 	sortDiagnostics(out)

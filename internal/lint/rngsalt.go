@@ -66,9 +66,6 @@ func runRngSalt(pass *Pass) error {
 	var local []saltDecl
 	byValue := make(map[uint64]string)
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -103,9 +100,6 @@ func runRngSalt(pass *Pass) error {
 	// Pass 2: every binary XOR whose operand is a compile-time constant
 	// must name a salt constant — inline literals can't be registered.
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)
 			if !ok || be.Op != token.XOR {
@@ -123,7 +117,7 @@ func runRngSalt(pass *Pass) error {
 	// view contains both sides of a collision.
 	owners := make(map[uint64][]saltOwner)
 	for _, d := range local {
-		owners[d.Value] = append(owners[d.Value], saltOwner{pkg: cleanPkgPath(pass.Pkg.Path()), decl: d})
+		owners[d.Value] = append(owners[d.Value], saltOwner{pkg: pass.Pkg.Path(), decl: d})
 	}
 	for _, dep := range pass.FactProviders() {
 		var fact saltFact

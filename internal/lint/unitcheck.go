@@ -67,9 +67,6 @@ func unitOfName(name string) string {
 
 func runUnitCheck(pass *Pass) error {
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:

@@ -171,7 +171,6 @@ func (s *Store) propagateDelta(col *collection, dataRep, offset int, delta, newR
 			// regions instead — the data rep was just overwritten, so the
 			// recomputation lands on the new contents directly.
 			s.stats.CorruptionsDetected++
-			s.sm.CorruptRegions.Inc()
 			for i := range region {
 				region[i] = 0
 			}
@@ -183,7 +182,6 @@ func (s *Store) propagateDelta(col *collection, dataRep, offset int, delta, newR
 				gf256.MulSlice(s.coefs[rep-m][d], dreg, region)
 			}
 			s.stats.CorruptionsRepaired++
-			s.sm.Repairs.Inc()
 			s.setRegionSum(col, rep, offset, region)
 			continue
 		}
@@ -275,13 +273,11 @@ func (s *Store) readRegion(col *collection, rep, offset int) ([]byte, error) {
 			return region, nil
 		}
 		s.stats.CorruptionsDetected++
-		s.sm.CorruptRegions.Inc()
 	}
 	// Degraded read: assemble the surviving verified regions and
 	// reconstruct the missing/corrupt ones. Reconstruction is per region
 	// (the codecs are bytewise), so only BlockBytes per shard move.
 	s.stats.DegradedReads++
-	s.sm.DegradedReads.Inc()
 	shards := make([][]byte, s.cfg.Scheme.N)
 	var corrupt []int
 	present := 0
@@ -294,7 +290,6 @@ func (s *Store) readRegion(col *collection, rep, offset int) ([]byte, error) {
 		if !s.regionOK(col, r, offset, region) {
 			if r != rep { // rep's corruption was already counted above
 				s.stats.CorruptionsDetected++
-				s.sm.CorruptRegions.Inc()
 			}
 			corrupt = append(corrupt, r)
 			continue
@@ -320,7 +315,6 @@ func (s *Store) readRegion(col *collection, rep, offset int) ([]byte, error) {
 		copy(data[offset:offset+s.cfg.BlockBytes], shards[r])
 		s.setRegionSum(col, r, offset, data[offset:offset+s.cfg.BlockBytes])
 		s.stats.CorruptionsRepaired++
-		s.sm.Repairs.Inc()
 	}
 	return shards[rep], nil
 }

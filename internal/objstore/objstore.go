@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/erasure"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/redundancy"
 )
@@ -133,10 +132,6 @@ type Store struct {
 	// mirroring), probed from the codec once at construction.
 	coefs [][]byte
 	stats StoreStats
-	// sm mirrors fault-path counters into the flight recorder; never nil
-	// (a sink over a private registry until SetMetrics installs a real
-	// one), so the data paths stay branch-free.
-	sm *obs.StoreMetrics
 }
 
 // StoreStats counts fault-path activity over the store's lifetime.
@@ -153,14 +148,6 @@ type StoreStats struct {
 
 // Stats returns the store's fault-path counters.
 func (s *Store) Stats() StoreStats { return s.stats }
-
-// SetMetrics mirrors the store's fault-path counters into the given
-// flight-recorder bundle. Purely observational.
-func (s *Store) SetMetrics(sm *obs.StoreMetrics) {
-	if sm != nil {
-		s.sm = sm
-	}
-}
 
 // Errors returned by Store operations.
 var (
@@ -187,7 +174,6 @@ func New(cfg Config) (*Store, error) {
 		hasher:      placement.NewHasher(cfg.PlacementSeed),
 		files:       make(map[string]*fileMeta),
 		slotsPerRow: cfg.BlocksPerCollection / cfg.Scheme.M,
-		sm:          obs.NewStoreMetrics(obs.NewRegistry()),
 	}
 	s.shardBytes = s.slotsPerRow * cfg.BlockBytes
 	if cfg.Scheme.M > 1 {

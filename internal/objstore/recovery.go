@@ -126,7 +126,6 @@ func (s *Store) Recover() RecoverStats {
 			if !ok {
 				stats.CorruptShards++
 				s.stats.CorruptionsDetected++
-				s.sm.CorruptRegions.Inc()
 				corrupt = append(corrupt, rep)
 				continue
 			}
@@ -148,7 +147,6 @@ func (s *Store) Recover() RecoverStats {
 		for _, rep := range corrupt {
 			s.storeShard(col.disks[rep], shardKey{col.id, rep}, shards[rep])
 			s.stats.CorruptionsRepaired++
-			s.sm.Repairs.Inc()
 			stats.ShardsRepaired++
 		}
 		for _, rep := range missing {
@@ -163,7 +161,6 @@ func (s *Store) Recover() RecoverStats {
 			exclude.Add(target)
 			targets[target] = true
 			stats.ShardsRebuilt++
-			s.sm.ShardsRebuilt.Inc()
 		}
 	}
 	stats.TargetsUsed = len(targets)

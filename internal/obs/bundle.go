@@ -6,25 +6,6 @@ import (
 	"math"
 )
 
-// StoreMetrics is the object-store handle bundle (internal/objstore):
-// degraded-path data counters.
-type StoreMetrics struct {
-	DegradedReads  *Counter
-	CorruptRegions *Counter
-	Repairs        *Counter
-	ShardsRebuilt  *Counter
-}
-
-// NewStoreMetrics resolves the object-store handles on r.
-func NewStoreMetrics(r *Registry) *StoreMetrics {
-	return &StoreMetrics{
-		DegradedReads:  r.Counter(MetricObjDegradedReads),
-		CorruptRegions: r.Counter(MetricObjCorruptRegions),
-		Repairs:        r.Counter(MetricObjRepairs),
-		ShardsRebuilt:  r.Counter(MetricObjShardsRebuilt),
-	}
-}
-
 // RunObserver bundles the per-run observability configuration the core
 // simulator threads through its layers. Every field is optional; the
 // zero value (and a nil *RunObserver) disables the corresponding

@@ -105,12 +105,6 @@ const (
 	MetricProbeTransient
 	MetricProbeLatent
 
-	// Object-store data-path counters (internal/objstore).
-	MetricObjDegradedReads
-	MetricObjCorruptRegions
-	MetricObjRepairs
-	MetricObjShardsRebuilt
-
 	// Loss-forensics counters (internal/forensics): one postmortem per
 	// traced data-loss or dropped-rebuild event, bucketed by the
 	// deterministic taxonomy.
@@ -207,10 +201,6 @@ var names = [...]string{
 	MetricProbeReads:           "probe_reads_total",
 	MetricProbeTransient:       "probe_transient_total",
 	MetricProbeLatent:          "probe_latent_total",
-	MetricObjDegradedReads:     "objstore_degraded_reads_total",
-	MetricObjCorruptRegions:    "objstore_corrupt_regions_total",
-	MetricObjRepairs:           "objstore_repairs_total",
-	MetricObjShardsRebuilt:     "objstore_shards_rebuilt_total",
 	MetricPostmortems:          "postmortems_total",
 	MetricPostmortemLosses:     "postmortem_losses_total",
 	MetricPostmortemDrops:      "postmortem_drops_total",

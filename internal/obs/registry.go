@@ -87,9 +87,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Bounds returns the bucket upper bounds (caller must not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts returns the per-bucket counts, the last entry being the
 // +Inf bucket (caller must not mutate).
 func (h *Histogram) BucketCounts() []uint64 { return h.counts }
